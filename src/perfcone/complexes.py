@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .cone import PerfectCone, facet_index_sets, pad, spanning_subset
 from .intlinalg import det_sign
@@ -149,18 +149,11 @@ def annotate_matroidal(reg: OrbitRegistry) -> None:
         orb.matroidal = orb.id in flagged
 
 
-def _det_sign_square(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 1
-    return det_sign(rows)
-
-
 def _facet_signs(orbit: Orbit, reg: OrbitRegistry) -> list[int]:
     """eta for each recorded facet whose target orbit is alternating
     (0 placeholder otherwise); cached on the orbit."""
-    cached = getattr(orbit, "_facet_signs", None)
-    if cached is not None:
-        return cached
+    if orbit.facet_signs is not None:
+        return orbit.facet_signs
     rep = orbit.rep
     xs = span_coordinates(rep, orbit.ref_orientation)
     n = len(rep.generators)
@@ -175,14 +168,14 @@ def _facet_signs(orbit: Orbit, reg: OrbitRegistry) -> list[int]:
         face = rep.subcone(idx)
         local_span = spanning_subset(face)
         rows = [xs[u]] + [xs[idx[b]] for b in local_span]
-        s1 = _det_sign_square(rows)
+        s1 = det_sign(rows)
         xt = span_coordinates(target.rep, target.ref_orientation)
         rows_t = [xt[tau[b]] for b in local_span]
-        s2 = _det_sign_square(rows_t)
+        s2 = det_sign(rows_t)
         if s1 == 0 or s2 == 0:
             raise AssertionError("facet orientation degenerated")
         signs.append(s1 * s2)
-    orbit._facet_signs = signs
+    orbit.facet_signs = signs
     return signs
 
 

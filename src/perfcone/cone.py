@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .intlinalg import (
+    Echelon,
     adjugate_int,
     det_int,
     dot,
@@ -25,7 +26,6 @@ from .intlinalg import (
     rank_rows,
     sign_normalize,
     snf_left,
-    unimodular_inverse,
     vec_gcd,
 )
 
@@ -143,23 +143,20 @@ def reduce(c: PerfectCone) -> tuple[PerfectCone, list[list[int]]]:
     return PerfectCone(r, new_gens), u
 
 
-def untruncate(vectors: Sequence[Sequence[int]], g: int) -> list[tuple[int, ...]]:
-    return [tuple(v) + (0,) * (g - len(v)) for v in vectors]
+def greedy_spanning(rows: Sequence[Sequence[int]], order: Iterable[int]) -> list[int]:
+    """Lexicographically least (w.r.t. order) index subset whose rows span,
+    in the order picked.
 
-
-def _greedy_spanning(rows: Sequence[Sequence], order: Sequence[int]) -> list[int]:
-    """Lexicographically least (w.r.t. order) index subset whose rows span."""
+    A row is picked when it raises the rank of the rows picked before it,
+    so one pass against a growing echelon basis finds the subset.
+    """
+    basis = Echelon()
     chosen: list[int] = []
-    current_rank = 0
-    total = rank_rows(rows) if rows else 0
     for i in order:
-        trial = chosen + [i]
-        r = rank_rows([rows[j] for j in trial])
-        if r > current_rank:
+        if basis.add(rows[i]):
             chosen.append(i)
-            current_rank = r
-            if current_rank == total:
-                break
+            if len(chosen) == len(rows[i]):
+                break  # the picked rows span every column
     return chosen
 
 
@@ -168,7 +165,7 @@ def spanning_subset(c: PerfectCone, order: Sequence[int] | None = None) -> tuple
     rows = [flatten_rank1(v) for v in c.generators]
     if order is None:
         order = range(len(rows))
-    return tuple(sorted(_greedy_spanning(rows, list(order))))
+    return tuple(sorted(greedy_spanning(rows, order)))
 
 
 def _dd_extreme_rays(ys: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], frozenset]]:
@@ -180,7 +177,7 @@ def _dd_extreme_rays(ys: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], f
     """
     d = len(ys[0])
     n = len(ys)
-    init = _greedy_spanning(ys, list(range(n)))
+    init = greedy_spanning(ys, range(n))
     if len(init) != d:
         raise AssertionError("constraints do not span the ambient space")
     y0 = [list(ys[i]) for i in init]

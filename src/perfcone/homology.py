@@ -1,6 +1,6 @@
 """Exact homology of the built complexes and the derived tables.
 
-Everything is integer or Fraction arithmetic; ranks come from
+Everything is integer arithmetic; ranks come from
 fraction-free elimination. The long-exact-sequence solver is a
 bookkeeping engine: every deduced dimension carries a note naming the
 window that forced it, and unknown is a first-class outcome.

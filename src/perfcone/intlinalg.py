@@ -1,13 +1,25 @@
 """Exact integer and rational linear algebra helpers.
 
-Matrices are lists (or tuples) of rows; vectors are sequences. Everything
-runs on Python ints and fractions.Fraction. No floats.
+Matrices are lists (or tuples) of rows; vectors are sequences. No floats.
+
+Every elimination runs through one fraction-free kernel, ``Echelon``: an
+integer echelon basis grown one row at a time by Bareiss steps (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 1968), with fraction-free back substitution
+where the Gauss-Jordan form is needed. Its entries are minors of the
+input, so every division is exact and no entry is a fraction. Ranks,
+pivot columns, determinants, adjugates, inverses and kernel vectors are
+all read off its state.
+``snf_left`` works with unimodular row and column operations instead, and
+the form routines ``ldlt`` and ``classify_symmetric`` stay rational,
+because quadratic forms have rational entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import index, mul
 from typing import Iterable, Sequence
 
 
@@ -52,295 +64,218 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def transpose(m: Sequence[Sequence]) -> list[list]:
-    return [list(row) for row in zip(*m)]
-
-
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def dot(u: Sequence, v: Sequence):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
-def _frac_rows(rows: Iterable[Sequence]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+class Echelon:
+    """Fraction-free (Bareiss) echelon basis of integer rows, grown row by row.
 
-
-def rank_rows(rows: Sequence[Sequence]) -> int:
-    """Rank over Q; accepts int or Fraction entries."""
-    m = _frac_rows(rows)
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        for i in range(rank + 1, len(m)):
-            if m[i][col]:
-                f = m[i][col] * inv
-                mi, mr = m[i], m[rank]
-                for j in range(col, ncols):
-                    mi[j] -= f * mr[j]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def pivot_columns(rows: Sequence[Sequence]) -> list[int]:
-    """Leftmost pivot column indices of the row space."""
-    m = _frac_rows(rows)
-    if not m:
-        return []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        for i in range(r + 1, len(m)):
-            if m[i][col]:
-                f = m[i][col] * inv
-                mi, mr = m[i], m[r]
-                for j in range(col, ncols):
-                    mi[j] -= f * mr[j]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return pivots
-
-
-def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free rank of an integer matrix.
-
-    Pivot row chosen by smallest nonzero magnitude to keep entries small.
+    Let A be the kept rows and B the square submatrix of A on the pivot
+    columns, taken in pivot order. Stored row i is kept row i after the
+    Bareiss steps against kept rows 0..i-1: zero on ``pivots[:i]``, and on
+    ``pivots[i]`` it holds the leading i+1 minor of B. Every entry is a
+    minor of A, so every division is exact, and ``det`` = det B. Pivots are
+    searched among the first ``width`` columns (all columns when None);
+    later columns ride along.
     """
-    m = [list(map(int, row)) for row in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            x = m[i][col]
-            if x and (piv is None or abs(x) < abs(m[piv][col])):
-                piv = i
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][col]
-        for i in range(r + 1, nrows):
-            mi, mr = m[i], m[r]
-            xic = mi[col]
-            for j in range(col, ncols):
-                mi[j] = (mi[j] * p - xic * mr[j]) // prev
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return r
 
+    __slots__ = ("width", "rows", "pivots", "det")
 
-def det_int(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    a = [list(map(int, row)) for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            x = a[i][col]
-            if x and (piv is None or abs(x) < abs(a[piv][col])):
-                piv = i
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        p = a[col][col]
-        for i in range(col + 1, n):
-            ai, ac = a[i], a[col]
-            xic = ai[col]
-            for j in range(col, n):
-                ai[j] = (ai[j] * p - xic * ac[j]) // prev
-        prev = p
-    return sign * a[n - 1][n - 1]
+    def __init__(self, width: int | None = None):
+        self.width = width
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+        self.det = 1
 
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
-def det_sign(m: Sequence[Sequence]) -> int:
-    """Sign (-1, 0, +1) of the determinant; int or Fraction entries."""
-    a = _frac_rows(m)
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col]:
-                piv = i
+    def add(self, row: Sequence[int]) -> bool:
+        """Keep row if it is independent of the kept rows; report which.
+
+        A Bareiss step whose multiplier is zero only rescales the row by
+        p_i / p_(i-1). These rescalings telescope, so each is deferred to
+        the next step with a nonzero multiplier, or to the end.
+        """
+        v = list(map(index, row))
+        last = 1  # pivot of the last step applied; v is exact times p_i / last
+        for r, c in zip(self.rows, self.pivots):
+            f = v[c]
+            if f:
+                p = r[c]
+                v = [(p * a - f * b) // last for a, b in zip(v, r)]
+                last = p
+        for c, x in enumerate(v[: self.width]):
+            if x:
                 break
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+        else:
+            return False
+        d = self.det
+        if last != d:
+            v = [a * d // last for a in v]
+        self.rows.append(v)
+        self.pivots.append(c)
+        self.det = v[c]
+        return True
+
+    def jordan(self) -> list[list[int]]:
+        """The kept rows reduced above their pivots as well: adj(B) A, whose
+        row i holds det B on ``pivots[i]`` and zero on the other pivots.
+
+        Fraction-free back substitution, from the last row up:
+        R_i = (det B E_i - sum_{j>i} E_i[c_j] R_j) / p_i.
+        """
+        d = self.det
+        out: list[list[int]] = []
+        for e, c in zip(reversed(self.rows), reversed(self.pivots)):
+            v = [d * x for x in e]
+            for r, cj in zip(out, reversed(self.pivots)):
+                f = e[cj]
+                if f:
+                    v = [a - f * b for a, b in zip(v, r)]
+            p = e[c]
+            out.append([a // p for a in v])
+        out.reverse()
+        return out
+
+
+def _echelon(rows: Iterable[Sequence[int]]) -> Echelon:
+    e = Echelon()
+    for row in rows:
+        e.add(row)
+        if e.rank == len(row):
+            break  # the rows kept so far span every column
+    return e
+
+
+def _perm_sign(perm: Sequence[int]) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        j = start
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
             sign = -sign
-        p = a[col][col]
-        if p < 0:
-            sign = -sign
-        inv = 1 / p
-        for i in range(col + 1, n):
-            if a[i][col]:
-                f = a[i][col] * inv
-                ai, ac = a[i], a[col]
-                for j in range(col, n):
-                    ai[j] -= f * ac[j]
     return sign
 
 
-def frac_inverse(m: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Inverse over Q via Gauss-Jordan; raises on singular input."""
-    a = _frac_rows(m)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("inverse needs a square matrix")
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
+def _square(m: Sequence[Sequence[int]]) -> int:
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("expected a square matrix")
+    return n
+
+
+def _det(m: Sequence[Sequence[int]]) -> int:
+    _square(m)
+    e = Echelon()
+    for row in m:
+        if not e.add(row):
+            return 0
+    # B is m with its columns permuted into pivot order
+    return _perm_sign(e.pivots) * e.det
+
+
+def _adjugate_det(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(adj m, det m) from one elimination of [m | I]; m invertible."""
+    n = _square(m)
+    e = Echelon(n)
+    for i, row in enumerate(m):
+        if not e.add(list(row) + [int(i == j) for j in range(n)]):
             raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = 1 / a[col][col]
-        a[col] = [x * f for x in a[col]]
-        inv[col] = [x * f for x in inv[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                g = a[i][col]
-                a[i] = [x - g * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - g * y for x, y in zip(inv[i], inv[col])]
-    return inv
+    # the right block is adj(m Q) = det(Q) Q^-1 adj(m), Q the pivot order
+    s = _perm_sign(e.pivots)
+    adj: list[list[int]] = [[]] * n
+    for r, c in zip(e.jordan(), e.pivots):
+        adj[c] = [s * x for x in r[n:]]
+    return adj, s * e.det
 
 
-def solve_frac(m: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """One solution of m x = rhs over Q, or None if inconsistent."""
-    a = _frac_rows(m)
-    b = [Fraction(x) for x in rhs]
-    if not a:
-        return [] if not any(b) else None
-    nrows, ncols = len(a), len(a[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        b[r], b[piv] = b[piv], b[r]
-        f = 1 / a[r][col]
-        a[r] = [x * f for x in a[r]]
-        b[r] *= f
-        for i in range(nrows):
-            if i != r and a[i][col]:
-                g2 = a[i][col]
-                a[i] = [x - g2 * y for x, y in zip(a[i], a[r])]
-                b[i] -= g2 * b[r]
-        pivots.append(col)
-        r += 1
-    for i in range(r, nrows):
-        if b[i]:
-            return None
-    x = [Fraction(0)] * ncols
-    for k, col in enumerate(pivots):
-        x[col] = b[k]
-    return x
+def rank_rows(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix."""
+    return _echelon(rows).rank
 
 
-def kernel_basis(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Basis of {x : rows . x = 0} over Q."""
-    m = _frac_rows(rows)
-    if not m:
-        return []
-    ncols = len(m[0])
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        f = 1 / m[r][col]
-        m[r] = [x * f for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                g2 = m[i][col]
-                m[i] = [x - g2 * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for k, pc in enumerate(pivots):
-            vec[pc] = -m[k][fc]
-        basis.append(vec)
-    return basis
+def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer boundary matrix. Same as rank_rows; a function
+    of its own so that homology's rank calls are counted apart."""
+    return _echelon(rows).rank
+
+
+def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Leftmost pivot column indices of the row space.
+
+    A column a reduced row can pivot on is never a combination of the
+    columns left of it, so the pivots found are exactly these.
+    """
+    return sorted(_echelon(rows).pivots)
+
+
+def det_int(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix; 1 when empty."""
+    return _det(m)
+
+
+def det_sign(m: Sequence[Sequence[int]]) -> int:
+    """Sign (-1, 0, +1) of the determinant of a square integer matrix."""
+    d = _det(m)
+    return (d > 0) - (d < 0)
+
+
+def adjugate_int(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """adj(m) with adj(m) m = det(m) I, for invertible integer m."""
+    return _adjugate_det(m)[0]
+
+
+def frac_inverse(m: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """Inverse over Q of an invertible integer matrix; raises on singular
+    input. The package itself inverts with adjugate_int."""
+    adj, d = _adjugate_det(m)
+    return [[Fraction(x, d) for x in row] for row in adj]
+
+
+def unimodular_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    adj, d = _adjugate_det(m)
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return [[d * x for x in row] for row in adj]
 
 
 def integer_kernel_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
-    """A primitive integer kernel vector when the kernel is 1-dimensional."""
-    basis = kernel_basis(rows)
-    if len(basis) != 1:
+    """A primitive integer kernel vector when the kernel is 1-dimensional.
+
+    Its entry on the one non-pivot column is positive.
+    """
+    if not rows:
         return None
-    vec = basis[0]
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return primitive_vector([int(x * den) for x in vec])
+    e = _echelon(rows)
+    free = set(range(len(rows[0]))) - set(e.pivots)
+    if len(free) != 1:
+        return None
+    (f,) = free
+    s = 1 if e.det > 0 else -1
+    vec = [0] * len(rows[0])
+    vec[f] = s * e.det
+    for r, c in zip(e.jordan(), e.pivots):
+        vec[c] = -s * r[f]
+    return primitive_vector(vec)
 
 
 def snf_left(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], int]:
@@ -397,37 +332,6 @@ def snf_left(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int
                         piv = (i, j)
     rank = sum(1 for k in range(min(nrows, ncols)) if a[k][k] != 0)
     return u, a, rank
-
-
-def unimodular_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    inv = frac_inverse(m)
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            irow.append(int(x))
-        out.append(irow)
-    return out
-
-
-def adjugate_int(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """adj(m) with adj(m) m = det(m) I, for invertible integer m."""
-    d = det_int(m)
-    if d == 0:
-        raise ValueError("adjugate of a singular matrix is not needed here")
-    inv = frac_inverse(m)
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            y = x * d
-            if y.denominator != 1:
-                raise AssertionError("adjugate arithmetic went inexact")
-            irow.append(int(y))
-        out.append(irow)
-    return out
 
 
 def ldlt(entries: Sequence[Sequence[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:

@@ -2,9 +2,16 @@
 
 Equivalence search runs on full-rank cones; boundary cones are reduced
 first and the witness matrix is lifted back. The pruning invariant is the
-Gram matrix G_ij = v_i^t T^{-1} v_j with T = sum of v v^t: a matrix
-mapping generators to +-generators permutes G up to row/column signs, so
-|G| profiles must match.
+integer Gram matrix G_ij = v_i^t adj(T) v_j with T = sum of v v^t. It is
+det T times the rational Gram matrix v_i^t T^{-1} v_j, and det T > 0 is a
+GL_g(Z) invariant of the cone, so every comparison made on G is the one
+the rational matrix would give. A matrix mapping generators to
++-generators permutes G up to row/column signs, so |G| profiles must
+match. Orbit fingerprints carry det T of the reduced core as well.
+
+All arithmetic here is on integers: inverses appear only as adjugates
+with a divisibility test, and span coordinates are scaled by a positive
+determinant, which keeps every orientation sign taken on them.
 """
 
 from __future__ import annotations
@@ -12,28 +19,28 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .cone import (
     PerfectCone,
     format_cone,
+    greedy_spanning,
     pad,
     parse_cone,
     reduce as cone_reduce,
     spanning_subset,
 )
 from .intlinalg import (
+    adjugate_int,
     det_int,
     det_sign,
+    dot,
     flatten_rank1,
-    frac_inverse,
     identity_matrix,
     mat_mul,
     mat_vec,
     pivot_columns,
-    rank_rows,
     sign_normalize,
     unimodular_inverse,
 )
@@ -79,7 +86,8 @@ def _identity_transform(c: PerfectCone) -> ConeTransform:
 
 
 @lru_cache(maxsize=None)
-def _gram(c: PerfectCone) -> tuple[tuple[Fraction, ...], ...]:
+def _gram(c: PerfectCone) -> tuple[tuple[int, ...], ...]:
+    """G_ij = v_i^t adj(T) v_j for a full-rank cone; its trace is g det T."""
     g = c.g
     t = [[0] * g for _ in range(g)]
     for v in c.generators:
@@ -87,11 +95,11 @@ def _gram(c: PerfectCone) -> tuple[tuple[Fraction, ...], ...]:
             if v[i]:
                 for j in range(g):
                     t[i][j] += v[i] * v[j]
-    tinv = frac_inverse(t)
+    adj = adjugate_int(t)
     rows = []
     for v in c.generators:
-        tv = mat_vec(tinv, v)
-        rows.append(tuple(sum(w[k] * tv[k] for k in range(g)) for w in c.generators))
+        tv = mat_vec(adj, v)
+        rows.append(tuple(dot(w, tv) for w in c.generators))
     return tuple(rows)
 
 
@@ -110,24 +118,10 @@ def _assignment_order(c: PerfectCone, cand: list[tuple[int, ...]]) -> tuple[list
     Returns (order, prefix_len)."""
     n = len(c.generators)
     remaining = sorted(range(n), key=lambda i: (len(cand[i]), i))
-    order: list[int] = []
-    current: list[Sequence[int]] = []
-    r = 0
-    while remaining and r < c.rank:
-        pick = None
-        for i in remaining:
-            rows = current + [c.generators[i]]
-            if rank_rows(rows) > r:
-                pick = i
-                break
-        if pick is None:
-            break
-        remaining.remove(pick)
-        order.append(pick)
-        current.append(c.generators[pick])
-        r += 1
+    order = greedy_spanning(c.generators, remaining)
+    prefix = set(order)
     prefix_len = len(order)
-    order.extend(remaining)
+    order.extend(i for i in remaining if i not in prefix)
     return order, prefix_len
 
 
@@ -165,7 +159,9 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, on_found) -> None:
         raise AssertionError("full-rank cone without a spanning prefix")
     prefix = order[:prefix_len]
     vmat = [[c1.generators[i][k] for i in prefix] for k in range(g)]
-    vinv = frac_inverse(vmat)
+    # A = W V^{-1} is integral iff every entry of W adj(V) is divisible by det V
+    vadj = adjugate_int(vmat)
+    vdet = det_int(vmat)
     target_index = {v: j for j, v in enumerate(c2.generators)}
     assign: dict[int, int] = {}
     used = [False] * n
@@ -207,22 +203,10 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, on_found) -> None:
                 [total[i] * c2.generators[assign[i]][k] for i in prefix]
                 for k in range(g)
             ]
-            amat = mat_mul(wmat, vinv)
-            ok = True
-            aint = []
-            for row in amat:
-                irow = []
-                for x in row:
-                    fx = Fraction(x)
-                    if fx.denominator != 1:
-                        ok = False
-                        break
-                    irow.append(int(fx))
-                if not ok:
-                    break
-                aint.append(irow)
-            if not ok:
+            amat = mat_mul(wmat, vadj)
+            if any(x % vdet for row in amat for x in row):
                 continue
+            aint = [[x // vdet for x in row] for row in amat]
             d = det_int(aint)
             if d not in (1, -1):
                 continue
@@ -391,21 +375,24 @@ def stabilizer_has_reflection(c: PerfectCone) -> bool:
 
 
 @lru_cache(maxsize=None)
-def span_coordinates(c: PerfectCone, ref: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Coordinates of every generator form in the basis indexed by ref."""
+def span_coordinates(c: PerfectCone, ref: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of every generator form in the basis indexed by ref,
+    times |det M| for M the basis forms on the pivot columns.
+
+    The positive common factor keeps the sign of every determinant taken
+    on these rows, which is all the callers read.
+    """
     flat = [flatten_rank1(v) for v in c.generators]
     piv = pivot_columns(flat)
     mat = [[flat[s][j] for j in piv] for s in ref]
-    minv = frac_inverse(mat)
+    adj = adjugate_int(mat)
+    if det_int(mat) < 0:
+        adj = [[-x for x in row] for row in adj]
+    cols = list(zip(*adj))
     rows = []
     for f in flat:
         proj = [f[j] for j in piv]
-        rows.append(
-            tuple(
-                sum(proj[k] * minv[k][t] for k in range(len(piv)))
-                for t in range(len(ref))
-            )
-        )
+        rows.append(tuple(dot(proj, col) for col in cols))
     return tuple(rows)
 
 
@@ -483,6 +470,8 @@ class Orbit:
     facets: list[tuple[frozenset, str, tuple[int, ...]]] = field(default_factory=list)
     matroidal: bool = False
     coloop_count: int | None = None
+    # transported orientation of each facet record, filled on first use
+    facet_signs: list[int] | None = None
 
 
 class OrbitRegistry:
@@ -506,8 +495,9 @@ class OrbitRegistry:
         core = c if c.rank == c.g else cone_reduce(c)[0]
         gram = _gram(core)
         n = len(core.generators)
+        det_t = sum(gram[i][i] for i in range(n)) // core.g
         multi = sorted(abs(gram[i][j]) for i in range(n) for j in range(i, n))
-        return (c.rank, c.dim, n, tuple(multi))
+        return (c.rank, c.dim, n, det_t, tuple(multi))
 
     def locate(self, c: PerfectCone) -> tuple[Orbit, ConeTransform] | None:
         fp = self.fingerprint(c)

@@ -128,3 +128,37 @@ def homology_dims_oracle(matrices, dims):
         r_up = Matrix(matrices[n + 1]).rank() if matrices.get(n + 1) else 0
         out[n] = dim - r_n - r_up
     return out
+
+
+def pivot_oracle(rows):
+    """Pivot columns of the reduced row echelon form."""
+    return list(Matrix([list(row) for row in rows]).rref()[1])
+
+
+def det_oracle(m):
+    return int(Matrix([list(row) for row in m]).det()) if m else 1
+
+
+def adjugate_oracle(m):
+    return [[int(x) for x in row] for row in Matrix([list(r) for r in m]).adjugate().tolist()]
+
+
+def nullspace_oracle(rows):
+    """Rational basis of {x : rows . x = 0}, as lists of Fractions."""
+    basis = Matrix([list(row) for row in rows]).nullspace()
+    return [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in basis]
+
+
+def rational_gram_oracle(vectors):
+    """v_i^t T^-1 v_j with T = sum of v v^t, as Fractions."""
+    vs = [Matrix(list(v)) for v in vectors]
+    t = sum((v * v.T for v in vs), Matrix.zeros(len(vectors[0])))
+    tinv = t.inv()
+    out = []
+    for v in vs:
+        row = []
+        for w in vs:
+            x = (v.T * tinv * w)[0, 0]
+            row.append(Fraction(int(x.p), int(x.q)))
+        out.append(row)
+    return out, int(t.det())

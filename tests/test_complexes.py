@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from perfcone.complexes import (
+    BUILDERS,
     _build_by_predicate,
     annotate_coloops,
     build_inflation_complex,
@@ -18,7 +21,29 @@ from perfcone.homology import betti, verify_complex
 from perfcone.intlinalg import det_sign
 from perfcone.matroid import SimpleGraph, complete_graph, graphic_cone
 from perfcone.quadform import cone_of_form, principal_form
-from perfcone.symmetry import span_coordinates
+from perfcone.symmetry import format_registry, span_coordinates
+
+# SHA-256 of `perfcone orbits --g N` and `perfcone complex --g N --kind K`
+# output, recorded before the symmetry layer went integer-only; faster
+# arithmetic must leave every byte of them unchanged.
+OUTPUT_SHA256 = {
+    4: {
+        "registry": "e0bad2869824084f72cf58d6b313fd32a8bc1038602c5b6b37f91502dd16b8c8",
+        "P": "83ea889bd7f9aa61a4753f516a5531fd9db86a190bc7c85b27f4cc16261a8ba3",
+        "V": "ebd5540c62c033d2f08b4d95b7f9cdd92d4656ea93ab2482c4a2bd791a05b9ca",
+        "I": "a41dad4fe62c0a8acf8d9f38a26ec9e26bf5f3559b3a058f025ce0343dda40a4",
+        "R": "ad0b88f432a16d6954a598e1590fd4879ecb2c6ba05cce711b1e988ef5774127",
+        "C": "bb34d075f49da1e0057274af2199359994bc1405baacf1089c8fcf32792f9b2d",
+    },
+    5: {
+        "registry": "ed7eab293df0e0f95d2002213380b6be00ecc27992bda6b699cb57906b4b59df",
+        "P": "91edcf61cd8eac8f4fd5132b5b4fdcf9e5a76f3d35d07d1bb9a9a3a48b2e592c",
+        "V": "8d4bfe2a1b271847feabde028e799de0e7b2e894c4a0246e685bafc22c9c44ad",
+        "I": "ca2cba06582d35d6956df48007e2ed13ebe306ba85b8fc2d248f5de9a4d4eee7",
+        "R": "d4094176de59bce16a043478e177efaacf1dd20e652790429823c7779d2e41f1",
+        "C": "8d0353e5d357302113af6ae67550316f40b530d0dc6882fcaaa41bc9688ef8aa",
+    },
+}
 
 NINE_GRAPHS = {
     "empty": SimpleGraph(4, ()),
@@ -239,3 +264,13 @@ def test_annotations_are_idempotent(reg3):
     first = {o.id: o.coloop_count for o in reg3.orbits}
     annotate_coloops(reg3)
     assert first == {o.id: o.coloop_count for o in reg3.orbits}
+
+
+def test_outputs_are_byte_identical(reg4, reg5):
+    def sha(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    for g, reg in ((4, reg4), (5, reg5)):
+        assert sha(format_registry(reg)) == OUTPUT_SHA256[g]["registry"]
+        for kind in "PVIRC":
+            assert sha(format_complex(BUILDERS[kind](g, reg))) == OUTPUT_SHA256[g][kind], kind

@@ -9,6 +9,7 @@ from perfcone.cone import (
     faces,
     facet_index_sets,
     format_cone,
+    greedy_spanning,
     is_boundary,
     pad,
     parse_cone,
@@ -16,7 +17,7 @@ from perfcone.cone import (
     reduce,
     spanning_subset,
 )
-from perfcone.intlinalg import det_int
+from perfcone.intlinalg import det_int, flatten_rank1, sign_normalize, vec_gcd
 from perfcone.matroid import graphic_cone, complete_graph
 from perfcone.quadform import cone_of_form, load_bundled_catalog, principal_form
 from perfcone.symmetry import conjugate_cone, equivalent, random_unimodular
@@ -154,6 +155,36 @@ def test_spanning_subset_spans():
     assert idx == (0, 1, 2)
     sub = [_flat(c.generators[i]) for i in idx]
     assert rank_oracle(sub) == c.dim
+
+
+def _prefix_rank_spanning(rows, order):
+    """The spanning subset by definition: keep a row when it raises the
+    rank of the rows kept before it."""
+    chosen = []
+    for i in order:
+        if rank_oracle([rows[j] for j in chosen + [i]]) > len(chosen):
+            chosen.append(i)
+    return chosen
+
+
+@settings(max_examples=40)
+@given(
+    st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=1, max_size=8),
+    st.randoms(use_true_random=False),
+)
+def test_greedy_spanning_matches_prefix_rank_definition(vectors, rnd):
+    rows = [_flat(v) for v in vectors]
+    order = list(range(len(rows)))
+    rnd.shuffle(order)
+    expected = _prefix_rank_spanning(rows, order)
+    assert greedy_spanning(rows, order) == expected
+    nonzero = {sign_normalize(v) for v in vectors if vec_gcd(v) == 1}
+    if nonzero:
+        c = PerfectCone(4, nonzero)
+        flat = [flatten_rank1(v) for v in c.generators]
+        order = list(range(len(flat)))
+        rnd.shuffle(order)
+        assert spanning_subset(c, order) == tuple(sorted(_prefix_rank_spanning(flat, order)))
 
 
 def test_cone_file_roundtrip():

@@ -3,12 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perfcone.cone import PerfectCone, faces
+from perfcone.cone import PerfectCone, faces, reduce
 from perfcone.intlinalg import det_int, mat_mul
 from perfcone.matroid import complete_graph, graphic_cone
 from perfcone.quadform import cone_of_form, load_bundled_catalog, principal_form
 from perfcone.symmetry import (
     ConeTransform,
+    OrbitRegistry,
+    _assignment_order,
+    _gram,
     automorphisms,
     classify_orbits,
     conjugate_cone,
@@ -20,6 +23,8 @@ from perfcone.symmetry import (
     random_unimodular,
     stabilizer_has_reflection,
 )
+
+from oracles import rank_oracle, rational_gram_oracle
 
 COORD2 = PerfectCone(2, [(1, 0), (0, 1)])
 
@@ -213,3 +218,60 @@ def test_registry_roundtrip(reg3):
         assert a.rep == b.rep
         assert a.alternating == b.alternating
         assert a.ref_orientation == b.ref_orientation
+
+
+def _tops_and_faces(g):
+    out = []
+    for form in load_bundled_catalog(g):
+        top = cone_of_form(form)
+        out.append(top)
+        out.extend(f.cone for f in faces(top).get(top.dim - 1, []))
+    return out
+
+
+POOL34 = _tops_and_faces(3) + _tops_and_faces(4)
+
+
+def test_gram_is_det_t_times_rational_gram():
+    for c in POOL34:
+        if c.rank < c.g:
+            c = reduce(c)[0]
+        rational, det_t = rational_gram_oracle(c.generators)
+        assert det_t > 0
+        assert [list(row) for row in _gram(c)] == [[det_t * x for x in row] for row in rational]
+
+
+@settings(max_examples=40)
+@given(st.integers(0, len(POOL34) - 1), st.integers(0, 10**6))
+def test_fingerprint_is_conjugation_invariant(k, seed):
+    c = POOL34[k]
+    moved = conjugate_cone(c, random_unimodular(c.g, random.Random(seed)))
+    reg = OrbitRegistry(c.g)
+    assert reg.fingerprint(moved) == reg.fingerprint(c)
+
+
+def _prefix_rank_order(c, cand):
+    """The assignment order by definition: rescan the remaining
+    generators for the first one that raises the rank of the prefix."""
+    remaining = sorted(range(len(c.generators)), key=lambda i: (len(cand[i]), i))
+    order = []
+    while remaining and len(order) < c.rank:
+        pick = next(
+            (i for i in remaining
+             if rank_oracle([c.generators[j] for j in order + [i]]) > len(order)),
+            None,
+        )
+        if pick is None:
+            break
+        remaining.remove(pick)
+        order.append(pick)
+    return order + remaining, len(order)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, len(POOL34) - 1), st.randoms(use_true_random=False))
+def test_assignment_order_matches_prefix_rank_definition(k, rnd):
+    c = POOL34[k]
+    n = len(c.generators)
+    cand = [tuple(range(rnd.randint(1, n))) for _ in range(n)]
+    assert _assignment_order(c, cand) == _prefix_rank_order(c, cand)
