@@ -10,7 +10,6 @@ generator subset is faithful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .intlinalg import (
@@ -168,12 +167,20 @@ def spanning_subset(c: PerfectCone, order: Sequence[int] | None = None) -> tuple
     return tuple(sorted(greedy_spanning(rows, order)))
 
 
-def _dd_extreme_rays(ys: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], frozenset]]:
+def _dd_extreme_rays(ys: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
     """Extreme rays of {w : <w, y_i> >= 0} by double description insertion.
 
     The y_i must span R^d and generate a pointed cone (true for projected
     rank-1 forms). Insertion order is by index, for deterministic output.
-    Returns (primitive ray vector, active constraint index set) pairs.
+    Returns (primitive ray vector, active set) pairs; the active set is a
+    bitmask whose bit i is set exactly when <w, y_i> = 0. An initial ray
+    is tight on the d - 1 other initial rows, and a positive combination
+    of an adjacent pair is tight on their common active set plus the row
+    being inserted, so the masks need no recomputation.
+
+    Adjacency is the combinatorial test: no third ray's active set
+    contains the pair's common one. Adjacent rays share at least d - 2
+    active constraints, which discards most pairs before that test.
     """
     d = len(ys[0])
     n = len(ys)
@@ -184,69 +191,68 @@ def _dd_extreme_rays(ys: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], f
     det = det_int(y0)
     adj = adjugate_int(y0)
     s = 1 if det > 0 else -1
-    rays: list[tuple[tuple[int, ...], frozenset]] = []
+    full = sum(1 << i for i in init)
+    vecs: list[tuple[int, ...]] = []
+    masks: list[int] = []
     for k in range(d):
-        vec = primitive_vector([s * adj[j][k] for j in range(d)])
-        active = frozenset(init[m] for m in range(d) if m != k)
-        rays.append((vec, active))
-    remaining = [i for i in range(n) if i not in set(init)]
-    for i in remaining:
+        vecs.append(primitive_vector([s * adj[j][k] for j in range(d)]))
+        masks.append(full & ~(1 << init[k]))
+    chosen = set(init)
+    for i in range(n):
+        if i in chosen:
+            continue
         a = ys[i]
-        vals = [dot(a, r[0]) for r in rays]
+        bit = 1 << i
+        vals = [dot(a, w) for w in vecs]
         if all(v >= 0 for v in vals):
-            rays = [
-                (vec, act | {i} if val == 0 else act)
-                for (vec, act), val in zip(rays, vals)
-            ]
+            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
             continue
         plus = [k for k, v in enumerate(vals) if v > 0]
         zero = [k for k, v in enumerate(vals) if v == 0]
         minus = [k for k, v in enumerate(vals) if v < 0]
-        new_rays = [rays[k] for k in plus]
-        new_rays += [(rays[k][0], rays[k][1] | {i}) for k in zero]
+        new_vecs = [vecs[k] for k in plus] + [vecs[k] for k in zero]
+        new_masks = [masks[k] for k in plus] + [masks[k] | bit for k in zero]
         for kp in plus:
+            mp = masks[kp]
             for km in minus:
-                meet = rays[kp][1] & rays[km][1]
-                adjacent = True
-                for ko in range(len(rays)):
-                    if ko in (kp, km):
-                        continue
-                    if meet <= rays[ko][1]:
-                        adjacent = False
-                        break
-                if not adjacent:
+                meet = mp & masks[km]
+                if meet.bit_count() < d - 2:
                     continue
-                vp, vm = vals[kp], vals[km]
-                comb = [vp * x - vm * y for x, y in zip(rays[km][0], rays[kp][0])]
-                new_rays.append((primitive_vector(comb), meet | {i}))
-        rays = new_rays
-    return rays
-
-
-@lru_cache(maxsize=None)
-def _facet_sets_cached(g: int, generators: tuple) -> tuple[frozenset, ...]:
-    c = PerfectCone(g, generators)
-    n = len(c.generators)
-    d = c.dim
-    if d == 0:
-        return ()
-    if n == d:
-        out = [frozenset(range(n)) - {i} for i in range(n)]
-        return tuple(sorted(out, key=sorted))
-    flat = [flatten_rank1(v) for v in c.generators]
-    piv = pivot_columns(flat)
-    ys = [tuple(row[j] for j in piv) for row in flat]
-    rays = _dd_extreme_rays(ys)
-    facets = set()
-    for w, _act in rays:
-        tight = frozenset(i for i in range(n) if dot(ys[i], w) == 0)
-        facets.add(tight)
-    return tuple(sorted(facets, key=sorted))
+                # meet lies in the pair's own two masks; adjacent iff in no other
+                hits = 0
+                for m in masks:
+                    if meet & m == meet:
+                        hits += 1
+                        if hits > 2:
+                            break
+                else:
+                    vp, vm = vals[kp], vals[km]
+                    comb = [vp * x - vm * y for x, y in zip(vecs[km], vecs[kp])]
+                    new_vecs.append(primitive_vector(comb))
+                    new_masks.append(meet | bit)
+        vecs, masks = new_vecs, new_masks
+    return list(zip(vecs, masks))
 
 
 def facet_index_sets(c: PerfectCone) -> list[frozenset]:
-    """Generator index sets of the codimension-1 faces."""
-    return list(_facet_sets_cached(c.g, c.generators))
+    """Generator index sets of the codimension-1 faces.
+
+    The facets are the active sets of the extreme rays of the dual cone,
+    read off the double description masks.
+    """
+    n = len(c.generators)
+    d = c.dim
+    if d == 0:
+        return []
+    if n == d:
+        out = [frozenset(range(n)) - {i} for i in range(n)]
+        return sorted(out, key=sorted)
+    flat = [flatten_rank1(v) for v in c.generators]
+    piv = pivot_columns(flat)
+    ys = [tuple(row[j] for j in piv) for row in flat]
+    masks = {mask for _w, mask in _dd_extreme_rays(ys)}
+    facets = sorted([i for i, b in enumerate(reversed(bin(m))) if b == "1"] for m in masks)
+    return [frozenset(f) for f in facets]
 
 
 def faces(c: PerfectCone) -> dict[int, list[Face]]:

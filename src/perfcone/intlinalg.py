@@ -24,17 +24,14 @@ from typing import Iterable, Sequence
 
 
 def vec_gcd(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*v)
 
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
     g = vec_gcd(v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in v)
+    return tuple([x // g for x in v])
 
 
 def sign_normalize(v: Sequence[int]) -> tuple[int, ...]:

@@ -3,6 +3,12 @@
 Forms are symmetric rational matrices. Positive definite forms only are
 accepted by the enumeration routines; catalogs normalize the minimum to 1
 on ingestion because the cone of a form only depends on it up to scale.
+
+The short-vector walk runs over integers: the rational LDL^T of a form
+is computed once and scaled by common denominators so that every level
+bound is an integer (see minimal_vectors). Each form keeps its minimal
+vectors once computed, so the Voronoi neighbour walk, which asks for
+them repeatedly on one base form, pays for the enumeration once.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ OTHER = "other"
 
 
 class QuadraticForm:
-    __slots__ = ("g", "entries", "definiteness", "name")
+    __slots__ = ("g", "entries", "definiteness", "name", "_mv")
 
     def __init__(self, entries: Sequence[Sequence], name: str = ""):
         rows = [tuple(Fraction(x) for x in row) for row in entries]
@@ -44,6 +50,7 @@ class QuadraticForm:
         self.entries = tuple(rows)
         self.definiteness = classify_symmetric(rows)
         self.name = name
+        self._mv = None  # minimal_vectors(self), once asked for
 
     def value(self, v: Sequence[int]) -> Fraction:
         q = self.entries
@@ -97,18 +104,34 @@ class MinimalVectorSet:
 def minimal_vectors(q: QuadraticForm) -> MinimalVectorSet:
     """Exhaustive short-vector enumeration at the minimum of q.
 
-    Layered bounds from the exact LDL^T of q; one representative per
-    +- pair, normalized to a positive leading entry, sorted.
+    Layered bounds from the exact LDL^T of q (Fincke-Pohst), walked over
+    integers: row i of U is written over a common denominator den_i, so
+    the level term d_i (x_i + sum_j u_ij x_j)^2 is e_i s^2 with the
+    integer s = den_i x_i + C. Scaling every e_i by the lcm M of their
+    denominators makes M Q(x) an integer. One representative per +- pair,
+    normalized to a positive leading entry, sorted. The result is kept
+    on q, so asking again for the same form costs nothing.
     """
+    if q._mv is not None:
+        return q._mv
     if q.definiteness != POSITIVE_DEFINITE:
         raise ValueError("minimal vectors need a positive definite form")
     g = q.g
     d, u = ldlt(q.entries)
-    best = min(q.entries[i][i] for i in range(g))
+    dens = [math.lcm(*(u[i][j].denominator for j in range(i, g))) for i in range(g)]
+    rows = [
+        [(j, int(u[i][j] * dens[i])) for j in range(i + 1, g) if u[i][j]]
+        for i in range(g)
+    ]
+    levels = [d[i] / (dens[i] * dens[i]) for i in range(g)]
+    scale = math.lcm(*(e.denominator for e in levels))
+    levels = [int(e * scale) for e in levels]
+    # q_ii = Q(e_i), so scale * q_ii is an integer
+    best = min(int(q.entries[i][i] * scale) for i in range(g))
     found: list[tuple[int, ...]] = []
     x = [0] * g
 
-    def walk(i: int, partial: Fraction, zero_above: bool):
+    def walk(i: int, partial: int, zero_above: bool):
         nonlocal best, found
         if i < 0:
             v = tuple(x)
@@ -120,50 +143,55 @@ def minimal_vectors(q: QuadraticForm) -> MinimalVectorSet:
             elif partial == best:
                 found.append(v)
             return
-        c = Fraction(0)
-        for j in range(i + 1, g):
+        c = 0
+        for j, a in rows[i]:
             if x[j]:
-                c += u[i][j] * x[j]
-        di = d[i]
+                c += a * x[j]
+        den = dens[i]
+        e = levels[i]
         if zero_above:
             t = 0
+            s = c
             while True:
-                w = t + c
-                add = di * w * w
-                if partial + add > best:
+                level = partial + e * s * s
+                if level > best:
                     break
                 x[i] = t
-                walk(i - 1, partial + add, t == 0)
+                walk(i - 1, level, t == 0)
                 t += 1
+                s += den
             x[i] = 0
             return
-        start = math.ceil(-c)
+        start = -(c // den)
         t = start
+        s = den * t + c
         while True:
-            w = t + c
-            add = di * w * w
-            if partial + add > best:
+            level = partial + e * s * s
+            if level > best:
                 break
             x[i] = t
-            walk(i - 1, partial + add, False)
+            walk(i - 1, level, False)
             t += 1
+            s += den
         t = start - 1
+        s = den * t + c
         while True:
-            w = t + c
-            add = di * w * w
-            if partial + add > best:
+            level = partial + e * s * s
+            if level > best:
                 break
             x[i] = t
-            walk(i - 1, partial + add, False)
+            walk(i - 1, level, False)
             t -= 1
+            s -= den
         x[i] = 0
 
-    walk(g - 1, Fraction(0), True)
+    walk(g - 1, 0, True)
     reps = sorted(sign_normalize(v) for v in found)
     for v in reps:
         if vec_gcd(v) != 1:
             raise AssertionError("non-primitive vector attained the minimum")
-    return MinimalVectorSet(best, tuple(reps))
+    q._mv = MinimalVectorSet(Fraction(best, scale), tuple(reps))
+    return q._mv
 
 
 def is_perfect(q: QuadraticForm) -> bool:

@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from perfcone.cone import (
     PerfectCone,
+    _dd_extreme_rays,
     dimension,
     faces,
     facet_index_sets,
@@ -17,7 +18,15 @@ from perfcone.cone import (
     reduce,
     spanning_subset,
 )
-from perfcone.intlinalg import det_int, flatten_rank1, sign_normalize, vec_gcd
+from perfcone.intlinalg import (
+    det_int,
+    dot,
+    flatten_rank1,
+    pivot_columns,
+    rank_rows,
+    sign_normalize,
+    vec_gcd,
+)
 from perfcone.matroid import graphic_cone, complete_graph
 from perfcone.quadform import cone_of_form, load_bundled_catalog, principal_form
 from perfcone.symmetry import conjugate_cone, equivalent, random_unimodular
@@ -105,6 +114,42 @@ def test_d4_cone_facets_against_oracle():
     assert len(mine) == 64
     assert all(len(f) == 9 for f in mine)
     assert mine == facets_bruteforce([_flat(v) for v in c.generators])
+
+
+@settings(max_examples=30)
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=2, max_size=8))
+# a pair of rays with d - 2 common active constraints that is not adjacent
+@example([(0, 1, 0), (0, 1, 2), (1, -2, -1), (1, -2, 2), (1, 1, 0), (1, 2, -1), (2, -1, -2), (2, -1, 1), (2, 2, -1)])
+def test_facets_match_bruteforce_on_random_g3_cones(vectors):
+    gens = {sign_normalize(v) for v in vectors if vec_gcd(v) == 1}
+    assume(len(gens) >= 2)
+    c = PerfectCone(3, gens)
+    assert set(facet_index_sets(c)) == facets_bruteforce([_flat(v) for v in c.generators])
+
+
+@settings(max_examples=8)
+@given(st.integers(min_value=0, max_value=10**6), st.randoms(use_true_random=False))
+def test_facets_match_bruteforce_on_moved_d4_subcones(seed, rnd):
+    # all 12 vectors: test_d4_cone_facets_against_oracle
+    d4 = cone_of_form(load_bundled_catalog(4)[1])
+    keep = rnd.sample(range(12), rnd.randint(10, 11))
+    c = conjugate_cone(d4.subcone(keep), random_unimodular(4, random.Random(seed)))
+    assert set(facet_index_sets(c)) == facets_bruteforce([_flat(v) for v in c.generators])
+
+
+def test_dd_masks_are_the_tight_sets_on_g5_catalog():
+    for q in load_bundled_catalog(5):
+        flat = [flatten_rank1(v) for v in cone_of_form(q).generators]
+        piv = pivot_columns(flat)
+        ys = [tuple(row[j] for j in piv) for row in flat]
+        rays = _dd_extreme_rays(ys)
+        assert len({mask for _w, mask in rays}) == len(rays)
+        for w, mask in rays:
+            vals = [dot(y, w) for y in ys]
+            assert all(v >= 0 for v in vals)
+            assert mask == sum(1 << i for i, v in enumerate(vals) if v == 0)
+            # extreme: the tight constraints leave a line
+            assert rank_rows([y for i, y in enumerate(ys) if mask >> i & 1]) == len(piv) - 1
 
 
 def test_reduce_examples():

@@ -1,12 +1,14 @@
 import io
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from perfcone.cone import faces
 from perfcone.quadform import (
+    POSITIVE_DEFINITE,
     CatalogError,
     QuadraticForm,
     cone_of_form,
@@ -62,6 +64,50 @@ def test_minimal_vectors_match_box_oracle_on_catalogs():
             minimum, vecs = short_vectors_box(q.entries)
             assert mv.minimum == minimum
             assert set(mv.vectors) == set(vecs)
+
+
+def _fraction(lo, hi):
+    """p/q with lo <= p/q <= hi and q <= 7."""
+    return st.integers(1, 7).flatmap(
+        lambda q: st.integers(math.ceil(lo * q), math.floor(hi * q)).map(lambda p: Fraction(p, q))
+    )
+
+
+@st.composite
+def _small_forms(draw):
+    """Symmetric forms, g = 2..4, denominators up to 7. Half of them share
+    one diagonal value and keep the off-diagonal within half of it, which
+    makes ties at the minimum common."""
+    g = draw(st.integers(2, 4))
+    shared = draw(st.booleans())
+    diagonal = _fraction(Fraction(1, 7), 7)
+    diag = [draw(diagonal)] * g if shared else [draw(diagonal) for _ in range(g)]
+    rows = [[Fraction(0)] * g for _ in range(g)]
+    for i in range(g):
+        rows[i][i] = diag[i]
+        for j in range(i + 1, g):
+            bound = min(diag[i], diag[j]) / 2 if shared else min(diag[i], 1)
+            rows[i][j] = rows[j][i] = draw(_fraction(-1, 1)) * bound
+    return QuadraticForm(rows)
+
+
+@settings(max_examples=60)
+@given(_small_forms())
+def test_minimal_vectors_match_box_oracle_on_random_forms(q):
+    assume(q.definiteness == POSITIVE_DEFINITE)
+    mv = minimal_vectors(q)
+    assert (mv.minimum, mv.vectors) == short_vectors_box(q.entries)
+
+
+def test_minimal_vectors_are_kept_per_form():
+    q = load_bundled_catalog(4)[1]
+    mv = minimal_vectors(q)
+    assert minimal_vectors(q) is mv
+    same = q.conjugated([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert same == q and minimal_vectors(same) is not mv
+    moved = q.conjugated(random_unimodular(4, random.Random(5)))
+    assert minimal_vectors(moved) is not mv
+    assert minimal_vectors(moved).minimum == mv.minimum
 
 
 def test_is_perfect_examples():
@@ -185,3 +231,17 @@ def test_voronoi_neighbor_rejects_non_facet():
     other = cone_of_form(principal_form(3))
     with pytest.raises(ValueError):
         voronoi_neighbor(q, faces(other)[other.dim - 1][0])
+
+
+def test_voronoi_neighbors_g4_classes():
+    forms = load_bundled_catalog(4)
+    catalog = [(q.name, cone_of_form(q)) for q in forms]
+    found = {}
+    for q in forms:
+        classes = {}
+        for facet in _facets(cone_of_form(q)):
+            nb = cone_of_form(voronoi_neighbor(q, facet))
+            label = next(name for name, c in catalog if equivalent(nb, c) is not None)
+            classes[label] = classes.get(label, 0) + 1
+        found[q.name] = classes
+    assert found == {"principal_4": {"d4": 10}, "d4": {"principal_4": 48, "d4": 16}}
