@@ -25,7 +25,6 @@ from .complexes import (
 )
 from .homology import (
     betti,
-    chi_top,
     first_defect,
     format_betti,
     format_les,
@@ -33,7 +32,6 @@ from .homology import (
     format_top_weight,
     les_solve,
     parse_les_fixture,
-    satake_column_from_dims,
     satake_weight0_column,
     top_weight_table,
     verify_complex,
@@ -55,7 +53,6 @@ class RunConfig:
     g: int | None
     catalog: str | None
     out: str
-    jobs: int
     level: str
     seed: int | None
 
@@ -184,11 +181,11 @@ def cmd_verify(cfg: RunConfig, _args) -> int:
     if g in _EULER_EXPECTED:
         check(
             "euler",
-            chi_top(rep_p) == _EULER_EXPECTED[g],
-            f"got {chi_top(rep_p)} want {_EULER_EXPECTED[g]}",
+            rep_p.euler() == _EULER_EXPECTED[g],
+            f"got {rep_p.euler()} want {_EULER_EXPECTED[g]}",
         )
     else:
-        print(f"# euler characteristic: {chi_top(rep_p)} (no gated expectation)")
+        print(f"# euler characteristic: {rep_p.euler()} (no gated expectation)")
     if g <= 4 or cfg.level == "full":
         r_cx, c_cx = build_matroid_complexes(g, reg)
         check("d2[R]", verify_complex(r_cx))
@@ -209,22 +206,13 @@ def cmd_verify(cfg: RunConfig, _args) -> int:
     return 0
 
 
-def _top_weight_from_dims(g: int, dims: dict[int, int | None]) -> list[tuple[int, int]]:
-    out = []
-    for n, d in sorted(dims.items()):
-        if d:
-            out.append((g * (g + 1) - n - 1, d))
-    out.sort()
-    return out
-
-
 def cmd_tables(cfg: RunConfig, _args) -> int:
     g = _need_g(cfg)
     if g <= 4:
         reg = build_registry(g, cfg.catalog_for(), cfg.seed)
-        report = betti(build_perfect_complex(g, reg))
-        sys.stdout.write(format_top_weight(g, top_weight_table(g, report)))
-        sys.stdout.write(format_satake(satake_weight0_column(g, report)))
+        dims = betti(build_perfect_complex(g, reg)).homology
+        sys.stdout.write(format_top_weight(g, top_weight_table(g, dims)))
+        sys.stdout.write(format_satake(satake_weight0_column(g, dims)))
         return 0
     if g in (5, 6, 7):
         text = _bundled_les_text(g)
@@ -236,9 +224,8 @@ def cmd_tables(cfg: RunConfig, _args) -> int:
             raise ValueError(
                 f"bookkeeping left unknowns at degrees {result.unknown_degrees()}"
             )
-        dims = {n: d for n, d in result.dims.items() if d is not None}
-        sys.stdout.write(format_top_weight(g, _top_weight_from_dims(g, dims)))
-        sys.stdout.write(format_satake(satake_column_from_dims(g, dims)))
+        sys.stdout.write(format_top_weight(g, top_weight_table(g, result.dims)))
+        sys.stdout.write(format_satake(satake_weight0_column(g, result.dims)))
         return 0
     raise ValueError("tables need g <= 4 (computed) or g in {5, 6, 7} (bookkeeping)")
 
@@ -272,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--g", type=int, default=None, help="ambient dimension")
     common.add_argument("--catalog", default=None, help="form catalog file override")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--jobs", type=int, default=1, help="parallelism budget")
     common.add_argument("--level", choices=("fast", "full"), default="fast")
     common.add_argument("--seed", type=int, default=None, help="re-run variation seed")
     parser = argparse.ArgumentParser(
@@ -306,15 +292,11 @@ def main(argv=None) -> int:
         g=args.g,
         catalog=args.catalog,
         out=args.out,
-        jobs=args.jobs,
         level=args.level,
         seed=args.seed,
     )
     if cfg.g is not None and cfg.g < 1:
         print("usage error: --g must be at least 1", file=sys.stderr)
-        return 2
-    if cfg.jobs < 1:
-        print("usage error: --jobs must be at least 1", file=sys.stderr)
         return 2
     try:
         return args.func(cfg, args)

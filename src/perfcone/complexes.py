@@ -16,7 +16,7 @@ from typing import Callable
 from .cone import PerfectCone, facet_index_sets, pad, spanning_subset
 from .intlinalg import det_sign
 from .matroid import (
-    all_simple_graphs,
+    complete_graph,
     graphic_cone,
     m_star_k33,
     r_10,
@@ -120,14 +120,17 @@ def annotate_coloops(reg: OrbitRegistry) -> None:
 def annotate_matroidal(reg: OrbitRegistry) -> None:
     """Flag orbits whose cone comes from a regular matroid.
 
-    Sources: all graphs on g+1 vertices, plus the two desk-scale
+    Sources: the complete graph on g+1 vertices, plus the two desk-scale
     non-graphic regular fixtures when their rank fits. Faces of flagged
     orbits are flagged transitively (column deletion keeps regularity).
+    The graphic cone of K_{g+1} is the principal cone, which is
+    simplicial, so the cone of every graph on g+1 vertices is one of its
+    faces and is reached by the closure.
     """
     g = reg.g
     if g + 1 > 7:
         raise ValueError("matroidal annotation is desk-scale: needs g <= 6")
-    sources = [graphic_cone(gr) for gr in all_simple_graphs(g + 1)]
+    sources = [graphic_cone(complete_graph(g + 1))]
     if g >= 4:
         sources.append(tu_cone(m_star_k33(), g))
     if g >= 5:

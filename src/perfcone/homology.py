@@ -72,40 +72,17 @@ def betti(cx: ChainComplexQ) -> BettiReport:
     return report
 
 
-def top_weight_table(g: int, report: BettiReport) -> list[tuple[int, int]]:
+def top_weight_table(g: int, dims: Mapping[int, int]) -> list[tuple[int, int]]:
     """Nonzero graded pieces as (cohomological degree k, dimension),
-    k = g(g+1) - n - 1 for homology degree n."""
-    if report.g != g:
-        raise ValueError("report ambient mismatch")
-    out = []
-    for n in sorted(report.homology):
-        d = report.homology[n]
-        if d:
-            out.append((g * (g + 1) - n - 1, d))
-    out.sort()
-    return out
+    k = g(g+1) - n - 1 for homology degree n, from a degree -> dim map
+    (a BettiReport's homology or the dimensions the LES solver forced)."""
+    return sorted((g * (g + 1) - n - 1, d) for n, d in dims.items() if d)
 
 
-def satake_weight0_column(g: int, report: BettiReport) -> list[tuple[int, int, int]]:
-    """Weight-0 entries (p=g, q, dim) with q = n + 1 - g per nonzero H_n."""
-    if report.g != g:
-        raise ValueError("report ambient mismatch")
-    out = []
-    for n in sorted(report.homology):
-        d = report.homology[n]
-        if d:
-            out.append((g, n + 1 - g, d))
-    return out
-
-
-def satake_column_from_dims(g: int, dims: Mapping[int, int]) -> list[tuple[int, int, int]]:
-    """Same re-indexing applied to a plain degree map (LES outputs)."""
-    out = []
-    for n in sorted(dims):
-        d = dims[n]
-        if d:
-            out.append((g, n + 1 - g, d))
-    return out
+def satake_weight0_column(g: int, dims: Mapping[int, int]) -> list[tuple[int, int, int]]:
+    """Weight-0 entries (p=g, q, dim) with q = n + 1 - g per nonzero
+    degree of a degree -> dim map."""
+    return [(g, n + 1 - g, d) for n, d in sorted(dims.items()) if d]
 
 
 @dataclass
@@ -241,10 +218,6 @@ def parse_les_fixture(text: str) -> tuple[int, dict[int, int | None], dict[int, 
     h_p = {n: p_entries.get(n, 0) for n in range(lo, hi + 1)}
     h_v = {n: v_entries.get(n, 0) for n in range(lo, hi + 1)}
     return g, h_p, h_v, iso
-
-
-def chi_top(report: BettiReport) -> int:
-    return report.euler()
 
 
 def format_betti(report: BettiReport) -> str:

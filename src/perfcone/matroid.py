@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .cone import PerfectCone, reduce as cone_reduce
 from .intlinalg import det_int, mat_vec, rank_rows, snf_left, vec_gcd
@@ -309,25 +309,3 @@ def r_10() -> TURepresentation:
     if rep.verified is not True:
         raise AssertionError("fixture failed total unimodularity")
     return rep
-
-
-def all_simple_graphs(vertices: int) -> Iterator[SimpleGraph]:
-    """Every isomorphism class of simple graphs on the given vertex count,
-    isolated vertices allowed. Desk scale: vertices <= 7."""
-    if vertices > 7:
-        raise ValueError("graph atlas covers at most 7 vertices")
-    if vertices == 1:
-        yield SimpleGraph(1, ())
-        return
-    from networkx.generators.atlas import graph_atlas_g
-
-    for gph in graph_atlas_g():
-        if gph.number_of_nodes() != vertices:
-            continue
-        nodes = sorted(gph.nodes())
-        index = {v: k for k, v in enumerate(nodes)}
-        pairs = sorted(
-            (min(index[a], index[b]), max(index[a], index[b]))
-            for a, b in gph.edges()
-        )
-        yield SimpleGraph(vertices, tuple(pairs))

@@ -9,6 +9,14 @@ the rational matrix would give. A matrix mapping generators to
 +-generators permutes G up to row/column signs, so |G| profiles must
 match. Orbit fingerprints carry det T of the reduced core as well.
 
+Automorphism groups are never listed element by element. The search
+returns a strong generating set along the base of the assignment order
+(Sims' stabilizer chain, pruned by the orbits of the generators found so
+far, as in McKay-Piperno's backtrack). The orientation sign and the
+determinant are homomorphisms, so the alternation and reflection tests
+read only the generators; the full group, where a caller wants it, is
+their closure under composition.
+
 All arithmetic here is on integers: inverses appear only as adjugates
 with a divisibility test, and span coordinates are scaled by a positive
 determinant, which keeps every orientation sign taken on them.
@@ -125,35 +133,38 @@ def _assignment_order(c: PerfectCone, cand: list[tuple[int, ...]]) -> tuple[list
     return order, prefix_len
 
 
-class _Stop(Exception):
-    pass
+def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> list[tuple]:
+    """Matrices A in GL_g(Z) with A . c1 = c2 (as +- pairs), as
+    (A, perm, det A) triples, up to the global flip -A.
 
-
-def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, on_found) -> None:
-    """Enumerate matrices A in GL_g(Z) with A . c1 = c2 (as +- pairs).
-
-    Calls on_found(a_matrix, perm, det) for every realization; on_found
-    may raise _Stop to end the search. Both cones must be full rank with
-    equal ambient g.
+    Both cones must be full rank with equal ambient g. By default the
+    result is the first realization the search meets, or nothing. With
+    group=True (and c2 = c1) it is a strong generating set of the
+    stabilizer for the base b = order[:prefix_len]: for every k, the
+    generators fixing the rays b_1..b_k generate G_k, the group of all
+    elements that fix them. The list holds every element of
+    G_prefix_len (the kernel of the action on rays lies in it) and, for
+    each k, one element of G_k for each image of b_(k+1) that the
+    generators found before it do not reach. -I is never listed; its
+    det is (-1)^g.
     """
     g = c1.g
     n = len(c1.generators)
     if len(c2.generators) != n or c1.dim != c2.dim:
-        return
+        return []
     if n == 0:
-        on_found(tuple(tuple(r) for r in identity_matrix(g)), (), 1)
-        return
+        return [(tuple(tuple(r) for r in identity_matrix(g)), (), 1)]
     g1 = _gram(c1)
     g2 = _gram(c2)
     prof1 = _profiles(g1)
     prof2 = _profiles(g2)
     if Counter(prof1) != Counter(prof2):
-        return
+        return []
     cand = [
         tuple(j for j in range(n) if prof2[j] == prof1[i]) for i in range(n)
     ]
     if any(not cs for cs in cand):
-        return
+        return []
     order, prefix_len = _assignment_order(c1, cand)
     if prefix_len < g:
         raise AssertionError("full-rank cone without a spanning prefix")
@@ -166,7 +177,9 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, on_found) -> None:
     assign: dict[int, int] = {}
     used = [False] * n
 
-    def realize():
+    def realize(every: bool) -> list[tuple]:
+        """The matrices that extend the complete prefix assignment, one per
+        sign pattern (all of them, or only the first)."""
         # signs on the prefix, up to a global flip accounted in the dets
         eps: dict[int, int] = {}
         comps: list[int] = []
@@ -187,11 +200,12 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, on_found) -> None:
                     want = eps[x] * rel
                     if y in eps:
                         if eps[y] != want:
-                            return
+                            return []
                     else:
                         eps[y] = want
                         root_of[y] = a
                         stack.append(y)
+        found = []
         for mask in range(1 << (len(comps) - 1)):
             flip = {comps[0]: 1}
             for b, root in enumerate(comps[1:]):
@@ -222,14 +236,19 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, on_found) -> None:
                 perm.append(j)
             if perm is None:
                 continue
-            on_found(tuple(tuple(r) for r in aint), tuple(perm), d)
+            found.append((tuple(tuple(r) for r in aint), tuple(perm), d))
+            if not every:
+                break
+        return found
 
-    def dfs(pos: int):
+    def first(pos: int, images: Iterable[int] | None = None) -> list[tuple]:
+        """One realization extending the current assignment, with
+        order[pos] sent into images (default: every candidate), or
+        nothing; assign and used are restored before it returns."""
         if pos == prefix_len:
-            realize()
-            return
+            return realize(False)
         i = order[pos]
-        for j in cand[i]:
+        for j in cand[i] if images is None else images:
             if used[j]:
                 continue
             good = True
@@ -241,14 +260,55 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, on_found) -> None:
                 continue
             assign[i] = j
             used[j] = True
-            dfs(pos + 1)
+            found = first(pos + 1)
             del assign[i]
             used[j] = False
+            if found:
+                return found
+        return []
 
-    try:
-        dfs(0)
-    except _Stop:
-        pass
+    if not group:
+        return first(0)
+    gens: list[tuple] = []
+
+    def stabilizer(pos: int) -> None:
+        """Extend gens to generate G_pos, the stabilizer of every ray in
+        order[:pos]; the current assignment is the identity there."""
+        if pos == prefix_len:
+            gens.extend(realize(True))
+            return
+        i = order[pos]
+        assign[i] = i
+        used[i] = True
+        stabilizer(pos + 1)
+        del assign[i]
+        used[i] = False
+        # every generator so far lies in G_pos; skip the images of i under them
+        orbit = _orbit(i, [perm for _a, perm, _d in gens])
+        for j in cand[i]:
+            if j in orbit:
+                continue
+            found = first(pos, (j,))
+            if found:
+                gens.append(found[0])
+                orbit = _orbit(i, [perm for _a, perm, _d in gens])
+
+    stabilizer(0)
+    return gens
+
+
+def _orbit(point: int, perms: list[tuple[int, ...]]) -> set[int]:
+    """The orbit of point under the group the perms generate."""
+    orbit = {point}
+    stack = [point]
+    while stack:
+        x = stack.pop()
+        for p in perms:
+            y = p[x]
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return orbit
 
 
 def _lift_block(a_red: Sequence[Sequence[int]], u1, u2, g: int, r: int):
@@ -298,31 +358,40 @@ def equivalent(c1: PerfectCone, c2: PerfectCone) -> ConeTransform | None:
         if t is None:
             raise AssertionError("lifted transform failed to map the cone")
         return t
-    found: list[ConeTransform] = []
-
-    def on_found(a, perm, det):
-        found.append(ConeTransform(a, c1, c2, perm))
-        raise _Stop
-
-    _full_rank_maps(c1, c2, on_found)
-    return found[0] if found else None
+    found = _full_rank_maps(c1, c2)
+    if not found:
+        return None
+    a, perm, _det = found[0]
+    return ConeTransform(a, c1, c2, perm)
 
 
 def _collect_maps(c: PerfectCone) -> dict[tuple[int, ...], tuple[tuple, set[int]]]:
     """All distinct induced ray permutations of a full-rank cone with a
-    witness matrix and the set of witness determinants (global flips
-    -A included via (-1)^g det)."""
-    out: dict[tuple[int, ...], tuple[tuple, set[int]]] = {}
-    flip = 1 if c.g % 2 == 0 else -1
+    witness matrix and the set of witness determinants.
 
-    def on_found(a, perm, det):
-        if perm in out:
-            out[perm][1].update({det, flip * det})
-        else:
-            out[perm] = (a, {det, flip * det})
-
-    _full_rank_maps(c, c, on_found)
-    return out
+    The group is the closure of the strong generators under composition.
+    The matrices inducing p are A_p K, for K the kernel of the action on
+    rays (with -I in it), so their determinants are det(A_p) det(K).
+    """
+    g = c.g
+    gens = _full_rank_maps(c, c, group=True)
+    ident = tuple(range(len(c.generators)))
+    kernel = {1, (-1) ** g}
+    kernel.update(det for _a, perm, det in gens if perm == ident)
+    reached = {ident: (identity_matrix(g), 1)}
+    stack = [ident]
+    while stack:
+        p = stack.pop()
+        a, det = reached[p]
+        for ga, gp, gdet in gens:
+            q = tuple(gp[x] for x in p)
+            if q not in reached:
+                reached[q] = (mat_mul(ga, a), gdet * det)
+                stack.append(q)
+    return {
+        p: (tuple(tuple(row) for row in a), {det * k for k in kernel})
+        for p, (a, det) in reached.items()
+    }
 
 
 def automorphisms(c: PerfectCone) -> list[ConeTransform]:
@@ -358,20 +427,13 @@ def stabilizer_has_reflection(c: PerfectCone) -> bool:
     i.e. the GL-orbit of the cone equals its SL-orbit.
 
     Boundary cones always qualify: a block stabilizer [[A', P], [0, M]]
-    fixing the reduced core leaves det M free, so both signs occur.
+    fixing the reduced core leaves det M free, so both signs occur. For
+    odd g, -I qualifies. Otherwise det is a homomorphism, so some strong
+    generator has det -1 exactly when some stabilizer element does.
     """
-    if c.is_zero() or c.rank < c.g:
+    if c.is_zero() or c.rank < c.g or c.g % 2:
         return True
-    dets: set[int] = set()
-
-    def on_found(a, perm, det):
-        flip = 1 if c.g % 2 == 0 else -1
-        dets.update({det, flip * det})
-        if -1 in dets:
-            raise _Stop
-
-    _full_rank_maps(c, c, on_found)
-    return -1 in dets
+    return any(det == -1 for _a, _perm, det in _full_rank_maps(c, c, group=True))
 
 
 @lru_cache(maxsize=None)
@@ -413,27 +475,21 @@ def orientation_sign(c: PerfectCone, t: ConeTransform) -> int:
 
 @lru_cache(maxsize=None)
 def is_alternating(c: PerfectCone) -> bool:
-    """True iff every automorphism preserves orientation on the span."""
+    """True iff every automorphism preserves orientation on the span.
+
+    The orientation sign is a homomorphism on the automorphism group, so
+    the strong generators decide it.
+    """
     if c.is_zero():
         return True
     if c.rank < c.g:
         return is_alternating(cone_reduce(c)[0])
     ref = spanning_subset(c)
     coords = span_coordinates(c, ref)
-    seen: set[tuple[int, ...]] = set()
-    verdict = [True]
-
-    def on_found(a, perm, det):
-        if perm in seen:
-            return
-        seen.add(perm)
-        rows = [coords[perm[s]] for s in ref]
-        if det_sign(rows) < 0:
-            verdict[0] = False
-            raise _Stop
-
-    _full_rank_maps(c, c, on_found)
-    return verdict[0]
+    return all(
+        det_sign([coords[perm[s]] for s in ref]) > 0
+        for _a, perm, _det in _full_rank_maps(c, c, group=True)
+    )
 
 
 def random_unimodular(g: int, rng: random.Random, steps: int | None = None) -> list[list[int]]:

@@ -5,7 +5,7 @@ enumeration, and literal definitions.  Nothing imports from perfcone.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import isqrt
 
 from sympy import Matrix, Rational, gcd
@@ -162,3 +162,133 @@ def rational_gram_oracle(vectors):
             row.append(Fraction(int(x.p), int(x.q)))
         out.append(row)
     return out, int(t.det())
+
+
+def simple_graphs_oracle(vertices):
+    """One sorted edge list per isomorphism class of simple graphs on the
+    given vertex count, isolated vertices allowed: every labelled edge
+    subset that is the least of its relabellings."""
+    pairs = list(combinations(range(vertices), 2))
+    relabellings = list(permutations(range(vertices)))
+    out = []
+    for mask in range(1 << len(pairs)):
+        edges = tuple(p for k, p in enumerate(pairs) if mask >> k & 1)
+        least = min(
+            tuple(sorted(tuple(sorted((s[a], s[b]))) for a, b in edges))
+            for s in relabellings
+        )
+        if least == edges:
+            out.append(edges)
+    return out
+
+
+def _normalized(v):
+    lead = next((x for x in v if x), 0)
+    return tuple(v) if lead > 0 else tuple(-x for x in v)
+
+
+def _sylvester_det(m):
+    """Determinant of an integer matrix by Sylvester's identity: each
+    2x2 cross-multiplication step divides exactly by the previous pivot."""
+    m = [list(row) for row in m]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def automorphism_oracle(vectors):
+    """Every (ray permutation, det A) for A in GL_g(Z) mapping each vector
+    to plus or minus a vector of the list.
+
+    Brute force over the images of a basis b_1..b_g chosen among the
+    vectors, each image any vector with either sign.  Once b_1..b_k have
+    images, every vector in their span has its image fixed, and a branch
+    stops when one of those images is not on the list.  The vectors must
+    be sign-normalized, distinct and span Q^g.  perm[i] = j means
+    A v_i = +-v_j; A and -A both appear.
+    """
+    vectors = [tuple(v) for v in vectors]
+    g = len(vectors[0])
+    basis = []
+    for i in range(len(vectors)):
+        if rank_oracle([vectors[j] for j in basis + [i]]) > len(basis):
+            basis.append(i)
+    if len(basis) != g:
+        raise ValueError("vectors do not span")
+    vmat = Matrix([list(vectors[i]) for i in basis]).T
+    scale = abs(int(vmat.det()))
+    # coordinates in the basis, times |det V| so that they are integers
+    vinv = [[int(x * scale) for x in row] for row in vmat.inv().tolist()]
+    coords = [[sum(vinv[t][r] * v[r] for r in range(g)) for t in range(g)] for v in vectors]
+    # vectors whose image is fixed once the first k basis images are
+    support = [max((t for t in range(g) if c[t]), default=-1) for c in coords]
+    ready = [[i for i in range(len(vectors)) if support[i] == k] for k in range(g)]
+    index = {v: j for j, v in enumerate(vectors)}
+    found = set()
+    images = []
+    chosen = []
+
+    def image(i):
+        out = [sum(coords[i][t] * images[t][r] for t in range(len(images))) for r in range(g)]
+        if any(x % scale for x in out):
+            return None
+        return index.get(_normalized([x // scale for x in out]))
+
+    def extend(k):
+        if k == g:
+            a = [[sum(images[t][r] * vinv[t][c] for t in range(g)) for c in range(g)] for r in range(g)]
+            if any(x % scale for row in a for x in row):
+                return
+            d = _sylvester_det([[x // scale for x in row] for row in a])
+            if d not in (1, -1):
+                return
+            perm = [image(i) for i in range(len(vectors))]
+            if None not in perm and len(set(perm)) == len(perm):
+                found.add((tuple(perm), d))
+            return
+        for j in range(len(vectors)):
+            if j in chosen:
+                continue
+            for s in (1, -1):
+                images.append(tuple(s * x for x in vectors[j]))
+                chosen.append(j)
+                if all(image(i) is not None for i in ready[k]):
+                    extend(k + 1)
+                images.pop()
+                chosen.pop()
+
+    extend(0)
+    return found
+
+
+def orientation_oracle(vectors, perms):
+    """For each ray permutation, the sign of the determinant of the linear
+    map on span{v v^t} sending every v_i v_i^t to v_perm(i) v_perm(i)^t.
+
+    In a basis of forms chosen among the v_i v_i^t, the map's matrix C
+    satisfies (images) = C (basis) on any columns where the basis is
+    independent, so det C = det(images) / det(basis) there.
+    """
+    flat = [[x * y for x in v for y in v] for v in vectors]
+    basis = []
+    for i in range(len(flat)):
+        if rank_oracle([flat[j] for j in basis + [i]]) > len(basis):
+            basis.append(i)
+    cols = list(Matrix([flat[i] for i in basis]).rref()[1])
+    before = _sylvester_det([[flat[i][c] for c in cols] for i in basis])
+    signs = {}
+    for perm in perms:
+        after = _sylvester_det([[flat[perm[i]][c] for c in cols] for i in basis])
+        signs[tuple(perm)] = (before * after > 0) - (before * after < 0)
+    return signs

@@ -23,10 +23,8 @@ from perfcone.complexes import (
 from perfcone.cone import spanning_subset
 from perfcone.homology import (
     betti,
-    chi_top,
     les_solve,
     parse_les_fixture,
-    satake_column_from_dims,
     satake_weight0_column,
     top_weight_table,
     verify_complex,
@@ -102,7 +100,7 @@ def test_acceptance_2_g3_end_to_end():
     assert {n: p.dim(n) for n in p.degrees() if p.dim(n)} == {-1: 1, 0: 1, 5: 1}
     assert report.homology[5] == 1
     assert sum(report.homology.values()) == 1
-    assert top_weight_table(3, report) == [(6, 1)]
+    assert top_weight_table(3, report.homology) == [(6, 1)]
     hits = set()
     for graph in NINE_GRAPHS.values():
         located = reg.locate(graphic_cone(graph))
@@ -170,7 +168,7 @@ def test_acceptance_4_invariant_suite(reg2, reg3, reg4):
         assert betti(i).is_acyclic()
         report = betti(p)
         assert all(report.homology[k] == 0 for k in range(-1, g - 1))
-        assert chi_top(report) == euler_expected[g]
+        assert report.euler() == euler_expected[g]
         for seed in (1, 2, 3):
             reseeded = build_registry(g, seed=seed)
             assert betti(build_perfect_complex(g, reseeded)).homology == report.homology
@@ -259,10 +257,10 @@ def test_acceptance_7_satake_table(reg5):
     for g, want in computed_expected.items():
         reg = build_registry(g)
         report = betti(build_perfect_complex(g, reg))
-        assert satake_weight0_column(g, report) == want
+        assert satake_weight0_column(g, report.homology) == want
 
     report5 = betti(build_perfect_complex(5, reg5))
-    assert satake_weight0_column(5, report5) == [(5, 5, 1), (5, 10, 1)]
+    assert satake_weight0_column(5, report5.homology) == [(5, 5, 1), (5, 10, 1)]
 
     # The bundled bookkeeping fixture must tell the same story as the
     # computed column.
@@ -273,7 +271,7 @@ def test_acceptance_7_satake_table(reg5):
     assert res5.unknown_degrees() == []
     dims5 = {n: d for n, d in res5.dims.items() if d}
     assert dims5 == {n: d for n, d in report5.homology.items() if d}
-    assert satake_column_from_dims(5, dims5) == [(5, 5, 1), (5, 10, 1)]
+    assert satake_weight0_column(5, dims5) == [(5, 5, 1), (5, 10, 1)]
 
     for g, want in {
         6: [(6, 6, 1)],
@@ -282,7 +280,7 @@ def test_acceptance_7_satake_table(reg5):
         fg, h_p, h_v, iso = parse_les_fixture(_bundled_les_text(g))
         result = les_solve(h_p, h_v, iso, g)
         dims = {n: d for n, d in result.dims.items() if d}
-        assert satake_column_from_dims(g, dims) == want
+        assert satake_weight0_column(g, dims) == want
 
 
 @pytest.mark.skipif(
@@ -294,4 +292,4 @@ def test_extended_g5_full_build(reg5):
     assert [v.dim(n) for n in range(8, 15)] == [1, 7, 6, 1, 0, 2, 3]
     report = betti(build_perfect_complex(5, reg5))
     assert {n: d for n, d in report.homology.items() if d} == {9: 1, 14: 1}
-    assert chi_top(report) == 0
+    assert report.euler() == 0

@@ -36,7 +36,9 @@ def test_missing_g_is_usage_error(capsys):
 def test_bad_global_flags(capsys):
     assert main(["forms", "--g", "0"]) == 2
     assert main(["forms", "--g", "-3"]) == 2
+    # --jobs is gone: argparse rejects it as an unknown flag
     assert main(["orbits", "--g", "2", "--jobs", "0"]) == 2
+    assert main(["orbits", "--g", "2", "--jobs", "1"]) == 2
     capsys.readouterr()
 
 

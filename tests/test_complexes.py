@@ -6,6 +6,7 @@ from perfcone.complexes import (
     BUILDERS,
     _build_by_predicate,
     annotate_coloops,
+    annotate_matroidal,
     build_inflation_complex,
     build_matroid_complexes,
     build_perfect_complex,
@@ -19,9 +20,17 @@ from perfcone.complexes import (
 from perfcone.cone import facet_index_sets, spanning_subset
 from perfcone.homology import betti, verify_complex
 from perfcone.intlinalg import det_sign
-from perfcone.matroid import SimpleGraph, complete_graph, graphic_cone
+from perfcone.matroid import (
+    SimpleGraph,
+    complete_graph,
+    graphic_cone,
+    m_star_k33,
+    tu_cone,
+)
 from perfcone.quadform import cone_of_form, principal_form
 from perfcone.symmetry import format_registry, span_coordinates
+
+from oracles import simple_graphs_oracle
 
 # SHA-256 of `perfcone orbits --g N` and `perfcone complex --g N --kind K`
 # output, recorded before the symmetry layer went integer-only; faster
@@ -194,6 +203,35 @@ def test_matroid_complexes(reg2, reg3):
     assert r3.basis == p3.basis and r3.diff == p3.diff
     assert {n: c3.dim(n) for n in c3.degrees() if c3.dim(n)} == {-1: 1, 0: 1}
     assert verify_complex(c3)
+
+
+def _flag_closure(reg, sources):
+    """Orbit ids of the source cones and of every face reached from them
+    through the facet records."""
+    flagged = {reg.locate(c)[0].id for c in sources}
+    stack = list(flagged)
+    while stack:
+        for _s, tid, _tau in reg.by_id[stack.pop()].facets:
+            if tid not in flagged:
+                flagged.add(tid)
+                stack.append(tid)
+    return flagged
+
+
+def test_matroidal_flags_match_every_graph_source(reg2, reg3, reg4, reg5):
+    """The complete graph reaches every graph on g+1 vertices as a face,
+    so its closure flags what all graphs on g+1 vertices flag (checked
+    where the graph enumeration is quick, up to five vertices)."""
+    for g, reg, count in ((2, reg2, 4), (3, reg3, 9), (4, reg4, 26), (5, reg5, 100)):
+        annotate_matroidal(reg)
+        flagged = {o.id for o in reg.orbits if o.matroidal}
+        assert len(flagged) == count
+        if g > 4:
+            continue
+        sources = [graphic_cone(SimpleGraph(g + 1, e)) for e in simple_graphs_oracle(g + 1)]
+        if g == 4:
+            sources.append(tu_cone(m_star_k33(), g))
+        assert _flag_closure(reg, sources) == flagged
 
 
 def test_subcomplex_closure_guard(reg3):

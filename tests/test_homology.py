@@ -10,14 +10,12 @@ from perfcone.complexes import (
 )
 from perfcone.homology import (
     betti,
-    chi_top,
     first_defect,
     format_les,
     format_satake,
     format_top_weight,
     les_solve,
     parse_les_fixture,
-    satake_column_from_dims,
     satake_weight0_column,
     top_weight_table,
     verify_complex,
@@ -75,9 +73,9 @@ def test_perfect_homology_values(reg2, reg3, reg4):
 
 
 def test_euler_characteristics(reg2, reg3, reg4):
-    assert chi_top(betti(build_perfect_complex(2, reg2))) == 0
-    assert chi_top(betti(build_perfect_complex(3, reg3))) == 1
-    assert chi_top(betti(build_perfect_complex(4, reg4))) == 0
+    assert betti(build_perfect_complex(2, reg2)).euler() == 0
+    assert betti(build_perfect_complex(3, reg3)).euler() == 1
+    assert betti(build_perfect_complex(4, reg4)).euler() == 0
 
 
 def test_low_degree_vanishing(reg2, reg3, reg4):
@@ -93,21 +91,20 @@ def test_inflation_acyclic(reg2, reg3, reg4):
 
 def test_top_weight_table(reg3, reg4):
     rep3 = betti(build_perfect_complex(3, reg3))
-    assert top_weight_table(3, rep3) == [(6, 1)]
+    assert top_weight_table(3, rep3.homology) == [(6, 1)]
     rep4 = betti(build_perfect_complex(4, reg4))
-    assert top_weight_table(4, rep4) == []
+    assert top_weight_table(4, rep4.homology) == []
+    assert top_weight_table(5, {14: 1, 9: 1, 3: 0}) == [(15, 1), (20, 1)]
     assert "GrW 6 1" in format_top_weight(3, [(6, 1)])
     assert "# none" in format_top_weight(4, [])
-    with pytest.raises(ValueError):
-        top_weight_table(4, rep3)
 
 
 def test_satake_column(reg3, reg4):
     rep3 = betti(build_perfect_complex(3, reg3))
-    assert satake_weight0_column(3, rep3) == [(3, 3, 1)]
+    assert satake_weight0_column(3, rep3.homology) == [(3, 3, 1)]
     rep4 = betti(build_perfect_complex(4, reg4))
-    assert satake_weight0_column(4, rep4) == []
-    assert satake_column_from_dims(5, {9: 1, 14: 1}) == [(5, 5, 1), (5, 10, 1)]
+    assert satake_weight0_column(4, rep4.homology) == []
+    assert satake_weight0_column(5, {14: 1, 9: 1}) == [(5, 5, 1), (5, 10, 1)]
     assert "E1 3 3 1" in format_satake([(3, 3, 1)])
 
 

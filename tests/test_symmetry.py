@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from perfcone.complexes import build_registry
 from perfcone.cone import PerfectCone, faces, reduce
 from perfcone.intlinalg import det_int, mat_mul
 from perfcone.matroid import complete_graph, graphic_cone
@@ -11,7 +13,10 @@ from perfcone.symmetry import (
     ConeTransform,
     OrbitRegistry,
     _assignment_order,
+    _collect_maps,
+    _full_rank_maps,
     _gram,
+    _profiles,
     automorphisms,
     classify_orbits,
     conjugate_cone,
@@ -24,7 +29,12 @@ from perfcone.symmetry import (
     stabilizer_has_reflection,
 )
 
-from oracles import rank_oracle, rational_gram_oracle
+from oracles import (
+    automorphism_oracle,
+    orientation_oracle,
+    rank_oracle,
+    rational_gram_oracle,
+)
 
 COORD2 = PerfectCone(2, [(1, 0), (0, 1)])
 
@@ -275,3 +285,120 @@ def test_assignment_order_matches_prefix_rank_definition(k, rnd):
     n = len(c.generators)
     cand = [tuple(range(rnd.randint(1, n))) for _ in range(n)]
     assert _assignment_order(c, cand) == _prefix_rank_order(c, cand)
+
+
+def _group(c):
+    """(perm, det) of every stabilizer matrix, from the generator closure."""
+    return {(perm, d) for perm, (_a, dets) in _collect_maps(c).items() for d in dets}
+
+
+def _perm_closure(perms, n):
+    out = {tuple(range(n))}
+    stack = list(out)
+    while stack:
+        p = stack.pop()
+        for q in perms:
+            r = tuple(q[x] for x in p)
+            if r not in out:
+                out.add(r)
+                stack.append(r)
+    return out
+
+
+def _assert_strong_generators(c, group):
+    """Sims' definition along the search base b: for every k, the
+    generators fixing b_1..b_k generate the whole stabilizer of those rays
+    in the group (here the oracle's perms)."""
+    n = len(c.generators)
+    prof = _profiles(_gram(c))
+    cand = [tuple(j for j in range(n) if prof[j] == prof[i]) for i in range(n)]
+    order, prefix_len = _assignment_order(c, cand)
+    base = order[:prefix_len]
+    gens = [perm for _a, perm, _d in _full_rank_maps(c, c, group=True)]
+    perms = {perm for perm, _d in group}
+    for k in range(prefix_len + 1):
+        fixed = base[:k]
+        stab = {p for p in perms if all(p[b] == b for b in fixed)}
+        sub = [p for p in gens if all(p[b] == b for b in fixed)]
+        assert _perm_closure(sub, n) == stab, (c, k)
+
+
+def _spanning_vectors(g, vectors):
+    out = []
+    for v in vectors:
+        if not any(v):
+            continue
+        lead = next(x for x in v if x)
+        v = tuple(v) if lead > 0 else tuple(-x for x in v)
+        if v not in out and math.gcd(*v) == 1:
+            out.append(v)
+    return out if out and rank_oracle(out) == g else None
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda g: st.tuples(
+            st.just(g),
+            st.lists(
+                st.tuples(*[st.integers(-1, 1)] * g), min_size=g, max_size=7
+            ),
+        )
+    ),
+    st.integers(0, 10**6),
+)
+def test_generator_closure_is_the_whole_group(drawn, seed):
+    g, raw = drawn
+    vectors = _spanning_vectors(g, raw)
+    assume(vectors is not None)
+    c = PerfectCone(g, vectors)
+    moved = conjugate_cone(c, random_unimodular(g, random.Random(seed)))
+    for cone in (c, moved):
+        group = automorphism_oracle(cone.generators)
+        assert _group(cone) == group
+        _assert_strong_generators(cone, group)
+
+
+def test_alternation_and_reflection_match_the_oracle_group(reg2, reg3, reg4):
+    regs = [build_registry(1), reg2, reg3, reg4]
+    for o in (o for reg in regs for o in reg.orbits if o.rank == reg.g):
+        gens = o.rep.generators
+        group = automorphism_oracle(gens)
+        assert _group(o.rep) == group, o.id
+        _assert_strong_generators(o.rep, group)
+        signs = orientation_oracle(gens, {perm for perm, _d in group})
+        assert 0 not in signs.values()
+        assert is_alternating(o.rep) == all(s > 0 for s in signs.values()), o.id
+        assert stabilizer_has_reflection(o.rep) == any(d == -1 for _p, d in group), o.id
+    for o in reg4.orbits:
+        if o.rank == 4:
+            continue
+        # padded representative: the core is the first `rank` coordinates,
+        # and flipping the last coordinate fixes every generator
+        gens = o.rep.generators
+        assert all(not any(v[o.rank:]) for v in gens)
+        assert stabilizer_has_reflection(o.rep)
+        if o.rank == 0:
+            assert is_alternating(o.rep)
+            continue
+        core = [v[: o.rank] for v in gens]
+        group = automorphism_oracle(core)
+        signs = orientation_oracle(core, {perm for perm, _d in group})
+        assert is_alternating(o.rep) == all(s > 0 for s in signs.values()), o.id
+
+
+def test_g5_catalog_automorphism_group_orders():
+    orders = {q.name: len(automorphisms(cone_of_form(q))) for q in load_bundled_catalog(5)}
+    assert orders == {"principal_5": 720, "d5": 1920, "a5_3": 720}
+
+
+def test_strong_generators_are_automorphisms():
+    for c in POOL34:
+        if c.rank < c.g:
+            c = reduce(c)[0]
+        gens = _full_rank_maps(c, c, group=True)
+        assert gens
+        for a, perm, d in gens:
+            t = ConeTransform(a, c, c, perm)
+            assert t.check()
+            assert det_int([list(r) for r in a]) == d
