@@ -14,8 +14,7 @@ from typing import Iterable, Sequence
 
 from .intlinalg import (
     Echelon,
-    adjugate_int,
-    det_int,
+    adjugate_det,
     dot,
     flatten_rank1,
     identity_matrix,
@@ -95,14 +94,6 @@ class Face:
         return self.parent.subcone(self.generator_indices)
 
 
-def rank(c: PerfectCone) -> int:
-    return c.rank
-
-
-def dimension(c: PerfectCone) -> int:
-    return c.dim
-
-
 def is_boundary(c: PerfectCone) -> bool:
     """True iff the cone misses the positive definite locus."""
     return c.rank < c.g
@@ -167,16 +158,18 @@ def spanning_subset(c: PerfectCone, order: Sequence[int] | None = None) -> tuple
     return tuple(sorted(greedy_spanning(rows, order)))
 
 
-def _dd_extreme_rays(ys: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
-    """Extreme rays of {w : <w, y_i> >= 0} by double description insertion.
+def _dd_extreme_rays(ys: list[tuple[int, ...]]) -> list[int]:
+    """Active sets of the extreme rays of {w : <w, y_i> >= 0}, by double
+    description insertion.
 
     The y_i must span R^d and generate a pointed cone (true for projected
     rank-1 forms). Insertion order is by index, for deterministic output.
-    Returns (primitive ray vector, active set) pairs; the active set is a
-    bitmask whose bit i is set exactly when <w, y_i> = 0. An initial ray
-    is tight on the d - 1 other initial rows, and a positive combination
-    of an adjacent pair is tight on their common active set plus the row
-    being inserted, so the masks need no recomputation.
+    Each active set is a bitmask whose bit i is set exactly when
+    <w, y_i> = 0 at the ray w. An initial ray is tight on the d - 1 other
+    initial rows, and a positive combination of an adjacent pair is tight
+    on their common active set plus the row being inserted, so the masks
+    need no recomputation. The ray vectors serve only the next insertion,
+    so the last one forms masks alone.
 
     Adjacency is the combinatorial test: no third ray's active set
     contains the pair's common one. Adjacent rays share at least d - 2
@@ -187,9 +180,7 @@ def _dd_extreme_rays(ys: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], i
     init = greedy_spanning(ys, range(n))
     if len(init) != d:
         raise AssertionError("constraints do not span the ambient space")
-    y0 = [list(ys[i]) for i in init]
-    det = det_int(y0)
-    adj = adjugate_int(y0)
+    adj, det = adjugate_det([list(ys[i]) for i in init])
     s = 1 if det > 0 else -1
     full = sum(1 << i for i in init)
     vecs: list[tuple[int, ...]] = []
@@ -198,9 +189,9 @@ def _dd_extreme_rays(ys: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], i
         vecs.append(primitive_vector([s * adj[j][k] for j in range(d)]))
         masks.append(full & ~(1 << init[k]))
     chosen = set(init)
-    for i in range(n):
-        if i in chosen:
-            continue
+    rest = [i for i in range(n) if i not in chosen]
+    for i in rest:
+        final = i == rest[-1]
         a = ys[i]
         bit = 1 << i
         vals = [dot(a, w) for w in vecs]
@@ -226,32 +217,39 @@ def _dd_extreme_rays(ys: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], i
                         if hits > 2:
                             break
                 else:
-                    vp, vm = vals[kp], vals[km]
-                    comb = [vp * x - vm * y for x, y in zip(vecs[km], vecs[kp])]
-                    new_vecs.append(primitive_vector(comb))
                     new_masks.append(meet | bit)
+                    if not final:
+                        vp, vm = vals[kp], vals[km]
+                        comb = [vp * x - vm * y for x, y in zip(vecs[km], vecs[kp])]
+                        new_vecs.append(primitive_vector(comb))
         vecs, masks = new_vecs, new_masks
-    return list(zip(vecs, masks))
+    return masks
 
 
 def facet_index_sets(c: PerfectCone) -> list[frozenset]:
     """Generator index sets of the codimension-1 faces.
 
-    The facets are the active sets of the extreme rays of the dual cone,
-    read off the double description masks.
+    Unless the dimension is already known to be 0 or n (simplicial), one
+    elimination of the flattened generators gives it (kept on the cone)
+    together with the pivot columns that project the cone to a
+    full-dimensional one. The facets are the active sets of the extreme
+    rays of the dual cone, read off the double description masks bit by
+    bit.
     """
     n = len(c.generators)
-    d = c.dim
+    if c._dim not in (0, n):
+        flat = [flatten_rank1(v) for v in c.generators]
+        piv = pivot_columns(flat)
+        c._dim = len(piv)
+    d = c._dim
     if d == 0:
         return []
     if n == d:
         out = [frozenset(range(n)) - {i} for i in range(n)]
         return sorted(out, key=sorted)
-    flat = [flatten_rank1(v) for v in c.generators]
-    piv = pivot_columns(flat)
     ys = [tuple(row[j] for j in piv) for row in flat]
-    masks = {mask for _w, mask in _dd_extreme_rays(ys)}
-    facets = sorted([i for i, b in enumerate(reversed(bin(m))) if b == "1"] for m in masks)
+    bits = [(i, 1 << i) for i in range(n)]
+    facets = sorted([i for i, b in bits if m & b] for m in set(_dd_extreme_rays(ys)))
     return [frozenset(f) for f in facets]
 
 

@@ -9,10 +9,9 @@ elimination", Math. Comp. 1968), with fraction-free back substitution
 where the Gauss-Jordan form is needed. Its entries are minors of the
 input, so every division is exact and no entry is a fraction. Ranks,
 pivot columns, determinants, adjugates, inverses and kernel vectors are
-all read off its state.
-``snf_left`` works with unimodular row and column operations instead, and
-the form routines ``ldlt`` and ``classify_symmetric`` stay rational,
-because quadratic forms have rational entries.
+all read off its state. The quadratic-form layer reads definiteness and
+the short-vector levels of a form off the same Bareiss rows.
+``snf_left`` works with unimodular row and column operations instead.
 """
 
 from __future__ import annotations
@@ -146,6 +145,21 @@ class Echelon:
         out.reverse()
         return out
 
+    def kernel_vector(self, ncols: int) -> tuple[int, ...] | None:
+        """A primitive integer vector spanning the kernel of the kept rows
+        (of length ncols) when that kernel is a line, else None. Its entry
+        on the one non-pivot column is positive."""
+        free = set(range(ncols)) - set(self.pivots)
+        if len(free) != 1:
+            return None
+        (f,) = free
+        s = 1 if self.det > 0 else -1
+        vec = [0] * ncols
+        vec[f] = s * self.det
+        for r, c in zip(self.jordan(), self.pivots):
+            vec[c] = -s * r[f]
+        return primitive_vector(vec)
+
 
 def _echelon(rows: Iterable[Sequence[int]]) -> Echelon:
     e = Echelon()
@@ -190,7 +204,7 @@ def _det(m: Sequence[Sequence[int]]) -> int:
     return _perm_sign(e.pivots) * e.det
 
 
-def _adjugate_det(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+def adjugate_det(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """(adj m, det m) from one elimination of [m | I]; m invertible."""
     n = _square(m)
     e = Echelon(n)
@@ -238,18 +252,18 @@ def det_sign(m: Sequence[Sequence[int]]) -> int:
 
 def adjugate_int(m: Sequence[Sequence[int]]) -> list[list[int]]:
     """adj(m) with adj(m) m = det(m) I, for invertible integer m."""
-    return _adjugate_det(m)[0]
+    return adjugate_det(m)[0]
 
 
 def frac_inverse(m: Sequence[Sequence[int]]) -> list[list[Fraction]]:
     """Inverse over Q of an invertible integer matrix; raises on singular
     input. The package itself inverts with adjugate_int."""
-    adj, d = _adjugate_det(m)
+    adj, d = adjugate_det(m)
     return [[Fraction(x, d) for x in row] for row in adj]
 
 
 def unimodular_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    adj, d = _adjugate_det(m)
+    adj, d = adjugate_det(m)
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
     return [[d * x for x in row] for row in adj]
@@ -260,19 +274,7 @@ def integer_kernel_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | No
 
     Its entry on the one non-pivot column is positive.
     """
-    if not rows:
-        return None
-    e = _echelon(rows)
-    free = set(range(len(rows[0]))) - set(e.pivots)
-    if len(free) != 1:
-        return None
-    (f,) = free
-    s = 1 if e.det > 0 else -1
-    vec = [0] * len(rows[0])
-    vec[f] = s * e.det
-    for r, c in zip(e.jordan(), e.pivots):
-        vec[c] = -s * r[f]
-    return primitive_vector(vec)
+    return _echelon(rows).kernel_vector(len(rows[0])) if rows else None
 
 
 def snf_left(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], int]:
@@ -329,63 +331,3 @@ def snf_left(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int
                         piv = (i, j)
     rank = sum(1 for k in range(min(nrows, ncols)) if a[k][k] != 0)
     return u, a, rank
-
-
-def ldlt(entries: Sequence[Sequence[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Q = U^T D U with U unit upper triangular, D positive diagonal.
-
-    Raises ValueError when Q is not positive definite.
-    """
-    g = len(entries)
-    d = [Fraction(0)] * g
-    u = [[Fraction(0)] * g for _ in range(g)]
-    for i in range(g):
-        u[i][i] = Fraction(1)
-    for i in range(g):
-        acc = Fraction(entries[i][i])
-        for k in range(i):
-            acc -= d[k] * u[k][i] * u[k][i]
-        if acc <= 0:
-            raise ValueError("form is not positive definite")
-        d[i] = acc
-        for j in range(i + 1, g):
-            s = Fraction(entries[i][j])
-            for k in range(i):
-                s -= d[k] * u[k][i] * u[k][j]
-            u[i][j] = s / d[i]
-    return d, u
-
-
-def classify_symmetric(entries: Sequence[Sequence]) -> str:
-    """One of 'positive-definite', 'rational-kernel-psd', 'other'.
-
-    Exact symmetric (congruence) elimination. For rational psd matrices
-    the kernel is the rational nullspace, so psd alone settles the
-    middle class.
-    """
-    g = len(entries)
-    a = [[Fraction(entries[i][j]) for j in range(g)] for i in range(g)]
-    live = list(range(g))
-    pivots = 0
-    while live:
-        neg = any(a[i][i] < 0 for i in live)
-        if neg:
-            return "other"
-        pos = [i for i in live if a[i][i] > 0]
-        if not pos:
-            if all(a[i][j] == 0 for i in live for j in live):
-                return "rational-kernel-psd"
-            # zero diagonal with a nonzero off-diagonal entry: indefinite
-            return "other"
-        p = pos[0]
-        ap = a[p]
-        pp = ap[p]
-        live.remove(p)
-        for i in live:
-            if a[i][p]:
-                f = a[i][p] / pp
-                ai = a[i]
-                for j in live:
-                    ai[j] -= f * ap[j]
-        pivots += 1
-    return "positive-definite" if pivots == g else "rational-kernel-psd"

@@ -9,7 +9,6 @@ Both conditions read off one left Smith reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Sequence
@@ -281,17 +280,13 @@ def _k33_dual_matrix() -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
 def m_star_k33() -> TURepresentation:
     """Rank-4 dual of the K_{3,3} cycle matroid; smallest regular matroid
     that is neither graphic nor a graph's cone source here."""
-    rep = TURepresentation.verify(_k33_dual_matrix())
-    if rep.verified is not True:
-        raise AssertionError("fixture failed total unimodularity")
-    return rep
+    # a constant matrix, shown TU by exhaustive minors in the test suite
+    return TURepresentation(_k33_dual_matrix(), True)
 
 
-@lru_cache(maxsize=None)
 def r_10() -> TURepresentation:
     """The ten-element rank-5 splitter; [I_5 | A] with the circulant A."""
     a = (
@@ -305,7 +300,5 @@ def r_10() -> TURepresentation:
     for i in range(5):
         ident = tuple(1 if j == i else 0 for j in range(5))
         rows.append(ident + a[i])
-    rep = TURepresentation.verify(rows)
-    if rep.verified is not True:
-        raise AssertionError("fixture failed total unimodularity")
-    return rep
+    # a constant matrix, shown TU by exhaustive minors in the test suite
+    return TURepresentation(tuple(rows), True)

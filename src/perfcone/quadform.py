@@ -1,14 +1,19 @@
 """Exact quadratic-form arithmetic: minimal vectors, perfection, cones.
 
-Forms are symmetric rational matrices. Positive definite forms only are
-accepted by the enumeration routines; catalogs normalize the minimum to 1
-on ingestion because the cone of a form only depends on it up to scale.
+A form is a symmetric rational matrix, stored fraction-free: an integer
+matrix ``num`` over a positive denominator ``den`` with no common factor,
+so equal forms have equal representations. ``entries`` gives the same
+matrix as Fractions. Positive definite forms only are accepted by the
+enumeration routines; catalogs normalize the minimum to 1 on ingestion
+because the cone of a form only depends on it up to scale.
 
-The short-vector walk runs over integers: the rational LDL^T of a form
-is computed once and scaled by common denominators so that every level
-bound is an integer (see minimal_vectors). Each form keeps its minimal
-vectors once computed, so the Voronoi neighbour walk, which asks for
-them repeatedly on one base form, pays for the enumeration once.
+One Bareiss elimination of ``num`` (``intlinalg.Echelon``) settles
+positive definiteness by Sylvester's criterion on the leading minors, and
+its rows give the integer level bounds of the short-vector walk (see
+minimal_vectors). Each form keeps its minimal vectors once computed, so
+the Voronoi neighbour walk, which asks for them repeatedly on one base
+form, pays for the enumeration once. The walk's line search runs on an
+integer pencil of forms; only its parameter t is a Fraction.
 """
 
 from __future__ import annotations
@@ -20,10 +25,9 @@ from typing import IO, Iterable, Sequence
 
 from .cone import Face, PerfectCone
 from .intlinalg import (
-    classify_symmetric,
+    Echelon,
+    dot,
     flatten_rank1,
-    integer_kernel_vector,
-    ldlt,
     rank_rows,
     sign_normalize,
     vec_gcd,
@@ -35,61 +39,124 @@ OTHER = "other"
 
 
 class QuadraticForm:
-    __slots__ = ("g", "entries", "definiteness", "name", "_mv")
+    """The symmetric matrix num / den: num an integer matrix (a tuple of
+    rows), den > 0 and gcd(den, num) = 1."""
+
+    __slots__ = ("g", "num", "den", "name", "_rows", "_mv")
 
     def __init__(self, entries: Sequence[Sequence], name: str = ""):
-        rows = [tuple(Fraction(x) for x in row) for row in entries]
+        rows = [[Fraction(x) for x in row] for row in entries]
         g = len(rows)
         if any(len(r) != g for r in rows):
             raise ValueError("form matrix must be square")
-        for i in range(g):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("form matrix must be symmetric")
-        self.g = g
-        self.entries = tuple(rows)
-        self.definiteness = classify_symmetric(rows)
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        num = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+        if any(num[i][j] != num[j][i] for i in range(g) for j in range(i)):
+            raise ValueError("form matrix must be symmetric")
+        self._set(num, den, name)
+
+    @classmethod
+    def _of(cls, num: Sequence[Sequence[int]], den: int, name: str = "") -> "QuadraticForm":
+        """The form num / den, for an integer symmetric num and den > 0."""
+        q = cls.__new__(cls)
+        q._set(num, den, name)
+        return q
+
+    def _set(self, num: Sequence[Sequence[int]], den: int, name: str) -> None:
+        c = math.gcd(den, *(x for row in num for x in row))
+        self.g = len(num)
+        self.num = tuple(tuple(x // c for x in row) for row in num)
+        self.den = den // c
         self.name = name
+        self._rows = _sylvester_rows(self.num)  # None unless positive definite
         self._mv = None  # minimal_vectors(self), once asked for
 
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+
+    @property
+    def definiteness(self) -> str:
+        if self._rows is not None:
+            return POSITIVE_DEFINITE
+        return RATIONAL_KERNEL_PSD if _is_psd(self.num) else OTHER
+
     def value(self, v: Sequence[int]) -> Fraction:
-        q = self.entries
-        total = Fraction(0)
-        for i, vi in enumerate(v):
-            if vi:
-                total += q[i][i] * vi * vi
-                for j in range(i + 1, len(v)):
-                    if v[j]:
-                        total += 2 * q[i][j] * vi * v[j]
-        return total
+        return Fraction(_int_value(self.num, v), self.den)
 
     def scaled(self, factor: Fraction) -> "QuadraticForm":
-        return QuadraticForm(
-            [[x * factor for x in row] for row in self.entries], self.name
-        )
+        f = Fraction(factor)
+        num = [[x * f.numerator for x in row] for row in self.num]
+        return QuadraticForm._of(num, self.den * f.denominator, self.name)
 
     def conjugated(self, h: Sequence[Sequence[int]]) -> "QuadraticForm":
         """h Q h^t for an integer matrix h."""
-        g = self.g
-        hq = [
-            [sum(h[i][k] * self.entries[k][j] for k in range(g)) for j in range(g)]
-            for i in range(g)
-        ]
-        out = [
-            [sum(hq[i][k] * h[j][k] for k in range(g)) for j in range(g)]
-            for i in range(g)
-        ]
-        return QuadraticForm(out, self.name)
+        # num is symmetric, so its rows are its columns
+        hq = [[dot(row, col) for col in self.num] for row in h]
+        out = [[dot(row, hj) for hj in h] for row in hq]
+        return QuadraticForm._of(out, self.den, self.name)
 
     def __eq__(self, other):
-        return isinstance(other, QuadraticForm) and self.entries == other.entries
+        return (
+            isinstance(other, QuadraticForm)
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         label = f" {self.name}" if self.name else ""
         return f"QuadraticForm(g={self.g}{label})"
+
+
+def _int_value(m: Sequence[Sequence[int]], v: Sequence[int]) -> int:
+    """v^t m v."""
+    return sum(x * dot(row, v) for x, row in zip(v, m) if x)
+
+
+def _sylvester_rows(num: Sequence[Sequence[int]]) -> list[list[int]] | None:
+    """The Bareiss rows of num when num is positive definite, else None.
+
+    Row i is zero left of the diagonal and holds the leading principal
+    minor of order i + 1 on it; num is positive definite exactly when all
+    of these are positive (Sylvester's criterion).
+    """
+    e = Echelon()
+    for i, row in enumerate(num):
+        if not e.add(row) or e.pivots[i] != i or e.det <= 0:
+            return None
+    return e.rows
+
+
+def _is_psd(m: Sequence[Sequence[int]]) -> bool:
+    """Positive semidefiniteness of a symmetric integer matrix.
+
+    Fraction-free symmetric elimination: a positive diagonal pivot leaves
+    the Schur complement scaled by a positive factor, which is
+    semidefinite exactly when m is; a negative diagonal entry, or a zero
+    diagonal with a nonzero entry in its row, rules it out. The entries
+    stay minors of m (Bareiss), so every division is exact.
+    """
+    a = [list(row) for row in m]
+    live = list(range(len(a)))
+    last = 1
+    while live:
+        if any(a[i][i] < 0 for i in live):
+            return False
+        p = next((i for i in live if a[i][i]), None)
+        if p is None:
+            return all(a[i][j] == 0 for i in live for j in live)
+        live.remove(p)
+        ap, pp = a[p], a[p][p]
+        for i in live:
+            ai, f = a[i], a[i][p]
+            for j in live:
+                ai[j] = (pp * ai[j] - f * ap[j]) // last
+        last = pp
+    return True
 
 
 @dataclass(frozen=True)
@@ -104,30 +171,38 @@ class MinimalVectorSet:
 def minimal_vectors(q: QuadraticForm) -> MinimalVectorSet:
     """Exhaustive short-vector enumeration at the minimum of q.
 
-    Layered bounds from the exact LDL^T of q (Fincke-Pohst), walked over
-    integers: row i of U is written over a common denominator den_i, so
-    the level term d_i (x_i + sum_j u_ij x_j)^2 is e_i s^2 with the
-    integer s = den_i x_i + C. Scaling every e_i by the lcm M of their
-    denominators makes M Q(x) an integer. One representative per +- pair,
-    normalized to a positive leading entry, sorted. The result is kept
-    on q, so asking again for the same form costs nothing.
+    Layered bounds (Fincke-Pohst) from the Bareiss rows E_i of num, walked
+    over integers. With p_i the leading minor of order i (p_0 = 1),
+    num(x) = sum_i (E_i . x)^2 / (p_i p_(i+1)). Dividing E_i by its
+    content c_i makes the level term w_i s^2, with the integer
+    s = (p_(i+1) / c_i) x_i + C and w_i = c_i^2 / (p_i p_(i+1)); scaling
+    every w_i by the lcm M of their denominators makes M num(x) an
+    integer. One representative per +- pair, normalized to a positive
+    leading entry, sorted. The result is kept on q, so asking again for
+    the same form costs nothing.
     """
     if q._mv is not None:
         return q._mv
-    if q.definiteness != POSITIVE_DEFINITE:
+    if q._rows is None:
         raise ValueError("minimal vectors need a positive definite form")
     g = q.g
-    d, u = ldlt(q.entries)
-    dens = [math.lcm(*(u[i][j].denominator for j in range(i, g))) for i in range(g)]
-    rows = [
-        [(j, int(u[i][j] * dens[i])) for j in range(i + 1, g) if u[i][j]]
-        for i in range(g)
-    ]
-    levels = [d[i] / (dens[i] * dens[i]) for i in range(g)]
-    scale = math.lcm(*(e.denominator for e in levels))
-    levels = [int(e * scale) for e in levels]
-    # q_ii = Q(e_i), so scale * q_ii is an integer
-    best = min(int(q.entries[i][i] * scale) for i in range(g))
+    steps: list[int] = []
+    terms: list[list[tuple[int, int]]] = []
+    weights: list[tuple[int, int]] = []
+    prev = 1
+    for i, row in enumerate(q._rows):
+        c = math.gcd(*row)  # divides the pivot row[i]
+        pivot = row[i]
+        steps.append(pivot // c)
+        terms.append([(j, row[j] // c) for j in range(i + 1, g) if row[j]])
+        top, bottom = c * c, prev * pivot
+        k = math.gcd(top, bottom)
+        weights.append((top // k, bottom // k))
+        prev = pivot
+    scale = math.lcm(*(b for _a, b in weights))
+    levels = [a * (scale // b) for a, b in weights]
+    # num_ii = den Q(e_i), so scale * num_ii bounds the minimum
+    best = min(q.num[i][i] for i in range(g)) * scale
     found: list[tuple[int, ...]] = []
     x = [0] * g
 
@@ -144,10 +219,10 @@ def minimal_vectors(q: QuadraticForm) -> MinimalVectorSet:
                 found.append(v)
             return
         c = 0
-        for j, a in rows[i]:
+        for j, a in terms[i]:
             if x[j]:
                 c += a * x[j]
-        den = dens[i]
+        den = steps[i]
         e = levels[i]
         if zero_above:
             t = 0
@@ -190,7 +265,7 @@ def minimal_vectors(q: QuadraticForm) -> MinimalVectorSet:
     for v in reps:
         if vec_gcd(v) != 1:
             raise AssertionError("non-primitive vector attained the minimum")
-    q._mv = MinimalVectorSet(Fraction(best, scale), tuple(reps))
+    q._mv = MinimalVectorSet(Fraction(best, scale * q.den), tuple(reps))
     return q._mv
 
 
@@ -209,9 +284,8 @@ def cone_of_form(q: QuadraticForm) -> PerfectCone:
 def principal_form(g: int) -> QuadraticForm:
     if g < 1:
         raise ValueError("g must be at least 1")
-    half = Fraction(1, 2)
-    entries = [[Fraction(1) if i == j else half for j in range(g)] for i in range(g)]
-    return QuadraticForm(entries, name=f"principal_{g}")
+    num = [[2 if i == j else 1 for j in range(g)] for i in range(g)]
+    return QuadraticForm._of(num, 2, name=f"principal_{g}")
 
 
 def normalize_minimum(q: QuadraticForm) -> QuadraticForm:
@@ -325,99 +399,94 @@ def load_bundled_catalog(g: int) -> list[QuadraticForm]:
     return load_form_catalog(bundled_catalog_text(g))
 
 
-def _facet_normal(q: QuadraticForm, sigma: PerfectCone, facet: Face) -> list[list[Fraction]]:
-    """Inward primitive normal R of a facet: v^t R v = 0 on the facet,
-    > 0 on the remaining minimal vectors."""
-    idx = sorted(facet.generator_indices)
-    rows = [flatten_rank1(sigma.generators[i]) for i in idx]
-    n = integer_kernel_vector(rows) if rows else None
-    if n is None:
+def _facet_normal(sigma: PerfectCone, idx: Sequence[int], e: Echelon) -> list[list[int]]:
+    """2R for the inward primitive normal R of a facet: v^t R v = 0 on the
+    facet, > 0 on the remaining minimal vectors. e is the elimination of
+    the facet's flattened generators idx; R has half-integer entries off
+    the diagonal, so 2R is the integer matrix."""
+    g = sigma.g
+    coeff = e.kernel_vector(g * (g + 1) // 2)
+    if coeff is None:
         raise ValueError("face does not span a hyperplane of the cone")
-    g = q.g
-    coeff = list(n)
-    others = [i for i in range(len(sigma.generators)) if i not in set(idx)]
-    vals = []
-    for i in others:
-        vals.append(sum(c * f for c, f in zip(coeff, flatten_rank1(sigma.generators[i]))))
+    pegged = set(idx)
+    vals = [
+        dot(coeff, flatten_rank1(v))
+        for i, v in enumerate(sigma.generators)
+        if i not in pegged
+    ]
     if all(v > 0 for v in vals):
         pass
     elif all(v < 0 for v in vals):
         coeff = [-c for c in coeff]
     else:
         raise ValueError("face is not a facet: generators on both sides")
-    r = [[Fraction(0)] * g for _ in range(g)]
+    r2 = [[0] * g for _ in range(g)]
     k = 0
     for i in range(g):
         for j in range(i, g):
             if i == j:
-                r[i][i] = Fraction(coeff[k])
+                r2[i][i] = 2 * coeff[k]
             else:
-                r[i][j] = Fraction(coeff[k], 2)
-                r[j][i] = Fraction(coeff[k], 2)
+                r2[i][j] = r2[j][i] = coeff[k]
             k += 1
-    return r
+    return r2
 
 
 def voronoi_neighbor(q: QuadraticForm, facet: Face) -> QuadraticForm:
     """The unique perfect neighbor across a facet of sigma[q].
 
     Exact line search Q + tR along the inward facet normal, increasing t
-    until new vectors join the minimal set. Requires m(q) = 1.
+    until new vectors join the minimal set. Requires m(q) = 1. With
+    t = a/b and the integer 2R, Q + tR is the integer pencil
+    2b num + a den 2R over 2b den, so t is the only Fraction.
     """
-    sigma = cone_of_form(q)
-    if facet.parent != sigma:
+    if facet.parent != cone_of_form(q):
         raise ValueError("facet does not belong to the cone of this form")
+    sigma = facet.parent  # the caller's cone keeps its dimension once known
     if not facet.generator_indices:
         raise ValueError("empty face rejected (no pegged minimal vectors)")
-    fcone = facet.cone
-    if fcone.dim != sigma.dim - 1:
+    idx = sorted(facet.generator_indices)
+    e = Echelon()
+    for i in idx:
+        e.add(flatten_rank1(sigma.generators[i]))
+    if e.rank != sigma.dim - 1:
         raise ValueError("face is not of codimension 1")
     mv = minimal_vectors(q)
     if mv.minimum != 1:
         raise ValueError("neighbor walk expects a form normalized to minimum 1")
-    r = _facet_normal(q, sigma, facet)
-    pegged = {sigma.generators[i] for i in facet.generator_indices}
+    r2 = _facet_normal(sigma, idx, e)
+    pegged = {sigma.generators[i] for i in idx}
     g = q.g
+    num, den = q.num, q.den
+    name = f"{q.name}~neighbor"
     t_lo = Fraction(0)
     t = Fraction(1)
     for _ in range(1000):
-        qt_entries = [
-            [q.entries[i][j] + t * r[i][j] for j in range(g)] for i in range(g)
-        ]
-        if classify_symmetric(qt_entries) != POSITIVE_DEFINITE:
+        a, b = t.numerator, t.denominator
+        pencil = [[2 * b * x + a * den * y for x, y in zip(qr, rr)] for qr, rr in zip(num, r2)]
+        qt = QuadraticForm._of(pencil, 2 * b * den, name)
+        if qt._rows is None:  # not positive definite
             t = (t_lo + t) / 2
             continue
-        qt = QuadraticForm(qt_entries)
         mvt = minimal_vectors(qt)
         if mvt.minimum == 1:
             if set(mvt.vectors) - pegged:
                 target = g * (g + 1) // 2
                 if rank_rows([flatten_rank1(v) for v in mvt.vectors]) != target:
                     raise AssertionError("neighbor walk stopped at a non-perfect form")
-                return QuadraticForm(qt_entries, name=f"{q.name}~neighbor")
+                return qt
             t_lo = t
             t = 2 * t
             continue
         cut = None
         for w in mvt.vectors:
-            val0 = q.value(w)
-            slope = _eval_symmetric(r, w)
+            slope = _int_value(r2, w)  # 2 R(w)
             if slope < 0:
-                tw = (1 - val0) / slope
+                # Q(w) + tw R(w) = 1
+                tw = Fraction(2 * (den - _int_value(num, w)), den * slope)
                 if cut is None or tw < cut:
                     cut = tw
         if cut is None or cut <= t_lo:
             raise AssertionError("neighbor walk lost its bracket")
         t = cut
     raise RuntimeError("neighbor walk did not terminate")
-
-
-def _eval_symmetric(m: Sequence[Sequence[Fraction]], v: Sequence[int]) -> Fraction:
-    total = Fraction(0)
-    for i, vi in enumerate(v):
-        if vi:
-            total += m[i][i] * vi * vi
-            for j in range(i + 1, len(v)):
-                if v[j]:
-                    total += 2 * m[i][j] * vi * v[j]
-    return total

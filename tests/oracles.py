@@ -292,3 +292,58 @@ def orientation_oracle(vectors, perms):
         after = _sylvester_det([[flat[perm[i]][c] for c in cols] for i in basis])
         signs[tuple(perm)] = (before * after > 0) - (before * after < 0)
     return signs
+
+
+def _fraction_det(m):
+    """Determinant by Gaussian elimination over Fractions."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        p = next((r for r in range(k, n) if a[r][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k] / a[k][k]
+            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    return det
+
+
+def definiteness_oracle(entries):
+    """'positive-definite', 'rational-kernel-psd' or 'other' for a
+    symmetric rational matrix, from every principal minor: all positive
+    for definite, all nonnegative for semidefinite."""
+    g = len(entries)
+    minors = [
+        _fraction_det([[entries[i][j] for j in sub] for i in sub])
+        for k in range(1, g + 1)
+        for sub in combinations(range(g), k)
+    ]
+    if all(m > 0 for m in minors):
+        return "positive-definite"
+    if all(m >= 0 for m in minors):
+        return "rational-kernel-psd"
+    return "other"
+
+
+def form_value_oracle(entries, v):
+    """v^t Q v over Fractions."""
+    g = len(v)
+    return sum(
+        (Fraction(entries[i][j]) * v[i] * v[j] for i in range(g) for j in range(g)),
+        Fraction(0),
+    )
+
+
+def conjugate_oracle(entries, h):
+    """h Q h^t over Fractions, as a tuple of rows."""
+    g = len(entries)
+    hq = [[sum((h[i][k] * Fraction(entries[k][j]) for k in range(g)), Fraction(0)) for j in range(g)] for i in range(g)]
+    return tuple(
+        tuple(sum((hq[i][k] * h[j][k] for k in range(g)), Fraction(0)) for j in range(g))
+        for i in range(g)
+    )

@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from perfcone.cone import (
     PerfectCone,
     _dd_extreme_rays,
-    dimension,
     faces,
     facet_index_sets,
     format_cone,
@@ -14,7 +13,6 @@ from perfcone.cone import (
     is_boundary,
     pad,
     parse_cone,
-    rank,
     reduce,
     spanning_subset,
 )
@@ -22,6 +20,7 @@ from perfcone.intlinalg import (
     det_int,
     dot,
     flatten_rank1,
+    integer_kernel_vector,
     pivot_columns,
     rank_rows,
     sign_normalize,
@@ -52,11 +51,11 @@ def test_constructor_rejects_bad_generators():
 
 def test_rank_and_dimension_examples():
     prin2 = cone_of_form(principal_form(2))
-    assert rank(prin2) == 2 and dimension(prin2) == 3
+    assert prin2.rank == 2 and prin2.dim == 3
     zero = PerfectCone(2, [])
-    assert rank(zero) == 0 and dimension(zero) == 0
+    assert zero.rank == 0 and zero.dim == 0
     d4 = cone_of_form(load_bundled_catalog(4)[1])
-    assert rank(d4) == 4 and dimension(d4) == 10
+    assert d4.rank == 4 and d4.dim == 10
 
 
 def test_is_boundary():
@@ -142,9 +141,14 @@ def test_dd_masks_are_the_tight_sets_on_g5_catalog():
         flat = [flatten_rank1(v) for v in cone_of_form(q).generators]
         piv = pivot_columns(flat)
         ys = [tuple(row[j] for j in piv) for row in flat]
-        rays = _dd_extreme_rays(ys)
-        assert len({mask for _w, mask in rays}) == len(rays)
-        for w, mask in rays:
+        masks = _dd_extreme_rays(ys)
+        assert len(set(masks)) == len(masks)
+        for mask in masks:
+            # the ray spans the kernel of its tight rows, with either sign
+            w = integer_kernel_vector([y for i, y in enumerate(ys) if mask >> i & 1])
+            assert w is not None
+            if any(dot(y, w) < 0 for y in ys):
+                w = tuple(-x for x in w)
             vals = [dot(y, w) for y in ys]
             assert all(v >= 0 for v in vals)
             assert mask == sum(1 << i for i, v in enumerate(vals) if v == 0)
@@ -181,15 +185,15 @@ def test_reduce_after_pad_recovers_cone(seed, gsrc):
 def test_rank_against_oracle():
     for g in (2, 3, 4):
         c = cone_of_form(principal_form(g))
-        assert rank(c) == rank_oracle(c.generators)
-        assert dimension(c) == rank_oracle([_flat(v) for v in c.generators])
+        assert c.rank == rank_oracle(c.generators)
+        assert c.dim == rank_oracle([_flat(v) for v in c.generators])
 
 
 def test_face_monotonicity():
     c = cone_of_form(principal_form(3))
     for d, fs in faces(c).items():
         for f in fs:
-            assert rank(f.cone) <= rank(c)
+            assert f.cone.rank <= c.rank
             if d < c.dim:
                 assert f.cone.dim < c.dim
 

@@ -115,6 +115,12 @@ def test_bundled_regular_matroids():
     assert r10.rows == 5 and r10.cols == 10
 
 
+def test_bundled_regular_matroids_are_tu():
+    # the fixtures are built as verified constants; this is their check
+    assert is_tu(m_star_k33().matrix) is True
+    assert is_tu(r_10().matrix) is True
+
+
 def test_zg_coloops_examples():
     vs = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
     assert zg_coloops(vs) == [(0, 0, 1)]

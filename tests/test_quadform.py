@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import random
@@ -6,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from perfcone.cone import faces
+from perfcone import quadform
+from perfcone.cone import Face, faces, facet_index_sets
 from perfcone.quadform import (
     POSITIVE_DEFINITE,
     CatalogError,
@@ -22,7 +24,12 @@ from perfcone.quadform import (
 )
 from perfcone.symmetry import equivalent, random_unimodular
 
-from oracles import short_vectors_box
+from oracles import (
+    conjugate_oracle,
+    definiteness_oracle,
+    form_value_oracle,
+    short_vectors_box,
+)
 
 HALF = Fraction(1, 2)
 
@@ -245,3 +252,94 @@ def test_voronoi_neighbors_g4_classes():
             classes[label] = classes.get(label, 0) + 1
         found[q.name] = classes
     assert found == {"principal_4": {"d4": 10}, "d4": {"principal_4": 48, "d4": 16}}
+
+
+@st.composite
+def _rational_forms(draw):
+    """Symmetric rational matrices, g = 1..5, as lists of Fraction rows:
+    either independent entries (mostly indefinite) or a positive multiple
+    of B^t D B with B an integer k x g matrix (k <= g + 2) and D positive
+    diagonal, which is semidefinite and definite exactly when B has rank
+    g."""
+    g = draw(st.integers(1, 5))
+    small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    if draw(st.booleans()):
+        rows = [[Fraction(0)] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i, g):
+                rows[i][j] = rows[j][i] = draw(small)
+        return rows
+    k = draw(st.integers(1, g + 2))
+    b = [[draw(st.integers(-2, 2)) for _ in range(g)] for _ in range(k)]
+    d = [draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 6))) for _ in range(k)]
+    return [
+        [sum((d[r] * b[r][i] * b[r][j] for r in range(k)), Fraction(0)) for j in range(g)]
+        for i in range(g)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _rational_forms(),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5)),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_integer_form_layer_matches_fraction_arithmetic(rows, factor, seed, data):
+    g = len(rows)
+    q = QuadraticForm(rows)
+    assert q.entries == tuple(tuple(row) for row in rows)
+    assert all(type(x) is Fraction for row in q.entries for x in row)
+    assert q.definiteness == definiteness_oracle(rows)
+    v = data.draw(st.lists(st.integers(-3, 3), min_size=g, max_size=g))
+    assert q.value(v) == form_value_oracle(rows, v)
+    assert q.scaled(factor).entries == tuple(tuple(x * factor for x in row) for row in rows)
+    h = random_unimodular(g, random.Random(seed))
+    assert q.conjugated(h).entries == conjugate_oracle(rows, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_forms(), st.integers(2, 9))
+def test_forms_equal_under_different_scalings(rows, k):
+    q = QuadraticForm(rows)
+    # the same matrix reached through a common factor k in num and den
+    same = QuadraticForm([[x * k for x in row] for row in rows]).scaled(Fraction(1, k))
+    assert same == q and hash(same) == hash(q)
+    assert QuadraticForm([[str(x) for x in row] for row in rows]) == q
+    g = len(rows)
+    identity = [[int(i == j) for j in range(g)] for i in range(g)]
+    assert q.conjugated(identity) == q and hash(q.conjugated(identity)) == hash(q)
+    assert (q.scaled(k) == q) == all(x == 0 for row in rows for x in row)
+
+
+# SHA-256 of one line per neighbour of principal_5 and a5_3 (15 facets
+# each), as the rational form layer printed them, and the number of
+# minimal_vectors calls the 30 line searches made there; the integer form
+# layer must reproduce both, the second because the neighbour is unique
+# and a rescaled pencil reaches it along a different t sequence
+WALK_G5_SHA256 = "761f3a45086c49c50995c0fa89247cb8b4866f0c5bd073e02ee1d5079f0480af"
+WALK_G5_MV_CALLS = 105
+
+
+def test_voronoi_walk_bytes_on_g5(monkeypatch):
+    forms = load_bundled_catalog(5)
+    catalog = [(q.name, cone_of_form(q)) for q in forms]
+    calls = []
+    inner = quadform.minimal_vectors
+    monkeypatch.setattr(quadform, "minimal_vectors", lambda q: calls.append(q) or inner(q))
+    lines = []
+    searched = 0
+    for q in forms:
+        if q.name not in ("principal_5", "a5_3"):
+            continue
+        sigma = cone_of_form(q)
+        for s in facet_index_sets(sigma):
+            before = len(calls)
+            nb = voronoi_neighbor(q, Face(sigma, s))
+            searched += len(calls) - before
+            nb_cone = cone_of_form(nb)
+            label = next(name for name, c in catalog if equivalent(nb_cone, c) is not None)
+            lines.append(f"{q.name} {label} {len(facet_index_sets(nb_cone))} {nb.entries}")
+    assert len(lines) == 30
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WALK_G5_SHA256
+    assert searched == WALK_G5_MV_CALLS
