@@ -5,6 +5,16 @@ boundary orbits keep their identity across ambient dimensions; top-cone
 face enumeration then only ever discovers full-rank orbits. Padding a
 representative changes neither its facet combinatorics nor any span
 coordinate, so inherited facet records stay valid verbatim.
+
+Facet records are made one automorphism orbit of facets at a time. The
+first member of each facet orbit met in the walk order is located (or
+added) as a face; every other member gets the same target, and its tau
+is composed from the first one's and the strong generators of the
+representative, with permutations only. The located faces, and with
+them the new orbits and the random draws of a seeded run, are the ones
+a face-by-face walk would meet, so the registry is unchanged; the
+transported tau may be another witness of its coset under the target's
+automorphisms, which leaves every alternating facet sign unchanged.
 """
 
 from __future__ import annotations
@@ -69,6 +79,7 @@ def build_registry(
                 ref_orientation=orb.ref_orientation,
                 fingerprint=reg.fingerprint(rep),
                 facets=list(orb.facets),
+                aut_gens=orb.aut_gens,
             )
         )
         reg.seed_counter(orb.id)
@@ -88,27 +99,77 @@ def build_registry(
 def _record_facets(
     reg: OrbitRegistry, orbit: Orbit, rng: random.Random | None, queue: list[Orbit]
 ) -> None:
+    """Record (facet, target id, tau) for every facet of a new orbit's rep,
+    with one locate per orbit of Aut(rep) on the facets.
+
+    Facets are walked in sorted order, or in a seeded shuffle. The first
+    member s of each facet orbit is located, or added as a new orbit;
+    the rest of its orbit is then reached by _transport, so a later
+    member is recorded without any search.
+    """
     rep = orbit.rep
     sets = [sorted(s) for s in facet_index_sets(rep)]
     if rng is None:
         sets.sort()
     else:
         rng.shuffle(sets)
+    gens = orbit.aut_gens or []
+    known: dict[frozenset, tuple[str, tuple[int, ...]]] = {}
     for s in sets:
-        face = rep.subcone(s)
-        if face.rank < reg.g:
-            loc = reg.locate(face)
-            if loc is None:
-                raise AssertionError(
-                    "boundary facet missing from the padded seeds; "
-                    "the lower catalog is incomplete"
-                )
-            target, t = loc
-        else:
-            target, t, created = reg.add(face, rng)
-            if created:
-                queue.append(target)
-        orbit.facets.append((frozenset(s), target.id, t.perm))
+        key = frozenset(s)
+        if key not in known:
+            face = rep.subcone(s)
+            if face.rank < reg.g:
+                loc = reg.locate(face)
+                if loc is None:
+                    raise AssertionError(
+                        "boundary facet missing from the padded seeds; "
+                        "the lower catalog is incomplete"
+                    )
+                target, t = loc
+            else:
+                target, t, created = reg.add(face, rng)
+                if created:
+                    queue.append(target)
+            known[key] = (target.id, t.perm)
+            _transport(s, target.id, t.perm, gens, known)
+        tid, tau = known[key]
+        orbit.facets.append((key, tid, tau))
+
+
+def _transport(
+    s: list[int],
+    tid: str,
+    tau: tuple[int, ...],
+    gens: list[tuple[int, ...]],
+    known: dict[frozenset, tuple[str, tuple[int, ...]]],
+) -> None:
+    """Give every facet in the orbit of s under gens the target tid.
+
+    A walk over the generators reaches each member s' = p(s), p the
+    product of the steps taken, and tau' (from s' to the target) is tau
+    after p^-1: tau'[j] = tau[pos_s[p^-1(s'[j])]], pos_s the place of an
+    index in sorted s. Each step composes one generator onto the tau of
+    the member it starts from.
+    """
+    inverses = []
+    for p in gens:
+        inv = [0] * len(p)
+        for i, j in enumerate(p):
+            inv[j] = i
+        inverses.append(inv)
+    stack = [(s, tau)]
+    while stack:
+        x, tau_x = stack.pop()
+        pos_x = {i: b for b, i in enumerate(x)}
+        for p, inv in zip(gens, inverses):
+            y = sorted(p[i] for i in x)
+            key = frozenset(y)
+            if key in known:
+                continue
+            tau_y = tuple(tau_x[pos_x[inv[j]]] for j in y)
+            known[key] = (tid, tau_y)
+            stack.append((y, tau_y))
 
 
 def annotate_coloops(reg: OrbitRegistry) -> None:

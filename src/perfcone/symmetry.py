@@ -40,6 +40,7 @@ from .cone import (
     spanning_subset,
 )
 from .intlinalg import (
+    adjugate_det,
     adjugate_int,
     det_int,
     det_sign,
@@ -171,8 +172,7 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
     prefix = order[:prefix_len]
     vmat = [[c1.generators[i][k] for i in prefix] for k in range(g)]
     # A = W V^{-1} is integral iff every entry of W adj(V) is divisible by det V
-    vadj = adjugate_int(vmat)
-    vdet = det_int(vmat)
+    vadj, vdet = adjugate_det(vmat)
     target_index = {v: j for j, v in enumerate(c2.generators)}
     assign: dict[int, int] = {}
     used = [False] * n
@@ -394,6 +394,35 @@ def _collect_maps(c: PerfectCone) -> dict[tuple[int, ...], tuple[tuple, set[int]
     }
 
 
+def _reduction(c: PerfectCone) -> tuple[PerfectCone, list[list[int]], list[int]]:
+    """(c', U, local) for a boundary cone, with (c', U) = reduce(c) and
+    local[i] the index in c' of the truncated image of generator i."""
+    red, u = cone_reduce(c)
+    local = [
+        red.generators.index(sign_normalize(tuple(mat_vec(u, v)[: c.rank])))
+        for v in c.generators
+    ]
+    return red, u, local
+
+
+def _pull_back(perm_red: tuple[int, ...], local: list[int]) -> tuple[int, ...]:
+    """A ray permutation of the reduction, read on the original rays."""
+    back = {k: i for i, k in enumerate(local)}
+    return tuple(back[perm_red[k]] for k in local)
+
+
+def strong_generators(c: PerfectCone) -> list[tuple[int, ...]]:
+    """Ray permutations of a strong generating set of the automorphism
+    group (see _full_rank_maps); a boundary cone reads them off its
+    reduction, whose stabilizer induces the same permutations."""
+    if c.is_zero():
+        return []
+    if c.rank == c.g:
+        return [perm for _a, perm, _det in _full_rank_maps(c, c, group=True)]
+    red, _u, local = _reduction(c)
+    return [_pull_back(perm, local) for _a, perm, _det in _full_rank_maps(red, red, group=True)]
+
+
 def automorphisms(c: PerfectCone) -> list[ConeTransform]:
     """Finite group of induced ray permutations, one witness matrix each.
 
@@ -403,17 +432,11 @@ def automorphisms(c: PerfectCone) -> list[ConeTransform]:
     if c.is_zero():
         return [_identity_transform(c)]
     if c.rank < c.g:
-        red, u = cone_reduce(c)
-        local = {}
-        for i, v in enumerate(c.generators):
-            w = sign_normalize(tuple(mat_vec(u, v)[: c.rank]))
-            local[i] = red.generators.index(w)
-        inv_local = {v: k for k, v in local.items()}
-        maps = _collect_maps(red)
+        red, u, local = _reduction(c)
         out = []
-        for perm_red, (a_red, _dets) in sorted(maps.items()):
+        for perm_red, (a_red, _dets) in sorted(_collect_maps(red).items()):
             a = _lift_block([list(r) for r in a_red], u, u, c.g, c.rank)
-            perm = tuple(inv_local[perm_red[local[i]]] for i in range(len(c.generators)))
+            perm = _pull_back(perm_red, local)
             out.append(ConeTransform(tuple(tuple(int(x) for x in row) for row in a), c, c, perm))
         return out
     maps = _collect_maps(c)
@@ -447,8 +470,8 @@ def span_coordinates(c: PerfectCone, ref: tuple[int, ...]) -> tuple[tuple[int, .
     flat = [flatten_rank1(v) for v in c.generators]
     piv = pivot_columns(flat)
     mat = [[flat[s][j] for j in piv] for s in ref]
-    adj = adjugate_int(mat)
-    if det_int(mat) < 0:
+    adj, det = adjugate_det(mat)
+    if det < 0:
         adj = [[-x for x in row] for row in adj]
     cols = list(zip(*adj))
     rows = []
@@ -473,23 +496,21 @@ def orientation_sign(c: PerfectCone, t: ConeTransform) -> int:
     return s
 
 
-@lru_cache(maxsize=None)
-def is_alternating(c: PerfectCone) -> bool:
+def is_alternating(c: PerfectCone, gens: list[tuple[int, ...]] | None = None) -> bool:
     """True iff every automorphism preserves orientation on the span.
 
     The orientation sign is a homomorphism on the automorphism group, so
-    the strong generators decide it.
+    the strong generators decide it. A caller that holds them (as
+    strong_generators returns them) passes them in gens; otherwise they
+    are searched for here.
     """
     if c.is_zero():
         return True
-    if c.rank < c.g:
-        return is_alternating(cone_reduce(c)[0])
+    if gens is None:
+        gens = strong_generators(c)
     ref = spanning_subset(c)
     coords = span_coordinates(c, ref)
-    return all(
-        det_sign([coords[perm[s]] for s in ref]) > 0
-        for _a, perm, _det in _full_rank_maps(c, c, group=True)
-    )
+    return all(det_sign([coords[perm[s]] for s in ref]) > 0 for perm in gens)
 
 
 def random_unimodular(g: int, rng: random.Random, steps: int | None = None) -> list[list[int]]:
@@ -523,7 +544,15 @@ class Orbit:
     alternating: bool
     ref_orientation: tuple[int, ...]
     fingerprint: tuple
+    # (facet index set, target id, tau): tau maps the facet's generators,
+    # in sorted index order, onto the target rep's. It is one witness in
+    # its coset under Aut(target), any a . tau with a an automorphism of
+    # the target rep, and not a canonical choice.
     facets: list[tuple[frozenset, str, tuple[int, ...]]] = field(default_factory=list)
+    # ray permutations of strong generators of Aut(rep), as
+    # strong_generators returns them; None where no search was run
+    # (the zero orbit, parsed registries)
+    aut_gens: list[tuple[int, ...]] | None = None
     matroidal: bool = False
     coloop_count: int | None = None
     # transported orientation of each facet record, filled on first use
@@ -589,14 +618,16 @@ class OrbitRegistry:
                 raise AssertionError("conjugation failed to map the cone")
             ref_order = list(range(len(rep.generators)))
             rng.shuffle(ref_order)
+        gens = strong_generators(rep)
         orbit = Orbit(
             id=self._new_id(c.rank, c.dim),
             rep=rep,
             rank=c.rank,
             dim=c.dim,
-            alternating=is_alternating(rep),
+            alternating=is_alternating(rep, gens),
             ref_orientation=spanning_subset(rep, ref_order),
             fingerprint=self.fingerprint(rep),
+            aut_gens=gens,
         )
         self._insert(orbit)
         return orbit, t, True

@@ -27,8 +27,8 @@ from perfcone.matroid import (
     m_star_k33,
     tu_cone,
 )
-from perfcone.quadform import cone_of_form, principal_form
-from perfcone.symmetry import format_registry, span_coordinates
+from perfcone.quadform import cone_of_form, load_bundled_catalog, principal_form
+from perfcone.symmetry import OrbitRegistry, automorphisms, format_registry, span_coordinates
 
 from oracles import simple_graphs_oracle
 
@@ -94,6 +94,63 @@ def test_registry_facet_records_are_consistent(reg3):
             assert facet_set <= set(range(n))
             target = reg3.by_id[target_id]
             assert len(perm) == len(facet_set) == len(target.rep.generators)
+
+
+def test_facet_records_map_faces_onto_their_targets(reg4, reg5):
+    """Located and transported records alike: a fresh locate of the face
+    finds the recorded target, and tau differs from the fresh witness by
+    an automorphism of the target rep (tau . t^-1 permutes its rays)."""
+    for reg in (reg4, reg5, build_registry(4, seed=1), build_registry(4, seed=2)):
+        auts = {}
+        for orbit in reg.orbits:
+            for s, tid, tau in orbit.facets:
+                target, t = reg.locate(orbit.rep.subcone(s))
+                assert target.id == tid
+                if tid not in auts:
+                    auts[tid] = {a.perm for a in automorphisms(target.rep)}
+                back = [0] * len(t.perm)
+                for b, k in enumerate(t.perm):
+                    back[k] = b
+                assert tuple(tau[b] for b in back) in auts[tid], (orbit.id, sorted(s))
+
+
+def _facet_orbit_count(orbit):
+    """Orbits of the recorded facets under the stored strong generators."""
+    seen = set()
+    count = 0
+    for s, _tid, _tau in orbit.facets:
+        if s in seen:
+            continue
+        count += 1
+        seen.add(s)
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for p in orbit.aut_gens:
+                y = frozenset(p[i] for i in x)
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return count
+
+
+def test_registry_locates_once_per_facet_orbit(monkeypatch):
+    calls = 0
+    locate = OrbitRegistry.locate
+
+    def counting(self, c):
+        nonlocal calls
+        calls += 1
+        return locate(self, c)
+
+    monkeypatch.setattr(OrbitRegistry, "locate", counting)
+    reg = build_registry(5)
+    assert calls == 572
+    # one locate per catalog cone (inside add) at each ambient 1..5, and one
+    # per facet orbit of every orbit the walk created
+    assert all(o.aut_gens is not None for o in reg.orbits if o.facets)
+    tops = sum(len(load_bundled_catalog(h)) for h in range(1, 6))
+    assert calls - tops == sum(_facet_orbit_count(o) for o in reg.orbits)
 
 
 def _fresh_differential_row(orbit, reg):
