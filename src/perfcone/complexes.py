@@ -4,7 +4,9 @@ The registry for ambient g is seeded with the padded registry of g-1, so
 boundary orbits keep their identity across ambient dimensions; top-cone
 face enumeration then only ever discovers full-rank orbits. Padding a
 representative changes neither its facet combinatorics nor any span
-coordinate, so inherited facet records stay valid verbatim.
+coordinate, so inherited facet records stay valid verbatim. Nor does it
+change the reduced core up to GL(Z), and the fingerprint is an invariant
+of that core, so it is inherited as well.
 
 Facet records are made one automorphism orbit of facets at a time. The
 first member of each facet orbit met in the walk order is located (or
@@ -77,7 +79,7 @@ def build_registry(
                 dim=orb.dim,
                 alternating=orb.alternating,
                 ref_orientation=orb.ref_orientation,
-                fingerprint=reg.fingerprint(rep),
+                fingerprint=orb.fingerprint,
                 facets=list(orb.facets),
                 aut_gens=orb.aut_gens,
             )
@@ -213,13 +215,21 @@ def annotate_matroidal(reg: OrbitRegistry) -> None:
         orb.matroidal = orb.id in flagged
 
 
+def _coords(orbit: Orbit) -> tuple[tuple[int, ...], ...]:
+    """The span coordinates of the orbit's rep in its reference basis;
+    cached on the orbit."""
+    if orbit.coords is None:
+        orbit.coords = span_coordinates(orbit.rep, orbit.ref_orientation)
+    return orbit.coords
+
+
 def _facet_signs(orbit: Orbit, reg: OrbitRegistry) -> list[int]:
     """eta for each recorded facet whose target orbit is alternating
     (0 placeholder otherwise); cached on the orbit."""
     if orbit.facet_signs is not None:
         return orbit.facet_signs
     rep = orbit.rep
-    xs = span_coordinates(rep, orbit.ref_orientation)
+    xs = _coords(orbit)
     n = len(rep.generators)
     signs: list[int] = []
     for index_set, tid, tau in orbit.facets:
@@ -233,7 +243,7 @@ def _facet_signs(orbit: Orbit, reg: OrbitRegistry) -> list[int]:
         local_span = spanning_subset(face)
         rows = [xs[u]] + [xs[idx[b]] for b in local_span]
         s1 = det_sign(rows)
-        xt = span_coordinates(target.rep, target.ref_orientation)
+        xt = _coords(target)
         rows_t = [xt[tau[b]] for b in local_span]
         s2 = det_sign(rows_t)
         if s1 == 0 or s2 == 0:
@@ -444,6 +454,7 @@ def parse_complex(text: str) -> ChainComplexQ:
     g = None
     basis: dict[int, list[str]] = {}
     diff: dict[int, dict[tuple[int, int], int]] = {}
+    entry_line: dict[tuple[int, int, int], int] = {}
     for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -457,9 +468,11 @@ def parse_complex(text: str) -> ChainComplexQ:
         elif parts[0] == "deg":
             if label is None:
                 raise ValueError(f"line {ln}: deg before complex header")
-            n = int(parts[1])
-            if parts[2] != "dim":
+            if len(parts) < 4 or parts[2] != "dim":
                 raise ValueError(f"line {ln}: expected `deg <n> dim <d>`")
+            n = int(parts[1])
+            if not -1 <= n < g * (g + 1) // 2:
+                raise ValueError(f"line {ln}: degree {n} outside the complex")
             d = int(parts[3])
             ids = parts[4:]
             if len(ids) != d:
@@ -470,11 +483,18 @@ def parse_complex(text: str) -> ChainComplexQ:
                 raise ValueError(f"line {ln}: expected `d <n> <row> <col> <int>`")
             n, r, c, v = (int(x) for x in parts[1:])
             diff.setdefault(n, {})[(r, c)] = v
+            entry_line[(n, r, c)] = ln
         else:
             raise ValueError(f"line {ln}: unrecognized directive {parts[0]!r}")
     if label is None or g is None:
         raise ValueError("complex text held no header")
     dmax = g * (g + 1) // 2
+    for (n, r, c), ln in entry_line.items():
+        rows, cols = len(basis.get(n - 1, [])), len(basis.get(n, []))
+        if not (0 <= n < dmax and 0 <= r < rows and 0 <= c < cols):
+            raise ValueError(
+                f"line {ln}: entry ({r}, {c}) of d {n} outside its {rows} x {cols} matrix"
+            )
     for n in range(-1, dmax):
         basis.setdefault(n, [])
     for n in range(0, dmax):

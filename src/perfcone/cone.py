@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 from .intlinalg import (
     Echelon,
     adjugate_det,
+    adjugate_int,
     dot,
     flatten_rank1,
     identity_matrix,
@@ -31,7 +32,9 @@ from .intlinalg import (
 class PerfectCone:
     """Cone spanned by {v v^t} for a finite set of primitive vectors."""
 
-    __slots__ = ("g", "generators", "_dim", "_rank")
+    # _dim, _rank, _gram and _reduction are derived values, filled on
+    # first use and kept with the cone
+    __slots__ = ("g", "generators", "_dim", "_rank", "_gram", "_reduction")
 
     def __init__(self, g: int, generators: Iterable[Sequence[int]]):
         if g < 0:
@@ -50,6 +53,8 @@ class PerfectCone:
         self.generators = tuple(sorted(norm))
         self._dim = None
         self._rank = None
+        self._gram = None
+        self._reduction = None
 
     @property
     def dim(self) -> int:
@@ -62,6 +67,26 @@ class PerfectCone:
         if self._rank is None:
             self._rank = rank_rows(self.generators) if self.generators else 0
         return self._rank
+
+    @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """G_ij = v_i^t adj(T) v_j for T the sum of the v v^t; for a
+        full-rank cone its trace is g det T."""
+        if self._gram is None:
+            g = self.g
+            t = [[0] * g for _ in range(g)]
+            for v in self.generators:
+                for i in range(g):
+                    if v[i]:
+                        for j in range(g):
+                            t[i][j] += v[i] * v[j]
+            adj = adjugate_int(t)
+            rows = []
+            for v in self.generators:
+                tv = mat_vec(adj, v)
+                rows.append(tuple(dot(w, tv) for w in self.generators))
+            self._gram = tuple(rows)
+        return self._gram
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -107,30 +132,38 @@ def pad(c: PerfectCone, g: int) -> PerfectCone:
     return PerfectCone(g, [v + tail for v in c.generators])
 
 
-def reduce(c: PerfectCone) -> tuple[PerfectCone, list[list[int]]]:
+def reduce(c: PerfectCone) -> tuple[PerfectCone, tuple[tuple[int, ...], ...]]:
     """Block-form representative of a boundary cone.
 
     Returns (c', A) with A in GL_g(Z) such that every A v has zeros past
     the first rank(c) coordinates; c' collects the truncations. A maps the
     saturation of the generator span onto the coordinate sublattice, which
-    is exactly the basis-extension contract.
+    is exactly the basis-extension contract. The pair is kept on the cone,
+    so every caller shares one c' (and its Gram matrix); A is a tuple of
+    rows for that reason.
     """
+    if c._reduction is not None:
+        return c._reduction
     r = c.rank
     if r >= c.g:
         raise ValueError("reduce expects a boundary cone (rank < g)")
     if not c.generators:
-        return PerfectCone(0, []), identity_matrix(c.g)
-    cols = [list(col) for col in zip(*c.generators)]  # g x n
-    u, _d, rk = snf_left(cols)
-    if rk != r:
-        raise AssertionError("rank disagreement between elimination routes")
-    new_gens = []
-    for v in c.generators:
-        w = mat_vec(u, v)
-        if any(w[r:]):
-            raise AssertionError("row transform failed to flatten the span")
-        new_gens.append(tuple(w[:r]))
-    return PerfectCone(r, new_gens), u
+        u = identity_matrix(c.g)
+        red = PerfectCone(0, [])
+    else:
+        cols = [list(col) for col in zip(*c.generators)]  # g x n
+        u, _d, rk = snf_left(cols)
+        if rk != r:
+            raise AssertionError("rank disagreement between elimination routes")
+        new_gens = []
+        for v in c.generators:
+            w = mat_vec(u, v)
+            if any(w[r:]):
+                raise AssertionError("row transform failed to flatten the span")
+            new_gens.append(tuple(w[:r]))
+        red = PerfectCone(r, new_gens)
+    c._reduction = (red, tuple(tuple(row) for row in u))
+    return c._reduction
 
 
 def greedy_spanning(rows: Sequence[Sequence[int]], order: Iterable[int]) -> list[int]:

@@ -199,6 +199,8 @@ def parse_les_fixture(text: str) -> tuple[int, dict[int, int | None], dict[int, 
                 raise ValueError(f"line {ln}: expected `les g=<int>`")
             g = int(parts[1][2:])
         elif parts[0] == "range":
+            if len(parts) != 3:
+                raise ValueError(f"line {ln}: expected `range <lo> <hi>`")
             lo, hi = int(parts[1]), int(parts[2])
         elif parts[0] in ("P", "V"):
             if len(parts) != 3:

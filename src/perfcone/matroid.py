@@ -3,7 +3,9 @@
 The lattice coloop test runs through saturation: v is a coloop of S iff
 v avoids the rational span of S minus v and the image of v stays
 primitive in Z^g modulo the saturation of the integer span of S minus v.
-Both conditions read off one left Smith reduction.
+The first condition is a rank test: v avoids that span iff removing it
+lowers the rank. Only a v that passes it needs a left Smith reduction
+of the rest for the second.
 """
 
 from __future__ import annotations
@@ -190,6 +192,7 @@ def zg_coloop_indices(vectors: Sequence[Sequence[int]]) -> list[int]:
     g = len(vs[0])
     if any(len(v) != g for v in vs):
         raise ValueError("vectors of mixed length")
+    full = rank_rows(vs)
     out = []
     for i, v in enumerate(vs):
         if not any(v):
@@ -199,10 +202,11 @@ def zg_coloop_indices(vectors: Sequence[Sequence[int]]) -> list[int]:
             if vec_gcd(v) == 1:
                 out.append(i)
             continue
+        if rank_rows(others) == full:
+            continue  # v lies in the rational span of the others: no tail
         m = [[w[k] for w in others] for k in range(g)]
         u, _d, r = snf_left(m)
-        tail = mat_vec(u, v)[r:]
-        if any(tail) and vec_gcd(tail) == 1:
+        if vec_gcd(mat_vec(u, v)[r:]) == 1:
             out.append(i)
     return out
 

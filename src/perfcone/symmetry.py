@@ -27,7 +27,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .cone import (
@@ -41,7 +40,6 @@ from .cone import (
 )
 from .intlinalg import (
     adjugate_det,
-    adjugate_int,
     det_int,
     det_sign,
     dot,
@@ -63,17 +61,11 @@ class ConeTransform:
     perm: tuple[int, ...]
 
     def check(self) -> bool:
-        a = [list(row) for row in self.matrix]
-        if det_int(a) not in (1, -1):
+        if det_int(self.matrix) not in (1, -1):
             return False
-        seen = set()
-        for i, v in enumerate(self.source.generators):
-            w = sign_normalize(mat_vec(a, v))
-            j = self.perm[i]
-            if j in seen or self.target.generators[j] != w:
-                return False
-            seen.add(j)
-        return len(seen) == len(self.target.generators)
+        if len(self.source.generators) != len(self.target.generators):
+            return False
+        return _ray_perm(self.matrix, self.source, _ray_index(self.target)) == self.perm
 
     def inverse(self) -> "ConeTransform":
         inv = unimodular_inverse([list(r) for r in self.matrix])
@@ -94,22 +86,23 @@ def _identity_transform(c: PerfectCone) -> ConeTransform:
     )
 
 
-@lru_cache(maxsize=None)
-def _gram(c: PerfectCone) -> tuple[tuple[int, ...], ...]:
-    """G_ij = v_i^t adj(T) v_j for a full-rank cone; its trace is g det T."""
-    g = c.g
-    t = [[0] * g for _ in range(g)]
-    for v in c.generators:
-        for i in range(g):
-            if v[i]:
-                for j in range(g):
-                    t[i][j] += v[i] * v[j]
-    adj = adjugate_int(t)
-    rows = []
-    for v in c.generators:
-        tv = mat_vec(adj, v)
-        rows.append(tuple(dot(w, tv) for w in c.generators))
-    return tuple(rows)
+def _ray_index(c: PerfectCone) -> dict[tuple[int, ...], int]:
+    return {v: j for j, v in enumerate(c.generators)}
+
+
+def _ray_perm(a, source: PerfectCone, index: dict[tuple[int, ...], int]) -> tuple[int, ...] | None:
+    """The ray permutation the matrix a induces from the source cone onto
+    the cone whose _ray_index is index, or None when some image is not a
+    ray of that cone or two rays land on the same one."""
+    perm = []
+    hit = set()
+    for v in source.generators:
+        j = index.get(sign_normalize(mat_vec(a, v)))
+        if j is None or j in hit:
+            return None
+        hit.add(j)
+        perm.append(j)
+    return tuple(perm)
 
 
 def _profiles(gram) -> list[tuple]:
@@ -155,8 +148,8 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
         return []
     if n == 0:
         return [(tuple(tuple(r) for r in identity_matrix(g)), (), 1)]
-    g1 = _gram(c1)
-    g2 = _gram(c2)
+    g1 = c1.gram
+    g2 = c2.gram
     prof1 = _profiles(g1)
     prof2 = _profiles(g2)
     if Counter(prof1) != Counter(prof2):
@@ -173,7 +166,7 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
     vmat = [[c1.generators[i][k] for i in prefix] for k in range(g)]
     # A = W V^{-1} is integral iff every entry of W adj(V) is divisible by det V
     vadj, vdet = adjugate_det(vmat)
-    target_index = {v: j for j, v in enumerate(c2.generators)}
+    target_index = _ray_index(c2)
     assign: dict[int, int] = {}
     used = [False] * n
 
@@ -224,19 +217,10 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
             d = det_int(aint)
             if d not in (1, -1):
                 continue
-            perm = []
-            hit = set()
-            for v in c1.generators:
-                w = sign_normalize(mat_vec(aint, v))
-                j = target_index.get(w)
-                if j is None or j in hit:
-                    perm = None
-                    break
-                hit.add(j)
-                perm.append(j)
+            perm = _ray_perm(aint, c1, target_index)
             if perm is None:
                 continue
-            found.append((tuple(tuple(r) for r in aint), tuple(perm), d))
+            found.append((tuple(tuple(r) for r in aint), perm, d))
             if not every:
                 break
         return found
@@ -322,17 +306,10 @@ def _lift_block(a_red: Sequence[Sequence[int]], u1, u2, g: int, r: int):
 
 
 def _transform_from_matrix(a, c1: PerfectCone, c2: PerfectCone) -> ConeTransform | None:
-    perm = []
-    hit = set()
-    index = {v: j for j, v in enumerate(c2.generators)}
-    for v in c1.generators:
-        w = sign_normalize(mat_vec(a, v))
-        j = index.get(w)
-        if j is None or j in hit:
-            return None
-        hit.add(j)
-        perm.append(j)
-    return ConeTransform(tuple(tuple(int(x) for x in row) for row in a), c1, c2, tuple(perm))
+    perm = _ray_perm(a, c1, _ray_index(c2))
+    if perm is None:
+        return None
+    return ConeTransform(tuple(tuple(int(x) for x in row) for row in a), c1, c2, perm)
 
 
 def equivalent(c1: PerfectCone, c2: PerfectCone) -> ConeTransform | None:
@@ -459,7 +436,6 @@ def stabilizer_has_reflection(c: PerfectCone) -> bool:
     return any(det == -1 for _a, _perm, det in _full_rank_maps(c, c, group=True))
 
 
-@lru_cache(maxsize=None)
 def span_coordinates(c: PerfectCone, ref: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Coordinates of every generator form in the basis indexed by ref,
     times |det M| for M the basis forms on the pivot columns.
@@ -557,6 +533,8 @@ class Orbit:
     coloop_count: int | None = None
     # transported orientation of each facet record, filled on first use
     facet_signs: list[int] | None = None
+    # span_coordinates(rep, ref_orientation), filled on first use
+    coords: tuple[tuple[int, ...], ...] | None = None
 
 
 class OrbitRegistry:
@@ -578,7 +556,7 @@ class OrbitRegistry:
         if c.is_zero():
             return ("zero",)
         core = c if c.rank == c.g else cone_reduce(c)[0]
-        gram = _gram(core)
+        gram = core.gram
         n = len(core.generators)
         det_t = sum(gram[i][i] for i in range(n)) // core.g
         multi = sorted(abs(gram[i][j]) for i in range(n) for j in range(i, n))

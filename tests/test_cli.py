@@ -100,6 +100,23 @@ def test_homology_rejects_broken_complex(tmp_path, capsys):
     assert "not a complex" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, text, where",
+    [
+        (["les", "--g", "5"], "les g=5\nrange 5\n", "line 2:"),
+        (["homology"], "complex P g=2\ndeg 0\n", "line 2:"),
+        (["homology"], "complex P g=2\ndeg 7 dim 0\n", "line 2:"),
+        (["homology"], "complex P g=2\ndeg -1 dim 1 a\ndeg 0 dim 1 b\nd 0 5 0 1\n", "line 4:"),
+    ],
+    ids=["les-range-one-bound", "deg-without-dim", "deg-out-of-range", "entry-outside-basis"],
+)
+def test_malformed_input_names_its_line(tmp_path, capsys, command, text, where):
+    path = tmp_path / "malformed.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(command + [str(path)]) == 1
+    assert f"error: {where}" in capsys.readouterr().err
+
+
 def test_homology_missing_file(tmp_path, capsys):
     assert main(["homology", str(tmp_path / "absent.cplx")]) == 1
     capsys.readouterr()

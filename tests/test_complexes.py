@@ -1,7 +1,10 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
+import perfcone.cone
+import perfcone.symmetry
 from perfcone.complexes import (
     BUILDERS,
     _build_by_predicate,
@@ -151,6 +154,42 @@ def test_registry_locates_once_per_facet_orbit(monkeypatch):
     assert all(o.aut_gens is not None for o in reg.orbits if o.facets)
     tops = sum(len(load_bundled_catalog(h)) for h in range(1, 6))
     assert calls - tops == sum(_facet_orbit_count(o) for o in reg.orbits)
+
+
+def test_registry_builds_share_no_derived_data(monkeypatch):
+    # Gram matrices, reductions and span coordinates are kept on the cones
+    # and orbits of one registry, so a second build in the same process
+    # eliminates exactly as much as the first
+    calls = Counter()
+    for module in (perfcone.cone, perfcone.symmetry):
+        for name in ("adjugate_int", "adjugate_det"):
+            if hasattr(module, name):
+                fn = getattr(module, name)
+
+                def counting(*args, _fn=fn, _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+
+                monkeypatch.setattr(module, name, counting)
+    build_registry(4)
+    first = dict(calls)
+    calls.clear()
+    build_registry(4)
+    assert first["adjugate_int"] > 0 and first["adjugate_det"] > 0
+    assert dict(calls) == first
+
+
+def test_padded_seeds_inherit_their_fingerprint(reg5):
+    assert any(o.rank < reg5.g for o in reg5.orbits)
+    for orbit in reg5.orbits:
+        assert orbit.fingerprint == reg5.fingerprint(orbit.rep)
+
+
+def test_orbits_keep_their_span_coordinates(reg4):
+    build_perfect_complex(4, reg4)
+    for orbit in reg4.orbits:
+        if orbit.alternating:
+            assert orbit.coords == span_coordinates(orbit.rep, orbit.ref_orientation)
 
 
 def _fresh_differential_row(orbit, reg):

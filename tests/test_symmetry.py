@@ -1,9 +1,11 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import perfcone
 from perfcone.complexes import build_registry
 from perfcone.cone import PerfectCone, faces, reduce
 from perfcone.intlinalg import det_int, mat_mul
@@ -15,7 +17,6 @@ from perfcone.symmetry import (
     _assignment_order,
     _collect_maps,
     _full_rank_maps,
-    _gram,
     _profiles,
     automorphisms,
     classify_orbits,
@@ -89,6 +90,20 @@ def test_transform_inverse_round_trips():
     back = t.inverse()
     assert back.check()
     assert back.source == c2 and back.target == c1
+
+
+def test_check_rejects_broken_witnesses():
+    c1 = cone_of_form(principal_form(3))
+    c2 = conjugate_cone(c1, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    t = equivalent(c1, c2)
+    assert t is not None and t.check()
+    swapped = list(t.perm)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    assert not ConeTransform(t.matrix, c1, c2, tuple(swapped)).check()
+    doubled = tuple(tuple(2 * x for x in row) for row in t.matrix)
+    assert not ConeTransform(doubled, c1, c2, t.perm).check()
+    smaller = c2.subcone(range(len(c2.generators) - 1))
+    assert not ConeTransform(t.matrix, c1, smaller, t.perm).check()
 
 
 @settings(max_examples=30)
@@ -248,7 +263,7 @@ def test_gram_is_det_t_times_rational_gram():
             c = reduce(c)[0]
         rational, det_t = rational_gram_oracle(c.generators)
         assert det_t > 0
-        assert [list(row) for row in _gram(c)] == [[det_t * x for x in row] for row in rational]
+        assert [list(row) for row in c.gram] == [[det_t * x for x in row] for row in rational]
 
 
 @settings(max_examples=40)
@@ -310,7 +325,7 @@ def _assert_strong_generators(c, group):
     generators fixing b_1..b_k generate the whole stabilizer of those rays
     in the group (here the oracle's perms)."""
     n = len(c.generators)
-    prof = _profiles(_gram(c))
+    prof = _profiles(c.gram)
     cand = [tuple(j for j in range(n) if prof[j] == prof[i]) for i in range(n)]
     order, prefix_len = _assignment_order(c, cand)
     base = order[:prefix_len]
@@ -402,3 +417,11 @@ def test_strong_generators_are_automorphisms():
             t = ConeTransform(a, c, c, perm)
             assert t.check()
             assert det_int([list(r) for r in a]) == d
+
+
+def test_package_keeps_no_module_level_cache():
+    # derived values live on the cone or orbit they describe, so nothing
+    # outlives the registry that holds them
+    for path in sorted(Path(perfcone.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "lru_cache" not in text and "functools" not in text, path.name
