@@ -10,13 +10,15 @@ of that core, so it is inherited as well.
 
 Facet records are made one automorphism orbit of facets at a time. The
 first member of each facet orbit met in the walk order is located (or
-added) as a face; every other member gets the same target, and its tau
-is composed from the first one's and the strong generators of the
-representative, with permutations only. The located faces, and with
+added) as a face, and every other member gets the same record: the same
+target and the same orientation sign eta. The sign is exact for the
+whole orbit. An automorphism of an alternating representative keeps its
+orientation and maps the outer side of one facet to that of its image.
+The witness onto the target matters only up to the target's
+automorphisms, which keep an alternating target's orientation. So eta
+is constant on an Aut(rep)-orbit of facets. The located faces, and with
 them the new orbits and the random draws of a seeded run, are the ones
-a face-by-face walk would meet, so the registry is unchanged; the
-transported tau may be another witness of its coset under the target's
-automorphisms, which leaves every alternating facet sign unchanged.
+a face-by-face walk would meet, so the registry is unchanged.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .matroid import (
     zg_coloop_indices,
 )
 from .quadform import QuadraticForm, cone_of_form, load_bundled_catalog
-from .symmetry import Orbit, OrbitRegistry, span_coordinates
+from .symmetry import ConeTransform, Orbit, OrbitRegistry
 
 
 def build_registry(
@@ -64,6 +66,7 @@ def build_registry(
                 alternating=True,
                 ref_orientation=(),
                 fingerprint=reg.fingerprint(zero),
+                coords=(),
             )
         )
         return reg
@@ -82,6 +85,7 @@ def build_registry(
                 fingerprint=orb.fingerprint,
                 facets=list(orb.facets),
                 aut_gens=orb.aut_gens,
+                coords=orb.coords,
             )
         )
         reg.seed_counter(orb.id)
@@ -101,13 +105,13 @@ def build_registry(
 def _record_facets(
     reg: OrbitRegistry, orbit: Orbit, rng: random.Random | None, queue: list[Orbit]
 ) -> None:
-    """Record (facet, target id, tau) for every facet of a new orbit's rep,
-    with one locate per orbit of Aut(rep) on the facets.
+    """Record (facet bitmask, target id, eta) for every facet of a new
+    orbit's rep, with one locate per orbit of Aut(rep) on the facets.
 
     Facets are walked in sorted order, or in a seeded shuffle. The first
     member s of each facet orbit is located, or added as a new orbit;
-    the rest of its orbit is then reached by _transport, so a later
-    member is recorded without any search.
+    a walk over the strong generators then gives its record to the rest
+    of its orbit, so a later member is recorded without any search.
     """
     rep = orbit.rep
     sets = [sorted(s) for s in facet_index_sets(rep)]
@@ -116,10 +120,10 @@ def _record_facets(
     else:
         rng.shuffle(sets)
     gens = orbit.aut_gens or []
-    known: dict[frozenset, tuple[str, tuple[int, ...]]] = {}
+    known: dict[int, tuple[str, int]] = {}
     for s in sets:
-        key = frozenset(s)
-        if key not in known:
+        mask = sum(1 << i for i in s)
+        if mask not in known:
             face = rep.subcone(s)
             if face.rank < reg.g:
                 loc = reg.locate(face)
@@ -133,45 +137,35 @@ def _record_facets(
                 target, t, created = reg.add(face, rng)
                 if created:
                     queue.append(target)
-            known[key] = (target.id, t.perm)
-            _transport(s, target.id, t.perm, gens, known)
-        tid, tau = known[key]
-        orbit.facets.append((key, tid, tau))
+            eta = 0
+            if orbit.alternating and target.alternating:
+                eta = _facet_sign(orbit, s, target, t)
+            known[mask] = record = (target.id, eta)
+            stack = [s]
+            while stack:
+                x = stack.pop()
+                for p in gens:
+                    y = [p[i] for i in x]
+                    key = sum(1 << i for i in y)
+                    if key not in known:
+                        known[key] = record
+                        stack.append(y)
+        orbit.facets.append((mask, *known[mask]))
 
 
-def _transport(
-    s: list[int],
-    tid: str,
-    tau: tuple[int, ...],
-    gens: list[tuple[int, ...]],
-    known: dict[frozenset, tuple[str, tuple[int, ...]]],
-) -> None:
-    """Give every facet in the orbit of s under gens the target tid.
-
-    A walk over the generators reaches each member s' = p(s), p the
-    product of the steps taken, and tau' (from s' to the target) is tau
-    after p^-1: tau'[j] = tau[pos_s[p^-1(s'[j])]], pos_s the place of an
-    index in sorted s. Each step composes one generator onto the tau of
-    the member it starts from.
-    """
-    inverses = []
-    for p in gens:
-        inv = [0] * len(p)
-        for i, j in enumerate(p):
-            inv[j] = i
-        inverses.append(inv)
-    stack = [(s, tau)]
-    while stack:
-        x, tau_x = stack.pop()
-        pos_x = {i: b for b, i in enumerate(x)}
-        for p, inv in zip(gens, inverses):
-            y = sorted(p[i] for i in x)
-            key = frozenset(y)
-            if key in known:
-                continue
-            tau_y = tuple(tau_x[pos_x[inv[j]]] for j in y)
-            known[key] = (tid, tau_y)
-            stack.append((y, tau_y))
+def _facet_sign(orbit: Orbit, s: list[int], target: Orbit, t: ConeTransform) -> int:
+    """eta of the facet s (sorted) of an alternating orbit's rep, mapped
+    by t onto the rep of the alternating target: the facet's orientation
+    induced from the rep's (a generator off the facet points inward),
+    against the target's, both read on a spanning subset of the facet."""
+    xs = orbit.coords
+    u = min(i for i in range(len(orbit.rep.generators)) if i not in s)
+    local_span = spanning_subset(t.source)
+    s1 = det_sign([xs[u]] + [xs[s[b]] for b in local_span])
+    s2 = det_sign([target.coords[t.perm[b]] for b in local_span])
+    if s1 == 0 or s2 == 0:
+        raise AssertionError("facet orientation degenerated")
+    return s1 * s2
 
 
 def annotate_coloops(reg: OrbitRegistry) -> None:
@@ -207,7 +201,7 @@ def annotate_matroidal(reg: OrbitRegistry) -> None:
     stack = list(flagged)
     while stack:
         oid = stack.pop()
-        for _s, tid, _tau in reg.by_id[oid].facets:
+        for _mask, tid, _eta in reg.by_id[oid].facets:
             if tid not in flagged:
                 flagged.add(tid)
                 stack.append(tid)
@@ -215,55 +209,12 @@ def annotate_matroidal(reg: OrbitRegistry) -> None:
         orb.matroidal = orb.id in flagged
 
 
-def _coords(orbit: Orbit) -> tuple[tuple[int, ...], ...]:
-    """The span coordinates of the orbit's rep in its reference basis;
-    cached on the orbit."""
-    if orbit.coords is None:
-        orbit.coords = span_coordinates(orbit.rep, orbit.ref_orientation)
-    return orbit.coords
-
-
-def _facet_signs(orbit: Orbit, reg: OrbitRegistry) -> list[int]:
-    """eta for each recorded facet whose target orbit is alternating
-    (0 placeholder otherwise); cached on the orbit."""
-    if orbit.facet_signs is not None:
-        return orbit.facet_signs
-    rep = orbit.rep
-    xs = _coords(orbit)
-    n = len(rep.generators)
-    signs: list[int] = []
-    for index_set, tid, tau in orbit.facets:
-        target = reg.by_id[tid]
-        if not target.alternating:
-            signs.append(0)
-            continue
-        idx = sorted(index_set)
-        u = min(i for i in range(n) if i not in index_set)
-        face = rep.subcone(idx)
-        local_span = spanning_subset(face)
-        rows = [xs[u]] + [xs[idx[b]] for b in local_span]
-        s1 = det_sign(rows)
-        xt = _coords(target)
-        rows_t = [xt[tau[b]] for b in local_span]
-        s2 = det_sign(rows_t)
-        if s1 == 0 or s2 == 0:
-            raise AssertionError("facet orientation degenerated")
-        signs.append(s1 * s2)
-    orbit.facet_signs = signs
-    return signs
-
-
-def differential_entry(target: Orbit, source: Orbit, reg: OrbitRegistry) -> int:
-    """Sum of transported facet orientations over facets of the source
+def differential_entry(target: Orbit, source: Orbit) -> int:
+    """Sum of the facet orientations over facets of the source
     representative equivalent to the target orbit."""
     if not (source.alternating and target.alternating):
         raise ValueError("differential entries need alternating orbits")
-    signs = _facet_signs(source, reg)
-    total = 0
-    for (_s, tid, _tau), sgn in zip(source.facets, signs):
-        if tid == target.id:
-            total += sgn
-    return total
+    return sum(eta for _mask, tid, eta in source.facets if tid == target.id)
 
 
 @dataclass
@@ -307,9 +258,8 @@ def _build_by_predicate(
         n, col = pos[orb.id]
         if n < 0:
             continue
-        signs = _facet_signs(orb, reg)
         acc: dict[int, int] = {}
-        for (_s, tid, _tau), sgn in zip(orb.facets, signs):
+        for _mask, tid, sgn in orb.facets:
             if sgn == 0:
                 continue
             if tid not in pos:
@@ -448,6 +398,14 @@ def format_complex(cx: ChainComplexQ) -> str:
     return "\n".join(lines) + "\n"
 
 
+def int_field(token: str, ln: int) -> int:
+    """An integer field of line ln of a text format."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {ln}: expected an integer, got {token!r}") from None
+
+
 def parse_complex(text: str) -> ChainComplexQ:
     lines = text.splitlines()
     label = None
@@ -464,16 +422,16 @@ def parse_complex(text: str) -> ChainComplexQ:
             if len(parts) != 3 or not parts[2].startswith("g="):
                 raise ValueError(f"line {ln}: malformed complex header")
             label = parts[1]
-            g = int(parts[2][2:])
+            g = int_field(parts[2][2:], ln)
         elif parts[0] == "deg":
             if label is None:
                 raise ValueError(f"line {ln}: deg before complex header")
             if len(parts) < 4 or parts[2] != "dim":
                 raise ValueError(f"line {ln}: expected `deg <n> dim <d>`")
-            n = int(parts[1])
+            n = int_field(parts[1], ln)
             if not -1 <= n < g * (g + 1) // 2:
                 raise ValueError(f"line {ln}: degree {n} outside the complex")
-            d = int(parts[3])
+            d = int_field(parts[3], ln)
             ids = parts[4:]
             if len(ids) != d:
                 raise ValueError(f"line {ln}: dim {d} but {len(ids)} ids")
@@ -481,7 +439,7 @@ def parse_complex(text: str) -> ChainComplexQ:
         elif parts[0] == "d":
             if len(parts) != 5:
                 raise ValueError(f"line {ln}: expected `d <n> <row> <col> <int>`")
-            n, r, c, v = (int(x) for x in parts[1:])
+            n, r, c, v = (int_field(x, ln) for x in parts[1:])
             diff.setdefault(n, {})[(r, c)] = v
             entry_line[(n, r, c)] = ln
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .complexes import ChainComplexQ, _compose
+from .complexes import ChainComplexQ, _compose, int_field
 from .intlinalg import bareiss_rank
 
 
@@ -197,19 +197,21 @@ def parse_les_fixture(text: str) -> tuple[int, dict[int, int | None], dict[int, 
         if parts[0] == "les":
             if len(parts) != 2 or not parts[1].startswith("g="):
                 raise ValueError(f"line {ln}: expected `les g=<int>`")
-            g = int(parts[1][2:])
+            g = int_field(parts[1][2:], ln)
         elif parts[0] == "range":
             if len(parts) != 3:
                 raise ValueError(f"line {ln}: expected `range <lo> <hi>`")
-            lo, hi = int(parts[1]), int(parts[2])
+            lo, hi = int_field(parts[1], ln), int_field(parts[2], ln)
+            if lo > hi:
+                raise ValueError(f"line {ln}: empty range {lo} > {hi}")
         elif parts[0] in ("P", "V"):
             if len(parts) != 3:
                 raise ValueError(f"line {ln}: expected `{parts[0]} <n> <dim|?>`")
-            n = int(parts[1])
-            val = None if parts[2] == "?" else int(parts[2])
+            n = int_field(parts[1], ln)
+            val = None if parts[2] == "?" else int_field(parts[2], ln)
             (p_entries if parts[0] == "P" else v_entries)[n] = val
         elif parts[0] == "iso":
-            iso.update(int(x) for x in parts[1:])
+            iso.update(int_field(x, ln) for x in parts[1:])
         else:
             raise ValueError(f"line {ln}: unrecognized directive {parts[0]!r}")
     if g is None or lo is None:

@@ -472,21 +472,10 @@ def orientation_sign(c: PerfectCone, t: ConeTransform) -> int:
     return s
 
 
-def is_alternating(c: PerfectCone, gens: list[tuple[int, ...]] | None = None) -> bool:
-    """True iff every automorphism preserves orientation on the span.
-
-    The orientation sign is a homomorphism on the automorphism group, so
-    the strong generators decide it. A caller that holds them (as
-    strong_generators returns them) passes them in gens; otherwise they
-    are searched for here.
-    """
-    if c.is_zero():
-        return True
-    if gens is None:
-        gens = strong_generators(c)
-    ref = spanning_subset(c)
-    coords = span_coordinates(c, ref)
-    return all(det_sign([coords[perm[s]] for s in ref]) > 0 for perm in gens)
+def is_alternating(c: PerfectCone) -> bool:
+    """True iff every automorphism preserves orientation on the span, as
+    OrbitRegistry.add decides it for a new orbit."""
+    return OrbitRegistry(c.g).add(c)[0].alternating
 
 
 def random_unimodular(g: int, rng: random.Random, steps: int | None = None) -> list[list[int]]:
@@ -520,20 +509,17 @@ class Orbit:
     alternating: bool
     ref_orientation: tuple[int, ...]
     fingerprint: tuple
-    # (facet index set, target id, tau): tau maps the facet's generators,
-    # in sorted index order, onto the target rep's. It is one witness in
-    # its coset under Aut(target), any a . tau with a an automorphism of
-    # the target rep, and not a canonical choice.
-    facets: list[tuple[frozenset, str, tuple[int, ...]]] = field(default_factory=list)
+    # (facet bitmask, target id, eta): bit i is set when generator i of
+    # rep lies on the facet; eta is the facet's orientation against the
+    # target orbit's, or 0 unless both orbits are alternating
+    facets: list[tuple[int, str, int]] = field(default_factory=list)
     # ray permutations of strong generators of Aut(rep), as
     # strong_generators returns them; None where no search was run
     # (the zero orbit, parsed registries)
     aut_gens: list[tuple[int, ...]] | None = None
     matroidal: bool = False
     coloop_count: int | None = None
-    # transported orientation of each facet record, filled on first use
-    facet_signs: list[int] | None = None
-    # span_coordinates(rep, ref_orientation), filled on first use
+    # span_coordinates(rep, ref_orientation) of an alternating orbit
     coords: tuple[tuple[int, ...], ...] | None = None
 
 
@@ -597,15 +583,21 @@ class OrbitRegistry:
             ref_order = list(range(len(rep.generators)))
             rng.shuffle(ref_order)
         gens = strong_generators(rep)
+        ref = spanning_subset(rep, ref_order)
+        coords = span_coordinates(rep, ref)
+        # the orientation sign is a homomorphism on the automorphism group,
+        # so the strong generators decide alternation, in any basis
+        alternating = all(det_sign([coords[perm[s]] for s in ref]) > 0 for perm in gens)
         orbit = Orbit(
             id=self._new_id(c.rank, c.dim),
             rep=rep,
             rank=c.rank,
             dim=c.dim,
-            alternating=is_alternating(rep, gens),
-            ref_orientation=spanning_subset(rep, ref_order),
+            alternating=alternating,
+            ref_orientation=ref,
             fingerprint=self.fingerprint(rep),
             aut_gens=gens,
+            coords=coords if alternating else None,
         )
         self._insert(orbit)
         return orbit, t, True
@@ -658,6 +650,8 @@ def parse_registry(text: str) -> OrbitRegistry:
         c, i = parse_cone(lines, i)
         if reg is None:
             reg = OrbitRegistry(c.g)
+        if i + 1 >= len(lines):
+            raise ValueError(f"line {len(lines) + 1}: orbit block ended early")
         flags = lines[i].split()
         i += 1
         alt = None
@@ -682,6 +676,7 @@ def parse_registry(text: str) -> OrbitRegistry:
             alternating=alt,
             ref_orientation=ref,
             fingerprint=reg.fingerprint(c),
+            coords=span_coordinates(c, ref) if alt else None,
         )
         reg.add_seed(orbit)
     if reg is None:

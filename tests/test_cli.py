@@ -107,8 +107,29 @@ def test_homology_rejects_broken_complex(tmp_path, capsys):
         (["homology"], "complex P g=2\ndeg 0\n", "line 2:"),
         (["homology"], "complex P g=2\ndeg 7 dim 0\n", "line 2:"),
         (["homology"], "complex P g=2\ndeg -1 dim 1 a\ndeg 0 dim 1 b\nd 0 5 0 1\n", "line 4:"),
+        (["les", "--g", "5"], "les g=5\nrange 5 2\n", "line 2:"),
+        (["les", "--g", "5"], "les g=5\nrange 0 5\nP 1 x\n", "line 3:"),
+        (["les", "--g", "5"], "les g=x\n", "line 1:"),
+        (["les", "--g", "5"], "les g=5\nrange 0 5\niso a\n", "line 3:"),
+        (["homology"], "complex P g=x\n", "line 1:"),
+        (["homology"], "complex P g=2\ndeg a dim 0\n", "line 2:"),
+        (["homology"], "complex P g=2\ndeg 0 dim x\n", "line 2:"),
+        (["homology"], "complex P g=2\nd 0 x 0 1\n", "line 2:"),
     ],
-    ids=["les-range-one-bound", "deg-without-dim", "deg-out-of-range", "entry-outside-basis"],
+    ids=[
+        "les-range-one-bound",
+        "deg-without-dim",
+        "deg-out-of-range",
+        "entry-outside-basis",
+        "les-range-empty",
+        "les-entry-not-integer",
+        "les-g-not-integer",
+        "les-iso-not-integer",
+        "complex-g-not-integer",
+        "deg-not-integer",
+        "dim-not-integer",
+        "entry-not-integer",
+    ],
 )
 def test_malformed_input_names_its_line(tmp_path, capsys, command, text, where):
     path = tmp_path / "malformed.txt"

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import perfcone.complexes
 import perfcone.cone
 import perfcone.symmetry
 from perfcone.complexes import (
@@ -31,7 +32,7 @@ from perfcone.matroid import (
     tu_cone,
 )
 from perfcone.quadform import cone_of_form, load_bundled_catalog, principal_form
-from perfcone.symmetry import OrbitRegistry, automorphisms, format_registry, span_coordinates
+from perfcone.symmetry import OrbitRegistry, format_registry, span_coordinates
 
 from oracles import simple_graphs_oracle
 
@@ -88,72 +89,99 @@ def test_registry_g3_matches_nine_graphs(reg3):
     assert set(hits.values()) == {o.id for o in reg3.orbits}
 
 
+def _indices(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def test_registry_facet_records_are_consistent(reg3):
     ids = {o.id for o in reg3.orbits}
     for orbit in reg3.orbits:
         n = len(orbit.rep.generators)
-        for facet_set, target_id, perm in orbit.facets:
+        for mask, target_id, eta in orbit.facets:
             assert target_id in ids
-            assert facet_set <= set(range(n))
+            assert 0 <= mask < 1 << n
             target = reg3.by_id[target_id]
-            assert len(perm) == len(facet_set) == len(target.rep.generators)
+            assert len(_indices(mask)) == len(target.rep.generators)
+            assert eta in ((-1, 1) if orbit.alternating and target.alternating else (0,))
+
+
+def _fresh_eta(orbit, idx, target, t):
+    """The facet sign of rep.subcone(idx) under the witness t, from span
+    coordinates computed afresh."""
+    rep = orbit.rep
+    xs = span_coordinates(rep, orbit.ref_orientation)
+    u = min(i for i in range(len(rep.generators)) if i not in idx)
+    local_span = spanning_subset(rep.subcone(idx))
+    rows = [xs[u]] + [xs[idx[b]] for b in local_span]
+    xt = span_coordinates(target.rep, target.ref_orientation)
+    rows_t = [xt[t.perm[b]] for b in local_span]
+    return det_sign(rows) * (det_sign(rows_t) if rows_t else 1)
 
 
 def test_facet_records_map_faces_onto_their_targets(reg4, reg5):
     """Located and transported records alike: a fresh locate of the face
-    finds the recorded target, and tau differs from the fresh witness by
-    an automorphism of the target rep (tau . t^-1 permutes its rays)."""
+    finds the recorded target, and the stored eta is the sign taken on
+    the fresh witness (0 unless both orbits are alternating)."""
     for reg in (reg4, reg5, build_registry(4, seed=1), build_registry(4, seed=2)):
-        auts = {}
         for orbit in reg.orbits:
-            for s, tid, tau in orbit.facets:
-                target, t = reg.locate(orbit.rep.subcone(s))
+            for mask, tid, eta in orbit.facets:
+                idx = _indices(mask)
+                target, t = reg.locate(orbit.rep.subcone(idx))
                 assert target.id == tid
-                if tid not in auts:
-                    auts[tid] = {a.perm for a in automorphisms(target.rep)}
-                back = [0] * len(t.perm)
-                for b, k in enumerate(t.perm):
-                    back[k] = b
-                assert tuple(tau[b] for b in back) in auts[tid], (orbit.id, sorted(s))
+                if orbit.alternating and target.alternating:
+                    assert eta == _fresh_eta(orbit, idx, target, t), (orbit.id, idx)
+                else:
+                    assert eta == 0
 
 
-def _facet_orbit_count(orbit):
-    """Orbits of the recorded facets under the stored strong generators."""
+def _facet_orbits(orbit):
+    """One record per orbit of the recorded facets under the stored
+    strong generators."""
     seen = set()
-    count = 0
-    for s, _tid, _tau in orbit.facets:
-        if s in seen:
+    firsts = []
+    for record in orbit.facets:
+        mask = record[0]
+        if mask in seen:
             continue
-        count += 1
-        seen.add(s)
-        stack = [s]
+        firsts.append(record)
+        seen.add(mask)
+        stack = [mask]
         while stack:
             x = stack.pop()
             for p in orbit.aut_gens:
-                y = frozenset(p[i] for i in x)
+                y = sum(1 << p[i] for i in _indices(x))
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
-    return count
+    return firsts
 
 
 def test_registry_locates_once_per_facet_orbit(monkeypatch):
-    calls = 0
+    calls = Counter()
     locate = OrbitRegistry.locate
+    facet_sign = perfcone.complexes._facet_sign
 
     def counting(self, c):
-        nonlocal calls
-        calls += 1
+        calls["locate"] += 1
         return locate(self, c)
 
+    def counting_sign(*args):
+        calls["sign"] += 1
+        return facet_sign(*args)
+
     monkeypatch.setattr(OrbitRegistry, "locate", counting)
+    monkeypatch.setattr(perfcone.complexes, "_facet_sign", counting_sign)
     reg = build_registry(5)
-    assert calls == 572
+    assert calls["locate"] == 572
     # one locate per catalog cone (inside add) at each ambient 1..5, and one
-    # per facet orbit of every orbit the walk created
+    # per facet orbit of every orbit the walk created; one sign per facet
+    # orbit whose orbit and target are both alternating
     assert all(o.aut_gens is not None for o in reg.orbits if o.facets)
     tops = sum(len(load_bundled_catalog(h)) for h in range(1, 6))
-    assert calls - tops == sum(_facet_orbit_count(o) for o in reg.orbits)
+    firsts = [(o, tid) for o in reg.orbits for _m, tid, _e in _facet_orbits(o)]
+    assert calls["locate"] - tops == len(firsts)
+    signed = sum(o.alternating and reg.by_id[tid].alternating for o, tid in firsts)
+    assert 0 < calls["sign"] == signed
 
 
 def test_registry_builds_share_no_derived_data(monkeypatch):
@@ -185,31 +213,25 @@ def test_padded_seeds_inherit_their_fingerprint(reg5):
         assert orbit.fingerprint == reg5.fingerprint(orbit.rep)
 
 
-def test_orbits_keep_their_span_coordinates(reg4):
-    build_perfect_complex(4, reg4)
-    for orbit in reg4.orbits:
+def test_orbits_keep_their_span_coordinates():
+    # filled when the orbit is made or seeded, before any complex is built
+    reg = build_registry(4)
+    assert any(not o.alternating for o in reg.orbits)
+    for orbit in reg.orbits:
         if orbit.alternating:
             assert orbit.coords == span_coordinates(orbit.rep, orbit.ref_orientation)
+        else:
+            assert orbit.coords is None
 
 
 def _fresh_differential_row(orbit, reg):
-    rep = orbit.rep
-    xs = span_coordinates(rep, orbit.ref_orientation)
-    n = len(rep.generators)
     row = {}
-    for s in facet_index_sets(rep):
+    for s in facet_index_sets(orbit.rep):
         idx = sorted(s)
-        face = rep.subcone(idx)
-        target, t = reg.locate(face)
+        target, t = reg.locate(orbit.rep.subcone(idx))
         if not target.alternating:
             continue
-        u = min(i for i in range(n) if i not in s)
-        local_span = spanning_subset(face)
-        rows = [xs[u]] + [xs[idx[b]] for b in local_span]
-        xt = span_coordinates(target.rep, target.ref_orientation)
-        rows_t = [xt[t.perm[b]] for b in local_span]
-        sgn = det_sign(rows) * (det_sign(rows_t) if rows_t else 1)
-        row[target.id] = row.get(target.id, 0) + sgn
+        row[target.id] = row.get(target.id, 0) + _fresh_eta(orbit, idx, target, t)
     return {k: v for k, v in row.items() if v}
 
 
@@ -226,7 +248,7 @@ def test_facet_rows_match_fresh_recomputation(reg3, reg4):
             for t in reg.orbits:
                 if not t.alternating:
                     continue
-                e = differential_entry(t, orbit, reg)
+                e = differential_entry(t, orbit)
                 if e:
                     recorded[t.id] = e
             assert _fresh_differential_row(orbit, reg) == recorded
@@ -243,10 +265,10 @@ def test_basis_degrees_match_cone_dimension(reg4):
 
 def test_differential_entry_g2(reg2):
     by_dim = {o.dim: o for o in reg2.orbits}
-    assert abs(differential_entry(by_dim[0], by_dim[1], reg2)) == 1
-    assert differential_entry(by_dim[0], by_dim[0], reg2) == 0
+    assert abs(differential_entry(by_dim[0], by_dim[1])) == 1
+    assert differential_entry(by_dim[0], by_dim[0]) == 0
     with pytest.raises(ValueError):
-        differential_entry(by_dim[2], by_dim[3], reg2)
+        differential_entry(by_dim[2], by_dim[3])
 
 
 def test_perfect_complex_dims():
@@ -307,7 +329,7 @@ def _flag_closure(reg, sources):
     flagged = {reg.locate(c)[0].id for c in sources}
     stack = list(flagged)
     while stack:
-        for _s, tid, _tau in reg.by_id[stack.pop()].facets:
+        for _mask, tid, _eta in reg.by_id[stack.pop()].facets:
             if tid not in flagged:
                 flagged.add(tid)
                 stack.append(tid)

@@ -189,5 +189,8 @@ def test_parse_les_fixture_errors():
     with pytest.raises(ValueError) as err:
         parse_les_fixture("les g=5\nrange 0 5\nQ 3 1\n")
     assert "unrecognized" in str(err.value)
+    with pytest.raises(ValueError) as err:
+        parse_les_fixture("les g=5\nrange 5 2\n")
+    assert "line 2" in str(err.value)
     g, h_p, h_v, iso = parse_les_fixture("les g=5\nrange 0 2\nV 1 ?\n")
     assert h_v == {0: 0, 1: None, 2: 0}

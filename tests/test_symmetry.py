@@ -243,6 +243,18 @@ def test_registry_roundtrip(reg3):
         assert a.rep == b.rep
         assert a.alternating == b.alternating
         assert a.ref_orientation == b.ref_orientation
+        assert a.coords == b.coords
+
+
+def test_parse_registry_names_a_truncated_block():
+    # a cone block without its flags line, then without its orient line
+    for text, where in (
+        ("cone g=1 n=1\n1\n", "line 3:"),
+        ("cone g=1 n=1\n1\nalt=1 rank=1\n", "line 4:"),
+    ):
+        with pytest.raises(ValueError) as err:
+            parse_registry(text)
+        assert str(err.value).startswith(where)
 
 
 def _tops_and_faces(g):
@@ -375,8 +387,9 @@ def test_generator_closure_is_the_whole_group(drawn, seed):
 
 
 def test_alternation_and_reflection_match_the_oracle_group(reg2, reg3, reg4):
-    regs = [build_registry(1), reg2, reg3, reg4]
+    regs = [build_registry(1), reg2, reg3, reg4, build_registry(4, seed=1)]
     for o in (o for reg in regs for o in reg.orbits if o.rank == reg.g):
+        assert o.alternating == is_alternating(o.rep), o.id
         gens = o.rep.generators
         group = automorphism_oracle(gens)
         assert _group(o.rep) == group, o.id
@@ -390,6 +403,7 @@ def test_alternation_and_reflection_match_the_oracle_group(reg2, reg3, reg4):
             continue
         # padded representative: the core is the first `rank` coordinates,
         # and flipping the last coordinate fixes every generator
+        assert o.alternating == is_alternating(o.rep), o.id
         gens = o.rep.generators
         assert all(not any(v[o.rank:]) for v in gens)
         assert stabilizer_has_reflection(o.rep)
