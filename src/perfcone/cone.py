@@ -10,18 +10,16 @@ generator subset is faithful.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 from .intlinalg import (
     Echelon,
-    adjugate_det,
     adjugate_int,
     dot,
     flatten_rank1,
     identity_matrix,
     mat_vec,
-    pivot_columns,
-    primitive_vector,
     rank_rows,
     sign_normalize,
     snf_left,
@@ -166,13 +164,10 @@ def reduce(c: PerfectCone) -> tuple[PerfectCone, tuple[tuple[int, ...], ...]]:
     return c._reduction
 
 
-def greedy_spanning(rows: Sequence[Sequence[int]], order: Iterable[int]) -> list[int]:
-    """Lexicographically least (w.r.t. order) index subset whose rows span,
-    in the order picked.
-
-    A row is picked when it raises the rank of the rows picked before it,
-    so one pass against a growing echelon basis finds the subset.
-    """
+def _spanning_echelon(
+    rows: Sequence[Sequence[int]], order: Iterable[int]
+) -> tuple[list[int], Echelon]:
+    """greedy_spanning's pick, with the echelon basis of the picked rows."""
     basis = Echelon()
     chosen: list[int] = []
     for i in order:
@@ -180,7 +175,17 @@ def greedy_spanning(rows: Sequence[Sequence[int]], order: Iterable[int]) -> list
             chosen.append(i)
             if len(chosen) == len(rows[i]):
                 break  # the picked rows span every column
-    return chosen
+    return chosen, basis
+
+
+def greedy_spanning(rows: Sequence[Sequence[int]], order: Iterable[int]) -> list[int]:
+    """Lexicographically least (w.r.t. order) index subset whose rows span,
+    in the order picked.
+
+    A row is picked when it raises the rank of the rows picked before it,
+    so one pass against a growing echelon basis finds the subset.
+    """
+    return _spanning_echelon(rows, order)[0]
 
 
 def spanning_subset(c: PerfectCone, order: Sequence[int] | None = None) -> tuple[int, ...]:
@@ -191,98 +196,167 @@ def spanning_subset(c: PerfectCone, order: Sequence[int] | None = None) -> tuple
     return tuple(sorted(greedy_spanning(rows, order)))
 
 
-def _dd_extreme_rays(ys: list[tuple[int, ...]]) -> list[int]:
+def _bit_rows(n: int) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """Tables for reading n-bit masks four bits at a time: a pair (lo, t)
+    for each lo = 0, 4, 8, ... below n, where t[x] holds the indices
+    lo + j, increasing, of the set bits j of the nibble x."""
+    tables = []
+    for lo in range(0, n, 4):
+        t = [()]
+        for j in range(lo, min(lo + 4, n)):
+            t += [s + (j,) for s in t]
+        tables.append((lo, t))
+    return tables
+
+
+def _dd_extreme_rays(ys: list[tuple[int, ...]], init: Sequence[int] | None = None) -> list[int]:
     """Active sets of the extreme rays of {w : <w, y_i> >= 0}, by double
     description insertion.
 
     The y_i must span R^d and generate a pointed cone (true for projected
-    rank-1 forms). Insertion order is by index, for deterministic output.
-    Each active set is a bitmask whose bit i is set exactly when
-    <w, y_i> = 0 at the ray w. An initial ray is tight on the d - 1 other
-    initial rows, and a positive combination of an adjacent pair is tight
-    on their common active set plus the row being inserted, so the masks
-    need no recomputation. The ray vectors serve only the next insertion,
-    so the last one forms masks alone.
+    rank-1 forms). The first d rays are cut out by init, d spanning rows
+    (the first ones in index order when None); the other rows are
+    inserted by index, for deterministic output. Each active set is a
+    bitmask whose bit i is set exactly when <w, y_i> = 0 at the ray w. An
+    initial ray is tight on the d - 1 other initial rows, and a positive
+    combination of an adjacent pair is tight on their common active set
+    plus the row being inserted, so the masks need no recomputation.
 
-    Adjacency is the combinatorial test: no third ray's active set
-    contains the pair's common one. Adjacent rays share at least d - 2
-    active constraints, which discards most pairs before that test.
+    Only the signs of <w, y_i> on rows not yet inserted matter, so a ray
+    is kept as those values alone, up to a positive factor: for the
+    initial rays, the coordinates of the other rows in the basis init,
+    read off one elimination; for a combination, the same combination of
+    its pair's values. The last insertion forms masks alone.
+
+    Rays have ids, reused once a ray is cut off, and tight[j] is the
+    bitset of the live rays tight on row j. Adjacent rays share at least
+    d - 2 active rows, which discards most pairs; a pair that passes is
+    adjacent iff no third ray is tight on its common active set, that is,
+    iff the AND of tight[j] over that set is the pair itself. Each
+    insertion updates tight in place: the cut-off rays leave every entry,
+    each new ray joins the rows of its mask, and the inserted row's entry
+    becomes the rays tight on it.
     """
     d = len(ys[0])
     n = len(ys)
-    init = greedy_spanning(ys, range(n))
+    if init is None:
+        init = greedy_spanning(ys, range(n))
     if len(init) != d:
         raise AssertionError("constraints do not span the ambient space")
-    adj, det = adjugate_det([list(ys[i]) for i in init])
-    s = 1 if det > 0 else -1
-    full = sum(1 << i for i in init)
-    vecs: list[tuple[int, ...]] = []
-    masks: list[int] = []
-    for k in range(d):
-        vecs.append(primitive_vector([s * adj[j][k] for j in range(d)]))
-        masks.append(full & ~(1 << init[k]))
     chosen = set(init)
     rest = [i for i in range(n) if i not in chosen]
+    # Jordan form of [Y_init | Y_rest] transposed, B its initial block: the
+    # rest part of row r is det B times each rest row's coordinate on row
+    # init[k], k = pivots[r]
+    basis = Echelon(d)
+    for col in zip(*(ys[i] for i in init + rest)):
+        basis.add(col)
+    s = 1 if basis.det > 0 else -1
+    coords = dict(zip(basis.pivots, basis.jordan()))
+    # slack[k]: ray k's values on the rows still to insert, the next last
+    slack = [_reduced([s * x for x in coords[k][: d - 1 : -1]]) for k in range(d)]
+    full = sum(1 << i for i in init)
+    masks = [full & ~(1 << i) for i in init]
+    live_bits = (1 << d) - 1
+    tight = [0] * n
+    for k, i in enumerate(init):
+        tight[i] = live_bits & ~(1 << k)
+    live = list(range(d))
+    tables = _bit_rows(n)
     for i in rest:
-        final = i == rest[-1]
-        a = ys[i]
         bit = 1 << i
-        vals = [dot(a, w) for w in vecs]
-        if all(v >= 0 for v in vals):
-            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
-            continue
-        plus = [k for k, v in enumerate(vals) if v > 0]
-        zero = [k for k, v in enumerate(vals) if v == 0]
-        minus = [k for k, v in enumerate(vals) if v < 0]
-        new_vecs = [vecs[k] for k in plus] + [vecs[k] for k in zero]
-        new_masks = [masks[k] for k in plus] + [masks[k] | bit for k in zero]
-        for kp in plus:
+        plus, zero, minus = [], [], []
+        for k in live:
+            v = slack[k].pop()
+            if v > 0:
+                plus.append((k, v))
+            elif v < 0:
+                minus.append((k, v))
+            else:
+                zero.append(k)
+                masks[k] |= bit
+        last = i == rest[-1]
+        born: list[int] = []  # masks of the new rays
+        vals: list[list[int]] = []  # their slacks, unless this row is the last
+        for kp, vp in plus:
             mp = masks[kp]
-            for km in minus:
+            for km, vm in minus:
                 meet = mp & masks[km]
                 if meet.bit_count() < d - 2:
                     continue
-                # meet lies in the pair's own two masks; adjacent iff in no other
-                hits = 0
-                for m in masks:
-                    if meet & m == meet:
-                        hits += 1
-                        if hits > 2:
-                            break
-                else:
-                    new_masks.append(meet | bit)
-                    if not final:
-                        vp, vm = vals[kp], vals[km]
-                        comb = [vp * x - vm * y for x, y in zip(vecs[km], vecs[kp])]
-                        new_vecs.append(primitive_vector(comb))
-        vecs, masks = new_vecs, new_masks
-    return masks
+                common = live_bits
+                for lo, t in tables:
+                    for j in t[meet >> lo & 15]:
+                        common &= tight[j]
+                if common != 1 << kp | 1 << km:
+                    continue
+                born.append(meet | bit)
+                if not last:
+                    comb = [vp * y - vm * x for x, y in zip(slack[kp], slack[km])]
+                    vals.append(_reduced(comb))
+        if last:
+            return [masks[k] for k, _ in plus] + [masks[k] for k in zero] + born
+        # the cut-off rays leave tight, and the new rays take their ids first
+        free = [k for k, _ in minus]
+        cut = ~sum(1 << k for k in free)
+        tight = [t & cut for t in tight]
+        new = []
+        for m, v in zip(born, vals):
+            if free:
+                k = free.pop()
+                masks[k], slack[k] = m, v
+            else:
+                k = len(masks)
+                masks.append(m)
+                slack.append(v)
+            new.append(k)
+            rows = m ^ bit
+            for lo, t in tables:
+                for j in t[rows >> lo & 15]:
+                    tight[j] |= 1 << k
+        live = [k for k, _ in plus] + zero + new
+        live_bits = sum(1 << k for k in live)
+        tight[i] = sum(1 << k for k in zero + new)
+    return [masks[k] for k in live]
+
+
+def _reduced(v: list[int]) -> list[int]:
+    """v divided by the gcd of its entries; v itself when it is zero."""
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
 def facet_index_sets(c: PerfectCone) -> list[frozenset]:
     """Generator index sets of the codimension-1 faces.
 
     Unless the dimension is already known to be 0 or n (simplicial), one
-    elimination of the flattened generators gives it (kept on the cone)
-    together with the pivot columns that project the cone to a
-    full-dimensional one. The facets are the active sets of the extreme
-    rays of the dual cone, read off the double description masks bit by
-    bit.
+    elimination of the flattened generators gives it (kept on the cone),
+    the pivot columns that project the cone to a full-dimensional one, and
+    the spanning rows that start the double description there. The facets
+    are the active sets of the extreme rays of the dual cone; each mask is
+    read four bits at a time through the tables of _bit_rows.
     """
     n = len(c.generators)
     if c._dim not in (0, n):
         flat = [flatten_rank1(v) for v in c.generators]
-        piv = pivot_columns(flat)
-        c._dim = len(piv)
+        init, basis = _spanning_echelon(flat, range(n))
+        c._dim = basis.rank
     d = c._dim
     if d == 0:
         return []
     if n == d:
         out = [frozenset(range(n)) - {i} for i in range(n)]
         return sorted(out, key=sorted)
+    piv = sorted(basis.pivots)
     ys = [tuple(row[j] for j in piv) for row in flat]
-    bits = [(i, 1 << i) for i in range(n)]
-    facets = sorted([i for i, b in bits if m & b] for m in set(_dd_extreme_rays(ys)))
+    tables = _bit_rows(n)
+    facets = []
+    for m in set(_dd_extreme_rays(ys, init)):
+        f = ()
+        for lo, t in tables:
+            f += t[m >> lo & 15]
+        facets.append(f)
+    facets.sort()
     return [frozenset(f) for f in facets]
 
 

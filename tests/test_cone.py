@@ -1,4 +1,7 @@
+import hashlib
 import random
+from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -21,13 +24,14 @@ from perfcone.intlinalg import (
     dot,
     flatten_rank1,
     integer_kernel_vector,
+    mat_vec,
     pivot_columns,
     rank_rows,
     sign_normalize,
     vec_gcd,
 )
 from perfcone.matroid import graphic_cone, complete_graph
-from perfcone.quadform import cone_of_form, load_bundled_catalog, principal_form
+from perfcone.quadform import QuadraticForm, cone_of_form, load_bundled_catalog, principal_form
 from perfcone.symmetry import conjugate_cone, equivalent, random_unimodular
 
 from oracles import facets_bruteforce, rank_oracle
@@ -136,24 +140,106 @@ def test_facets_match_bruteforce_on_moved_d4_subcones(seed, rnd):
     assert set(facet_index_sets(c)) == facets_bruteforce([_flat(v) for v in c.generators])
 
 
+def _projected_rows(gens):
+    """The flattened generators on their pivot columns, as in facet_index_sets."""
+    flat = [flatten_rank1(v) for v in gens]
+    piv = pivot_columns(flat)
+    return [tuple(row[j] for j in piv) for row in flat]
+
+
+def _assert_tight_sets(ys, masks):
+    """Each mask is the tight set of an extreme ray of {w : <w, y> >= 0}."""
+    d = len(ys[0])
+    for mask in masks:
+        # the ray spans the kernel of its tight rows, with either sign
+        w = integer_kernel_vector([y for i, y in enumerate(ys) if mask >> i & 1])
+        assert w is not None
+        if any(dot(y, w) < 0 for y in ys):
+            w = tuple(-x for x in w)
+        vals = [dot(y, w) for y in ys]
+        assert all(v >= 0 for v in vals)
+        assert mask == sum(1 << i for i, v in enumerate(vals) if v == 0)
+        # extreme: the tight constraints leave a line
+        assert rank_rows([y for i, y in enumerate(ys) if mask >> i & 1]) == d - 1
+
+
 def test_dd_masks_are_the_tight_sets_on_g5_catalog():
     for q in load_bundled_catalog(5):
-        flat = [flatten_rank1(v) for v in cone_of_form(q).generators]
-        piv = pivot_columns(flat)
-        ys = [tuple(row[j] for j in piv) for row in flat]
+        ys = _projected_rows(cone_of_form(q).generators)
         masks = _dd_extreme_rays(ys)
         assert len(set(masks)) == len(masks)
-        for mask in masks:
-            # the ray spans the kernel of its tight rows, with either sign
-            w = integer_kernel_vector([y for i, y in enumerate(ys) if mask >> i & 1])
-            assert w is not None
-            if any(dot(y, w) < 0 for y in ys):
-                w = tuple(-x for x in w)
-            vals = [dot(y, w) for y in ys]
-            assert all(v >= 0 for v in vals)
-            assert mask == sum(1 << i for i, v in enumerate(vals) if v == 0)
-            # extreme: the tight constraints leave a line
-            assert rank_rows([y for i, y in enumerate(ys) if mask >> i & 1]) == len(piv) - 1
+        _assert_tight_sets(ys, masks)
+
+
+def test_dd_masks_with_redundant_rows():
+    # y_a + y_b is nonnegative on the cone and tight exactly where y_a and
+    # y_b both are; inserted before the last two rows, it cuts off no ray,
+    # but the pairs met after it must see the rays tight on it
+    ys = _projected_rows(cone_of_form(load_bundled_catalog(4)[1]).generators)
+    masks = _dd_extreme_rays(ys)
+    n = len(ys)
+    extra = [tuple(map(add, ys[0], ys[1])), tuple(map(add, ys[2], ys[5]))]
+    wide = _dd_extreme_rays(ys[:-2] + extra + ys[-2:])
+    low = (1 << (n - 2)) - 1
+
+    def narrow(m):
+        return m & low | (m >> 2) & ~low
+
+    assert sorted(map(narrow, wide)) == sorted(masks)
+    for m in wide:
+        assert (m >> (n - 2) & 1) == (m & 1 and m >> 1 & 1)
+        assert (m >> (n - 1) & 1) == (m >> 2 & 1 and m >> 5 & 1)
+
+
+def _cartan_cone(g, edges):
+    """Cone of the root lattice whose Dynkin diagram has these edges: its
+    Cartan matrix over 2, with minimum 1 at the roots."""
+    m = [[Fraction(int(i == j)) for j in range(g)] for i in range(g)]
+    for i, j in edges:
+        m[i][j] = m[j][i] = Fraction(-1, 2)
+    return cone_of_form(QuadraticForm(m))
+
+
+D6_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]
+
+
+def test_d6_facets_are_pinned():
+    # g = 6, degenerate: 30 pairs, dimension 21; the digest is that of the
+    # facet list found by the earlier all-rays adjacency scan
+    c = _cartan_cone(6, D6_EDGES)
+    assert len(c.generators) == 30 and c.dim == 21
+    facets = facet_index_sets(c)
+    assert len(facets) == 6336
+    digest = hashlib.sha256(repr([sorted(f) for f in facets]).encode()).hexdigest()
+    assert digest == "28d7a7605d1deb3e751549f5110016a6c20d376ce3df052186c6dcf947d64fef"
+
+
+@settings(max_examples=12)
+@given(
+    st.sampled_from(["d5", "d6"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.randoms(use_true_random=False),
+)
+def test_dd_masks_survive_row_order_and_conjugation(name, seed, rnd):
+    # degenerate cones beyond the brute-force oracle: reordering the rows
+    # changes the initial simplex and the insertion order, and a unimodular
+    # conjugate changes every coordinate, but not the facets
+    if name == "d5":
+        c = next(cone_of_form(q) for q in load_bundled_catalog(5) if q.name == "d5")
+    else:
+        c = _cartan_cone(6, D6_EDGES)
+    masks = set(_dd_extreme_rays(_projected_rows(c.generators)))
+    n = len(c.generators)
+    order = list(range(n))
+    rnd.shuffle(order)
+    h = random_unimodular(c.g, random.Random(seed))
+    ys = _projected_rows([mat_vec(h, c.generators[i]) for i in order])
+    moved = _dd_extreme_rays(ys)
+    assert len(set(moved)) == len(moved)
+    back = {sum(1 << order[a] for a in range(n) if m >> a & 1) for m in moved}
+    assert back == masks
+    # a sample at g = 6, where checking all 6336 takes seconds
+    _assert_tight_sets(ys, moved if name == "d5" else rnd.sample(moved, 60))
 
 
 def test_reduce_examples():
