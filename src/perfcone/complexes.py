@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .cone import PerfectCone, facet_index_sets, pad, spanning_subset
+from .cone import PerfectCone, facet_index_sets, int_field, pad, spanning_subset
 from .intlinalg import det_sign
 from .matroid import (
     complete_graph,
@@ -114,10 +114,8 @@ def _record_facets(
     of its orbit, so a later member is recorded without any search.
     """
     rep = orbit.rep
-    sets = [sorted(s) for s in facet_index_sets(rep)]
-    if rng is None:
-        sets.sort()
-    else:
+    sets = [sorted(s) for s in facet_index_sets(rep)]  # already in sorted order
+    if rng is not None:
         rng.shuffle(sets)
     gens = orbit.aut_gens or []
     known: dict[int, tuple[str, int]] = {}
@@ -396,14 +394,6 @@ def format_complex(cx: ChainComplexQ) -> str:
         for r, c in sorted(cx.diff[n]):
             lines.append(f"d {n} {r} {c} {cx.diff[n][(r, c)]}")
     return "\n".join(lines) + "\n"
-
-
-def int_field(token: str, ln: int) -> int:
-    """An integer field of line ln of a text format."""
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"line {ln}: expected an integer, got {token!r}") from None
 
 
 def parse_complex(text: str) -> ChainComplexQ:

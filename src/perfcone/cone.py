@@ -399,6 +399,14 @@ def format_cone(c: PerfectCone) -> str:
     return "\n".join(lines) + "\n"
 
 
+def int_field(token: str, ln: int) -> int:
+    """An integer field of line ln of a text format."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {ln}: expected an integer, got {token!r}") from None
+
+
 def parse_cone(lines: Sequence[str], start: int = 0) -> tuple[PerfectCone, int]:
     """Parse one cone block; returns (cone, next line index)."""
     i = start

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .complexes import ChainComplexQ, _compose, int_field
+from .complexes import ChainComplexQ, _compose
+from .cone import int_field
 from .intlinalg import bareiss_rank
 
 

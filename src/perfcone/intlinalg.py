@@ -11,7 +11,9 @@ input, so every division is exact and no entry is a fraction. Ranks,
 pivot columns, determinants, adjugates, inverses and kernel vectors are
 all read off its state. The quadratic-form layer reads definiteness and
 the short-vector levels of a form off the same Bareiss rows.
-``snf_left`` works with unimodular row and column operations instead.
+``snf_left`` works with unimodular row operations instead: an echelon
+form over Z, for the lattice reductions of boundary cones and the
+coloop test.
 """
 
 from __future__ import annotations
@@ -278,56 +280,35 @@ def integer_kernel_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | No
 
 
 def snf_left(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], int]:
-    """Diagonalize m over Z; return (U, D, rank) with D = U m V for some
-    untracked unimodular V. Nonzero diagonal entries sit in positions
-    0..rank-1. No divisibility chaining (not needed by callers)."""
+    """Unimodular row reduction of m to echelon form over Z (Hermite-style,
+    without reduction above the pivots); return (U, U m, rank).
+
+    Rows rank.. of U m are zero, so rows rank.. of U span the integer left
+    kernel of m, and U maps the saturation of the column span onto the
+    first rank coordinates. Each column's pivot is found by Euclid's
+    algorithm on the rows below the last pivot. Both callers,
+    cone.reduce and the coloop test of matroid.zg_coloop_indices, read
+    only U and the rank, so no column operation is needed.
+    """
     a = [list(map(int, row)) for row in m]
     nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
     u = identity_matrix(nrows)
     t = 0
-    while t < nrows and t < ncols:
-        piv = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x and (piv is None or abs(x) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        while True:
-            i, j = piv
-            if i != t:
-                a[t], a[i] = a[i], a[t]
-                u[t], u[i] = u[i], u[t]
-            if j != t:
-                for row in a:
-                    row[t], row[j] = row[j], row[t]
-            p = a[t][t]
-            for i in range(t + 1, nrows):
-                q = a[i][t] // p
-                if q:
-                    ai, at = a[i], a[t]
-                    for k in range(ncols):
-                        ai[k] -= q * at[k]
-                    ui, ut = u[i], u[t]
-                    for k in range(nrows):
-                        ui[k] -= q * ut[k]
-            for j in range(t + 1, ncols):
-                q = a[t][j] // p
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-            if all(a[i][t] == 0 for i in range(t + 1, nrows)) and all(
-                a[t][j] == 0 for j in range(t + 1, ncols)
-            ):
+    for j in range(len(a[0]) if nrows else 0):
+        while t < nrows:
+            live = [i for i in range(t, nrows) if a[i][j]]
+            if not live:
+                break
+            p = min(live, key=lambda i: abs(a[i][j]))
+            a[t], a[p] = a[p], a[t]
+            u[t], u[p] = u[p], u[t]
+            if len(live) == 1:
                 t += 1
                 break
-            piv = None
-            for i in range(t, nrows):
-                for j in range(t, ncols):
-                    x = a[i][j]
-                    if x and (piv is None or abs(x) < abs(a[piv[0]][piv[1]])):
-                        piv = (i, j)
-    rank = sum(1 for k in range(min(nrows, ncols)) if a[k][k] != 0)
-    return u, a, rank
+            at, ut, x = a[t], u[t], a[t][j]
+            for i in range(t + 1, nrows):
+                q = a[i][j] // x
+                if q:
+                    a[i] = [y - q * z for y, z in zip(a[i], at)]
+                    u[i] = [y - q * z for y, z in zip(u[i], ut)]
+    return u, a, t

@@ -224,43 +224,24 @@ def minimal_vectors(q: QuadraticForm) -> MinimalVectorSet:
                 c += a * x[j]
         den = steps[i]
         e = levels[i]
-        if zero_above:
-            t = 0
-            s = c
+        # with every entry above zero, c = 0 and only t >= 0 is walked:
+        # -t gives the negated vector
+        start = -(c // den)
+        for step in (1,) if zero_above else (1, -1):
+            t = start if step > 0 else start - 1
+            s = den * t + c
             while True:
                 level = partial + e * s * s
                 if level > best:
                     break
                 x[i] = t
-                walk(i - 1, level, t == 0)
-                t += 1
-                s += den
-            x[i] = 0
-            return
-        start = -(c // den)
-        t = start
-        s = den * t + c
-        while True:
-            level = partial + e * s * s
-            if level > best:
-                break
-            x[i] = t
-            walk(i - 1, level, False)
-            t += 1
-            s += den
-        t = start - 1
-        s = den * t + c
-        while True:
-            level = partial + e * s * s
-            if level > best:
-                break
-            x[i] = t
-            walk(i - 1, level, False)
-            t -= 1
-            s -= den
+                walk(i - 1, level, zero_above and t == 0)
+                t += step
+                s += step * den
         x[i] = 0
 
     walk(g - 1, 0, True)
+    del walk  # walk reaches itself through its closure cell: a reference cycle
     reps = sorted(sign_normalize(v) for v in found)
     for v in reps:
         if vec_gcd(v) != 1:

@@ -33,6 +33,7 @@ from .cone import (
     PerfectCone,
     format_cone,
     greedy_spanning,
+    int_field,
     pad,
     parse_cone,
     reduce as cone_reduce,
@@ -48,6 +49,7 @@ from .intlinalg import (
     mat_mul,
     mat_vec,
     pivot_columns,
+    rank_rows,
     sign_normalize,
     unimodular_inverse,
 )
@@ -252,32 +254,29 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
         return []
 
     if not group:
-        return first(0)
-    gens: list[tuple] = []
-
-    def stabilizer(pos: int) -> None:
-        """Extend gens to generate G_pos, the stabilizer of every ray in
-        order[:pos]; the current assignment is the identity there."""
-        if pos == prefix_len:
-            gens.extend(realize(True))
-            return
-        i = order[pos]
-        assign[i] = i
-        used[i] = True
-        stabilizer(pos + 1)
-        del assign[i]
-        used[i] = False
-        # every generator so far lies in G_pos; skip the images of i under them
-        orbit = _orbit(i, [perm for _a, perm, _d in gens])
-        for j in cand[i]:
-            if j in orbit:
-                continue
-            found = first(pos, (j,))
-            if found:
-                gens.append(found[0])
-                orbit = _orbit(i, [perm for _a, perm, _d in gens])
-
-    stabilizer(0)
+        gens = first(0)
+    else:
+        # Sims' chain along the identity path: G_prefix_len is the kernel
+        # of the action on the base; then, for pos = prefix_len - 1 .. 0,
+        # the generators found so far lie in G_pos and one element of G_pos
+        # is added for each image of order[pos] that they do not reach
+        for i in prefix:
+            assign[i] = i
+            used[i] = True
+        gens = realize(True)
+        for pos in reversed(range(prefix_len)):
+            i = order[pos]
+            del assign[i]
+            used[i] = False
+            orbit = _orbit(i, [perm for _a, perm, _d in gens])
+            for j in cand[i]:
+                if j in orbit:
+                    continue
+                found = first(pos, (j,))
+                if found:
+                    gens.append(found[0])
+                    orbit = _orbit(i, [perm for _a, perm, _d in gens])
+    del first  # first reaches itself through its closure cell: a reference cycle
     return gens
 
 
@@ -658,25 +657,38 @@ def parse_registry(text: str) -> OrbitRegistry:
         rank = None
         for tok in flags:
             if tok.startswith("alt="):
-                alt = tok[4:] == "1"
+                alt = tok[4:]
             elif tok.startswith("rank="):
-                rank = int(tok[5:])
-        if alt is None or rank is None:
+                rank = int_field(tok[5:], i)
+        if alt not in ("0", "1") or rank is None:
             raise ValueError(f"line {i}: malformed orbit flags")
+        if rank != c.rank:
+            raise ValueError(f"line {i}: rank={rank}, but the cone has rank {c.rank}")
         orient_parts = lines[i].split()
         i += 1
         if not orient_parts or orient_parts[0] != "orient":
             raise ValueError(f"line {i}: expected an orient line")
-        ref = tuple(int(x) for x in orient_parts[1:])
+        ref = tuple(int_field(x, i) for x in orient_parts[1:])
+        n = len(c.generators)
+        if (
+            len(set(ref)) != len(ref)
+            or len(ref) != c.dim
+            or any(not 0 <= s < n for s in ref)
+            or rank_rows([flatten_rank1(c.generators[s]) for s in ref]) != c.dim
+        ):
+            raise ValueError(
+                f"line {i}: orient needs {c.dim} distinct generator indices "
+                "whose forms span the cone"
+            )
         orbit = Orbit(
             id=reg._new_id(rank, c.dim),
             rep=c,
             rank=rank,
             dim=c.dim,
-            alternating=alt,
+            alternating=alt == "1",
             ref_orientation=ref,
             fingerprint=reg.fingerprint(c),
-            coords=span_coordinates(c, ref) if alt else None,
+            coords=span_coordinates(c, ref) if alt == "1" else None,
         )
         reg.add_seed(orbit)
     if reg is None:

@@ -17,6 +17,7 @@ from perfcone.intlinalg import (
     mat_mul,
     pivot_columns,
     rank_rows,
+    snf_left,
     unimodular_inverse,
     vec_gcd,
 )
@@ -125,3 +126,18 @@ def test_echelon_state(rows):
         assert not any(row[cj] for cj in e.pivots[:i])
     assert e.det == det_oracle(b)
     assert e.jordan() == mat_mul(adjugate_oracle(b), kept)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_snf_left_is_a_unimodular_row_echelon(data):
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(1, 8))
+    entry = st.integers(-4, 4)
+    rows = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    u, um, rank = snf_left(rows)
+    assert all(type(x) is int for row in u for x in row)
+    assert det_int(u) in (1, -1)
+    assert um == mat_mul(u, rows)
+    assert not any(x for row in um[rank:] for x in row)
+    assert rank == rank_rows(rows)

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from pathlib import Path
@@ -7,10 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import perfcone
 from perfcone.complexes import build_registry
-from perfcone.cone import PerfectCone, faces, reduce
+from perfcone.cone import PerfectCone, faces, facet_index_sets, reduce
 from perfcone.intlinalg import det_int, mat_mul
 from perfcone.matroid import complete_graph, graphic_cone
-from perfcone.quadform import cone_of_form, load_bundled_catalog, principal_form
+from perfcone.quadform import cone_of_form, load_bundled_catalog, minimal_vectors, principal_form
 from perfcone.symmetry import (
     ConeTransform,
     OrbitRegistry,
@@ -28,6 +29,7 @@ from perfcone.symmetry import (
     parse_registry,
     random_unimodular,
     stabilizer_has_reflection,
+    strong_generators,
 )
 
 from oracles import (
@@ -247,10 +249,23 @@ def test_registry_roundtrip(reg3):
 
 
 def test_parse_registry_names_a_truncated_block():
-    # a cone block without its flags line, then without its orient line
+    # a cone block without its flags line, then without its orient line;
+    # then malformed flags and orient lines, each named by its line
+    one = "cone g=1 n=1\n1\n"
+    # four forms in the plane of the first two coordinates span only 3 dimensions
+    plane = "cone g=3 n=5\n0 0 1\n0 1 0\n1 -1 0\n1 0 0\n1 1 0\nalt=0 rank=3\n"
     for text, where in (
-        ("cone g=1 n=1\n1\n", "line 3:"),
-        ("cone g=1 n=1\n1\nalt=1 rank=1\n", "line 4:"),
+        (one, "line 3:"),
+        (one + "alt=1 rank=1\n", "line 4:"),
+        (one + "alt=2 rank=1\norient 0\n", "line 3:"),
+        (one + "alt=1 rank=5\norient 0\n", "line 3:"),
+        (one + "alt=1 rank=x\norient 0\n", "line 3:"),
+        (one + "alt=1 rank=1\norient 7\n", "line 4:"),
+        (one + "alt=1 rank=1\norient -1\n", "line 4:"),
+        (one + "alt=1 rank=1\norient x\n", "line 4:"),
+        (one + "alt=1 rank=1\norient\n", "line 4:"),
+        (one + "alt=1 rank=1\norient 0 0\n", "line 4:"),
+        (plane + "orient 1 2 3 4\n", "line 8:"),
     ):
         with pytest.raises(ValueError) as err:
             parse_registry(text)
@@ -439,3 +454,21 @@ def test_package_keeps_no_module_level_cache():
     for path in sorted(Path(perfcone.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert "lru_cache" not in text and "functools" not in text, path.name
+
+
+def test_kernels_leave_no_reference_cycles():
+    # the recursive closures of minimal_vectors and _full_rank_maps are
+    # deleted after their last call, so a call leaves nothing for the
+    # cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        minimal_vectors(principal_form(5))
+        a, _d5, b = (cone_of_form(q) for q in load_bundled_catalog(5))
+        assert equivalent(a, b) is None
+        assert equivalent(a, conjugate_cone(a, random_unimodular(5, random.Random(0))))
+        strong_generators(b)
+        facet_index_sets(b)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
