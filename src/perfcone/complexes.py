@@ -5,8 +5,9 @@ boundary orbits keep their identity across ambient dimensions; top-cone
 face enumeration then only ever discovers full-rank orbits. Padding a
 representative changes neither its facet combinatorics nor any span
 coordinate, so inherited facet records stay valid verbatim. Nor does it
-change the reduced core up to GL(Z), and the fingerprint is an invariant
-of that core, so it is inherited as well.
+change the rank, the dimension or the reduced core up to GL(Z), and the
+fingerprint reads only those (the core's sorted Gram profiles), so it is
+inherited as well.
 
 Facet records are made one automorphism orbit of facets at a time. The
 first member of each facet orbit met in the walk order is located (or
@@ -122,7 +123,7 @@ def _record_facets(
     for s in sets:
         mask = sum(1 << i for i in s)
         if mask not in known:
-            face = rep.subcone(s)
+            face = rep.facet(s)
             if face.rank < reg.g:
                 loc = reg.locate(face)
                 if loc is None:

@@ -30,9 +30,9 @@ from .intlinalg import (
 class PerfectCone:
     """Cone spanned by {v v^t} for a finite set of primitive vectors."""
 
-    # _dim, _rank, _gram and _reduction are derived values, filled on
-    # first use and kept with the cone
-    __slots__ = ("g", "generators", "_dim", "_rank", "_gram", "_reduction")
+    # _dim, _rank, _gram, _profiles and _reduction are derived values,
+    # filled on first use and kept with the cone
+    __slots__ = ("g", "generators", "_dim", "_rank", "_gram", "_profiles", "_reduction")
 
     def __init__(self, g: int, generators: Iterable[Sequence[int]]):
         if g < 0:
@@ -52,6 +52,7 @@ class PerfectCone:
         self._dim = None
         self._rank = None
         self._gram = None
+        self._profiles = None
         self._reduction = None
 
     @property
@@ -86,6 +87,19 @@ class PerfectCone:
             self._gram = tuple(rows)
         return self._gram
 
+    @property
+    def profiles(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(G_ii, sorted |G_ij| over j != i) for each generator i. A map
+        of cones sends each generator to one with the same profile."""
+        if self._profiles is None:
+            equal: dict[tuple, tuple] = {}  # equal profiles share one tuple
+            out = []
+            for i, row in enumerate(self.gram):
+                p = (row[i], tuple(sorted(abs(x) for j, x in enumerate(row) if j != i)))
+                out.append(equal.setdefault(p, p))
+            self._profiles = tuple(out)
+        return self._profiles
+
     def is_zero(self) -> bool:
         return not self.generators
 
@@ -105,6 +119,14 @@ class PerfectCone:
     def subcone(self, indices: Iterable[int]) -> "PerfectCone":
         gens = [self.generators[i] for i in sorted(set(indices))]
         return PerfectCone(self.g, gens)
+
+    def facet(self, indices: Iterable[int]) -> "PerfectCone":
+        """The subcone on the generator indices of a facet (as
+        facet_index_sets lists them), whose dimension is by definition
+        one less than the cone's."""
+        f = self.subcone(indices)
+        f._dim = self.dim - 1
+        return f
 
 
 @dataclass(frozen=True)
@@ -138,7 +160,8 @@ def reduce(c: PerfectCone) -> tuple[PerfectCone, tuple[tuple[int, ...], ...]]:
     saturation of the generator span onto the coordinate sublattice, which
     is exactly the basis-extension contract. The pair is kept on the cone,
     so every caller shares one c' (and its Gram matrix); A is a tuple of
-    rows for that reason.
+    rows for that reason. A is invertible and linear, so c' has the
+    cone's dimension, which it takes over when known, and full rank.
     """
     if c._reduction is not None:
         return c._reduction
@@ -160,6 +183,7 @@ def reduce(c: PerfectCone) -> tuple[PerfectCone, tuple[tuple[int, ...], ...]]:
                 raise AssertionError("row transform failed to flatten the span")
             new_gens.append(tuple(w[:r]))
         red = PerfectCone(r, new_gens)
+    red._dim, red._rank = c._dim, r
     c._reduction = (red, tuple(tuple(row) for row in u))
     return c._reduction
 

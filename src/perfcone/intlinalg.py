@@ -286,9 +286,10 @@ def snf_left(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int
     Rows rank.. of U m are zero, so rows rank.. of U span the integer left
     kernel of m, and U maps the saturation of the column span onto the
     first rank coordinates. Each column's pivot is found by Euclid's
-    algorithm on the rows below the last pivot. Both callers,
-    cone.reduce and the coloop test of matroid.zg_coloop_indices, read
-    only U and the rank, so no column operation is needed.
+    algorithm on the rows below the last pivot. The callers, cone.reduce
+    and the coloop tests of matroid (the left kernel, then the lattice
+    saturation), read only U and the rank, so no column operation is
+    needed.
     """
     a = [list(map(int, row)) for row in m]
     nrows = len(a)

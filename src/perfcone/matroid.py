@@ -16,7 +16,7 @@ from math import comb
 from typing import Sequence
 
 from .cone import PerfectCone, reduce as cone_reduce
-from .intlinalg import det_int, mat_vec, rank_rows, snf_left, vec_gcd
+from .intlinalg import det_int, mat_vec, snf_left, vec_gcd
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,20 @@ def tu_cone(rep: TURepresentation, g: int) -> PerfectCone:
         raise ValueError(f"column set is not simple: {exc}") from exc
 
 
+def _rational_coloops(vectors: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the vectors outside the rational span of the others.
+
+    Rows rank.. of U, for U m the echelon form of the matrix m with rows
+    the vectors, span the left kernel of m: the linear relations among
+    the vectors. v_i is outside the span of the others exactly when no
+    relation involves it, that is, when column i of those rows is zero.
+    A zero vector is its own relation, so it never qualifies.
+    """
+    u, _a, r = snf_left(vectors)
+    kernel = u[r:]
+    return [i for i in range(len(vectors)) if not any(row[i] for row in kernel)]
+
+
 def zg_coloop_indices(vectors: Sequence[Sequence[int]]) -> list[int]:
     vs = [tuple(int(x) for x in v) for v in vectors]
     if not vs:
@@ -192,18 +206,14 @@ def zg_coloop_indices(vectors: Sequence[Sequence[int]]) -> list[int]:
     g = len(vs[0])
     if any(len(v) != g for v in vs):
         raise ValueError("vectors of mixed length")
-    full = rank_rows(vs)
     out = []
-    for i, v in enumerate(vs):
-        if not any(v):
-            continue
+    for i in _rational_coloops(vs):
+        v = vs[i]
         others = vs[:i] + vs[i + 1 :]
         if not others:
             if vec_gcd(v) == 1:
                 out.append(i)
             continue
-        if rank_rows(others) == full:
-            continue  # v lies in the rational span of the others: no tail
         m = [[w[k] for w in others] for k in range(g)]
         u, _d, r = snf_left(m)
         if vec_gcd(mat_vec(u, v)[r:]) == 1:
@@ -222,14 +232,7 @@ def matroid_coloops(rep: TURepresentation) -> list[int]:
     """Column indices lying in every column basis."""
     if rep.verified is not True:
         raise ValueError("totally unimodular verification is required first")
-    cols = rep.columns
-    full = rank_rows(cols)
-    out = []
-    for j in range(len(cols)):
-        rest = cols[:j] + cols[j + 1 :]
-        if rank_rows(rest) < full:
-            out.append(j)
-    return out
+    return _rational_coloops(rep.columns)
 
 
 def inflate(c: PerfectCone) -> PerfectCone:

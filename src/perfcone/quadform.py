@@ -421,9 +421,10 @@ def voronoi_neighbor(q: QuadraticForm, facet: Face) -> QuadraticForm:
     t = a/b and the integer 2R, Q + tR is the integer pencil
     2b num + a den 2R over 2b den, so t is the only Fraction.
     """
-    if facet.parent != cone_of_form(q):
-        raise ValueError("facet does not belong to the cone of this form")
     sigma = facet.parent  # the caller's cone keeps its dimension once known
+    mv = minimal_vectors(q)
+    if sigma.g != q.g or sigma.generators != mv.vectors:
+        raise ValueError("facet does not belong to the cone of this form")
     if not facet.generator_indices:
         raise ValueError("empty face rejected (no pegged minimal vectors)")
     idx = sorted(facet.generator_indices)
@@ -432,7 +433,6 @@ def voronoi_neighbor(q: QuadraticForm, facet: Face) -> QuadraticForm:
         e.add(flatten_rank1(sigma.generators[i]))
     if e.rank != sigma.dim - 1:
         raise ValueError("face is not of codimension 1")
-    mv = minimal_vectors(q)
     if mv.minimum != 1:
         raise ValueError("neighbor walk expects a form normalized to minimum 1")
     r2 = _facet_normal(sigma, idx, e)

@@ -6,8 +6,12 @@ integer Gram matrix G_ij = v_i^t adj(T) v_j with T = sum of v v^t. It is
 det T times the rational Gram matrix v_i^t T^{-1} v_j, and det T > 0 is a
 GL_g(Z) invariant of the cone, so every comparison made on G is the one
 the rational matrix would give. A matrix mapping generators to
-+-generators permutes G up to row/column signs, so |G| profiles must
-match. Orbit fingerprints carry det T of the reduced core as well.
++-generators permutes G up to row/column signs, so the profiles must
+match: a generator's profile is G_ii with the sorted |G_ij|, j != i
+(PerfectCone.profiles, kept on the cone). An orbit fingerprint is the
+rank, the dimension and the sorted profiles of the reduced core; those
+profiles determine the generator count, the multiset of |G_ij| and, by
+the trace g det T, det T itself.
 
 Automorphism groups are never listed element by element. The search
 returns a strong generating set along the base of the assignment order
@@ -107,15 +111,6 @@ def _ray_perm(a, source: PerfectCone, index: dict[tuple[int, ...], int]) -> tupl
     return tuple(perm)
 
 
-def _profiles(gram) -> list[tuple]:
-    n = len(gram)
-    out = []
-    for i in range(n):
-        off = sorted(abs(gram[i][j]) for j in range(n) if j != i)
-        out.append((gram[i][i], tuple(off)))
-    return out
-
-
 def _assignment_order(c: PerfectCone, cand: list[tuple[int, ...]]) -> tuple[list[int], int]:
     """Static DFS order: rank-increasing generators first (rarest profile
     wins ties), so the assigned prefix determines the matrix early.
@@ -152,15 +147,14 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
         return [(tuple(tuple(r) for r in identity_matrix(g)), (), 1)]
     g1 = c1.gram
     g2 = c2.gram
-    prof1 = _profiles(g1)
-    prof2 = _profiles(g2)
+    prof1 = c1.profiles
+    prof2 = c2.profiles
     if Counter(prof1) != Counter(prof2):
         return []
-    cand = [
-        tuple(j for j in range(n) if prof2[j] == prof1[i]) for i in range(n)
-    ]
-    if any(not cs for cs in cand):
-        return []
+    where: dict[tuple, list[int]] = {}
+    for j, p in enumerate(prof2):
+        where.setdefault(p, []).append(j)
+    cand = [tuple(where[p]) for p in prof1]
     order, prefix_len = _assignment_order(c1, cand)
     if prefix_len < g:
         raise AssertionError("full-rank cone without a spanning prefix")
@@ -541,11 +535,7 @@ class OrbitRegistry:
         if c.is_zero():
             return ("zero",)
         core = c if c.rank == c.g else cone_reduce(c)[0]
-        gram = core.gram
-        n = len(core.generators)
-        det_t = sum(gram[i][i] for i in range(n)) // core.g
-        multi = sorted(abs(gram[i][j]) for i in range(n) for j in range(i, n))
-        return (c.rank, c.dim, n, det_t, tuple(multi))
+        return (c.rank, c.dim, tuple(sorted(core.profiles)))
 
     def locate(self, c: PerfectCone) -> tuple[Orbit, ConeTransform] | None:
         fp = self.fingerprint(c)

@@ -23,7 +23,7 @@ from perfcone.complexes import (
 )
 from perfcone.cone import facet_index_sets, spanning_subset
 from perfcone.homology import betti, verify_complex
-from perfcone.intlinalg import det_sign
+from perfcone.intlinalg import det_sign, flatten_rank1, rank_rows
 from perfcone.matroid import (
     SimpleGraph,
     complete_graph,
@@ -211,6 +211,22 @@ def test_padded_seeds_inherit_their_fingerprint(reg5):
     assert any(o.rank < reg5.g for o in reg5.orbits)
     for orbit in reg5.orbits:
         assert orbit.fingerprint == reg5.fingerprint(orbit.rep)
+
+
+@pytest.mark.parametrize("name", ["reg2", "reg3", "reg4", "reg5"])
+def test_facet_cones_take_their_dimension_from_the_parent(name, request):
+    # _record_facets locates rep.facet(s), whose dimension is set to
+    # rep.dim - 1 without an elimination: recompute it by rank
+    reg = request.getfixturevalue(name)
+    count = 0
+    for orbit in reg.orbits:
+        rep = orbit.rep
+        for s in facet_index_sets(rep):
+            face = rep.facet(s)
+            assert face.dim == rep.dim - 1
+            assert rank_rows([flatten_rank1(v) for v in face.generators]) == rep.dim - 1
+            count += 1
+    assert count == sum(len(o.facets) for o in reg.orbits) > 0
 
 
 def test_orbits_keep_their_span_coordinates():

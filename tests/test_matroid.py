@@ -1,8 +1,10 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from perfcone.cone import PerfectCone, pad
+from perfcone.intlinalg import mat_vec, rank_rows, snf_left, vec_gcd
 from perfcone.matroid import (
     SimpleGraph,
     TURepresentation,
@@ -179,6 +181,66 @@ def test_zg_equals_matroid_coloops_on_tu_columns():
         if len(cols) != rep.cols:
             continue
         assert zg_coloop_indices(cols) == matroid_coloops(rep)
+
+
+def _zg_coloops_by_deletion(vs):
+    """zg_coloop_indices as one rank per deleted vector, the way it was
+    computed before the left-kernel test: a vector is a rational coloop
+    when deleting it drops the rank, then the saturation test runs."""
+    if not vs:
+        return []
+    g = len(vs[0])
+    full = rank_rows(vs)
+    out = []
+    for i, v in enumerate(vs):
+        if not any(v):
+            continue
+        others = vs[:i] + vs[i + 1 :]
+        if not others:
+            if vec_gcd(v) == 1:
+                out.append(i)
+            continue
+        if rank_rows(others) == full:
+            continue
+        m = [[w[k] for w in others] for k in range(g)]
+        u, _d, r = snf_left(m)
+        if vec_gcd(mat_vec(u, v)[r:]) == 1:
+            out.append(i)
+    return out
+
+
+def _matroid_coloops_by_deletion(cols):
+    full = rank_rows(cols)
+    return [j for j in range(len(cols)) if rank_rows(cols[:j] + cols[j + 1 :]) < full]
+
+
+@st.composite
+def _vector_lists(draw):
+    """Short integer vector lists with zero vectors, repeated directions
+    (k v for a listed v) and spans that are not saturated (small entries
+    give spans of index 2 or 3, and 2 v, 3 v share a direction)."""
+    g = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-3, 3)] * g)
+    vs = draw(st.lists(vec, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        if vs:
+            v = draw(st.sampled_from(vs))
+            k = draw(st.sampled_from([-2, -1, 1, 2, 3]))
+            vs.insert(draw(st.integers(0, len(vs))), tuple(k * x for x in v))
+    if draw(st.booleans()):
+        vs.insert(draw(st.integers(0, len(vs))), (0,) * g)
+    return g, vs
+
+
+@given(_vector_lists())
+def test_coloops_match_the_deletion_loops(case):
+    g, vs = case
+    assert zg_coloop_indices(vs) == _zg_coloops_by_deletion(vs)
+    # matroid_coloops reads only ranks of the columns, so any integer
+    # matrix serves as its input here
+    rep = TURepresentation(tuple(zip(*vs)) if vs else ((),) * g, True)
+    assert rep.columns == vs
+    assert matroid_coloops(rep) == _matroid_coloops_by_deletion(vs)
 
 
 def test_inflate_zero_cone():

@@ -18,7 +18,6 @@ from perfcone.symmetry import (
     _assignment_order,
     _collect_maps,
     _full_rank_maps,
-    _profiles,
     automorphisms,
     classify_orbits,
     conjugate_cone,
@@ -302,6 +301,30 @@ def test_fingerprint_is_conjugation_invariant(k, seed):
     assert reg.fingerprint(moved) == reg.fingerprint(c)
 
 
+def _profiles_from_gram(gram):
+    """Per-generator profiles as the equivalence search computed them from
+    the Gram matrix for every candidate pair, before the cone kept them."""
+    n = len(gram)
+    out = []
+    for i in range(n):
+        off = sorted(abs(gram[i][j]) for j in range(n) if j != i)
+        out.append((gram[i][i], tuple(off)))
+    return out
+
+
+def test_profiles_match_the_gram_matrix(reg5):
+    cones = POOL34 + [o.rep for o in reg5.orbits if not o.rep.is_zero()]
+    for c in cones:
+        core = c if c.rank == c.g else reduce(c)[0]
+        assert list(core.profiles) == _profiles_from_gram(core.gram)
+
+
+def test_g5_fingerprints_separate_every_orbit(reg5):
+    assert len(reg5.orbits) == 163
+    assert len({o.fingerprint for o in reg5.orbits}) == 163
+    assert all(len(bucket) == 1 for bucket in reg5._buckets.values())
+
+
 def _prefix_rank_order(c, cand):
     """The assignment order by definition: rescan the remaining
     generators for the first one that raises the rank of the prefix."""
@@ -352,7 +375,7 @@ def _assert_strong_generators(c, group):
     generators fixing b_1..b_k generate the whole stabilizer of those rays
     in the group (here the oracle's perms)."""
     n = len(c.generators)
-    prof = _profiles(c.gram)
+    prof = c.profiles
     cand = [tuple(j for j in range(n) if prof[j] == prof[i]) for i in range(n)]
     order, prefix_len = _assignment_order(c, cand)
     base = order[:prefix_len]
