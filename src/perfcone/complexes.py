@@ -113,16 +113,23 @@ def _record_facets(
     member s of each facet orbit is located, or added as a new orbit;
     a walk over the strong generators then gives its record to the rest
     of its orbit, so a later member is recorded without any search.
+
+    Each facet is kept as its bitmask, built once from its index set. A
+    frozenset of 20 or more indices takes over 2 KiB, so E6's 38124
+    facets, held as index sets for the whole walk, would add some 70 MiB
+    to the peak of a g = 6 build; masks take a few dozen bytes. Only a
+    located facet is expanded into its sorted indices.
     """
     rep = orbit.rep
-    sets = [sorted(s) for s in facet_index_sets(rep)]  # already in sorted order
+    n = len(rep.generators)
+    masks = [sum(1 << i for i in s) for s in facet_index_sets(rep)]  # in sorted order
     if rng is not None:
-        rng.shuffle(sets)
+        rng.shuffle(masks)
     gens = orbit.aut_gens or []
     known: dict[int, tuple[str, int]] = {}
-    for s in sets:
-        mask = sum(1 << i for i in s)
+    for mask in masks:
         if mask not in known:
+            s = [i for i in range(n) if mask >> i & 1]
             face = rep.facet(s)
             if face.rank < reg.g:
                 loc = reg.locate(face)

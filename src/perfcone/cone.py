@@ -69,8 +69,11 @@ class PerfectCone:
 
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        """G_ij = v_i^t adj(T) v_j for T the sum of the v v^t; for a
-        full-rank cone its trace is g det T."""
+        """G_ij = v_i^t adj(T) v_j for T the sum of the v v^t; its trace
+        is g det T. Defined for full-rank cones only: a boundary cone
+        raises ValueError, and its Gram matrix is that of its reduced
+        core (reduce). A facet of a cone whose G is known gets its own
+        from G by gram_downdate (see facet)."""
         if self._gram is None:
             g = self.g
             t = [[0] * g for _ in range(g)]
@@ -79,7 +82,12 @@ class PerfectCone:
                     if v[i]:
                         for j in range(g):
                             t[i][j] += v[i] * v[j]
-            adj = adjugate_int(t)
+            try:
+                adj = adjugate_int(t)
+            except ValueError:
+                raise ValueError(
+                    "the Gram matrix needs a full-rank cone; take it on the reduced core (cone.reduce)"
+                ) from None
             rows = []
             for v in self.generators:
                 tv = mat_vec(adj, v)
@@ -123,10 +131,52 @@ class PerfectCone:
     def facet(self, indices: Iterable[int]) -> "PerfectCone":
         """The subcone on the generator indices of a facet (as
         facet_index_sets lists them), whose dimension is by definition
-        one less than the cone's."""
-        f = self.subcone(indices)
+        one less than the cone's. When the cone's Gram matrix is known,
+        the cone has full rank, and gram_downdate derives the facet's
+        Gram matrix from it; a facet that keeps full rank takes that
+        matrix and rank g, and a boundary facet takes neither."""
+        keep = sorted(set(indices))
+        f = self.subcone(keep)
         f._dim = self.dim - 1
+        if self._gram is not None:
+            f._gram = gram_downdate(self._gram, self.g, keep)
+            if f._gram is not None:
+                f._rank = self.g
         return f
+
+
+def gram_downdate(
+    gram: Sequence[Sequence[int]], g: int, keep: Sequence[int]
+) -> tuple[tuple[int, ...], ...] | None:
+    """The Gram matrix of the generators keep (increasing indices) of a
+    full-rank cone with Gram matrix gram, or None when they do not span.
+
+    With D = det T = trace(G) / g, dropping generator k gives
+    D' = D - G_kk = det(T - v_k v_k^t) and, by Sylvester's identity
+    (Bareiss, Math. Comp. 1968; here Sherman-Morrison on T),
+    G'_ij = (D' G_ij + G_ik G_jk) / D, an exact division, for the other
+    i, j. The generators are dropped one at a
+    time; every intermediate set contains keep, so D stays positive until
+    the rank drops, and the first D' = 0 reports it. Only the lower
+    triangle is updated.
+    """
+    n = len(gram)
+    kept = set(keep)
+    order = list(keep) + [k for k in range(n) if k not in kept]
+    low = [[gram[i][j] for j in order[: a + 1]] for a, i in enumerate(order)]
+    d = sum(gram[i][i] for i in range(n)) // g
+    for k in range(n - 1, len(keep) - 1, -1):
+        rk = low.pop()
+        d2 = d - rk[k]
+        if d2 == 0:
+            return None
+        for i, ri in enumerate(low):
+            a = rk[i]
+            low[i] = [(d2 * x + a * y) // d for x, y in zip(ri, rk)]
+        d = d2
+    return tuple(
+        tuple(low[i][j] if j <= i else low[j][i] for j in range(len(low))) for i in range(len(low))
+    )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from perfcone.complexes import (
     format_complex,
     parse_complex,
 )
-from perfcone.cone import facet_index_sets, spanning_subset
+from perfcone.cone import PerfectCone, facet_index_sets, spanning_subset
 from perfcone.homology import betti, verify_complex
 from perfcone.intlinalg import det_sign, flatten_rank1, rank_rows
 from perfcone.matroid import (
@@ -216,17 +216,27 @@ def test_padded_seeds_inherit_their_fingerprint(reg5):
 @pytest.mark.parametrize("name", ["reg2", "reg3", "reg4", "reg5"])
 def test_facet_cones_take_their_dimension_from_the_parent(name, request):
     # _record_facets locates rep.facet(s), whose dimension is set to
-    # rep.dim - 1 without an elimination: recompute it by rank
+    # rep.dim - 1 without an elimination, and whose Gram matrix and rank
+    # come from a full-rank rep's Gram matrix: recompute them fresh
     reg = request.getfixturevalue(name)
-    count = 0
+    count = derived = 0
     for orbit in reg.orbits:
         rep = orbit.rep
+        if rep.rank == rep.g:
+            rep.gram
         for s in facet_index_sets(rep):
             face = rep.facet(s)
             assert face.dim == rep.dim - 1
             assert rank_rows([flatten_rank1(v) for v in face.generators]) == rep.dim - 1
+            if rep.rank == rep.g:
+                fresh = PerfectCone(rep.g, face.generators)
+                full = fresh.rank == rep.g
+                assert face._rank == (rep.g if full else None)
+                assert face._gram == (fresh.gram if full else None)
+                derived += full
             count += 1
     assert count == sum(len(o.facets) for o in reg.orbits) > 0
+    assert derived > 0
 
 
 def test_orbits_keep_their_span_coordinates():

@@ -12,6 +12,7 @@ from perfcone.cone import (
     faces,
     facet_index_sets,
     format_cone,
+    gram_downdate,
     greedy_spanning,
     is_boundary,
     pad,
@@ -212,6 +213,47 @@ def test_d6_facets_are_pinned():
     assert len(facets) == 6336
     digest = hashlib.sha256(repr([sorted(f) for f in facets]).encode()).hexdigest()
     assert digest == "28d7a7605d1deb3e751549f5110016a6c20d376ce3df052186c6dcf947d64fef"
+
+
+def test_d6_facets_take_gram_and_rank_from_the_parent():
+    # every 50th facet; each drops 5 or 10 of the 30 generators, and every
+    # facet of D6 has full rank
+    c = _cartan_cone(6, D6_EDGES)
+    c.gram
+    for s in facet_index_sets(c)[::50]:
+        face = c.facet(s)
+        assert face._rank == 6 and face._gram == PerfectCone(6, face.generators).gram
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda g: st.lists(st.tuples(*[st.integers(-2, 2)] * g), min_size=g, max_size=g + 5)
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_gram_downdate_matches_a_fresh_gram(vectors, rnd):
+    # a full-rank kept subset gets the fresh cone's Gram matrix; one that
+    # drops the rank reports it
+    g = len(vectors[0])
+    gens = {sign_normalize(v) for v in vectors if vec_gcd(v) == 1}
+    c = PerfectCone(g, gens)
+    assume(c.rank == g)
+    n = len(c.generators)
+    keep = sorted(rnd.sample(range(n), rnd.randint(0, n)))
+    sub = c.subcone(keep)
+    got = gram_downdate(c.gram, g, keep)
+    if sub.rank == g:
+        assert got == sub.gram
+    else:
+        assert got is None
+
+
+def test_gram_needs_a_full_rank_cone():
+    c = PerfectCone(3, [(1, 0, 0), (0, 1, 1)])
+    with pytest.raises(ValueError, match="full-rank cone.*reduced core"):
+        c.gram
+    assert len(reduce(c)[0].gram) == 2
 
 
 @settings(max_examples=12)
