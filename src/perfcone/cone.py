@@ -238,20 +238,6 @@ def reduce(c: PerfectCone) -> tuple[PerfectCone, tuple[tuple[int, ...], ...]]:
     return c._reduction
 
 
-def _spanning_echelon(
-    rows: Sequence[Sequence[int]], order: Iterable[int]
-) -> tuple[list[int], Echelon]:
-    """greedy_spanning's pick, with the echelon basis of the picked rows."""
-    basis = Echelon()
-    chosen: list[int] = []
-    for i in order:
-        if basis.add(rows[i]):
-            chosen.append(i)
-            if len(chosen) == len(rows[i]):
-                break  # the picked rows span every column
-    return chosen, basis
-
-
 def greedy_spanning(rows: Sequence[Sequence[int]], order: Iterable[int]) -> list[int]:
     """Lexicographically least (w.r.t. order) index subset whose rows span,
     in the order picked.
@@ -259,7 +245,14 @@ def greedy_spanning(rows: Sequence[Sequence[int]], order: Iterable[int]) -> list
     A row is picked when it raises the rank of the rows picked before it,
     so one pass against a growing echelon basis finds the subset.
     """
-    return _spanning_echelon(rows, order)[0]
+    basis = Echelon()
+    chosen: list[int] = []
+    for i in order:
+        if basis.add(rows[i]):
+            chosen.append(i)
+            if len(chosen) == len(rows[i]):
+                break  # the picked rows span every column
+    return chosen
 
 
 def spanning_subset(c: PerfectCone, order: Sequence[int] | None = None) -> tuple[int, ...]:
@@ -270,37 +263,97 @@ def spanning_subset(c: PerfectCone, order: Sequence[int] | None = None) -> tuple
     return tuple(sorted(greedy_spanning(rows, order)))
 
 
-def _bit_rows(n: int) -> list[tuple[int, list[tuple[int, ...]]]]:
-    """Tables for reading n-bit masks four bits at a time: a pair (lo, t)
-    for each lo = 0, 4, 8, ... below n, where t[x] holds the indices
-    lo + j, increasing, of the set bits j of the nibble x."""
+def _span_basis(
+    rows: Sequence[Sequence[int]], order: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """span_basis on the rows themselves; order lists every row index.
+
+    One Echelon over the columns of the matrix A whose columns are the
+    rows taken in order, then its Jordan form adj(B) A. The pivots of a
+    row-echelon form are the first columns independent of those before
+    them, which is greedy_spanning's pick. Column p of adj(B) A is det B
+    times the coordinates of row order[p] in the picked rows, taken in
+    pivot order; the sign of det B makes the factor positive.
+    """
+    n = len(order)
+    basis = Echelon()
+    for col in zip(*(rows[i] for i in order)):
+        basis.add(col)
+        if basis.rank == n:
+            break  # every row is picked
+    picked = [order[p] for p in basis.pivots]
+    ref = tuple(sorted(picked))
+    row = dict(zip(picked, basis.jordan()))
+    if basis.det < 0:
+        row = {i: [-x for x in r] for i, r in row.items()}
+    coords: list = [None] * n
+    for i, x in zip(order, zip(*(row[i] for i in ref))):
+        coords[i] = x
+    return ref, tuple(coords)
+
+
+def span_basis(
+    c: PerfectCone, order: Sequence[int] | None = None
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(ref, coords): ref = spanning_subset(c, order), increasing, and
+    coords[r] the coordinates of generator form r in the basis of the
+    forms of ref, times one D > 0, so that coords[ref[k]] = D e_k.
+
+    order is a permutation of the generator indices (index order when
+    None). D is |det| of the basis forms on the leftmost coordinates
+    that span, so the coordinates are the same for every order that
+    picks the same ref. One elimination of the flattened generators
+    gives ref, coords and the dimension, which is kept on the cone.
+    """
+    flat = [flatten_rank1(v) for v in c.generators]
+    ref, coords = _span_basis(flat, range(len(flat)) if order is None else order)
+    c._dim = len(ref)
+    return ref, coords
+
+
+def _bit_rows(labels: Sequence[int]) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """Tables for reading masks of len(labels) bits four bits at a time: a
+    pair (lo, t) for each lo = 0, 4, 8, ... below len(labels), where t[x]
+    holds labels[lo + j], in bit order, for the set bits j of the nibble x."""
     tables = []
-    for lo in range(0, n, 4):
+    for lo in range(0, len(labels), 4):
         t = [()]
-        for j in range(lo, min(lo + 4, n)):
+        for j in labels[lo : lo + 4]:
             t += [s + (j,) for s in t]
         tables.append((lo, t))
     return tables
 
 
-def _dd_extreme_rays(ys: list[tuple[int, ...]], init: Sequence[int] | None = None) -> list[int]:
-    """Active sets of the extreme rays of {w : <w, y_i> >= 0}, by double
-    description insertion.
+def _dd_extreme_rays(ys: list[tuple[int, ...]]) -> list[int]:
+    """Active sets of the extreme rays of {w : <w, y_i> >= 0}, as bitmasks
+    whose bit i is set exactly when <w, y_i> = 0 at the ray w.
 
     The y_i must span R^d and generate a pointed cone (true for projected
-    rank-1 forms). The first d rays are cut out by init, d spanning rows
-    (the first ones in index order when None); the other rows are
-    inserted by index, for deterministic output. Each active set is a
-    bitmask whose bit i is set exactly when <w, y_i> = 0 at the ray w. An
+    rank-1 forms). One elimination (_span_basis) picks the first d
+    spanning rows and the coordinates of every row in them, for _dd_core.
+    """
+    init, coords = _span_basis(ys, range(len(ys)))
+    if len(init) != len(ys[0]):
+        raise AssertionError("constraints do not span the ambient space")
+    return _dd_core(coords, init)
+
+
+def _dd_core(coords: Sequence[Sequence[int]], init: Sequence[int]) -> list[int]:
+    """Double description insertion on rows 0..n-1 of a cone's span, given
+    by coordinates: coords[i][k] is row i's coordinate on the basis row
+    init[k], times one positive factor. The first d rays are cut out by
+    the d rows init; the other rows are inserted by index, for
+    deterministic output. Returns the active set of each extreme ray as a
+    bitmask whose bit i is set exactly when the ray is tight on row i. An
     initial ray is tight on the d - 1 other initial rows, and a positive
     combination of an adjacent pair is tight on their common active set
     plus the row being inserted, so the masks need no recomputation.
 
     Only the signs of <w, y_i> on rows not yet inserted matter, so a ray
-    is kept as those values alone, up to a positive factor: for the
-    initial rays, the coordinates of the other rows in the basis init,
-    read off one elimination; for a combination, the same combination of
-    its pair's values. The last insertion forms masks alone.
+    is kept as those values alone, up to a positive factor: initial ray k
+    (dual to init[k]) takes the coordinates on init[k]; a combination,
+    the same combination of its pair's values. The last insertion forms
+    masks alone.
 
     Rays have ids, reused once a ray is cut off, and tight[j] is the
     bitset of the live rays tight on row j. Adjacent rays share at least
@@ -311,24 +364,12 @@ def _dd_extreme_rays(ys: list[tuple[int, ...]], init: Sequence[int] | None = Non
     each new ray joins the rows of its mask, and the inserted row's entry
     becomes the rays tight on it.
     """
-    d = len(ys[0])
-    n = len(ys)
-    if init is None:
-        init = greedy_spanning(ys, range(n))
-    if len(init) != d:
-        raise AssertionError("constraints do not span the ambient space")
+    n = len(coords)
+    d = len(init)
     chosen = set(init)
     rest = [i for i in range(n) if i not in chosen]
-    # Jordan form of [Y_init | Y_rest] transposed, B its initial block: the
-    # rest part of row r is det B times each rest row's coordinate on row
-    # init[k], k = pivots[r]
-    basis = Echelon(d)
-    for col in zip(*(ys[i] for i in init + rest)):
-        basis.add(col)
-    s = 1 if basis.det > 0 else -1
-    coords = dict(zip(basis.pivots, basis.jordan()))
     # slack[k]: ray k's values on the rows still to insert, the next last
-    slack = [_reduced([s * x for x in coords[k][: d - 1 : -1]]) for k in range(d)]
+    slack = [_reduced([coords[i][k] for i in reversed(rest)]) for k in range(d)]
     full = sum(1 << i for i in init)
     masks = [full & ~(1 << i) for i in init]
     live_bits = (1 << d) - 1
@@ -336,7 +377,7 @@ def _dd_extreme_rays(ys: list[tuple[int, ...]], init: Sequence[int] | None = Non
     for k, i in enumerate(init):
         tight[i] = live_bits & ~(1 << k)
     live = list(range(d))
-    tables = _bit_rows(n)
+    tables = _bit_rows(range(n))
     for i in rest:
         bit = 1 << i
         plus, zero, minus = [], [], []
@@ -401,37 +442,35 @@ def _reduced(v: list[int]) -> list[int]:
 
 
 def facet_index_sets(c: PerfectCone) -> list[frozenset]:
-    """Generator index sets of the codimension-1 faces.
+    """Generator index sets of the codimension-1 faces, sorted as sorted
+    tuples.
 
-    Unless the dimension is already known to be 0 or n (simplicial), one
-    elimination of the flattened generators gives it (kept on the cone),
-    the pivot columns that project the cone to a full-dimensional one, and
-    the spanning rows that start the double description there. The facets
-    are the active sets of the extreme rays of the dual cone; each mask is
-    read four bits at a time through the tables of _bit_rows.
+    Unless the dimension is already known to be n (simplicial), one
+    span_basis of the cone gives it, and the double description runs in
+    the span, on the coordinates of the generator forms in the basis ref:
+    it starts from ref and needs no elimination or projection of its own.
+    The facets are the active sets of the extreme rays of the dual cone,
+    with generator i as row n - 1 - i. Facets are never nested, so the
+    smallest index in which two facets differ lies in the one whose
+    sorted tuple comes first, and that one has the larger mask: sorting
+    the masks in descending order sorts the facets. Each mask is read
+    four bits at a time through the tables of _bit_rows.
     """
     n = len(c.generators)
-    if c._dim not in (0, n):
-        flat = [flatten_rank1(v) for v in c.generators]
-        init, basis = _spanning_echelon(flat, range(n))
-        c._dim = basis.rank
-    d = c._dim
-    if d == 0:
-        return []
-    if n == d:
-        out = [frozenset(range(n)) - {i} for i in range(n)]
-        return sorted(out, key=sorted)
-    piv = sorted(basis.pivots)
-    ys = [tuple(row[j] for j in piv) for row in flat]
-    tables = _bit_rows(n)
+    if c._dim != n:
+        ref, coords = span_basis(c)
+    if c._dim == n:
+        return [frozenset(range(n)) - {i} for i in range(n - 1, -1, -1)]
+    masks = _dd_core(coords[::-1], [n - 1 - i for i in ref])
+    masks.sort(reverse=True)
+    tables = _bit_rows(range(n - 1, -1, -1))
     facets = []
-    for m in set(_dd_extreme_rays(ys, init)):
+    for m in masks:
         f = ()
         for lo, t in tables:
             f += t[m >> lo & 15]
-        facets.append(f)
-    facets.sort()
-    return [frozenset(f) for f in facets]
+        facets.append(frozenset(f))
+    return facets
 
 
 def faces(c: PerfectCone) -> dict[int, list[Face]]:

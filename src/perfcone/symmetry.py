@@ -41,18 +41,16 @@ from .cone import (
     pad,
     parse_cone,
     reduce as cone_reduce,
-    spanning_subset,
+    span_basis,
 )
 from .intlinalg import (
     adjugate_det,
     det_int,
     det_sign,
-    dot,
     flatten_rank1,
     identity_matrix,
     mat_mul,
     mat_vec,
-    pivot_columns,
     rank_rows,
     sign_normalize,
     unimodular_inverse,
@@ -429,25 +427,22 @@ def stabilizer_has_reflection(c: PerfectCone) -> bool:
     return any(det == -1 for _a, _perm, det in _full_rank_maps(c, c, group=True))
 
 
-def span_coordinates(c: PerfectCone, ref: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Coordinates of every generator form in the basis indexed by ref,
-    times |det M| for M the basis forms on the pivot columns.
+def span_coordinates(c: PerfectCone, ref: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of every generator form in the basis of the forms of
+    ref, taken in ref's order, times one D > 0: span_basis with ref first
+    in the order, its columns put in ref's order. Raises ValueError when
+    those forms are not a basis of the span.
 
     The positive common factor keeps the sign of every determinant taken
     on these rows, which is all the callers read.
     """
-    flat = [flatten_rank1(v) for v in c.generators]
-    piv = pivot_columns(flat)
-    mat = [[flat[s][j] for j in piv] for s in ref]
-    adj, det = adjugate_det(mat)
-    if det < 0:
-        adj = [[-x for x in row] for row in adj]
-    cols = list(zip(*adj))
-    rows = []
-    for f in flat:
-        proj = [f[j] for j in piv]
-        rows.append(tuple(dot(proj, col) for col in cols))
-    return tuple(rows)
+    chosen = set(ref)
+    order = list(ref) + [i for i in range(len(c.generators)) if i not in chosen]
+    base, coords = span_basis(c, order)
+    if base != tuple(sorted(ref)):
+        raise ValueError("the forms of ref are not a basis of the cone's span")
+    col = [base.index(s) for s in ref]
+    return tuple(tuple(x[k] for k in col) for x in coords)
 
 
 def orientation_sign(c: PerfectCone, t: ConeTransform) -> int:
@@ -456,8 +451,7 @@ def orientation_sign(c: PerfectCone, t: ConeTransform) -> int:
         raise ValueError("orientation sign needs an automorphism of c")
     if c.is_zero():
         return 1
-    ref = spanning_subset(c)
-    coords = span_coordinates(c, ref)
+    ref, coords = span_basis(c)
     rows = [coords[t.perm[s]] for s in ref]
     s = det_sign(rows)
     if s == 0:
@@ -572,8 +566,7 @@ class OrbitRegistry:
             ref_order = list(range(len(rep.generators)))
             rng.shuffle(ref_order)
         gens = strong_generators(rep)
-        ref = spanning_subset(rep, ref_order)
-        coords = span_coordinates(rep, ref)
+        ref, coords = span_basis(rep, ref_order)
         # the orientation sign is a homomorphism on the automorphism group,
         # so the strong generators decide alternation, in any basis
         alternating = all(det_sign([coords[perm[s]] for s in ref]) > 0 for perm in gens)

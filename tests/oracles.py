@@ -164,6 +164,21 @@ def rational_gram_oracle(vectors):
     return out, int(t.det())
 
 
+def span_coordinates_oracle(vectors, ref):
+    """Coordinates of every v v^t in the basis {v v^t : v in ref}, as
+    Fractions, by the normal equations (the basis forms are independent
+    and every form lies in their span)."""
+    forms = [Matrix(list(v)) * Matrix(list(v)).T for v in vectors]
+    basis = Matrix.hstack(*[forms[s].reshape(len(forms[s]), 1) for s in ref])
+    gram_inv = (basis.T * basis).inv()
+    out = []
+    for f in forms:
+        x = gram_inv * basis.T * f.reshape(len(f), 1)
+        assert basis * x == f.reshape(len(f), 1)
+        out.append([Fraction(int(y.p), int(y.q)) for y in x])
+    return out
+
+
 def simple_graphs_oracle(vertices):
     """One sorted edge list per isomorphism class of simple graphs on the
     given vertex count, isolated vertices allowed: every labelled edge

@@ -18,6 +18,7 @@ from perfcone.cone import (
     pad,
     parse_cone,
     reduce,
+    span_basis,
     spanning_subset,
 )
 from perfcone.intlinalg import (
@@ -33,9 +34,9 @@ from perfcone.intlinalg import (
 )
 from perfcone.matroid import graphic_cone, complete_graph
 from perfcone.quadform import QuadraticForm, cone_of_form, load_bundled_catalog, principal_form
-from perfcone.symmetry import conjugate_cone, equivalent, random_unimodular
+from perfcone.symmetry import conjugate_cone, equivalent, random_unimodular, span_coordinates
 
-from oracles import facets_bruteforce, rank_oracle
+from oracles import facets_bruteforce, rank_oracle, span_coordinates_oracle
 
 
 def _flat(v):
@@ -362,6 +363,60 @@ def test_greedy_spanning_matches_prefix_rank_definition(vectors, rnd):
         order = list(range(len(flat)))
         rnd.shuffle(order)
         assert spanning_subset(c, order) == tuple(sorted(_prefix_rank_spanning(flat, order)))
+
+
+@settings(max_examples=80)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda g: st.lists(st.tuples(*[st.integers(-2, 2)] * g), min_size=1, max_size=g + 8)
+    ),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+@example([(1, 0), (0, 1), (1, 1), (1, -1)], False, random.Random(0))  # degenerate: 4 forms, dim 3
+@example([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0)], False, random.Random(0))  # boundary
+def test_span_basis_is_the_greedy_basis_with_its_coordinates(vectors, flatten_last, rnd):
+    # flatten_last zeroes the last coordinate, so the cone is a boundary one
+    g = len(vectors[0])
+    if flatten_last:
+        vectors = [v[:-1] + (0,) for v in vectors]
+    gens = {sign_normalize(v) for v in vectors if vec_gcd(v) == 1}
+    assume(gens)
+    c = PerfectCone(g, gens)
+    order = list(range(len(c.generators)))
+    rnd.shuffle(order)
+    ref, coords = span_basis(c, order)
+    assert ref == spanning_subset(c, order)
+    assert c._dim == len(ref) == rank_oracle([flatten_rank1(v) for v in c.generators])
+    scale = coords[ref[0]][0]
+    assert scale > 0
+    oracle = span_coordinates_oracle(c.generators, ref)
+    assert [list(x) for x in coords] == [[scale * y for y in x] for x in oracle]
+    # the same coordinates with ref first in the order
+    assert span_coordinates(c, ref) == coords
+    assert span_basis(c) == (spanning_subset(c), span_coordinates(c, spanning_subset(c)))
+
+
+def _random_g3_cone(rng):
+    while True:
+        vs = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.randint(4, 10))]
+        gens = {sign_normalize(v) for v in vs if vec_gcd(v) == 1}
+        if len(gens) >= 2:
+            return PerfectCone(3, gens)
+
+
+def test_facets_come_sorted():
+    # facet_index_sets sorts by descending mask; that is the sorted-tuple
+    # order because facets are never nested
+    rng = random.Random(13)
+    cones = [_random_g3_cone(rng) for _ in range(40)]
+    cones.append(next(cone_of_form(q) for q in load_bundled_catalog(5) if q.name == "d5"))
+    cones.append(_cartan_cone(6, D6_EDGES))
+    assert any(c.dim < len(c.generators) for c in cones[:40])
+    for c in cones:
+        facets = facet_index_sets(c)
+        assert facets == sorted(facets, key=sorted)
+        assert len(set(facets)) == len(facets)
 
 
 def test_cone_file_roundtrip():

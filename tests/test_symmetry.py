@@ -27,6 +27,7 @@ from perfcone.symmetry import (
     orientation_sign,
     parse_registry,
     random_unimodular,
+    span_coordinates,
     stabilizer_has_reflection,
     strong_generators,
 )
@@ -36,6 +37,7 @@ from oracles import (
     orientation_oracle,
     rank_oracle,
     rational_gram_oracle,
+    span_coordinates_oracle,
 )
 
 COORD2 = PerfectCone(2, [(1, 0), (0, 1)])
@@ -245,6 +247,27 @@ def test_registry_roundtrip(reg3):
         assert a.alternating == b.alternating
         assert a.ref_orientation == b.ref_orientation
         assert a.coords == b.coords
+
+
+def test_span_coordinates_keep_an_unsorted_orient_order(reg4):
+    # a hand-edited orient line may list its basis in any order; the
+    # coordinate columns follow that order
+    i, orbit = next((i, o) for i, o in enumerate(reg4.orbits) if o.alternating and o.dim >= 3)
+    ref = orbit.ref_orientation[::-1]
+    lines = format_registry(reg4).splitlines()
+    at = [j for j, line in enumerate(lines) if line.startswith("orient")][i]
+    lines[at] = "orient " + " ".join(map(str, ref))
+    coords = parse_registry("\n".join(lines)).by_id[orbit.id].coords
+    assert coords == span_coordinates(orbit.rep, ref)
+    scale = coords[ref[0]][0]
+    assert scale > 0
+    oracle = span_coordinates_oracle(orbit.rep.generators, ref)
+    assert [list(x) for x in coords] == [[scale * y for y in x] for x in oracle]
+    # the forms of a non-basis do not give coordinates
+    with pytest.raises(ValueError):
+        span_coordinates(orbit.rep, ref[1:])
+    with pytest.raises(ValueError):
+        span_coordinates(orbit.rep, ref[:1] + ref[:-1])
 
 
 def test_parse_registry_names_a_truncated_block():
