@@ -2,8 +2,9 @@
 
 The registry for ambient g is seeded with the padded registry of g-1, so
 boundary orbits keep their identity across ambient dimensions; top-cone
-face enumeration then only ever discovers full-rank orbits. Padding a
-representative changes neither its facet combinatorics nor any span
+face enumeration then only ever discovers full-rank orbits. A padded
+seed is the smaller registry's orbit record with the representative
+padded. Padding changes neither its facet combinatorics nor any span
 coordinate, so inherited facet records stay valid verbatim. Nor does it
 change the rank, the dimension or the reduced core up to GL(Z), and the
 fingerprint reads only those (the core's sorted Gram profiles), so it is
@@ -12,7 +13,8 @@ inherited as well.
 Facet records are made one automorphism orbit of facets at a time. The
 first member of each facet orbit met in the walk order is located (or
 added) as a face, and every other member gets the same record: the same
-target and the same orientation sign eta. The sign is exact for the
+target and the same orientation sign eta, one determinant in the source
+orbit's span coordinates (see _facet_sign). The sign is exact for the
 whole orbit. An automorphism of an alternating representative keeps its
 orientation and maps the outer side of one facet to that of its image.
 The witness onto the target matters only up to the target's
@@ -25,10 +27,10 @@ a face-by-face walk would meet, so the registry is unchanged.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
-from .cone import PerfectCone, facet_index_sets, int_field, pad, spanning_subset
+from .cone import PerfectCone, facet_index_sets, int_field, pad
 from .intlinalg import det_sign
 from .matroid import (
     complete_graph,
@@ -39,7 +41,7 @@ from .matroid import (
     zg_coloop_indices,
 )
 from .quadform import QuadraticForm, cone_of_form, load_bundled_catalog
-from .symmetry import ConeTransform, Orbit, OrbitRegistry
+from .symmetry import Orbit, OrbitRegistry
 
 
 def build_registry(
@@ -74,22 +76,8 @@ def build_registry(
     rng = random.Random(seed) if seed is not None else None
     prev = build_registry(g - 1, catalog_for, seed)
     for orb in prev.orbits:
-        rep = pad(orb.rep, g)
-        reg.add_seed(
-            Orbit(
-                id=orb.id,
-                rep=rep,
-                rank=orb.rank,
-                dim=orb.dim,
-                alternating=orb.alternating,
-                ref_orientation=orb.ref_orientation,
-                fingerprint=orb.fingerprint,
-                facets=list(orb.facets),
-                aut_gens=orb.aut_gens,
-                coords=orb.coords,
-            )
-        )
-        reg.seed_counter(orb.id)
+        reg.add_seed(replace(orb, rep=pad(orb.rep, g), facets=list(orb.facets)))
+    reg._counters = dict(prev._counters)
     queue: list[Orbit] = []
     for form in catalog_for(g):
         top = cone_of_form(form)
@@ -145,7 +133,7 @@ def _record_facets(
                     queue.append(target)
             eta = 0
             if orbit.alternating and target.alternating:
-                eta = _facet_sign(orbit, s, target, t)
+                eta = _facet_sign(orbit, s, target, t.perm)
             known[mask] = record = (target.id, eta)
             stack = [s]
             while stack:
@@ -159,19 +147,21 @@ def _record_facets(
         orbit.facets.append((mask, *known[mask]))
 
 
-def _facet_sign(orbit: Orbit, s: list[int], target: Orbit, t: ConeTransform) -> int:
-    """eta of the facet s (sorted) of an alternating orbit's rep, mapped
-    by t onto the rep of the alternating target: the facet's orientation
-    induced from the rep's (a generator off the facet points inward),
-    against the target's, both read on a spanning subset of the facet."""
+def _facet_sign(orbit: Orbit, s: list[int], target: Orbit, perm: tuple[int, ...]) -> int:
+    """eta of the facet s (sorted) of an alternating orbit's rep, whose
+    generator b perm sends onto generator perm[b] of the alternating
+    target's rep: the sign, in the orbit's span coordinates, of a
+    generator off the facet (it points inward) followed by the facet
+    generators sent onto the target's reference basis. The target's
+    orientation is positive on that basis, and the facet's does not
+    depend on the basis it is read on."""
     xs = orbit.coords
+    back = {r: b for b, r in enumerate(perm)}
     u = min(i for i in range(len(orbit.rep.generators)) if i not in s)
-    local_span = spanning_subset(t.source)
-    s1 = det_sign([xs[u]] + [xs[s[b]] for b in local_span])
-    s2 = det_sign([target.coords[t.perm[b]] for b in local_span])
-    if s1 == 0 or s2 == 0:
+    eta = det_sign([xs[u]] + [xs[s[back[r]]] for r in target.ref_orientation])
+    if eta == 0:
         raise AssertionError("facet orientation degenerated")
-    return s1 * s2
+    return eta
 
 
 def annotate_coloops(reg: OrbitRegistry) -> None:

@@ -47,11 +47,9 @@ from .intlinalg import (
     adjugate_det,
     det_int,
     det_sign,
-    flatten_rank1,
     identity_matrix,
     mat_mul,
     mat_vec,
-    rank_rows,
     sign_normalize,
     unimodular_inverse,
 )
@@ -465,11 +463,11 @@ def is_alternating(c: PerfectCone) -> bool:
     return OrbitRegistry(c.g).add(c)[0].alternating
 
 
-def random_unimodular(g: int, rng: random.Random, steps: int | None = None) -> list[list[int]]:
+def random_unimodular(g: int, rng: random.Random) -> list[list[int]]:
     m = identity_matrix(g)
     if g == 0:
         return m
-    for _ in range(steps if steps is not None else 3 * g + 2):
+    for _ in range(3 * g + 2):
         op = rng.randrange(3)
         i = rng.randrange(g)
         j = rng.randrange(g)
@@ -506,7 +504,8 @@ class Orbit:
     aut_gens: list[tuple[int, ...]] | None = None
     matroidal: bool = False
     coloop_count: int | None = None
-    # span_coordinates(rep, ref_orientation) of an alternating orbit
+    # span_coordinates(rep, ref_orientation) of an alternating orbit; each
+    # facet sign eta is one determinant on these rows, not on the target's
     coords: tuple[tuple[int, ...], ...] | None = None
 
 
@@ -589,14 +588,6 @@ class OrbitRegistry:
             raise ValueError(f"duplicate orbit id {orbit.id}")
         self._insert(orbit)
 
-    def seed_counter(self, orbit_id: str):
-        """Keep the id counters ahead of externally assigned ids."""
-        body = orbit_id[1:]
-        rank_s, rest = body.split("d", 1)
-        dim_s, seq_s = rest.split("n", 1)
-        key = (int(rank_s), int(dim_s))
-        self._counters[key] = max(self._counters.get(key, 0), int(seq_s) + 1)
-
 
 def classify_orbits(cones: Iterable[PerfectCone], rng: random.Random | None = None) -> OrbitRegistry:
     cones = list(cones)
@@ -653,16 +644,15 @@ def parse_registry(text: str) -> OrbitRegistry:
             raise ValueError(f"line {i}: expected an orient line")
         ref = tuple(int_field(x, i) for x in orient_parts[1:])
         n = len(c.generators)
-        if (
-            len(set(ref)) != len(ref)
-            or len(ref) != c.dim
-            or any(not 0 <= s < n for s in ref)
-            or rank_rows([flatten_rank1(c.generators[s]) for s in ref]) != c.dim
-        ):
+        try:
+            if any(not 0 <= s < n for s in ref):  # a negative index would wrap
+                raise ValueError
+            coords = span_coordinates(c, ref)
+        except ValueError:
             raise ValueError(
                 f"line {i}: orient needs {c.dim} distinct generator indices "
                 "whose forms span the cone"
-            )
+            ) from None
         orbit = Orbit(
             id=reg._new_id(rank, c.dim),
             rep=c,
@@ -671,7 +661,7 @@ def parse_registry(text: str) -> OrbitRegistry:
             alternating=alt == "1",
             ref_orientation=ref,
             fingerprint=reg.fingerprint(c),
-            coords=span_coordinates(c, ref) if alt == "1" else None,
+            coords=coords if alt == "1" else None,
         )
         reg.add_seed(orbit)
     if reg is None:

@@ -122,7 +122,13 @@ def test_facet_records_map_faces_onto_their_targets(reg4, reg5):
     """Located and transported records alike: a fresh locate of the face
     finds the recorded target, and the stored eta is the sign taken on
     the fresh witness (0 unless both orbits are alternating)."""
-    for reg in (reg4, reg5, build_registry(4, seed=1), build_registry(4, seed=2)):
+    for reg in (
+        reg4,
+        reg5,
+        build_registry(4, seed=1),
+        build_registry(4, seed=2),
+        build_registry(5, seed=1),
+    ):
         for orbit in reg.orbits:
             for mask, tid, eta in orbit.facets:
                 idx = _indices(mask)

@@ -237,16 +237,36 @@ def test_locate_maps_every_member_to_one_orbit():
         assert transform.check()
 
 
-def test_registry_roundtrip(reg3):
-    text = format_registry(reg3)
-    back = parse_registry(text)
-    assert len(back.orbits) == len(reg3.orbits)
-    for a, b in zip(reg3.orbits, back.orbits):
-        assert a.id == b.id
-        assert a.rep == b.rep
-        assert a.alternating == b.alternating
-        assert a.ref_orientation == b.ref_orientation
-        assert a.coords == b.coords
+def test_registry_roundtrip(reg3, reg5):
+    for reg in (reg3, reg5, build_registry(4, seed=1)):
+        text = format_registry(reg)
+        back = parse_registry(text)
+        assert len(back.orbits) == len(reg.orbits)
+        for a, b in zip(reg.orbits, back.orbits):
+            assert a.id == b.id
+            assert a.rep == b.rep
+            assert a.alternating == b.alternating
+            assert a.ref_orientation == b.ref_orientation
+            assert a.coords == b.coords
+        assert format_registry(back) == text
+
+
+def test_registry_ids_number_each_stratum_from_zero(reg5):
+    # padded seeds keep their ids and the counters of the smaller
+    # registry, so an orbit added later never reuses a seed's id. The
+    # forms of e1 and e1 + 2 e2 span an index-2 sublattice, so their cone
+    # is a rank-2 orbit that no Voronoi face reaches.
+    seeded = build_registry(4, seed=1)
+    assert seeded.add(PerfectCone(4, [(1, 0, 0, 0), (1, 2, 0, 0)]))[2]
+    for reg in (reg5, seeded):
+        assert len(reg.by_id) == len(reg.orbits)
+        seqs = {}
+        for orbit in reg.orbits:
+            prefix, seq = orbit.id.split("n")
+            assert prefix == f"r{orbit.rank}d{orbit.dim}"
+            seqs.setdefault(prefix, []).append(int(seq))
+        for prefix, got in seqs.items():
+            assert sorted(got) == list(range(len(got))), prefix
 
 
 def test_span_coordinates_keep_an_unsorted_orient_order(reg4):
