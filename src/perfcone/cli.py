@@ -25,7 +25,6 @@ from .complexes import (
 )
 from .homology import (
     betti,
-    first_defect,
     format_betti,
     format_les,
     format_satake,
@@ -138,14 +137,6 @@ def cmd_complex(cfg: RunConfig, args) -> int:
 def cmd_homology(cfg: RunConfig, args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         cx = parse_complex(fh.read())
-    defect = first_defect(cx)
-    if defect is not None:
-        n, r, c, v = defect
-        print(
-            f"not a complex: d_{n - 1} d_{n} has entry {v} at ({r}, {c})",
-            file=sys.stderr,
-        )
-        return 1
     report = betti(cx)
     sys.stdout.write(format_betti(report))
     return 0

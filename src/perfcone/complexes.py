@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .cone import PerfectCone, facet_index_sets, int_field, pad
+from .cone import PerfectCone, facet_index_sets, indices, int_field, pad
 from .intlinalg import det_sign
 from .matroid import (
     complete_graph,
@@ -97,27 +97,21 @@ def _record_facets(
     """Record (facet bitmask, target id, eta) for every facet of a new
     orbit's rep, with one locate per orbit of Aut(rep) on the facets.
 
-    Facets are walked in sorted order, or in a seeded shuffle. The first
-    member s of each facet orbit is located, or added as a new orbit;
-    a walk over the strong generators then gives its record to the rest
-    of its orbit, so a later member is recorded without any search.
-
-    Each facet is kept as its bitmask, built once from its index set. A
-    frozenset of 20 or more indices takes over 2 KiB, so E6's 38124
-    facets, held as index sets for the whole walk, would add some 70 MiB
-    to the peak of a g = 6 build; masks take a few dozen bytes. Only a
-    located facet is expanded into its sorted indices.
+    Facets are walked in the sorted order of facet_index_sets, or in a
+    seeded shuffle. The first member of each facet orbit is decoded into
+    its sorted indices s and located, or added as a new orbit; a walk
+    over the strong generators then gives its record to the rest of its
+    orbit, so a later member is recorded without any search.
     """
     rep = orbit.rep
-    n = len(rep.generators)
-    masks = [sum(1 << i for i in s) for s in facet_index_sets(rep)]  # in sorted order
+    masks = facet_index_sets(rep)
     if rng is not None:
         rng.shuffle(masks)
     gens = orbit.aut_gens or []
     known: dict[int, tuple[str, int]] = {}
     for mask in masks:
         if mask not in known:
-            s = [i for i in range(n) if mask >> i & 1]
+            s = indices(mask)
             face = rep.facet(s)
             if face.rank < reg.g:
                 loc = reg.locate(face)

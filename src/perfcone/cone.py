@@ -129,12 +129,12 @@ class PerfectCone:
         return PerfectCone(self.g, gens)
 
     def facet(self, indices: Iterable[int]) -> "PerfectCone":
-        """The subcone on the generator indices of a facet (as
-        facet_index_sets lists them), whose dimension is by definition
-        one less than the cone's. When the cone's Gram matrix is known,
-        the cone has full rank, and gram_downdate derives the facet's
-        Gram matrix from it; a facet that keeps full rank takes that
-        matrix and rank g, and a boundary facet takes neither."""
+        """The subcone on the generator indices of a facet (a mask from
+        facet_index_sets, decoded by indices), whose dimension is by
+        definition one less than the cone's. When the cone's Gram matrix
+        is known, the cone has full rank, and gram_downdate derives the
+        facet's Gram matrix from it; a facet that keeps full rank takes
+        that matrix and rank g, and a boundary facet takes neither."""
         keep = sorted(set(indices))
         f = self.subcone(keep)
         f._dim = self.dim - 1
@@ -181,12 +181,20 @@ def gram_downdate(
 
 @dataclass(frozen=True)
 class Face:
+    """The face of parent on the generators whose bits are set in mask
+    (bit i for generator i), as facet_index_sets and faces give it."""
+
     parent: PerfectCone
-    generator_indices: frozenset
+    mask: int
 
     @property
     def cone(self) -> PerfectCone:
-        return self.parent.subcone(self.generator_indices)
+        return self.parent.subcone(indices(self.mask))
+
+
+def indices(mask: int) -> list[int]:
+    """The generator indices of a face mask, increasing."""
+    return [i for i, b in enumerate(reversed(f"{mask:b}")) if b == "1"]
 
 
 def is_boundary(c: PerfectCone) -> bool:
@@ -311,14 +319,14 @@ def span_basis(
     return ref, coords
 
 
-def _bit_rows(labels: Sequence[int]) -> list[tuple[int, list[tuple[int, ...]]]]:
-    """Tables for reading masks of len(labels) bits four bits at a time: a
-    pair (lo, t) for each lo = 0, 4, 8, ... below len(labels), where t[x]
-    holds labels[lo + j], in bit order, for the set bits j of the nibble x."""
+def _bit_rows(n: int) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """Tables for reading masks of n bits four bits at a time: a pair
+    (lo, t) for each lo = 0, 4, 8, ... below n, where t[x] holds the
+    indices lo + j, increasing, for the set bits j of the nibble x."""
     tables = []
-    for lo in range(0, len(labels), 4):
+    for lo in range(0, n, 4):
         t = [()]
-        for j in labels[lo : lo + 4]:
+        for j in range(lo, min(lo + 4, n)):
             t += [s + (j,) for s in t]
         tables.append((lo, t))
     return tables
@@ -377,7 +385,7 @@ def _dd_core(coords: Sequence[Sequence[int]], init: Sequence[int]) -> list[int]:
     for k, i in enumerate(init):
         tight[i] = live_bits & ~(1 << k)
     live = list(range(d))
-    tables = _bit_rows(range(n))
+    tables = _bit_rows(n)
     for i in rest:
         bit = 1 << i
         plus, zero, minus = [], [], []
@@ -441,9 +449,9 @@ def _reduced(v: list[int]) -> list[int]:
     return [x // g for x in v] if g > 1 else v
 
 
-def facet_index_sets(c: PerfectCone) -> list[frozenset]:
-    """Generator index sets of the codimension-1 faces, sorted as sorted
-    tuples.
+def facet_index_sets(c: PerfectCone) -> list[int]:
+    """The codimension-1 faces as generator masks (bit i set when
+    generator i lies on the facet), sorted as their sorted index tuples.
 
     Unless the dimension is already known to be n (simplicial), one
     span_basis of the cone gives it, and the double description runs in
@@ -452,37 +460,31 @@ def facet_index_sets(c: PerfectCone) -> list[frozenset]:
     The facets are the active sets of the extreme rays of the dual cone,
     with generator i as row n - 1 - i. Facets are never nested, so the
     smallest index in which two facets differ lies in the one whose
-    sorted tuple comes first, and that one has the larger mask: sorting
-    the masks in descending order sorts the facets. Each mask is read
-    four bits at a time through the tables of _bit_rows.
+    sorted tuple comes first, and that one has the larger row mask:
+    sorting the row masks in descending order sorts the facets. Each
+    sorted row mask then has its n bits reversed, once.
     """
     n = len(c.generators)
     if c._dim != n:
         ref, coords = span_basis(c)
     if c._dim == n:
-        return [frozenset(range(n)) - {i} for i in range(n - 1, -1, -1)]
+        full = (1 << n) - 1
+        return [full ^ 1 << i for i in range(n - 1, -1, -1)]
     masks = _dd_core(coords[::-1], [n - 1 - i for i in ref])
     masks.sort(reverse=True)
-    tables = _bit_rows(range(n - 1, -1, -1))
-    facets = []
-    for m in masks:
-        f = ()
-        for lo, t in tables:
-            f += t[m >> lo & 15]
-        facets.append(frozenset(f))
-    return facets
+    return [int(f"{m:0{n}b}"[::-1], 2) for m in masks]
 
 
 def faces(c: PerfectCone) -> dict[int, list[Face]]:
-    """Complete face lattice, grouped by face dimension.
+    """Complete face lattice, grouped by face dimension, each group
+    sorted as the faces' sorted index tuples.
 
-    Faces are intersections of facets (plus the cone itself); the zero
-    face is always included.
+    Faces are intersections of facets (plus the cone itself), taken as
+    generator masks; the zero face is always included.
     """
-    n = len(c.generators)
-    full = frozenset(range(n))
+    full = (1 << len(c.generators)) - 1
     facets = facet_index_sets(c)
-    seen = {full}
+    seen = {full, 0}
     frontier = [full]
     while frontier:
         nxt = []
@@ -493,15 +495,13 @@ def faces(c: PerfectCone) -> dict[int, list[Face]]:
                     seen.add(t)
                     nxt.append(t)
         frontier = nxt
-    if frozenset() not in seen:
-        seen.add(frozenset())
     grouped: dict[int, list[Face]] = {}
     for s in seen:
         face = Face(c, s)
         dim = face.cone.dim
         grouped.setdefault(dim, []).append(face)
     for dim in grouped:
-        grouped[dim].sort(key=lambda f: sorted(f.generator_indices))
+        grouped[dim].sort(key=lambda f: indices(f.mask))
     return grouped
 
 

@@ -46,8 +46,10 @@ class BettiReport:
 
 
 def betti(cx: ChainComplexQ) -> BettiReport:
-    if not verify_complex(cx):
-        raise ValueError(f"{cx.label} is not a complex; run first_defect for the entry")
+    defect = first_defect(cx)
+    if defect is not None:
+        n, r, c, v = defect
+        raise ValueError(f"not a complex: d_{n - 1} d_{n} has entry {v} at ({r}, {c})")
     dmax = cx.g * (cx.g + 1) // 2
     ranks: dict[int, int] = {}
     for n in range(0, dmax):

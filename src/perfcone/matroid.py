@@ -44,45 +44,6 @@ def complete_graph(vertices: int) -> SimpleGraph:
     return SimpleGraph(vertices, edges)
 
 
-def format_graph(graph: SimpleGraph) -> str:
-    lines = [f"graph v={graph.vertices}"]
-    lines.extend(f"{t} {h}" for t, h in graph.edges)
-    return "\n".join(lines) + "\n"
-
-
-def parse_graph(lines: Sequence[str], start: int = 0) -> tuple[SimpleGraph, int]:
-    i = start
-    while i < len(lines) and (not lines[i].strip() or lines[i].lstrip().startswith("#")):
-        i += 1
-    if i >= len(lines):
-        raise ValueError(f"line {i + 1}: expected `graph v=<int>`")
-    head = lines[i].split()
-    if len(head) != 2 or head[0] != "graph" or not head[1].startswith("v="):
-        raise ValueError(f"line {i + 1}: expected `graph v=<int>`")
-    try:
-        vertices = int(head[1][2:])
-    except ValueError:
-        raise ValueError(f"line {i + 1}: bad vertex count {head[1][2:]!r}") from None
-    i += 1
-    edges = []
-    while i < len(lines):
-        stripped = lines[i].strip()
-        if not stripped or stripped.startswith("#"):
-            i += 1
-            continue
-        parts = stripped.split()
-        if parts[0] == "graph":
-            break
-        if len(parts) != 2:
-            raise ValueError(f"line {i + 1}: expected `u w`")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ValueError(f"line {i + 1}: expected integer endpoints") from None
-        i += 1
-    return SimpleGraph(vertices, tuple(edges)), i
-
-
 def incidence_columns(graph: SimpleGraph) -> list[tuple[int, ...]]:
     """Signed incidence columns with the last vertex row deleted."""
     g = graph.vertices - 1

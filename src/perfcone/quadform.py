@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
-from .cone import Face, PerfectCone
+from .cone import Face, PerfectCone, indices
 from .intlinalg import (
     Echelon,
     dot,
@@ -134,28 +134,20 @@ def _sylvester_rows(num: Sequence[Sequence[int]]) -> list[list[int]] | None:
 def _is_psd(m: Sequence[Sequence[int]]) -> bool:
     """Positive semidefiniteness of a symmetric integer matrix.
 
-    Fraction-free symmetric elimination: a positive diagonal pivot leaves
-    the Schur complement scaled by a positive factor, which is
-    semidefinite exactly when m is; a negative diagonal entry, or a zero
-    diagonal with a nonzero entry in its row, rules it out. The entries
-    stay minors of m (Bareiss), so every division is exact.
+    One Bareiss elimination (Echelon) of the rows in order. Row i,
+    reduced against the kept rows K, is row i of the Schur complement of
+    the definite block m_KK, times a positive factor, and m is
+    semidefinite exactly when that complement is. A row that reduces to
+    zero is a zero row of the complement, which is allowed. A kept row
+    must pivot on its own diagonal, since a zero diagonal entry with a
+    nonzero entry in its row rules semidefiniteness out, and the new
+    principal minor (the old one times that diagonal entry) must be
+    positive.
     """
-    a = [list(row) for row in m]
-    live = list(range(len(a)))
-    last = 1
-    while live:
-        if any(a[i][i] < 0 for i in live):
+    e = Echelon()
+    for i, row in enumerate(m):
+        if e.add(row) and (e.pivots[-1] != i or e.det <= 0):
             return False
-        p = next((i for i in live if a[i][i]), None)
-        if p is None:
-            return all(a[i][j] == 0 for i in live for j in live)
-        live.remove(p)
-        ap, pp = a[p], a[p][p]
-        for i in live:
-            ai, f = a[i], a[i][p]
-            for j in live:
-                ai[j] = (pp * ai[j] - f * ap[j]) // last
-        last = pp
     return True
 
 
@@ -289,22 +281,15 @@ def _parse_rational(token: str, lineno: int) -> Fraction:
         raise CatalogError(lineno, f"bad rational {token!r}") from None
 
 
-def load_form_catalog(source) -> list[QuadraticForm]:
-    """Parse the line-oriented catalog format.
+def load_form_catalog(source: str | IO[str]) -> list[QuadraticForm]:
+    """Parse the line-oriented catalog format, from a string or a text
+    file.
 
     `g <int>` once, then per form: `form <name>` and g rows of g exact
     rationals. `#` starts a comment. Forms are validated symmetric and
     positive definite, then scaled so the minimum is 1.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    elif hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    else:
-        text = "\n".join(source)
+    text = source if isinstance(source, str) else source.read()
     lines = text.splitlines()
     g = None
     forms: list[QuadraticForm] = []
@@ -372,8 +357,10 @@ def load_form_catalog(source) -> list[QuadraticForm]:
 def bundled_catalog_text(g: int) -> str:
     from importlib import resources
 
-    path = resources.files("perfcone.data").joinpath(f"forms_g{g}.txt")
-    return path.read_text(encoding="utf-8")
+    ref = resources.files("perfcone.data").joinpath(f"forms_g{g}.txt")
+    if not ref.is_file():
+        raise ValueError(f"no bundled form catalog for ambient {g}")
+    return ref.read_text(encoding="utf-8")
 
 
 def load_bundled_catalog(g: int) -> list[QuadraticForm]:
@@ -425,9 +412,9 @@ def voronoi_neighbor(q: QuadraticForm, facet: Face) -> QuadraticForm:
     mv = minimal_vectors(q)
     if sigma.g != q.g or sigma.generators != mv.vectors:
         raise ValueError("facet does not belong to the cone of this form")
-    if not facet.generator_indices:
+    if not facet.mask:
         raise ValueError("empty face rejected (no pegged minimal vectors)")
-    idx = sorted(facet.generator_indices)
+    idx = indices(facet.mask)
     e = Echelon()
     for i in idx:
         e.add(flatten_rank1(sigma.generators[i]))

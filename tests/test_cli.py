@@ -97,7 +97,7 @@ def test_homology_rejects_broken_complex(tmp_path, capsys):
     path = tmp_path / "broken.cplx"
     path.write_text(BROKEN_COMPLEX, encoding="utf-8")
     assert main(["homology", str(path)]) == 1
-    assert "not a complex" in capsys.readouterr().err
+    assert "not a complex: d_0 d_1 has entry 1 at (0, 0)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -196,6 +196,16 @@ def test_les_file_ambient_mismatch(tmp_path, capsys):
     path.write_text("les g=6\nrange 0 2\n", encoding="utf-8")
     assert main(["les", "--g", "7", str(path)]) == 1
     assert "does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, ambient",
+    [(["forms", "--g", "9"], 9), (["orbits", "--g", "9"], 6)],
+    ids=["forms", "orbits-recurses-to-first-missing"],
+)
+def test_missing_bundled_catalog_exits_1(tmp_path, capsys, command, ambient):
+    assert main(command + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: no bundled form catalog for ambient {ambient}\n"
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

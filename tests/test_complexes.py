@@ -21,7 +21,7 @@ from perfcone.complexes import (
     format_complex,
     parse_complex,
 )
-from perfcone.cone import PerfectCone, facet_index_sets, spanning_subset
+from perfcone.cone import PerfectCone, facet_index_sets, indices, spanning_subset
 from perfcone.homology import betti, verify_complex
 from perfcone.intlinalg import det_sign, flatten_rank1, rank_rows
 from perfcone.matroid import (
@@ -231,7 +231,7 @@ def test_facet_cones_take_their_dimension_from_the_parent(name, request):
         if rep.rank == rep.g:
             rep.gram
         for s in facet_index_sets(rep):
-            face = rep.facet(s)
+            face = rep.facet(indices(s))
             assert face.dim == rep.dim - 1
             assert rank_rows([flatten_rank1(v) for v in face.generators]) == rep.dim - 1
             if rep.rank == rep.g:
@@ -259,7 +259,7 @@ def test_orbits_keep_their_span_coordinates():
 def _fresh_differential_row(orbit, reg):
     row = {}
     for s in facet_index_sets(orbit.rep):
-        idx = sorted(s)
+        idx = indices(s)
         target, t = reg.locate(orbit.rep.subcone(idx))
         if not target.alternating:
             continue

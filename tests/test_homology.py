@@ -45,7 +45,7 @@ def test_first_defect_catches_bad_square():
     bad = parse_complex(BAD_COMPLEX)
     assert first_defect(bad) == (1, 0, 0, 1)
     assert not verify_complex(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"not a complex: d_0 d_1 has entry 1 at \(0, 0\)"):
         betti(bad)
     fixed = parse_complex(BAD_COMPLEX.replace("d 1 0 0 1\n", ""))
     assert verify_complex(fixed)

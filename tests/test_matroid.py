@@ -10,14 +10,12 @@ from perfcone.matroid import (
     TURepresentation,
     complete_graph,
     deflate,
-    format_graph,
     graphic_cone,
     incidence_columns,
     inflate,
     is_tu,
     m_star_k33,
     matroid_coloops,
-    parse_graph,
     r_10,
     tu_cone,
     zg_coloop_indices,
@@ -286,16 +284,6 @@ def test_inflate_then_deflate_round_trip():
         up = inflate(base)
         down = deflate(up)
         assert equivalent(down, base) is not None
-
-
-def test_graph_file_roundtrip():
-    text = format_graph(PAW)
-    graph, consumed = parse_graph(text.splitlines())
-    assert graph == PAW
-    assert consumed == len(text.splitlines())
-    with pytest.raises(ValueError) as err:
-        parse_graph(["graph v=3", "0 x"])
-    assert "line" in str(err.value)
 
 
 def test_atlas_counts():

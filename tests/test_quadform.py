@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from perfcone import quadform
 from perfcone.cone import Face, faces, facet_index_sets
@@ -283,15 +283,19 @@ def _rational_forms(draw):
     _rational_forms(),
     st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5)),
     st.integers(0, 10**6),
-    st.data(),
+    st.lists(st.integers(-3, 3), min_size=5, max_size=5),
 )
-def test_integer_form_layer_matches_fraction_arithmetic(rows, factor, seed, data):
+# semidefiniteness: a kept row off its diagonal, a zero row, a negative minor
+@example([[0, 1], [1, 0]], Fraction(1), 0, [1, -1, 0, 0, 0])
+@example([[0, 0], [0, 1]], Fraction(1), 0, [1, -1, 0, 0, 0])
+@example([[1, 2], [2, 1]], Fraction(1), 0, [1, -1, 0, 0, 0])
+def test_integer_form_layer_matches_fraction_arithmetic(rows, factor, seed, vec):
     g = len(rows)
     q = QuadraticForm(rows)
     assert q.entries == tuple(tuple(row) for row in rows)
     assert all(type(x) is Fraction for row in q.entries for x in row)
     assert q.definiteness == definiteness_oracle(rows)
-    v = data.draw(st.lists(st.integers(-3, 3), min_size=g, max_size=g))
+    v = vec[:g]  # g <= 5
     assert q.value(v) == form_value_oracle(rows, v)
     assert q.scaled(factor).entries == tuple(tuple(x * factor for x in row) for row in rows)
     h = random_unimodular(g, random.Random(seed))
