@@ -152,7 +152,7 @@ def cmd_verify(cfg: RunConfig, _args) -> int:
             failures.append(name)
 
     reg_prev = build_registry(g - 1, cfg.catalog_for(), cfg.seed)
-    reg = build_registry(g, cfg.catalog_for(), cfg.seed)
+    reg = build_registry(g, cfg.catalog_for(), cfg.seed, prev=reg_prev)
     p_prev = build_perfect_complex(g - 1, reg_prev)
     p_cur = build_perfect_complex(g, reg)
     v_cur = build_voronoi_complex(g, reg)

@@ -48,42 +48,66 @@ def build_registry(
     g: int,
     catalog_for: Callable[[int], list[QuadraticForm]] | None = None,
     seed: int | None = None,
+    prev: OrbitRegistry | None = None,
 ) -> OrbitRegistry:
     """Classify every face of every catalog cone for ambients 1..g.
 
     seed=None gives the canonical run (first-seen representatives);
     an integer seed conjugates new representatives by random unimodular
     matrices and shuffles choice orders, for invariance testing.
+
+    prev, when given, is the registry of ambient g - 1, built with the
+    same catalogs and seed; it is taken as is in place of a rebuild and
+    is left unchanged. Every catalog an ambient still to build needs is
+    requested before any cone is classified, so a missing or malformed
+    catalog fails before the work below it.
     """
     if catalog_for is None:
         catalog_for = load_bundled_catalog
-    reg = OrbitRegistry(g)
-    if g == 0:
-        zero = PerfectCone(0, [])
-        reg.add_seed(
-            Orbit(
-                id=reg._new_id(0, 0),
-                rep=zero,
-                rank=0,
-                dim=0,
-                alternating=True,
-                ref_orientation=(),
-                fingerprint=reg.fingerprint(zero),
-                coords=(),
-            )
+    if prev is not None and prev.g != g - 1:
+        raise ValueError(f"prev is a registry of ambient {prev.g}, not {g - 1}")
+    low = 0 if prev is None else g
+    catalogs = {k: catalog_for(k) for k in range(max(low, 1), g + 1)}
+    for k, forms in catalogs.items():
+        for form in forms:
+            if form.g != k:
+                raise ValueError(f"catalog form {form.name} has ambient {form.g}, not {k}")
+    reg = prev
+    for k in range(low, g + 1):
+        reg = _zero_registry() if k == 0 else _extend(reg, catalogs[k], seed)
+    return reg
+
+
+def _zero_registry() -> OrbitRegistry:
+    reg = OrbitRegistry(0)
+    zero = PerfectCone(0, [])
+    reg.add_seed(
+        Orbit(
+            id=reg._new_id(0, 0),
+            rep=zero,
+            rank=0,
+            dim=0,
+            alternating=True,
+            ref_orientation=(),
+            fingerprint=reg.fingerprint(zero),
+            coords=(),
         )
-        return reg
+    )
+    return reg
+
+
+def _extend(prev: OrbitRegistry, forms: list[QuadraticForm], seed: int | None) -> OrbitRegistry:
+    """The registry of ambient prev.g + 1: prev's orbits padded as seeds,
+    then the faces of the cones of forms."""
+    g = prev.g + 1
+    reg = OrbitRegistry(g)
     rng = random.Random(seed) if seed is not None else None
-    prev = build_registry(g - 1, catalog_for, seed)
     for orb in prev.orbits:
         reg.add_seed(replace(orb, rep=pad(orb.rep, g), facets=list(orb.facets)))
     reg._counters = dict(prev._counters)
     queue: list[Orbit] = []
-    for form in catalog_for(g):
-        top = cone_of_form(form)
-        if top.g != g:
-            raise ValueError(f"catalog form {form.name} has ambient {top.g}, not {g}")
-        orbit, _t, created = reg.add(top, rng)
+    for form in forms:
+        orbit, _t, created = reg.add(cone_of_form(form), rng)
         if created:
             queue.append(orbit)
     while queue:

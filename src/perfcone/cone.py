@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .intlinalg import (
     Echelon,
     adjugate_int,
-    dot,
     flatten_rank1,
     identity_matrix,
     mat_vec,
@@ -73,11 +73,13 @@ class PerfectCone:
         is g det T. Defined for full-rank cones only: a boundary cone
         raises ValueError, and its Gram matrix is that of its reduced
         core (reduce). A facet of a cone whose G is known gets its own
-        from G by gram_downdate (see facet)."""
+        from G by gram_downdate (see facet). adj(T) is symmetric, so only
+        the lower triangle is computed, then mirrored."""
         if self._gram is None:
             g = self.g
+            gens = self.generators
             t = [[0] * g for _ in range(g)]
-            for v in self.generators:
+            for v in gens:
                 for i in range(g):
                     if v[i]:
                         for j in range(g):
@@ -88,11 +90,11 @@ class PerfectCone:
                 raise ValueError(
                     "the Gram matrix needs a full-rank cone; take it on the reduced core (cone.reduce)"
                 ) from None
-            rows = []
-            for v in self.generators:
+            low = []
+            for i, v in enumerate(gens):
                 tv = mat_vec(adj, v)
-                rows.append(tuple(dot(w, tv) for w in self.generators))
-            self._gram = tuple(rows)
+                low.append([sum(map(mul, w, tv)) for w in gens[: i + 1]])
+            self._gram = _mirror(low)
         return self._gram
 
     @property
@@ -103,7 +105,7 @@ class PerfectCone:
             equal: dict[tuple, tuple] = {}  # equal profiles share one tuple
             out = []
             for i, row in enumerate(self.gram):
-                p = (row[i], tuple(sorted(abs(x) for j, x in enumerate(row) if j != i)))
+                p = (row[i], tuple(sorted(map(abs, row[:i] + row[i + 1 :]))))
                 out.append(equal.setdefault(p, p))
             self._profiles = tuple(out)
         return self._profiles
@@ -174,9 +176,14 @@ def gram_downdate(
             a = rk[i]
             low[i] = [(d2 * x + a * y) // d for x, y in zip(ri, rk)]
         d = d2
-    return tuple(
-        tuple(low[i][j] if j <= i else low[j][i] for j in range(len(low))) for i in range(len(low))
-    )
+    return _mirror(low)
+
+
+def _mirror(low: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The symmetric matrix whose lower triangle (row i up to its
+    diagonal entry) is low."""
+    n = len(low)
+    return tuple(tuple(r + [low[j][i] for j in range(i + 1, n)]) for i, r in enumerate(low))
 
 
 @dataclass(frozen=True)
@@ -449,6 +456,10 @@ def _reduced(v: list[int]) -> list[int]:
     return [x // g for x in v] if g > 1 else v
 
 
+# _REVERSED[b] is the byte b with its eight bits in reverse order
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def facet_index_sets(c: PerfectCone) -> list[int]:
     """The codimension-1 faces as generator masks (bit i set when
     generator i lies on the facet), sorted as their sorted index tuples.
@@ -462,7 +473,10 @@ def facet_index_sets(c: PerfectCone) -> list[int]:
     smallest index in which two facets differ lies in the one whose
     sorted tuple comes first, and that one has the larger row mask:
     sorting the row masks in descending order sorts the facets. Each
-    sorted row mask then has its n bits reversed, once.
+    sorted row mask, shifted up to a whole number b of bytes, then has
+    its 8b bits reversed: its bytes are written little-endian, each byte
+    is reversed by one table lookup (bytes.translate), and the result is
+    read big-endian.
     """
     n = len(c.generators)
     if c._dim != n:
@@ -472,7 +486,12 @@ def facet_index_sets(c: PerfectCone) -> list[int]:
         return [full ^ 1 << i for i in range(n - 1, -1, -1)]
     masks = _dd_core(coords[::-1], [n - 1 - i for i in ref])
     masks.sort(reverse=True)
-    return [int(f"{m:0{n}b}"[::-1], 2) for m in masks]
+    width = (n + 7) // 8
+    shift = 8 * width - n
+    return [
+        int.from_bytes((m << shift).to_bytes(width, "little").translate(_REVERSED), "big")
+        for m in masks
+    ]
 
 
 def faces(c: PerfectCone) -> dict[int, list[Face]]:

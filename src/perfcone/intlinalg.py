@@ -19,6 +19,7 @@ coloop test.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, starmap
 from math import gcd
 from operator import index, mul
 from typing import Iterable, Sequence
@@ -47,15 +48,11 @@ def flatten_rank1(v: Sequence[int]) -> tuple[int, ...]:
     """Upper triangle of v v^t, row major; length g(g+1)/2.
 
     Linear coordinates on symmetric matrices; injective, so spans and
-    determinant signs computed here match the matrix-space ones.
+    determinant signs computed here match the matrix-space ones. The
+    pairs (v_i, v_j), i <= j, come in row-major order from
+    combinations_with_replacement.
     """
-    g = len(v)
-    out = []
-    for i in range(g):
-        vi = v[i]
-        for j in range(i, g):
-            out.append(vi * v[j])
-    return tuple(out)
+    return tuple(starmap(mul, combinations_with_replacement(v, 2)))
 
 
 def identity_matrix(n: int) -> list[list[int]]:

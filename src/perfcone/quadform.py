@@ -367,21 +367,34 @@ def load_bundled_catalog(g: int) -> list[QuadraticForm]:
     return load_form_catalog(bundled_catalog_text(g))
 
 
-def _facet_normal(sigma: PerfectCone, idx: Sequence[int], e: Echelon) -> list[list[int]]:
-    """2R for the inward primitive normal R of a facet: v^t R v = 0 on the
-    facet, > 0 on the remaining minimal vectors. e is the elimination of
-    the facet's flattened generators idx; R has half-integer entries off
-    the diagonal, so 2R is the integer matrix."""
+def _facet_normal(sigma: PerfectCone, idx: Sequence[int]) -> list[list[int]]:
+    """2R for the inward primitive normal R of the facet on the generators
+    idx of a full-dimensional cone: v^t R v = 0 on the facet, > 0 on the
+    remaining minimal vectors. R has half-integer entries off the
+    diagonal, so 2R is the integer matrix.
+
+    The facet's flattened generators are eliminated only until they reach
+    rank dim - 1; the kernel vector of those rows is the normal. Each
+    later facet generator lies on the hyperplane exactly when its dot
+    with that vector is 0, and one off the hyperplane makes the face span
+    the whole cone. Raises ValueError when the face is not a facet."""
     g = sigma.g
+    gens = sigma.generators
+    e = Echelon()
+    rest = iter(idx)
+    for i in rest:
+        e.add(flatten_rank1(gens[i]))
+        if e.rank == sigma.dim - 1:
+            break
+    if e.rank != sigma.dim - 1:
+        raise ValueError("face is not of codimension 1")
     coeff = e.kernel_vector(g * (g + 1) // 2)
     if coeff is None:
         raise ValueError("face does not span a hyperplane of the cone")
+    if any(dot(coeff, flatten_rank1(gens[i])) for i in rest):
+        raise ValueError("face is not of codimension 1")
     pegged = set(idx)
-    vals = [
-        dot(coeff, flatten_rank1(v))
-        for i, v in enumerate(sigma.generators)
-        if i not in pegged
-    ]
+    vals = [dot(coeff, flatten_rank1(v)) for i, v in enumerate(gens) if i not in pegged]
     if all(v > 0 for v in vals):
         pass
     elif all(v < 0 for v in vals):
@@ -403,10 +416,11 @@ def _facet_normal(sigma: PerfectCone, idx: Sequence[int], e: Echelon) -> list[li
 def voronoi_neighbor(q: QuadraticForm, facet: Face) -> QuadraticForm:
     """The unique perfect neighbor across a facet of sigma[q].
 
-    Exact line search Q + tR along the inward facet normal, increasing t
-    until new vectors join the minimal set. Requires m(q) = 1. With
-    t = a/b and the integer 2R, Q + tR is the integer pencil
-    2b num + a den 2R over 2b den, so t is the only Fraction.
+    Exact line search Q + tR along the inward facet normal (see
+    _facet_normal), increasing t until new vectors join the minimal set.
+    Requires m(q) = 1. With t = a/b and the integer 2R, Q + tR is the
+    integer pencil 2b num + a den 2R over 2b den, so t is the only
+    Fraction. A face that is not a facet raises ValueError.
     """
     sigma = facet.parent  # the caller's cone keeps its dimension once known
     mv = minimal_vectors(q)
@@ -414,17 +428,11 @@ def voronoi_neighbor(q: QuadraticForm, facet: Face) -> QuadraticForm:
         raise ValueError("facet does not belong to the cone of this form")
     if not facet.mask:
         raise ValueError("empty face rejected (no pegged minimal vectors)")
-    idx = indices(facet.mask)
-    e = Echelon()
-    for i in idx:
-        e.add(flatten_rank1(sigma.generators[i]))
-    if e.rank != sigma.dim - 1:
-        raise ValueError("face is not of codimension 1")
     if mv.minimum != 1:
         raise ValueError("neighbor walk expects a form normalized to minimum 1")
-    r2 = _facet_normal(sigma, idx, e)
+    idx = indices(facet.mask)
+    r2 = _facet_normal(sigma, idx)
     pegged = {sigma.generators[i] for i in idx}
-    g = q.g
     num, den = q.num, q.den
     name = f"{q.name}~neighbor"
     t_lo = Fraction(0)
@@ -438,9 +446,11 @@ def voronoi_neighbor(q: QuadraticForm, facet: Face) -> QuadraticForm:
             continue
         mvt = minimal_vectors(qt)
         if mvt.minimum == 1:
-            if set(mvt.vectors) - pegged:
-                target = g * (g + 1) // 2
-                if rank_rows([flatten_rank1(v) for v in mvt.vectors]) != target:
+            new = set(mvt.vectors) - pegged
+            if new:
+                # the pegged forms span the facet's hyperplane and stay
+                # minimal, so qt is perfect iff a new form lies off it
+                if not any(_int_value(r2, w) for w in new):
                     raise AssertionError("neighbor walk stopped at a non-perfect form")
                 return qt
             t_lo = t

@@ -125,15 +125,29 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
     (A, perm, det A) triples, up to the global flip -A.
 
     Both cones must be full rank with equal ambient g. By default the
-    result is the first realization the search meets, or nothing. With
-    group=True (and c2 = c1) it is a strong generating set of the
-    stabilizer for the base b = order[:prefix_len]: for every k, the
-    generators fixing the rays b_1..b_k generate G_k, the group of all
-    elements that fix them. The list holds every element of
-    G_prefix_len (the kernel of the action on rays lies in it) and, for
-    each k, one element of G_k for each image of b_(k+1) that the
+    result is the first realization the search meets, or nothing, and its
+    det entry is None. With group=True (and c2 = c1) it is a strong
+    generating set of the stabilizer for the base b = order[:prefix_len]:
+    for every k, the generators fixing the rays b_1..b_k generate G_k,
+    the group of all elements that fix them. The list holds every element
+    of G_prefix_len (the kernel of the action on rays lies in it) and,
+    for each k, one element of G_k for each image of b_(k+1) that the
     generators found before it do not reach. -I is never listed; its
     det is (-1)^g.
+
+    A realization is A = W V^-1, the columns of V the g prefix
+    generators of c1 and those of W their signed images in c2, and it
+    needs no determinant to be unimodular:
+    - the profile multisets are equal, so the Gram traces g det T are,
+      and det T1 = det T2 > 0;
+    - profiles fix the diagonal, the DFS matches |G_ij| on every prefix
+      pair, and the sign propagation matches the signs, so the signed
+      prefix Gram matrices are equal: V^t adj(T1) V = W^t adj(T2) W;
+    - taking determinants, with det adj(T) = det(T)^(g-1), gives
+      det(V)^2 = det(W)^2, so |det A| = 1;
+    - the search checks that W adj(V) / det V = A is integral, and an
+      integer matrix of determinant +-1 lies in GL_g(Z).
+    Only group mode, whose callers read the sign, takes det A.
     """
     g = c1.g
     n = len(c1.generators)
@@ -206,13 +220,10 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
             if any(x % vdet for row in amat for x in row):
                 continue
             aint = [[x // vdet for x in row] for row in amat]
-            d = det_int(aint)
-            if d not in (1, -1):
-                continue
             perm = _ray_perm(aint, c1, target_index)
             if perm is None:
                 continue
-            found.append((tuple(tuple(r) for r in aint), perm, d))
+            found.append((tuple(tuple(r) for r in aint), perm, det_int(aint) if group else None))
             if not every:
                 break
         return found

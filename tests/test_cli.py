@@ -1,5 +1,6 @@
 import pytest
 
+from perfcone import cli, complexes
 from perfcone.cli import main
 from perfcone.complexes import parse_complex
 from perfcone.symmetry import parse_registry
@@ -149,6 +150,37 @@ def test_verify_small_ambients(capsys):
     assert "all checks passed" in out
     assert main(["verify", "--g", "3"]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+def test_verify_builds_the_smaller_registry_once(monkeypatch, capsys):
+    # verify passes its g - 1 registry to the g build, so it builds five
+    # registries, ambients 0..4; with that registry ignored, the g build
+    # rebuilds every ambient below it (nine registries), and the output is
+    # the same
+    built = []
+    extend = complexes._extend
+    zero = complexes._zero_registry
+    build = complexes.build_registry
+
+    def counting(prev, forms, seed):
+        built.append(prev.g + 1)
+        return extend(prev, forms, seed)
+
+    def counting_zero():
+        built.append(0)
+        return zero()
+
+    monkeypatch.setattr(complexes, "_extend", counting)
+    monkeypatch.setattr(complexes, "_zero_registry", counting_zero)
+    assert main(["verify", "--g", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "all checks passed" in out
+    assert built == [0, 1, 2, 3, 4]
+    built.clear()
+    monkeypatch.setattr(cli, "build_registry", lambda g, cat, seed, prev=None: build(g, cat, seed))
+    assert main(["verify", "--g", "4"]) == 0
+    assert capsys.readouterr().out == out
+    assert built == [0, 1, 2, 3, 0, 1, 2, 3, 4]
 
 
 def test_tables_computed(capsys):

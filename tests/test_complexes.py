@@ -190,6 +190,39 @@ def test_registry_locates_once_per_facet_orbit(monkeypatch):
     assert 0 < calls["sign"] == signed
 
 
+def test_registry_requests_every_catalog_before_classifying(monkeypatch):
+    # a catalog that cannot be read fails the build before any cone of a
+    # lower ambient is classified
+    requests = []
+    classified = []
+
+    def catalog_for(k):
+        requests.append(k)
+        if k == 4:
+            raise ValueError("no catalog for ambient 4")
+        return load_bundled_catalog(k)
+
+    add = OrbitRegistry.add
+
+    def recording(self, c, rng=None):
+        classified.append(c.g)
+        return add(self, c, rng)
+
+    monkeypatch.setattr(OrbitRegistry, "add", recording)
+    with pytest.raises(ValueError, match="no catalog for ambient 4"):
+        build_registry(4, catalog_for)
+    assert requests == [1, 2, 3, 4]
+    assert classified == []
+
+
+def test_registry_built_on_prev_is_the_same(reg3, reg4):
+    reg = build_registry(4, prev=reg3)
+    assert format_registry(reg) == format_registry(reg4)
+    assert [o.facets for o in reg.orbits] == [o.facets for o in reg4.orbits]
+    with pytest.raises(ValueError, match="ambient 3, not 4"):
+        build_registry(5, prev=reg3)
+
+
 def test_registry_builds_share_no_derived_data(monkeypatch):
     # Gram matrices, reductions and span coordinates are kept on the cones
     # and orbits of one registry, so a second build in the same process

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 from operator import add
 
 import pytest
@@ -418,11 +419,23 @@ def test_facets_come_sorted():
     cones = [_random_g3_cone(rng) for _ in range(40)]
     cones.append(next(cone_of_form(q) for q in load_bundled_catalog(5) if q.name == "d5"))
     cones.append(_cartan_cone(6, D6_EDGES))
+    # non-simplicial cones of 8, 9, 16 and 17 generators, whose masks fill
+    # one or two bytes exactly or spill one bit into the next: seeded
+    # samples of the primitive vectors with entries in {-1, 0, 1}
+    for g, n in ((3, 8), (3, 9), (4, 16), (4, 17)):
+        box = sorted({sign_normalize(v) for v in product((-1, 0, 1), repeat=g) if any(v)})
+        cones.append(PerfectCone(g, random.Random(n).sample(box, n)))
     assert any(c.dim < len(c.generators) for c in cones[:40])
+    assert [len(c.generators) for c in cones[-4:]] == [8, 9, 16, 17]
+    assert all(c.dim < len(c.generators) for c in cones[-4:])
     for c in cones:
         facets = [indices(m) for m in facet_index_sets(c)]
         assert facets == sorted(facets)
         assert len(set(map(tuple, facets))) == len(facets)
+    # each mask, reversed byte by byte out of the row numbering, is the
+    # exact tight set of a facet, numbered by generator
+    for c in cones[-4:]:
+        _assert_tight_sets(_projected_rows(c.generators), facet_index_sets(c))
 
 
 def test_cone_file_roundtrip():

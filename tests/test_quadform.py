@@ -240,6 +240,22 @@ def test_voronoi_neighbor_rejects_non_facet():
         voronoi_neighbor(q, faces(other)[other.dim - 1][0])
 
 
+def test_voronoi_neighbor_rejects_a_facet_plus_one_generator():
+    # the face's generators reach rank dim - 1 before its last one, which
+    # lies off the hyperplane they span: the face is the whole cone
+    d5 = next(q for q in load_bundled_catalog(5) if q.name == "d5")
+    for q in (principal_form(4), d5):
+        sigma = cone_of_form(q)
+        n = len(sigma.generators)
+        facets = facet_index_sets(sigma)
+        assert {m.bit_count() for m in facets} == ({14, 16} if q is d5 else {n - 1})
+        for m in facets[:: max(1, len(facets) // 12)]:
+            for i in range(n):
+                if not m >> i & 1:
+                    with pytest.raises(ValueError, match="not of codimension 1"):
+                        voronoi_neighbor(q, Face(sigma, m | 1 << i))
+
+
 def test_voronoi_neighbors_g4_classes():
     forms = load_bundled_catalog(4)
     catalog = [(q.name, cone_of_form(q)) for q in forms]

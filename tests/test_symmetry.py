@@ -8,10 +8,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 import perfcone
 from perfcone.complexes import build_registry
-from perfcone.cone import PerfectCone, faces, facet_index_sets, reduce
+from perfcone.cone import Face, PerfectCone, faces, facet_index_sets, reduce
 from perfcone.intlinalg import det_int, mat_mul
 from perfcone.matroid import complete_graph, graphic_cone
-from perfcone.quadform import cone_of_form, load_bundled_catalog, minimal_vectors, principal_form
+from perfcone.quadform import (
+    cone_of_form,
+    load_bundled_catalog,
+    minimal_vectors,
+    principal_form,
+    voronoi_neighbor,
+)
 from perfcone.symmetry import (
     ConeTransform,
     OrbitRegistry,
@@ -512,6 +518,42 @@ def test_strong_generators_are_automorphisms():
             t = ConeTransform(a, c, c, perm)
             assert t.check()
             assert det_int([list(r) for r in a]) == d
+
+
+def test_equivalence_witnesses_are_unimodular():
+    # the search takes no determinant of a witness: equal profiles and
+    # equal signed prefix Gram matrices give |det A| = 1
+    forms = load_bundled_catalog(5)
+    catalog = [cone_of_form(q) for q in forms]
+    rng = random.Random(5)
+    found = 0
+    for q in forms:
+        sigma = cone_of_form(q)
+        for s in facet_index_sets(sigma)[::20]:
+            nb = cone_of_form(voronoi_neighbor(q, Face(sigma, s)))
+            nb = conjugate_cone(nb, random_unimodular(5, rng))
+            t = next(t for c in catalog if (t := equivalent(nb, c)) is not None)
+            assert abs(det_int([list(r) for r in t.matrix])) == 1
+            assert t.check()
+            found += 1
+    assert found == 22  # one facet each of principal_5 and a5_3, 20 of d5
+
+
+def test_located_witnesses_are_unimodular(monkeypatch):
+    witnesses = []
+    locate = OrbitRegistry.locate
+
+    def recording(self, c):
+        loc = locate(self, c)
+        if loc is not None:
+            witnesses.append(loc[1])
+        return loc
+
+    monkeypatch.setattr(OrbitRegistry, "locate", recording)
+    build_registry(4)
+    assert len(witnesses) > 20
+    for t in witnesses:
+        assert abs(det_int([list(r) for r in t.matrix])) == 1
 
 
 def test_package_keeps_no_module_level_cache():
