@@ -30,9 +30,9 @@ from .intlinalg import (
 class PerfectCone:
     """Cone spanned by {v v^t} for a finite set of primitive vectors."""
 
-    # _dim, _rank, _gram, _profiles and _reduction are derived values,
-    # filled on first use and kept with the cone
-    __slots__ = ("g", "generators", "_dim", "_rank", "_gram", "_profiles", "_reduction")
+    # _flat, _dim, _rank, _gram, _profiles and _reduction are derived
+    # values, filled on first use and kept with the cone
+    __slots__ = ("g", "generators", "_flat", "_dim", "_rank", "_gram", "_profiles", "_reduction")
 
     def __init__(self, g: int, generators: Iterable[Sequence[int]]):
         if g < 0:
@@ -49,6 +49,7 @@ class PerfectCone:
         if len(set(norm)) != len(norm):
             raise ValueError("generators repeat a +- pair")
         self.generators = tuple(sorted(norm))
+        self._flat = None
         self._dim = None
         self._rank = None
         self._gram = None
@@ -56,9 +57,17 @@ class PerfectCone:
         self._reduction = None
 
     @property
+    def flat(self) -> tuple[tuple[int, ...], ...]:
+        """The generator forms v v^t as flatten_rank1 rows, in generator
+        order: the rows of dim, span_basis and the facet normals."""
+        if self._flat is None:
+            self._flat = tuple(map(flatten_rank1, self.generators))
+        return self._flat
+
+    @property
     def dim(self) -> int:
         if self._dim is None:
-            self._dim = rank_rows([flatten_rank1(v) for v in self.generators])
+            self._dim = rank_rows(self.flat)
         return self._dim
 
     @property
@@ -136,10 +145,13 @@ class PerfectCone:
         definition one less than the cone's. When the cone's Gram matrix
         is known, the cone has full rank, and gram_downdate derives the
         facet's Gram matrix from it; a facet that keeps full rank takes
-        that matrix and rank g, and a boundary facet takes neither."""
+        that matrix and rank g, and a boundary facet takes neither. The
+        facet shares the cone's flattened rows when they are known."""
         keep = sorted(set(indices))
         f = self.subcone(keep)
         f._dim = self.dim - 1
+        if self._flat is not None:
+            f._flat = tuple(self._flat[i] for i in keep)
         if self._gram is not None:
             f._gram = gram_downdate(self._gram, self.g, keep)
             if f._gram is not None:
@@ -272,7 +284,7 @@ def greedy_spanning(rows: Sequence[Sequence[int]], order: Iterable[int]) -> list
 
 def spanning_subset(c: PerfectCone, order: Sequence[int] | None = None) -> tuple[int, ...]:
     """Index subset (increasing) whose forms span the cone's linear span."""
-    rows = [flatten_rank1(v) for v in c.generators]
+    rows = c.flat
     if order is None:
         order = range(len(rows))
     return tuple(sorted(greedy_spanning(rows, order)))
@@ -320,7 +332,7 @@ def span_basis(
     picks the same ref. One elimination of the flattened generators
     gives ref, coords and the dimension, which is kept on the cone.
     """
-    flat = [flatten_rank1(v) for v in c.generators]
+    flat = c.flat
     ref, coords = _span_basis(flat, range(len(flat)) if order is None else order)
     c._dim = len(ref)
     return ref, coords
@@ -337,6 +349,18 @@ def _bit_rows(n: int) -> list[tuple[int, list[tuple[int, ...]]]]:
             t += [s + (j,) for s in t]
         tables.append((lo, t))
     return tables
+
+
+# An insertion that would form more (+, -) pairs than this finds them by
+# counting misses (_partners) instead. On a 2-core host under Python 3.11:
+# no insertion of voronoi_g5 or build_registry(5) forms more than 1008
+# pairs, at any seed tried, and counting in every insertion made their
+# double descriptions 1.67x slower; D6's largest insertions form 5544 to
+# 135200 pairs, and D6 took the same time, within noise, for every
+# switch from 0 pairs to never; E6's reach 8.2 million pairs, where
+# counting is 2.0x faster than forming them, and any switch from 4096 to
+# 140000 pairs gave E6 the same time.
+_COUNTING_PAIRS = 4096
 
 
 def _dd_extreme_rays(ys: list[tuple[int, ...]]) -> list[int]:
@@ -370,14 +394,34 @@ def _dd_core(coords: Sequence[Sequence[int]], init: Sequence[int]) -> list[int]:
     the same combination of its pair's values. The last insertion forms
     masks alone.
 
-    Rays have ids, reused once a ray is cut off, and tight[j] is the
-    bitset of the live rays tight on row j. Adjacent rays share at least
-    d - 2 active rows, which discards most pairs; a pair that passes is
-    adjacent iff no third ray is tight on its common active set, that is,
-    iff the AND of tight[j] over that set is the pair itself. Each
-    insertion updates tight in place: the cut-off rays leave every entry,
-    each new ray joins the rows of its mask, and the inserted row's entry
-    becomes the rays tight on it.
+    Adjacency is decided by the rank criterion (Fukuda-Prodon, "Double
+    description method revisited", 1996): two extreme rays of the pointed
+    cone cut out by the inserted rows are adjacent iff their common
+    active rows have rank d - 2, so a pair that meets on fewer than d - 2
+    rows is not adjacent. An extreme ray's active rows have rank d - 1;
+    call it simple when exactly d - 1 inserted rows are tight on it, which
+    are then independent, and degenerate otherwise. Let a pair meet on at
+    least d - 2 rows that a simple ray r is tight on. The meet is not all
+    d - 1 rows of r, or both rays of the pair would be r's ray; so it is
+    d - 2 independent rows, which cut out a 2-face, and a 2-face has
+    exactly two extreme rays. Hence a pair with a simple ray is adjacent
+    with no test, and no simple third ray is tight on the meet of a pair:
+    a pair of two degenerate rays is adjacent iff no third degenerate ray
+    is tight on its meet.
+
+    Rays have ids, reused once a ray is cut off, and deg[j] is the bitset
+    of the live degenerate rays tight on row j, so such a pair is adjacent
+    iff the AND of deg[j] over its meet is the pair itself. Each insertion
+    updates deg in place: the cut-off rays leave every entry; a ray tight
+    on the inserted row was tight on d - 1 rows or more, so it is now
+    degenerate, and it joins the rows of its mask if it was simple, the
+    inserted row's entry if not; a new ray tight on d rows or more joins
+    the rows of its mask.
+
+    The pairs that meet on at least d - 2 rows are found by forming every
+    (+, -) pair and counting the bits of its meet, or, when that would
+    form more than _COUNTING_PAIRS pairs, by counting each ray's misses
+    (_partners).
     """
     n = len(coords)
     d = len(init)
@@ -387,50 +431,55 @@ def _dd_core(coords: Sequence[Sequence[int]], init: Sequence[int]) -> list[int]:
     slack = [_reduced([coords[i][k] for i in reversed(rest)]) for k in range(d)]
     full = sum(1 << i for i in init)
     masks = [full & ~(1 << i) for i in init]
-    live_bits = (1 << d) - 1
-    tight = [0] * n
-    for k, i in enumerate(init):
-        tight[i] = live_bits & ~(1 << k)
+    # degenerate: the live degenerate rays, as a bitset; every initial ray
+    # is simple
+    degenerate = 0
+    deg = [0] * n
     live = list(range(d))
     tables = _bit_rows(n)
+    d1, d2 = d - 1, d - 2
     for i in rest:
         bit = 1 << i
+        # a side's entry: (id, value on row i, mask, simple, 1 << id)
         plus, zero, minus = [], [], []
         for k in live:
             v = slack[k].pop()
-            if v > 0:
-                plus.append((k, v))
-            elif v < 0:
-                minus.append((k, v))
+            if v:
+                m = masks[k]
+                (plus if v > 0 else minus).append((k, v, m, m.bit_count() == d1, 1 << k))
             else:
                 zero.append(k)
                 masks[k] |= bit
         last = i == rest[-1]
+        if len(plus) * len(minus) > _COUNTING_PAIRS:
+            pairs = _partners(plus, minus, tables, d2, n)
+        else:
+            pairs = [(p, q) for p in plus for q in minus if (p[2] & q[2]).bit_count() >= d2]
         born: list[int] = []  # masks of the new rays
         vals: list[list[int]] = []  # their slacks, unless this row is the last
-        for kp, vp in plus:
-            mp = masks[kp]
-            for km, vm in minus:
-                meet = mp & masks[km]
-                if meet.bit_count() < d - 2:
-                    continue
-                common = live_bits
+        for (kp, vp, mp, sp, bp), (km, vm, mm, sm, bm) in pairs:
+            meet = mp & mm
+            if not (sp or sm):
+                common = degenerate
                 for lo, t in tables:
                     for j in t[meet >> lo & 15]:
-                        common &= tight[j]
-                if common != 1 << kp | 1 << km:
+                        common &= deg[j]
+                if common != bp | bm:
                     continue
-                born.append(meet | bit)
-                if not last:
-                    comb = [vp * y - vm * x for x, y in zip(slack[kp], slack[km])]
-                    vals.append(_reduced(comb))
+            born.append(meet | bit)
+            if not last:
+                comb = [vp * y - vm * x for x, y in zip(slack[kp], slack[km])]
+                vals.append(_reduced(comb))
         if last:
-            return [masks[k] for k, _ in plus] + [masks[k] for k in zero] + born
-        # the cut-off rays leave tight, and the new rays take their ids first
-        free = [k for k, _ in minus]
-        cut = ~sum(1 << k for k in free)
-        tight = [t & cut for t in tight]
+            return [p[2] for p in plus] + [masks[k] for k in zero] + born
+        # the cut-off rays leave deg, and the new rays take their ids first
+        gone = sum(q[4] for q in minus if not q[3])
+        if gone:
+            deg = [t & ~gone for t in deg]
+            degenerate &= ~gone
+        free = [q[0] for q in minus]
         new = []
+        join = []  # rays that turn degenerate, with their masks
         for m, v in zip(born, vals):
             if free:
                 k = free.pop()
@@ -440,14 +489,62 @@ def _dd_core(coords: Sequence[Sequence[int]], init: Sequence[int]) -> list[int]:
                 masks.append(m)
                 slack.append(v)
             new.append(k)
-            rows = m ^ bit
+            if m.bit_count() > d1:
+                join.append((k, m))
+        # a ray tight on row i is now tight on d rows or more
+        for k in zero:
+            m = masks[k]
+            if m.bit_count() == d:
+                join.append((k, m))
+            else:
+                deg[i] |= 1 << k
+        for k, m in join:
+            b = 1 << k
+            degenerate |= b
             for lo, t in tables:
-                for j in t[rows >> lo & 15]:
-                    tight[j] |= 1 << k
-        live = [k for k, _ in plus] + zero + new
-        live_bits = sum(1 << k for k in live)
-        tight[i] = sum(1 << k for k in zero + new)
+                for j in t[m >> lo & 15]:
+                    deg[j] |= b
+        live = [p[0] for p in plus] + zero + new
     return [masks[k] for k in live]
+
+
+def _partners(plus, minus, tables, d2, n):
+    """The (+, -) pairs of _dd_core's entries whose masks meet on at
+    least d2 rows, found from the smaller side without forming the others.
+
+    For a ray a with r tight rows, a partner may miss s = r - d2 of them.
+    at[t] is the bitset of the other side's rays that miss at most t of
+    the rows of a seen so far, all of them at first. Row j, with T =
+    tight[j], turns at[t] into at[t] & T | at[t - 1] & ~T, which is
+    at[t - 1] | at[t] & T because at[t - 1] lies in at[t], and at[0]
+    into at[0] & T. After a's last row, at[s] holds its partners."""
+    swap = len(minus) < len(plus)
+    small, other = (minus, plus) if swap else (plus, minus)
+    by_id = {e[0]: e for e in other}
+    side = sum(e[4] for e in other)
+    tight = [0] * n  # tight[j]: the rays of the other side tight on row j
+    for e in other:
+        for lo, t in tables:
+            for j in t[e[2] >> lo & 15]:
+                tight[j] |= e[4]
+    pairs = []
+    for a in small:
+        ma = a[2]
+        s = ma.bit_count() - d2
+        at = [side] * (s + 1)
+        for lo, t in tables:
+            for j in t[ma >> lo & 15]:
+                tj = tight[j]
+                for u in range(s, 0, -1):
+                    at[u] = at[u - 1] | at[u] & tj
+                at[0] &= tj
+        x = at[s]
+        while x:
+            low = x & -x
+            x ^= low
+            b = by_id[low.bit_length() - 1]
+            pairs.append((b, a) if swap else (a, b))
+    return pairs
 
 
 def _reduced(v: list[int]) -> list[int]:

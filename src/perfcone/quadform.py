@@ -379,11 +379,11 @@ def _facet_normal(sigma: PerfectCone, idx: Sequence[int]) -> list[list[int]]:
     with that vector is 0, and one off the hyperplane makes the face span
     the whole cone. Raises ValueError when the face is not a facet."""
     g = sigma.g
-    gens = sigma.generators
+    flat = sigma.flat
     e = Echelon()
     rest = iter(idx)
     for i in rest:
-        e.add(flatten_rank1(gens[i]))
+        e.add(flat[i])
         if e.rank == sigma.dim - 1:
             break
     if e.rank != sigma.dim - 1:
@@ -391,10 +391,10 @@ def _facet_normal(sigma: PerfectCone, idx: Sequence[int]) -> list[list[int]]:
     coeff = e.kernel_vector(g * (g + 1) // 2)
     if coeff is None:
         raise ValueError("face does not span a hyperplane of the cone")
-    if any(dot(coeff, flatten_rank1(gens[i])) for i in rest):
+    if any(dot(coeff, flat[i]) for i in rest):
         raise ValueError("face is not of codimension 1")
     pegged = set(idx)
-    vals = [dot(coeff, flatten_rank1(v)) for i, v in enumerate(gens) if i not in pegged]
+    vals = [dot(coeff, f) for i, f in enumerate(flat) if i not in pegged]
     if all(v > 0 for v in vals):
         pass
     elif all(v < 0 for v in vals):

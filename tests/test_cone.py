@@ -132,6 +132,9 @@ def test_d4_cone_facets_against_oracle():
 @given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=2, max_size=8))
 # a pair of rays with d - 2 common active constraints that is not adjacent
 @example([(0, 1, 0), (0, 1, 2), (1, -2, -1), (1, -2, 2), (1, 1, 0), (1, 2, -1), (2, -1, -2), (2, -1, 1), (2, 2, -1)])
+# and one where such a pair has a ray tight on exactly d rows, one more
+# than a simple ray
+@example([(0, 1, -2), (0, 1, 0), (0, 2, 1), (1, -1, -2), (1, 0, 1), (1, 1, -1), (1, 2, -2), (1, 2, -1), (2, 1, 0)])
 def test_facets_match_bruteforce_on_random_g3_cones(vectors):
     gens = {sign_normalize(v) for v in vectors if vec_gcd(v) == 1}
     assume(len(gens) >= 2)
@@ -264,6 +267,23 @@ def test_gram_needs_a_full_rank_cone():
     assert len(reduce(c)[0].gram) == 2
 
 
+def _assert_masks_follow_the_rows(c, seed, rnd, sample=None):
+    """The double description on c's rows, shuffled and conjugated by a
+    random unimodular matrix, finds the same masks, renumbered with the
+    rows; all of them, or a sample of that size, are tight sets."""
+    masks = set(_dd_extreme_rays(_projected_rows(c.generators)))
+    n = len(c.generators)
+    order = list(range(n))
+    rnd.shuffle(order)
+    h = random_unimodular(c.g, random.Random(seed))
+    ys = _projected_rows([mat_vec(h, c.generators[i]) for i in order])
+    moved = _dd_extreme_rays(ys)
+    assert len(set(moved)) == len(moved)
+    back = {sum(1 << order[a] for a in range(n) if m >> a & 1) for m in moved}
+    assert back == masks
+    _assert_tight_sets(ys, moved if sample is None else rnd.sample(moved, min(sample, len(moved))))
+
+
 @settings(max_examples=12)
 @given(
     st.sampled_from(["d5", "d6"]),
@@ -278,18 +298,24 @@ def test_dd_masks_survive_row_order_and_conjugation(name, seed, rnd):
         c = next(cone_of_form(q) for q in load_bundled_catalog(5) if q.name == "d5")
     else:
         c = _cartan_cone(6, D6_EDGES)
-    masks = set(_dd_extreme_rays(_projected_rows(c.generators)))
-    n = len(c.generators)
-    order = list(range(n))
-    rnd.shuffle(order)
-    h = random_unimodular(c.g, random.Random(seed))
-    ys = _projected_rows([mat_vec(h, c.generators[i]) for i in order])
-    moved = _dd_extreme_rays(ys)
-    assert len(set(moved)) == len(moved)
-    back = {sum(1 << order[a] for a in range(n) if m >> a & 1) for m in moved}
-    assert back == masks
     # a sample at g = 6, where checking all 6336 takes seconds
-    _assert_tight_sets(ys, moved if name == "d5" else rnd.sample(moved, 60))
+    _assert_masks_follow_the_rows(c, seed, rnd, None if name == "d5" else 60)
+
+
+@settings(max_examples=10)
+@given(
+    st.integers(24, 30),
+    st.integers(min_value=0, max_value=10**6),
+    st.randoms(use_true_random=False),
+)
+@example(30, 0, random.Random(0))
+def test_dd_masks_on_d6_subcones(keep, seed, rnd):
+    # D6 itself and most of these subcones have insertions that would form
+    # more than _COUNTING_PAIRS (+, -) pairs, where partners are found by
+    # counting misses; their other insertions form the pairs
+    c = _cartan_cone(6, D6_EDGES)
+    c = c.subcone(rnd.sample(range(30), keep))
+    _assert_masks_follow_the_rows(c, seed, rnd, 40)
 
 
 def test_reduce_examples():
