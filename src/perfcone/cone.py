@@ -351,18 +351,6 @@ def _bit_rows(n: int) -> list[tuple[int, list[tuple[int, ...]]]]:
     return tables
 
 
-# An insertion that would form more (+, -) pairs than this finds them by
-# counting misses (_partners) instead. On a 2-core host under Python 3.11:
-# no insertion of voronoi_g5 or build_registry(5) forms more than 1008
-# pairs, at any seed tried, and counting in every insertion made their
-# double descriptions 1.67x slower; D6's largest insertions form 5544 to
-# 135200 pairs, and D6 took the same time, within noise, for every
-# switch from 0 pairs to never; E6's reach 8.2 million pairs, where
-# counting is 2.0x faster than forming them, and any switch from 4096 to
-# 140000 pairs gave E6 the same time.
-_COUNTING_PAIRS = 4096
-
-
 def _dd_extreme_rays(ys: list[tuple[int, ...]]) -> list[int]:
     """Active sets of the extreme rays of {w : <w, y_i> >= 0}, as bitmasks
     whose bit i is set exactly when <w, y_i> = 0 at the ray w.
@@ -411,17 +399,14 @@ def _dd_core(coords: Sequence[Sequence[int]], init: Sequence[int]) -> list[int]:
 
     Rays have ids, reused once a ray is cut off, and deg[j] is the bitset
     of the live degenerate rays tight on row j, so such a pair is adjacent
-    iff the AND of deg[j] over its meet is the pair itself. Each insertion
-    updates deg in place: the cut-off rays leave every entry; a ray tight
-    on the inserted row was tight on d - 1 rows or more, so it is now
-    degenerate, and it joins the rows of its mask if it was simple, the
-    inserted row's entry if not; a new ray tight on d rows or more joins
-    the rows of its mask.
-
-    The pairs that meet on at least d - 2 rows are found by forming every
-    (+, -) pair and counting the bits of its meet, or, when that would
-    form more than _COUNTING_PAIRS pairs, by counting each ray's misses
-    (_partners).
+    iff the AND of deg[j] over its meet is the pair itself. The meet has
+    a row, as d >= 3: any three distinct forms v v^t are linearly
+    independent, so a span of dimension 2 or less leaves no row to
+    insert. Each insertion updates deg in place: the cut-off rays leave
+    every entry; a ray tight on the inserted row was tight on d - 1 rows
+    or more, so it is now degenerate, and it joins the rows of its mask
+    if it was simple, the inserted row's entry if not; a new ray tight on
+    d rows or more joins the rows of its mask.
     """
     n = len(coords)
     d = len(init)
@@ -431,10 +416,7 @@ def _dd_core(coords: Sequence[Sequence[int]], init: Sequence[int]) -> list[int]:
     slack = [_reduced([coords[i][k] for i in reversed(rest)]) for k in range(d)]
     full = sum(1 << i for i in init)
     masks = [full & ~(1 << i) for i in init]
-    # degenerate: the live degenerate rays, as a bitset; every initial ray
-    # is simple
-    degenerate = 0
-    deg = [0] * n
+    deg = [0] * n  # every initial ray is simple
     live = list(range(d))
     tables = _bit_rows(n)
     d1, d2 = d - 1, d - 2
@@ -451,32 +433,30 @@ def _dd_core(coords: Sequence[Sequence[int]], init: Sequence[int]) -> list[int]:
                 zero.append(k)
                 masks[k] |= bit
         last = i == rest[-1]
-        if len(plus) * len(minus) > _COUNTING_PAIRS:
-            pairs = _partners(plus, minus, tables, d2, n)
-        else:
-            pairs = [(p, q) for p in plus for q in minus if (p[2] & q[2]).bit_count() >= d2]
         born: list[int] = []  # masks of the new rays
         vals: list[list[int]] = []  # their slacks, unless this row is the last
-        for (kp, vp, mp, sp, bp), (km, vm, mm, sm, bm) in pairs:
-            meet = mp & mm
-            if not (sp or sm):
-                common = degenerate
-                for lo, t in tables:
-                    for j in t[meet >> lo & 15]:
-                        common &= deg[j]
-                if common != bp | bm:
+        for kp, vp, mp, sp, bp in plus:
+            for km, vm, mm, sm, bm in minus:
+                meet = mp & mm
+                if meet.bit_count() < d2:
                     continue
-            born.append(meet | bit)
-            if not last:
-                comb = [vp * y - vm * x for x, y in zip(slack[kp], slack[km])]
-                vals.append(_reduced(comb))
+                if not (sp or sm):
+                    common = -1
+                    for lo, t in tables:
+                        for j in t[meet >> lo & 15]:
+                            common &= deg[j]
+                    if common != bp | bm:
+                        continue
+                born.append(meet | bit)
+                if not last:
+                    comb = [vp * y - vm * x for x, y in zip(slack[kp], slack[km])]
+                    vals.append(_reduced(comb))
         if last:
             return [p[2] for p in plus] + [masks[k] for k in zero] + born
         # the cut-off rays leave deg, and the new rays take their ids first
         gone = sum(q[4] for q in minus if not q[3])
         if gone:
             deg = [t & ~gone for t in deg]
-            degenerate &= ~gone
         free = [q[0] for q in minus]
         new = []
         join = []  # rays that turn degenerate, with their masks
@@ -500,51 +480,11 @@ def _dd_core(coords: Sequence[Sequence[int]], init: Sequence[int]) -> list[int]:
                 deg[i] |= 1 << k
         for k, m in join:
             b = 1 << k
-            degenerate |= b
             for lo, t in tables:
                 for j in t[m >> lo & 15]:
                     deg[j] |= b
         live = [p[0] for p in plus] + zero + new
     return [masks[k] for k in live]
-
-
-def _partners(plus, minus, tables, d2, n):
-    """The (+, -) pairs of _dd_core's entries whose masks meet on at
-    least d2 rows, found from the smaller side without forming the others.
-
-    For a ray a with r tight rows, a partner may miss s = r - d2 of them.
-    at[t] is the bitset of the other side's rays that miss at most t of
-    the rows of a seen so far, all of them at first. Row j, with T =
-    tight[j], turns at[t] into at[t] & T | at[t - 1] & ~T, which is
-    at[t - 1] | at[t] & T because at[t - 1] lies in at[t], and at[0]
-    into at[0] & T. After a's last row, at[s] holds its partners."""
-    swap = len(minus) < len(plus)
-    small, other = (minus, plus) if swap else (plus, minus)
-    by_id = {e[0]: e for e in other}
-    side = sum(e[4] for e in other)
-    tight = [0] * n  # tight[j]: the rays of the other side tight on row j
-    for e in other:
-        for lo, t in tables:
-            for j in t[e[2] >> lo & 15]:
-                tight[j] |= e[4]
-    pairs = []
-    for a in small:
-        ma = a[2]
-        s = ma.bit_count() - d2
-        at = [side] * (s + 1)
-        for lo, t in tables:
-            for j in t[ma >> lo & 15]:
-                tj = tight[j]
-                for u in range(s, 0, -1):
-                    at[u] = at[u - 1] | at[u] & tj
-                at[0] &= tj
-        x = at[s]
-        while x:
-            low = x & -x
-            x ^= low
-            b = by_id[low.bit_length() - 1]
-            pairs.append((b, a) if swap else (a, b))
-    return pairs
 
 
 def _reduced(v: list[int]) -> list[int]:

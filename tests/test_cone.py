@@ -310,9 +310,8 @@ def test_dd_masks_survive_row_order_and_conjugation(name, seed, rnd):
 )
 @example(30, 0, random.Random(0))
 def test_dd_masks_on_d6_subcones(keep, seed, rnd):
-    # D6 itself and most of these subcones have insertions that would form
-    # more than _COUNTING_PAIRS (+, -) pairs, where partners are found by
-    # counting misses; their other insertions form the pairs
+    # D6 itself and subcones that keep 24 to 30 of its generators: degenerate
+    # cones whose insertions test many pairs of two degenerate rays
     c = _cartan_cone(6, D6_EDGES)
     c = c.subcone(rnd.sample(range(30), keep))
     _assert_masks_follow_the_rows(c, seed, rnd, 40)
