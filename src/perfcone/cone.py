@@ -30,14 +30,15 @@ from .intlinalg import (
 class PerfectCone:
     """Cone spanned by {v v^t} for a finite set of primitive vectors."""
 
-    # _flat, _dim, _rank, _gram, _profiles and _reduction are derived
-    # values, filled on first use and kept with the cone
-    __slots__ = ("g", "generators", "_flat", "_dim", "_rank", "_gram", "_profiles", "_reduction")
+    # _flat, _dim, _rank, _gram, _profiles, _fingerprint and _reduction
+    # are derived values, filled on first use and kept with the cone
+    __slots__ = (
+        "g", "generators", "_flat", "_dim", "_rank", "_gram", "_profiles", "_fingerprint", "_reduction"
+    )
 
     def __init__(self, g: int, generators: Iterable[Sequence[int]]):
         if g < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        self.g = g
         norm = []
         for v in generators:
             v = tuple(int(x) for x in v)
@@ -48,12 +49,19 @@ class PerfectCone:
             norm.append(sign_normalize(v))
         if len(set(norm)) != len(norm):
             raise ValueError("generators repeat a +- pair")
-        self.generators = tuple(sorted(norm))
+        self._start(g, tuple(sorted(norm)))
+
+    def _start(self, g: int, generators: tuple[tuple[int, ...], ...]) -> None:
+        """Set the cone on checked generators: primitive, sign-normalized,
+        distinct and sorted; no derived value is known yet."""
+        self.g = g
+        self.generators = generators
         self._flat = None
         self._dim = None
         self._rank = None
         self._gram = None
         self._profiles = None
+        self._fingerprint = None
         self._reduction = None
 
     @property
@@ -119,6 +127,21 @@ class PerfectCone:
             self._profiles = tuple(out)
         return self._profiles
 
+    @property
+    def fingerprint(self) -> tuple:
+        """The GL_g(Z) invariant the orbit registry sorts cones by:
+        ("zero",) for the zero cone, else the rank, the dimension and the
+        sorted profiles of the reduced core (reduce). A conjugate cone has
+        the same fingerprint, so a registry that has it for one cone of an
+        orbit has it for the orbit's representative."""
+        if self._fingerprint is None:
+            if not self.generators:
+                self._fingerprint = ("zero",)
+            else:
+                core = self if self.rank == self.g else reduce(self)[0]
+                self._fingerprint = (self.rank, self.dim, tuple(sorted(core.profiles)))
+        return self._fingerprint
+
     def is_zero(self) -> bool:
         return not self.generators
 
@@ -136,8 +159,18 @@ class PerfectCone:
         return f"PerfectCone(g={self.g}, n={len(self.generators)}, dim={self.dim}, rank={self.rank})"
 
     def subcone(self, indices: Iterable[int]) -> "PerfectCone":
-        gens = [self.generators[i] for i in sorted(set(indices))]
-        return PerfectCone(self.g, gens)
+        """The cone on the generators at indices, each in range(n).
+
+        The cone's generators are already checked and sorted, and so is
+        any subset of them taken in index order: the subcone takes them
+        as they are, without the constructor's checks."""
+        keep = sorted(set(indices))
+        gens = self.generators
+        if keep and (keep[0] < 0 or keep[-1] >= len(gens)):
+            raise ValueError(f"generator indices must lie in range({len(gens)})")
+        c = PerfectCone.__new__(PerfectCone)
+        c._start(self.g, tuple([gens[i] for i in keep]))
+        return c
 
     def facet(self, indices: Iterable[int]) -> "PerfectCone":
         """The subcone on the generator indices of a facet (a mask from

@@ -144,6 +144,20 @@ class Echelon:
         out.reverse()
         return out
 
+    def adjugate(self) -> tuple[list[list[int]], int]:
+        """(adj m, det m) for kept rows [m | I] of an invertible m of order
+        ``width``, row i of I the unit vector e_i.
+
+        The Jordan form's right block is adj(m Q) = det(Q) Q^-1 adj(m),
+        Q the pivot order, and det B = det(m Q).
+        """
+        s = _perm_sign(self.pivots)
+        n = self.width
+        adj: list[list[int]] = [[]] * n
+        for r, c in zip(self.jordan(), self.pivots):
+            adj[c] = [s * x for x in r[n:]]
+        return adj, s * self.det
+
     def kernel_vector(self, ncols: int) -> tuple[int, ...] | None:
         """A primitive integer vector spanning the kernel of the kept rows
         (of length ncols) when that kernel is a line, else None. Its entry
@@ -210,12 +224,7 @@ def adjugate_det(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     for i, row in enumerate(m):
         if not e.add(list(row) + [int(i == j) for j in range(n)]):
             raise ValueError("matrix is singular")
-    # the right block is adj(m Q) = det(Q) Q^-1 adj(m), Q the pivot order
-    s = _perm_sign(e.pivots)
-    adj: list[list[int]] = [[]] * n
-    for r, c in zip(e.jordan(), e.pivots):
-        adj[c] = [s * x for x in r[n:]]
-    return adj, s * e.det
+    return e.adjugate()
 
 
 def rank_rows(rows: Sequence[Sequence[int]]) -> int:

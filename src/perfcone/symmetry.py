@@ -36,15 +36,13 @@ from typing import Iterable, Sequence
 from .cone import (
     PerfectCone,
     format_cone,
-    greedy_spanning,
     int_field,
-    pad,
     parse_cone,
     reduce as cone_reduce,
     span_basis,
 )
 from .intlinalg import (
-    adjugate_det,
+    Echelon,
     det_int,
     det_sign,
     identity_matrix,
@@ -107,54 +105,85 @@ def _ray_perm(a, source: PerfectCone, index: dict[tuple[int, ...], int]) -> tupl
     return tuple(perm)
 
 
-def _assignment_order(c: PerfectCone, cand: list[tuple[int, ...]]) -> tuple[list[int], int]:
+def _assignment_order(
+    c: PerfectCone, cand: list[tuple[int, ...]]
+) -> tuple[list[int], int, list[list[int]] | None, int]:
     """Static DFS order: rank-increasing generators first (rarest profile
     wins ties), so the assigned prefix determines the matrix early.
-    Returns (order, prefix_len)."""
-    n = len(c.generators)
-    remaining = sorted(range(n), key=lambda i: (len(cand[i]), i))
-    order = greedy_spanning(c.generators, remaining)
-    prefix = set(order)
+
+    Returns (order, prefix_len, adj V, det V), V the matrix whose columns
+    are the prefix generators order[:prefix_len]; when they do not reach
+    rank g, adj V is None and det V is 0. One Echelon over the rows
+    [v_i | e_k], k the slot v_i would take in the prefix, gives all
+    three: a row is kept exactly when it raises the rank, so the kept
+    rows are [V^t | I], and the Echelon's adjugate is adj(V^t), the
+    transpose of adj V.
+    """
+    g = c.g
+    gens = c.generators
+    remaining = sorted(range(len(gens)), key=lambda i: (len(cand[i]), i))
+    unit = [tuple(row) for row in identity_matrix(g)]
+    basis = Echelon(g)
+    order: list[int] = []
+    for i in remaining:
+        if basis.add(gens[i] + unit[len(order)]):
+            order.append(i)
+            if len(order) == g:
+                break  # the prefix spans every column
     prefix_len = len(order)
+    prefix = set(order)
     order.extend(i for i in remaining if i not in prefix)
-    return order, prefix_len
+    if prefix_len < g:
+        return order, prefix_len, None, 0
+    adj_t, det = basis.adjugate()
+    return order, prefix_len, [list(col) for col in zip(*adj_t)], det
 
 
 def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> list[tuple]:
-    """Matrices A in GL_g(Z) with A . c1 = c2 (as +- pairs), as
-    (A, perm, det A) triples, up to the global flip -A.
+    """Matrices A in GL_g(Z) with A . c1 = c2 (as +- pairs), as (A, perm)
+    pairs, perm the ray permutation A induces, up to the global flip -A.
 
     Both cones must be full rank with equal ambient g. By default the
-    result is the first realization the search meets, or nothing, and its
-    det entry is None. With group=True (and c2 = c1) it is a strong
-    generating set of the stabilizer for the base b = order[:prefix_len]:
-    for every k, the generators fixing the rays b_1..b_k generate G_k,
-    the group of all elements that fix them. The list holds every element
-    of G_prefix_len (the kernel of the action on rays lies in it) and,
-    for each k, one element of G_k for each image of b_(k+1) that the
-    generators found before it do not reach. -I is never listed; its
-    det is (-1)^g.
+    result is the first realization the search meets, or nothing. With
+    group=True (and c2 = c1) it is a strong generating set of the
+    stabilizer for the base b = order[:prefix_len]: for every k, the
+    generators fixing the rays b_1..b_k generate G_k, the group of all
+    elements that fix them. The list holds every element of G_prefix_len
+    (the kernel of the action on rays lies in it) and, for each k, one
+    element of G_k for each image of b_(k+1) that the generators found
+    before it do not reach. -I is never listed; its det is (-1)^g.
 
     A realization is A = W V^-1, the columns of V the g prefix
-    generators of c1 and those of W their signed images in c2, and it
-    needs no determinant to be unimodular:
-    - the profile multisets are equal, so the Gram traces g det T are,
-      and det T1 = det T2 > 0;
+    generators v_p of c1 and those of W their signed images e_p w_a(p) in
+    c2. The search takes no determinant, and it never applies A to a
+    generator:
     - profiles fix the diagonal, the DFS matches |G_ij| on every prefix
       pair, and the sign propagation matches the signs, so the signed
-      prefix Gram matrices are equal: V^t adj(T1) V = W^t adj(T2) W;
-    - taking determinants, with det adj(T) = det(T)^(g-1), gives
-      det(V)^2 = det(W)^2, so |det A| = 1;
+      prefix Gram matrices are equal: V^t adj(T1) V = W^t adj(T2) W. As V
+      is invertible, A^t adj(T2) A = adj(T1): A is an isometry from
+      adj(T1) to adj(T2);
+    - hence G1[i][p] = (A v_i)^t adj(T2) e_p w_a(p) for every generator i
+      of c1 and prefix generator p. If A v_i = s w_j, the signed prefix
+      row of i, (G1[i][p])_p, is s times that of j, (e_p G2[j][a(p)])_p.
+      Conversely, equal rows up to s give (A v_i - s w_j)^t adj(T2) W = 0,
+      and adj(T2) and W are invertible, so A v_i = s w_j. The rows, taken
+      up to sign, are distinct for distinct rays, so the images of all
+      generators are read off the Gram rows by one dict lookup each, and
+      a generator whose row is not found has no image among the rays;
+    - the profile multisets are equal, so the Gram traces g det T are,
+      and det T1 = det T2 > 0. Taking determinants of the prefix Gram
+      matrices, with det adj(T) = det(T)^(g-1), gives det(V)^2 =
+      det(W)^2, so |det A| = 1;
     - the search checks that W adj(V) / det V = A is integral, and an
       integer matrix of determinant +-1 lies in GL_g(Z).
-    Only group mode, whose callers read the sign, takes det A.
+    Callers that read the sign of det A take it themselves.
     """
     g = c1.g
     n = len(c1.generators)
     if len(c2.generators) != n or c1.dim != c2.dim:
         return []
     if n == 0:
-        return [(tuple(tuple(r) for r in identity_matrix(g)), (), 1)]
+        return [(tuple(tuple(r) for r in identity_matrix(g)), ())]
     g1 = c1.gram
     g2 = c2.gram
     prof1 = c1.profiles
@@ -165,21 +194,19 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
     for j, p in enumerate(prof2):
         where.setdefault(p, []).append(j)
     cand = [tuple(where[p]) for p in prof1]
-    order, prefix_len = _assignment_order(c1, cand)
+    order, prefix_len, vadj, vdet = _assignment_order(c1, cand)
     if prefix_len < g:
         raise AssertionError("full-rank cone without a spanning prefix")
     prefix = order[:prefix_len]
-    vmat = [[c1.generators[i][k] for i in prefix] for k in range(g)]
-    # A = W V^{-1} is integral iff every entry of W adj(V) is divisible by det V
-    vadj, vdet = adjugate_det(vmat)
-    target_index = _ray_index(c2)
+    # the signed prefix rows of c1, up to sign: the images' keys
+    keys = [sign_normalize([row[p] for p in prefix]) for row in g1]
     assign: dict[int, int] = {}
     used = [False] * n
 
     def realize(every: bool) -> list[tuple]:
         """The matrices that extend the complete prefix assignment, one per
         sign pattern (all of them, or only the first)."""
-        # signs on the prefix, up to a global flip accounted in the dets
+        # signs on the prefix, up to a global flip
         eps: dict[int, int] = {}
         comps: list[int] = []
         root_of: dict[int, int] = {}
@@ -209,21 +236,19 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
             flip = {comps[0]: 1}
             for b, root in enumerate(comps[1:]):
                 flip[root] = -1 if (mask >> b) & 1 else 1
-            total: dict[int, int] = {}
-            for a in prefix:
-                total[a] = eps[a] * flip[root_of[a]]
-            wmat = [
-                [total[i] * c2.generators[assign[i]][k] for i in prefix]
-                for k in range(g)
-            ]
+            signed = [(assign[a], eps[a] * flip[root_of[a]]) for a in prefix]
+            image = {
+                sign_normalize([s * row[j] for j, s in signed]): k for k, row in enumerate(g2)
+            }
+            perm = tuple(image.get(key, -1) for key in keys)
+            if -1 in perm or len(set(perm)) != n:
+                continue
+            wmat = [[s * c2.generators[j][k] for j, s in signed] for k in range(g)]
             amat = mat_mul(wmat, vadj)
+            # A = W V^{-1} is integral iff every entry of W adj(V) is divisible by det V
             if any(x % vdet for row in amat for x in row):
                 continue
-            aint = [[x // vdet for x in row] for row in amat]
-            perm = _ray_perm(aint, c1, target_index)
-            if perm is None:
-                continue
-            found.append((tuple(tuple(r) for r in aint), perm, det_int(aint) if group else None))
+            found.append((tuple(tuple(x // vdet for x in row) for row in amat), perm))
             if not every:
                 break
         return found
@@ -269,14 +294,14 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
             i = order[pos]
             del assign[i]
             used[i] = False
-            orbit = _orbit(i, [perm for _a, perm, _d in gens])
+            orbit = _orbit(i, [perm for _a, perm in gens])
             for j in cand[i]:
                 if j in orbit:
                     continue
                 found = first(pos, (j,))
                 if found:
                     gens.append(found[0])
-                    orbit = _orbit(i, [perm for _a, perm, _d in gens])
+                    orbit = _orbit(i, [perm for _a, perm in gens])
     del first  # first reaches itself through its closure cell: a reference cycle
     return gens
 
@@ -338,7 +363,7 @@ def equivalent(c1: PerfectCone, c2: PerfectCone) -> ConeTransform | None:
     found = _full_rank_maps(c1, c2)
     if not found:
         return None
-    a, perm, _det = found[0]
+    a, perm = found[0]
     return ConeTransform(a, c1, c2, perm)
 
 
@@ -351,7 +376,7 @@ def _collect_maps(c: PerfectCone) -> dict[tuple[int, ...], tuple[tuple, set[int]
     rays (with -I in it), so their determinants are det(A_p) det(K).
     """
     g = c.g
-    gens = _full_rank_maps(c, c, group=True)
+    gens = [(a, perm, det_int(a)) for a, perm in _full_rank_maps(c, c, group=True)]
     ident = tuple(range(len(c.generators)))
     kernel = {1, (-1) ** g}
     kernel.update(det for _a, perm, det in gens if perm == ident)
@@ -395,9 +420,9 @@ def strong_generators(c: PerfectCone) -> list[tuple[int, ...]]:
     if c.is_zero():
         return []
     if c.rank == c.g:
-        return [perm for _a, perm, _det in _full_rank_maps(c, c, group=True)]
+        return [perm for _a, perm in _full_rank_maps(c, c, group=True)]
     red, _u, local = _reduction(c)
-    return [_pull_back(perm, local) for _a, perm, _det in _full_rank_maps(red, red, group=True)]
+    return [_pull_back(perm, local) for _a, perm in _full_rank_maps(red, red, group=True)]
 
 
 def automorphisms(c: PerfectCone) -> list[ConeTransform]:
@@ -433,7 +458,7 @@ def stabilizer_has_reflection(c: PerfectCone) -> bool:
     """
     if c.is_zero() or c.rank < c.g or c.g % 2:
         return True
-    return any(det == -1 for _a, _perm, det in _full_rank_maps(c, c, group=True))
+    return any(det_int(a) == -1 for a, _perm in _full_rank_maps(c, c, group=True))
 
 
 def span_coordinates(c: PerfectCone, ref: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -536,10 +561,8 @@ class OrbitRegistry:
         self._counters: dict[tuple[int, int], int] = {}
 
     def fingerprint(self, c: PerfectCone) -> tuple:
-        if c.is_zero():
-            return ("zero",)
-        core = c if c.rank == c.g else cone_reduce(c)[0]
-        return (c.rank, c.dim, tuple(sorted(core.profiles)))
+        """The cone's fingerprint (PerfectCone.fingerprint), kept on it."""
+        return c.fingerprint
 
     def locate(self, c: PerfectCone) -> tuple[Orbit, ConeTransform] | None:
         fp = self.fingerprint(c)
@@ -587,7 +610,8 @@ class OrbitRegistry:
             dim=c.dim,
             alternating=alternating,
             ref_orientation=ref,
-            fingerprint=self.fingerprint(rep),
+            # locate took c's fingerprint, which a conjugate rep shares
+            fingerprint=c.fingerprint,
             aut_gens=gens,
             coords=coords if alternating else None,
         )

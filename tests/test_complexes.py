@@ -226,23 +226,23 @@ def test_registry_built_on_prev_is_the_same(reg3, reg4):
 def test_registry_builds_share_no_derived_data(monkeypatch):
     # Gram matrices, reductions and span coordinates are kept on the cones
     # and orbits of one registry, so a second build in the same process
-    # eliminates exactly as much as the first
+    # eliminates exactly as much as the first: as many Gram adjugates, and
+    # as many eliminations of the search (one per search, in
+    # _assignment_order)
     calls = Counter()
-    for module in (perfcone.cone, perfcone.symmetry):
-        for name in ("adjugate_int", "adjugate_det"):
-            if hasattr(module, name):
-                fn = getattr(module, name)
+    for module, name in ((perfcone.cone, "adjugate_int"), (perfcone.symmetry, "_assignment_order")):
+        fn = getattr(module, name)
 
-                def counting(*args, _fn=fn, _name=name):
-                    calls[_name] += 1
-                    return _fn(*args)
+        def counting(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
 
-                monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(module, name, counting)
     build_registry(4)
     first = dict(calls)
     calls.clear()
     build_registry(4)
-    assert first["adjugate_int"] > 0 and first["adjugate_det"] > 0
+    assert first["adjugate_int"] > 0 and first["_assignment_order"] > 0
     assert dict(calls) == first
 
 

@@ -57,6 +57,36 @@ def test_constructor_rejects_bad_generators():
         PerfectCone(-1, [])
 
 
+D5 = next(cone_of_form(q) for q in load_bundled_catalog(5) if q.name == "d5")
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_subcone_is_the_cone_on_those_generators(reg5, data):
+    # subcone takes the parent's checked, sorted generators as they are;
+    # the constructor checks, normalizes and sorts them again
+    cones = [D5] + [o.rep for o in reg5.orbits if o.rep.generators]
+    c = data.draw(st.sampled_from(cones))
+    gens = c.generators
+    idx = data.draw(st.sets(st.integers(0, len(gens) - 1)))
+    idx = data.draw(st.permutations(sorted(idx)))
+    sub = c.subcone(idx)
+    ref = PerfectCone(c.g, [gens[i] for i in idx])
+    assert sub == ref and hash(sub) == hash(ref)
+    assert sub.generators == ref.generators
+    assert (sub.dim, sub.rank) == (ref.dim, ref.rank)
+
+
+def test_subcone_rejects_indices_outside_the_cone():
+    n = len(D5.generators)
+    for bad in ([-1], [n], [-1, n - 1], [0, n], [-n]):
+        with pytest.raises(ValueError, match=f"range\\({n}\\)"):
+            D5.subcone(bad)
+        with pytest.raises(ValueError, match=f"range\\({n}\\)"):
+            D5.facet(bad)
+    assert D5.subcone([]) == PerfectCone(5, [])
+
+
 def test_rank_and_dimension_examples():
     prin2 = cone_of_form(principal_form(2))
     assert prin2.rank == 2 and prin2.dim == 3

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 import perfcone
 from perfcone.complexes import build_registry
 from perfcone.cone import Face, PerfectCone, faces, facet_index_sets, reduce
-from perfcone.intlinalg import det_int, mat_mul
+from perfcone.intlinalg import adjugate_det, det_int, mat_mul
 from perfcone.matroid import complete_graph, graphic_cone
 from perfcone.quadform import (
     cone_of_form,
@@ -350,6 +350,16 @@ def test_fingerprint_is_conjugation_invariant(k, seed):
     assert reg.fingerprint(moved) == reg.fingerprint(c)
 
 
+def test_stored_fingerprints_are_those_of_the_reps(reg5):
+    # add keeps the fingerprint locate took on the cone it was given; a
+    # seeded registry's rep is a conjugate of that cone, and a fresh copy
+    # of the rep takes its fingerprint from nothing kept
+    for reg in (reg5, build_registry(5, seed=1)):
+        for o in reg.orbits:
+            fresh = PerfectCone(o.rep.g, o.rep.generators)
+            assert o.fingerprint == reg.fingerprint(o.rep) == reg.fingerprint(fresh), o.id
+
+
 def _profiles_from_gram(gram):
     """Per-generator profiles as the equivalence search computed them from
     the Gram matrix for every candidate pair, before the cone kept them."""
@@ -398,7 +408,14 @@ def test_assignment_order_matches_prefix_rank_definition(k, rnd):
     c = POOL34[k]
     n = len(c.generators)
     cand = [tuple(range(rnd.randint(1, n))) for _ in range(n)]
-    assert _assignment_order(c, cand) == _prefix_rank_order(c, cand)
+    order, prefix_len, vadj, vdet = _assignment_order(c, cand)
+    assert (order, prefix_len) == _prefix_rank_order(c, cand)
+    if prefix_len < c.g:
+        assert (vadj, vdet) == (None, 0)
+    else:
+        # V has the prefix generators as its columns
+        vmat = [[c.generators[i][k] for i in order[:prefix_len]] for k in range(c.g)]
+        assert (vadj, vdet) == adjugate_det(vmat)
 
 
 def _group(c):
@@ -426,9 +443,9 @@ def _assert_strong_generators(c, group):
     n = len(c.generators)
     prof = c.profiles
     cand = [tuple(j for j in range(n) if prof[j] == prof[i]) for i in range(n)]
-    order, prefix_len = _assignment_order(c, cand)
+    order, prefix_len, _adj, _det = _assignment_order(c, cand)
     base = order[:prefix_len]
-    gens = [perm for _a, perm, _d in _full_rank_maps(c, c, group=True)]
+    gens = [perm for _a, perm in _full_rank_maps(c, c, group=True)]
     perms = {perm for perm, _d in group}
     for k in range(prefix_len + 1):
         fixed = base[:k]
@@ -514,10 +531,62 @@ def test_strong_generators_are_automorphisms():
             c = reduce(c)[0]
         gens = _full_rank_maps(c, c, group=True)
         assert gens
-        for a, perm, d in gens:
+        for a, perm in gens:
             t = ConeTransform(a, c, c, perm)
             assert t.check()
-            assert det_int([list(r) for r in a]) == d
+            assert det_int([list(r) for r in a]) in (1, -1)
+
+
+def test_seeded_g5_witnesses_and_strong_generators_pass_check(monkeypatch):
+    # the search reads each image off the Gram rows and never applies its
+    # matrix to a generator; ConeTransform.check does (_ray_perm), so it
+    # checks every witness and strong generator independently
+    located = []
+    searched = []
+    locate = OrbitRegistry.locate
+    full_rank_maps = perfcone.symmetry._full_rank_maps
+
+    def recording_locate(self, c):
+        loc = locate(self, c)
+        if loc is not None:
+            located.append(loc[1])
+        return loc
+
+    def recording_maps(c1, c2, group=False):
+        found = full_rank_maps(c1, c2, group)
+        searched.extend((ConeTransform(a, c1, c2, perm), group) for a, perm in found)
+        return found
+
+    monkeypatch.setattr(OrbitRegistry, "locate", recording_locate)
+    monkeypatch.setattr(perfcone.symmetry, "_full_rank_maps", recording_maps)
+    build_registry(5, seed=1)
+    # 410 located cones at ambients 1..5; 409 equivalence witnesses and 766
+    # strong generators found by the search, on full-rank cones or cores
+    assert len(located) == 410
+    assert sum(not group for _t, group in searched) == 409
+    assert sum(group for _t, group in searched) == 766
+    for t in located:
+        assert t.check()
+    for t, _group in searched:
+        assert t.check()
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        # an integral isometry extends a prefix assignment, yet sends a
+        # generator off the cone: only the Gram-row image check rejects it
+        [(1, -1), (1, 1), (1, 2), (2, -1)],
+        # the generators span a sublattice of index 2, and rational maps
+        # permute them: only the integrality check rejects those
+        [(0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 0, 0), (1, -1, 0, 0)],
+    ],
+)
+def test_search_rejects_maps_that_are_not_cone_automorphisms(vectors):
+    c = PerfectCone(len(vectors[0]), vectors)
+    for a, perm in _full_rank_maps(c, c, group=True):
+        assert ConeTransform(a, c, c, perm).check()
+    _assert_strong_generators(c, automorphism_oracle(c.generators))
 
 
 def test_equivalence_witnesses_are_unimodular():
