@@ -223,14 +223,6 @@ def annotate_matroidal(reg: OrbitRegistry) -> None:
         orb.matroidal = orb.id in flagged
 
 
-def differential_entry(target: Orbit, source: Orbit) -> int:
-    """Sum of the facet orientations over facets of the source
-    representative equivalent to the target orbit."""
-    if not (source.alternating and target.alternating):
-        raise ValueError("differential entries need alternating orbits")
-    return sum(eta for _mask, tid, eta in source.facets if tid == target.id)
-
-
 @dataclass
 class ChainComplexQ:
     label: str

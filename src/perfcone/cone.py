@@ -234,7 +234,7 @@ def _mirror(low: list[list[int]]) -> tuple[tuple[int, ...], ...]:
 @dataclass(frozen=True)
 class Face:
     """The face of parent on the generators whose bits are set in mask
-    (bit i for generator i), as facet_index_sets and faces give it."""
+    (bit i for generator i), as facet_index_sets gives it."""
 
     parent: PerfectCone
     mask: int
@@ -247,11 +247,6 @@ class Face:
 def indices(mask: int) -> list[int]:
     """The generator indices of a face mask, increasing."""
     return [i for i, b in enumerate(reversed(f"{mask:b}")) if b == "1"]
-
-
-def is_boundary(c: PerfectCone) -> bool:
-    """True iff the cone misses the positive definite locus."""
-    return c.rank < c.g
 
 
 def pad(c: PerfectCone, g: int) -> PerfectCone:
@@ -316,7 +311,11 @@ def greedy_spanning(rows: Sequence[Sequence[int]], order: Iterable[int]) -> list
 
 
 def spanning_subset(c: PerfectCone, order: Sequence[int] | None = None) -> tuple[int, ...]:
-    """Index subset (increasing) whose forms span the cone's linear span."""
+    """Index subset (increasing) whose forms span the cone's linear span.
+
+    The pipeline takes this subset from span_basis, with the coordinates.
+    This stays as the tests' reference for it, and because perfbench's
+    tracer times it (cone.spanning_subset)."""
     rows = c.flat
     if order is None:
         order = range(len(rows))
@@ -382,20 +381,6 @@ def _bit_rows(n: int) -> list[tuple[int, list[tuple[int, ...]]]]:
             t += [s + (j,) for s in t]
         tables.append((lo, t))
     return tables
-
-
-def _dd_extreme_rays(ys: list[tuple[int, ...]]) -> list[int]:
-    """Active sets of the extreme rays of {w : <w, y_i> >= 0}, as bitmasks
-    whose bit i is set exactly when <w, y_i> = 0 at the ray w.
-
-    The y_i must span R^d and generate a pointed cone (true for projected
-    rank-1 forms). One elimination (_span_basis) picks the first d
-    spanning rows and the coordinates of every row in them, for _dd_core.
-    """
-    init, coords = _span_basis(ys, range(len(ys)))
-    if len(init) != len(ys[0]):
-        raise AssertionError("constraints do not span the ambient space")
-    return _dd_core(coords, init)
 
 
 def _dd_core(coords: Sequence[Sequence[int]], init: Sequence[int]) -> list[int]:
@@ -562,36 +547,6 @@ def facet_index_sets(c: PerfectCone) -> list[int]:
         int.from_bytes((m << shift).to_bytes(width, "little").translate(_REVERSED), "big")
         for m in masks
     ]
-
-
-def faces(c: PerfectCone) -> dict[int, list[Face]]:
-    """Complete face lattice, grouped by face dimension, each group
-    sorted as the faces' sorted index tuples.
-
-    Faces are intersections of facets (plus the cone itself), taken as
-    generator masks; the zero face is always included.
-    """
-    full = (1 << len(c.generators)) - 1
-    facets = facet_index_sets(c)
-    seen = {full, 0}
-    frontier = [full]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for f in facets:
-                t = s & f
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    grouped: dict[int, list[Face]] = {}
-    for s in seen:
-        face = Face(c, s)
-        dim = face.cone.dim
-        grouped.setdefault(dim, []).append(face)
-    for dim in grouped:
-        grouped[dim].sort(key=lambda f: indices(f.mask))
-    return grouped
 
 
 def format_cone(c: PerfectCone) -> str:

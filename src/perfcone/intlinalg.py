@@ -234,7 +234,8 @@ def rank_rows(rows: Sequence[Sequence[int]]) -> int:
 
 def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer boundary matrix. Same as rank_rows; a function
-    of its own so that homology's rank calls are counted apart."""
+    of its own so that perfbench's tracer counts homology's rank calls
+    apart (homology.bareiss_rank)."""
     return _echelon(rows).rank
 
 
@@ -242,7 +243,10 @@ def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
     """Leftmost pivot column indices of the row space.
 
     A column a reduced row can pivot on is never a combination of the
-    columns left of it, so the pivots found are exactly these.
+    columns left of it, so the pivots found are exactly these. No package
+    code calls it (span_basis reads the pivots off its own Echelon); it
+    stays for the tests, and because perfbench's tracer counts it
+    (intlinalg.pivot_columns).
     """
     return sorted(_echelon(rows).pivots)
 
@@ -265,7 +269,8 @@ def adjugate_int(m: Sequence[Sequence[int]]) -> list[list[int]]:
 
 def frac_inverse(m: Sequence[Sequence[int]]) -> list[list[Fraction]]:
     """Inverse over Q of an invertible integer matrix; raises on singular
-    input. The package itself inverts with adjugate_int."""
+    input. No package code calls it; it stays for the tests, and because
+    perfbench's tracer counts it (intlinalg.frac_inverse)."""
     adj, d = adjugate_det(m)
     return [[Fraction(x, d) for x in row] for row in adj]
 
@@ -275,14 +280,6 @@ def unimodular_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
     return [[d * x for x in row] for row in adj]
-
-
-def integer_kernel_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
-    """A primitive integer kernel vector when the kernel is 1-dimensional.
-
-    Its entry on the one non-pivot column is positive.
-    """
-    return _echelon(rows).kernel_vector(len(rows[0])) if rows else None
 
 
 def snf_left(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], int]:

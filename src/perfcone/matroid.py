@@ -161,6 +161,8 @@ def _rational_coloops(vectors: Sequence[Sequence[int]]) -> list[int]:
 
 
 def zg_coloop_indices(vectors: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the vectors of S that extend to a Z-basis with
+    span_Z(rest) inside the complementary sublattice."""
     vs = [tuple(int(x) for x in v) for v in vectors]
     if not vs:
         return []
@@ -182,20 +184,6 @@ def zg_coloop_indices(vectors: Sequence[Sequence[int]]) -> list[int]:
     return out
 
 
-def zg_coloops(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Vectors of S that extend to a Z-basis with span_Z(rest) inside the
-    complementary sublattice."""
-    vs = [tuple(int(x) for x in v) for v in vectors]
-    return [vs[i] for i in zg_coloop_indices(vs)]
-
-
-def matroid_coloops(rep: TURepresentation) -> list[int]:
-    """Column indices lying in every column basis."""
-    if rep.verified is not True:
-        raise ValueError("totally unimodular verification is required first")
-    return _rational_coloops(rep.columns)
-
-
 def inflate(c: PerfectCone) -> PerfectCone:
     """Append the last unit vector to a block-form representative.
 
@@ -215,20 +203,6 @@ def inflate(c: PerfectCone) -> PerfectCone:
         raise AssertionError("inflation failed to add one dimension")
     if len(zg_coloop_indices(out.generators)) != 1:
         raise AssertionError("inflation did not create a unique coloop")
-    return out
-
-
-def deflate(c: PerfectCone) -> PerfectCone:
-    """Drop the unique lattice coloop ray. Inverse of inflate on orbits."""
-    hits = zg_coloop_indices(c.generators)
-    if len(hits) != 1:
-        raise ValueError(f"deflation needs exactly one coloop, found {len(hits)}")
-    gens = [v for i, v in enumerate(c.generators) if i != hits[0]]
-    out = PerfectCone(c.g, gens)
-    if out.dim != c.dim - 1:
-        raise AssertionError("deflation failed to drop one dimension")
-    if zg_coloop_indices(out.generators):
-        raise AssertionError("deflation left a coloop behind")
     return out
 
 

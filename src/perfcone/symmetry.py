@@ -16,10 +16,9 @@ the trace g det T, det T itself.
 Automorphism groups are never listed element by element. The search
 returns a strong generating set along the base of the assignment order
 (Sims' stabilizer chain, pruned by the orbits of the generators found so
-far, as in McKay-Piperno's backtrack). The orientation sign and the
-determinant are homomorphisms, so the alternation and reflection tests
-read only the generators; the full group, where a caller wants it, is
-their closure under composition.
+far, as in McKay-Piperno's backtrack). The orientation sign is a
+homomorphism, so the alternation test reads only the generators; the
+full group is their closure under composition, with -I.
 
 All arithmetic here is on integers: inverses appear only as adjugates
 with a divisibility test, and span coordinates are scaled by a positive
@@ -66,15 +65,6 @@ class ConeTransform:
         if len(self.source.generators) != len(self.target.generators):
             return False
         return _ray_perm(self.matrix, self.source, _ray_index(self.target)) == self.perm
-
-    def inverse(self) -> "ConeTransform":
-        inv = unimodular_inverse([list(r) for r in self.matrix])
-        back = [0] * len(self.perm)
-        for i, j in enumerate(self.perm):
-            back[j] = i
-        return ConeTransform(
-            tuple(tuple(r) for r in inv), self.target, self.source, tuple(back)
-        )
 
 
 def _identity_transform(c: PerfectCone) -> ConeTransform:
@@ -176,7 +166,6 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
       det(W)^2, so |det A| = 1;
     - the search checks that W adj(V) / det V = A is integral, and an
       integer matrix of determinant +-1 lies in GL_g(Z).
-    Callers that read the sign of det A take it themselves.
     """
     g = c1.g
     n = len(c1.generators)
@@ -367,35 +356,6 @@ def equivalent(c1: PerfectCone, c2: PerfectCone) -> ConeTransform | None:
     return ConeTransform(a, c1, c2, perm)
 
 
-def _collect_maps(c: PerfectCone) -> dict[tuple[int, ...], tuple[tuple, set[int]]]:
-    """All distinct induced ray permutations of a full-rank cone with a
-    witness matrix and the set of witness determinants.
-
-    The group is the closure of the strong generators under composition.
-    The matrices inducing p are A_p K, for K the kernel of the action on
-    rays (with -I in it), so their determinants are det(A_p) det(K).
-    """
-    g = c.g
-    gens = [(a, perm, det_int(a)) for a, perm in _full_rank_maps(c, c, group=True)]
-    ident = tuple(range(len(c.generators)))
-    kernel = {1, (-1) ** g}
-    kernel.update(det for _a, perm, det in gens if perm == ident)
-    reached = {ident: (identity_matrix(g), 1)}
-    stack = [ident]
-    while stack:
-        p = stack.pop()
-        a, det = reached[p]
-        for ga, gp, gdet in gens:
-            q = tuple(gp[x] for x in p)
-            if q not in reached:
-                reached[q] = (mat_mul(ga, a), gdet * det)
-                stack.append(q)
-    return {
-        p: (tuple(tuple(row) for row in a), {det * k for k in kernel})
-        for p, (a, det) in reached.items()
-    }
-
-
 def _reduction(c: PerfectCone) -> tuple[PerfectCone, list[list[int]], list[int]]:
     """(c', U, local) for a boundary cone, with (c', U) = reduce(c) and
     local[i] the index in c' of the truncated image of generator i."""
@@ -425,42 +385,6 @@ def strong_generators(c: PerfectCone) -> list[tuple[int, ...]]:
     return [_pull_back(perm, local) for _a, perm in _full_rank_maps(red, red, group=True)]
 
 
-def automorphisms(c: PerfectCone) -> list[ConeTransform]:
-    """Finite group of induced ray permutations, one witness matrix each.
-
-    Boundary cones delegate to their reduction; witnesses are lifted back
-    to the ambient dimension.
-    """
-    if c.is_zero():
-        return [_identity_transform(c)]
-    if c.rank < c.g:
-        red, u, local = _reduction(c)
-        out = []
-        for perm_red, (a_red, _dets) in sorted(_collect_maps(red).items()):
-            a = _lift_block([list(r) for r in a_red], u, u, c.g, c.rank)
-            perm = _pull_back(perm_red, local)
-            out.append(ConeTransform(tuple(tuple(int(x) for x in row) for row in a), c, c, perm))
-        return out
-    maps = _collect_maps(c)
-    return [
-        ConeTransform(a, c, c, perm) for perm, (a, _dets) in sorted(maps.items())
-    ]
-
-
-def stabilizer_has_reflection(c: PerfectCone) -> bool:
-    """True iff some GL_g(Z) stabilizer element has determinant -1,
-    i.e. the GL-orbit of the cone equals its SL-orbit.
-
-    Boundary cones always qualify: a block stabilizer [[A', P], [0, M]]
-    fixing the reduced core leaves det M free, so both signs occur. For
-    odd g, -I qualifies. Otherwise det is a homomorphism, so some strong
-    generator has det -1 exactly when some stabilizer element does.
-    """
-    if c.is_zero() or c.rank < c.g or c.g % 2:
-        return True
-    return any(det_int(a) == -1 for a, _perm in _full_rank_maps(c, c, group=True))
-
-
 def span_coordinates(c: PerfectCone, ref: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Coordinates of every generator form in the basis of the forms of
     ref, taken in ref's order, times one D > 0: span_basis with ref first
@@ -479,23 +403,13 @@ def span_coordinates(c: PerfectCone, ref: Sequence[int]) -> tuple[tuple[int, ...
     return tuple(tuple(x[k] for k in col) for x in coords)
 
 
-def orientation_sign(c: PerfectCone, t: ConeTransform) -> int:
-    """Determinant sign of the induced map on span{v v^t}."""
-    if t.source != c or t.target != c:
-        raise ValueError("orientation sign needs an automorphism of c")
-    if c.is_zero():
-        return 1
-    ref, coords = span_basis(c)
-    rows = [coords[t.perm[s]] for s in ref]
-    s = det_sign(rows)
-    if s == 0:
-        raise AssertionError("automorphism degenerated on the span")
-    return s
-
-
 def is_alternating(c: PerfectCone) -> bool:
     """True iff every automorphism preserves orientation on the span, as
-    OrbitRegistry.add decides it for a new orbit."""
+    OrbitRegistry.add decides it for a new orbit.
+
+    The pipeline reads the flag off the orbit. This stays as the tests'
+    alternation check of a single cone, and because perfbench's tracer
+    times it (symmetry.is_alternating)."""
     return OrbitRegistry(c.g).add(c)[0].alternating
 
 
@@ -622,19 +536,6 @@ class OrbitRegistry:
         if orbit.id in self.by_id:
             raise ValueError(f"duplicate orbit id {orbit.id}")
         self._insert(orbit)
-
-
-def classify_orbits(cones: Iterable[PerfectCone], rng: random.Random | None = None) -> OrbitRegistry:
-    cones = list(cones)
-    if not cones:
-        raise ValueError("no cones to classify")
-    g = cones[0].g
-    if any(c.g != g for c in cones):
-        raise ValueError("cones must share the ambient dimension")
-    reg = OrbitRegistry(g)
-    for c in cones:
-        reg.add(c, rng)
-    return reg
 
 
 def format_registry(reg: OrbitRegistry) -> str:

@@ -33,7 +33,6 @@ from perfcone.matroid import (
     complete_graph,
     graphic_cone,
     zg_coloop_indices,
-    zg_coloops,
 )
 from perfcone.quadform import (
     QuadraticForm,
@@ -41,16 +40,12 @@ from perfcone.quadform import (
     load_bundled_catalog,
     minimal_vectors,
 )
-from perfcone.symmetry import (
-    _collect_maps,
-    equivalent,
-    span_coordinates,
-    stabilizer_has_reflection,
-)
+from perfcone.symmetry import equivalent, span_coordinates
 
 from oracles import coloop_oracle, rank_oracle
 from test_complexes import NINE_GRAPHS
 from test_quadform import COLOOP_EXAMPLE_FORM
+from test_symmetry import stabilizer_group
 
 HALF = Fraction(1, 2)
 
@@ -59,15 +54,14 @@ def _sl_alternating(c):
     """No orientation-reversing stabilizer element of determinant +1.
 
     A ray permutation can be realized by matrices of both determinants,
-    so the per-permutation determinant sets are what matters.
+    so the (perm, det) pairs are what matters.
     """
     ref = spanning_subset(c)
     coords = span_coordinates(c, ref)
-    for perm, (_a, dets) in _collect_maps(c).items():
-        rows = [coords[perm[s]] for s in ref]
-        if det_sign(rows) < 0 and 1 in dets:
-            return False
-    return True
+    return not any(
+        d == 1 and det_sign([coords[perm[s]] for s in ref]) < 0
+        for perm, d in stabilizer_group(c)
+    )
 
 
 def test_acceptance_1_g2_end_to_end():
@@ -125,7 +119,7 @@ def test_acceptance_3_g4_end_to_end():
     for o in listed:
         census[o.dim - 1] = census.get(o.dim - 1, 0) + 1
     assert census == {4: 1, 5: 1, 6: 1, 8: 1, 9: 2}
-    assert all(stabilizer_has_reflection(o.rep) for o in listed)
+    assert all(any(d == -1 for _p, d in stabilizer_group(o.rep)) for o in listed)
     assert sorted(o.dim - 1 for o in rank4 if o.alternating) == [6]
 
     forms = {q.name: q for q in load_bundled_catalog(4)}
@@ -220,14 +214,14 @@ def test_acceptance_5_coloop_oracle():
     transformed = QuadraticForm([[1, HALF, 0], [HALF, 1, 0], [0, 0, 1]])
     tv = minimal_vectors(transformed)
     assert set(tv.vectors) == {(1, 0, 0), (0, 1, 0), (1, -1, 0), (0, 0, 1)}
-    assert zg_coloops(list(tv.vectors)) == [(0, 0, 1)]
+    assert [tv.vectors[i] for i in zg_coloop_indices(list(tv.vectors))] == [(0, 0, 1)]
     assert len(zg_coloop_indices(list(mv.vectors))) == 1
 
     paw = SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
     assert equivalent(cone_of_form(COLOOP_EXAMPLE_FORM), graphic_cone(paw)) is not None
 
     counterexample = [(0, 1), (3, 2)]
-    assert zg_coloops(counterexample) == []
+    assert zg_coloop_indices(counterexample) == []
     full_rank = rank_oracle(counterexample)
     for drop in (0, 1):
         kept = [counterexample[1 - drop]]

@@ -16,7 +16,6 @@ from perfcone.complexes import (
     build_perfect_complex,
     build_registry,
     build_voronoi_complex,
-    differential_entry,
     exact_triple,
     format_complex,
     parse_complex,
@@ -300,6 +299,14 @@ def _fresh_differential_row(orbit, reg):
     return {k: v for k, v in row.items() if v}
 
 
+def _differential_row(orbit):
+    """The nonzero sums of the recorded facet signs, by target orbit."""
+    row = {}
+    for _mask, tid, eta in orbit.facets:
+        row[tid] = row.get(tid, 0) + eta
+    return {k: v for k, v in row.items() if v}
+
+
 def test_facet_rows_match_fresh_recomputation(reg3, reg4):
     # alternating targets make entries witness-independent, so a fresh
     # locate pass must reproduce the recorded rows, including rows
@@ -309,14 +316,7 @@ def test_facet_rows_match_fresh_recomputation(reg3, reg4):
         assert any(o.rank < reg.g for o in checked)
         assert any(o.rank == reg.g for o in checked)
         for orbit in checked:
-            recorded = {}
-            for t in reg.orbits:
-                if not t.alternating:
-                    continue
-                e = differential_entry(t, orbit)
-                if e:
-                    recorded[t.id] = e
-            assert _fresh_differential_row(orbit, reg) == recorded
+            assert _fresh_differential_row(orbit, reg) == _differential_row(orbit)
 
 
 def test_basis_degrees_match_cone_dimension(reg4):
@@ -330,10 +330,8 @@ def test_basis_degrees_match_cone_dimension(reg4):
 
 def test_differential_entry_g2(reg2):
     by_dim = {o.dim: o for o in reg2.orbits}
-    assert abs(differential_entry(by_dim[0], by_dim[1])) == 1
-    assert differential_entry(by_dim[0], by_dim[0]) == 0
-    with pytest.raises(ValueError):
-        differential_entry(by_dim[2], by_dim[3])
+    assert abs(_differential_row(by_dim[1])[by_dim[0].id]) == 1
+    assert by_dim[0].id not in _differential_row(by_dim[0])
 
 
 def test_perfect_complex_dims():

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from perfcone.cone import (
+    Face,
     PerfectCone,
-    _dd_extreme_rays,
-    faces,
+    _dd_core,
+    _span_basis,
     facet_index_sets,
     format_cone,
     gram_downdate,
     greedy_spanning,
     indices,
-    is_boundary,
     pad,
     parse_cone,
     reduce,
@@ -24,10 +24,10 @@ from perfcone.cone import (
     spanning_subset,
 )
 from perfcone.intlinalg import (
+    Echelon,
     det_int,
     dot,
     flatten_rank1,
-    integer_kernel_vector,
     mat_vec,
     pivot_columns,
     rank_rows,
@@ -96,17 +96,28 @@ def test_rank_and_dimension_examples():
     assert d4.rank == 4 and d4.dim == 10
 
 
-def test_is_boundary():
-    prin2 = cone_of_form(principal_form(2))
-    assert not is_boundary(prin2)
-    assert not is_boundary(PerfectCone(2, [(1, 0), (0, 1)]))
-    assert is_boundary(PerfectCone(2, [(1, 0)]))
-    assert is_boundary(PerfectCone(1, []))
+def face_lattice(c):
+    """Every face of c by dimension, each group sorted by generator
+    indices: c, the zero face and every intersection of facets."""
+    facets = facet_index_sets(c)
+    seen = {(1 << len(c.generators)) - 1, 0}
+    stack = list(seen)
+    while stack:
+        m = stack.pop()
+        for f in facets:
+            if m & f not in seen:
+                seen.add(m & f)
+                stack.append(m & f)
+    out = {}
+    for m in sorted(seen, key=indices):
+        face = Face(c, m)
+        out.setdefault(face.cone.dim, []).append(face)
+    return out
 
 
 def test_simplicial_face_counts():
     c = cone_of_form(principal_form(2))
-    by_dim = faces(c)
+    by_dim = face_lattice(c)
     assert {d: len(fs) for d, fs in by_dim.items()} == {0: 1, 1: 3, 2: 3, 3: 1}
 
 
@@ -117,18 +128,18 @@ def test_face_lattice_euler_characteristic():
         graphic_cone(complete_graph(4)).subcone(range(5)),
     ]
     for c in cones:
-        total = sum((-1) ** d * len(fs) for d, fs in faces(c).items())
+        total = sum((-1) ** d * len(fs) for d, fs in face_lattice(c).items())
         assert total == 0
 
 
 def test_face_of_face_is_face():
     c = cone_of_form(principal_form(2))
-    for f in faces(c)[2]:
+    for f in face_lattice(c)[2]:
         sub = f.cone
-        for ff in faces(sub)[1]:
+        for ff in face_lattice(sub)[1]:
             gens = set(ff.cone.generators)
             assert any(
-                gens == set(other.cone.generators) for other in faces(c)[1]
+                gens == set(other.cone.generators) for other in face_lattice(c)[1]
             )
 
 
@@ -189,12 +200,23 @@ def _projected_rows(gens):
     return [tuple(row[j] for j in piv) for row in flat]
 
 
+def _dd(ys):
+    """The double description on rows ys that span: the tight set of each
+    extreme ray of {w : <w, y> >= 0}, as a mask."""
+    init, coords = _span_basis(ys, range(len(ys)))
+    assert len(init) == len(ys[0])
+    return _dd_core(coords, init)
+
+
 def _assert_tight_sets(ys, masks):
     """Each mask is the tight set of an extreme ray of {w : <w, y> >= 0}."""
     d = len(ys[0])
     for mask in masks:
         # the ray spans the kernel of its tight rows, with either sign
-        w = integer_kernel_vector([y for i, y in enumerate(ys) if mask >> i & 1])
+        tight = Echelon()
+        for y in (y for i, y in enumerate(ys) if mask >> i & 1):
+            tight.add(y)
+        w = tight.kernel_vector(d)
         assert w is not None
         if any(dot(y, w) < 0 for y in ys):
             w = tuple(-x for x in w)
@@ -208,7 +230,7 @@ def _assert_tight_sets(ys, masks):
 def test_dd_masks_are_the_tight_sets_on_g5_catalog():
     for q in load_bundled_catalog(5):
         ys = _projected_rows(cone_of_form(q).generators)
-        masks = _dd_extreme_rays(ys)
+        masks = _dd(ys)
         assert len(set(masks)) == len(masks)
         _assert_tight_sets(ys, masks)
 
@@ -218,10 +240,10 @@ def test_dd_masks_with_redundant_rows():
     # y_b both are; inserted before the last two rows, it cuts off no ray,
     # but the pairs met after it must see the rays tight on it
     ys = _projected_rows(cone_of_form(load_bundled_catalog(4)[1]).generators)
-    masks = _dd_extreme_rays(ys)
+    masks = _dd(ys)
     n = len(ys)
     extra = [tuple(map(add, ys[0], ys[1])), tuple(map(add, ys[2], ys[5]))]
-    wide = _dd_extreme_rays(ys[:-2] + extra + ys[-2:])
+    wide = _dd(ys[:-2] + extra + ys[-2:])
     low = (1 << (n - 2)) - 1
 
     def narrow(m):
@@ -301,13 +323,13 @@ def _assert_masks_follow_the_rows(c, seed, rnd, sample=None):
     """The double description on c's rows, shuffled and conjugated by a
     random unimodular matrix, finds the same masks, renumbered with the
     rows; all of them, or a sample of that size, are tight sets."""
-    masks = set(_dd_extreme_rays(_projected_rows(c.generators)))
+    masks = set(_dd(_projected_rows(c.generators)))
     n = len(c.generators)
     order = list(range(n))
     rnd.shuffle(order)
     h = random_unimodular(c.g, random.Random(seed))
     ys = _projected_rows([mat_vec(h, c.generators[i]) for i in order])
-    moved = _dd_extreme_rays(ys)
+    moved = _dd(ys)
     assert len(set(moved)) == len(moved)
     back = {sum(1 << order[a] for a in range(n) if m >> a & 1) for m in moved}
     assert back == masks
@@ -382,7 +404,7 @@ def test_rank_against_oracle():
 
 def test_face_monotonicity():
     c = cone_of_form(principal_form(3))
-    for d, fs in faces(c).items():
+    for d, fs in face_lattice(c).items():
         for f in fs:
             assert f.cone.rank <= c.rank
             if d < c.dim:

@@ -8,18 +8,16 @@ from perfcone.intlinalg import mat_vec, rank_rows, snf_left, vec_gcd
 from perfcone.matroid import (
     SimpleGraph,
     TURepresentation,
+    _rational_coloops,
     complete_graph,
-    deflate,
     graphic_cone,
     incidence_columns,
     inflate,
     is_tu,
     m_star_k33,
-    matroid_coloops,
     r_10,
     tu_cone,
     zg_coloop_indices,
-    zg_coloops,
 )
 from perfcone.quadform import cone_of_form, principal_form
 from perfcone.symmetry import equivalent
@@ -123,15 +121,15 @@ def test_bundled_regular_matroids_are_tu():
 
 def test_zg_coloops_examples():
     vs = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
-    assert zg_coloops(vs) == [(0, 0, 1)]
-    assert zg_coloops([(0, 1), (3, 2)]) == []
+    assert zg_coloop_indices(vs) == [3]
+    assert zg_coloop_indices([(0, 1), (3, 2)]) == []
     basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert zg_coloops(basis) == basis
+    assert zg_coloop_indices(basis) == [0, 1, 2]
 
 
 def test_zg_coloops_on_transformed_example_cone():
     c = cone_of_form(COLOOP_EXAMPLE_FORM)
-    assert len(zg_coloops(list(c.generators))) == 1
+    assert len(zg_coloop_indices(list(c.generators))) == 1
 
 
 def test_zg_matches_literal_oracle_small_pool():
@@ -160,11 +158,11 @@ def test_second_coloop_survives_removal_of_first():
 
 def test_matroid_coloops_examples():
     paw = TURepresentation.from_graph(PAW)
-    assert matroid_coloops(paw) == [3]
+    assert _matroid_coloops_by_deletion(paw.columns) == [3]
     k4 = TURepresentation.from_graph(complete_graph(4))
-    assert matroid_coloops(k4) == []
+    assert _matroid_coloops_by_deletion(k4.columns) == []
     ident = TURepresentation.verify([[1, 0], [0, 1]])
-    assert matroid_coloops(ident) == [0, 1]
+    assert _matroid_coloops_by_deletion(ident.columns) == [0, 1]
 
 
 def test_zg_equals_matroid_coloops_on_tu_columns():
@@ -178,7 +176,7 @@ def test_zg_equals_matroid_coloops_on_tu_columns():
         cols = [c for c in rep.columns if any(c)]
         if len(cols) != rep.cols:
             continue
-        assert zg_coloop_indices(cols) == matroid_coloops(rep)
+        assert zg_coloop_indices(cols) == _matroid_coloops_by_deletion(cols)
 
 
 def _zg_coloops_by_deletion(vs):
@@ -208,6 +206,8 @@ def _zg_coloops_by_deletion(vs):
 
 
 def _matroid_coloops_by_deletion(cols):
+    """Column indices lying in every column basis: those whose deletion
+    drops the rank."""
     full = rank_rows(cols)
     return [j for j in range(len(cols)) if rank_rows(cols[:j] + cols[j + 1 :]) < full]
 
@@ -234,11 +234,9 @@ def _vector_lists(draw):
 def test_coloops_match_the_deletion_loops(case):
     g, vs = case
     assert zg_coloop_indices(vs) == _zg_coloops_by_deletion(vs)
-    # matroid_coloops reads only ranks of the columns, so any integer
-    # matrix serves as its input here
+    assert _rational_coloops(vs) == _matroid_coloops_by_deletion(vs)
     rep = TURepresentation(tuple(zip(*vs)) if vs else ((),) * g, True)
     assert rep.columns == vs
-    assert matroid_coloops(rep) == _matroid_coloops_by_deletion(vs)
 
 
 def test_inflate_zero_cone():
@@ -246,17 +244,23 @@ def test_inflate_zero_cone():
     assert c.generators == ((0, 1),)
 
 
+def _drop_coloop(c):
+    """c without its one Z-coloop generator: inflate undone on orbits."""
+    (i,) = zg_coloop_indices(c.generators)
+    return c.subcone(j for j in range(len(c.generators)) if j != i)
+
+
 def test_inflate_deflate_example_pair():
     triangle = pad(graphic_cone(complete_graph(3)), 3)
     inflated = inflate(triangle)
     assert equivalent(inflated, cone_of_form(COLOOP_EXAMPLE_FORM)) is not None
-    deflated = deflate(cone_of_form(COLOOP_EXAMPLE_FORM))
+    deflated = _drop_coloop(cone_of_form(COLOOP_EXAMPLE_FORM))
     assert equivalent(deflated, triangle) is not None
 
 
 def test_deflate_single_ray():
-    assert deflate(PerfectCone(1, [(1,)])).generators == ()
-    assert deflate(PerfectCone(3, [(0, 0, 1)])).is_zero()
+    assert _drop_coloop(PerfectCone(1, [(1,)])).generators == ()
+    assert _drop_coloop(PerfectCone(3, [(0, 0, 1)])).is_zero()
 
 
 def test_inflate_domain_errors():
@@ -264,14 +268,6 @@ def test_inflate_domain_errors():
         inflate(cone_of_form(principal_form(2)))
     with pytest.raises(ValueError):
         inflate(PerfectCone(3, [(1, 0, 0)]))
-
-
-def test_deflate_domain_errors():
-    with pytest.raises(ValueError):
-        deflate(PerfectCone(2, [(1, 0), (0, 1)]))
-    triangle = pad(graphic_cone(complete_graph(3)), 3)
-    with pytest.raises(ValueError):
-        deflate(triangle)
 
 
 def test_inflate_then_deflate_round_trip():
@@ -282,7 +278,7 @@ def test_inflate_then_deflate_round_trip():
         pad(cone_of_form(principal_form(2)), 3),
     ):
         up = inflate(base)
-        down = deflate(up)
+        down = _drop_coloop(up)
         assert equivalent(down, base) is not None
 
 

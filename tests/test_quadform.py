@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from perfcone import quadform
-from perfcone.cone import Face, faces, facet_index_sets
+from perfcone.cone import Face, facet_index_sets
 from perfcone.quadform import (
     POSITIVE_DEFINITE,
     CatalogError,
@@ -207,7 +207,7 @@ def test_catalog_rejects_asymmetric_form():
 
 
 def _facets(c):
-    return faces(c)[c.dim - 1]
+    return [Face(c, s) for s in facet_index_sets(c)]
 
 
 def test_voronoi_neighbor_g2_closure():
@@ -232,12 +232,12 @@ def test_voronoi_neighbor_g3_closure():
 def test_voronoi_neighbor_rejects_non_facet():
     q = principal_form(2)
     c = cone_of_form(q)
-    low = faces(c)[1][0]
+    low = Face(c, 1)  # the ray of generator 0
     with pytest.raises(ValueError):
         voronoi_neighbor(q, low)
     other = cone_of_form(principal_form(3))
     with pytest.raises(ValueError):
-        voronoi_neighbor(q, faces(other)[other.dim - 1][0])
+        voronoi_neighbor(q, _facets(other)[0])
 
 
 def test_voronoi_neighbor_rejects_a_facet_plus_one_generator():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import perfcone
 from perfcone.complexes import build_registry
-from perfcone.cone import Face, PerfectCone, faces, facet_index_sets, reduce
+from perfcone.cone import Face, PerfectCone, facet_index_sets, reduce
 from perfcone.intlinalg import adjugate_det, det_int, mat_mul
 from perfcone.matroid import complete_graph, graphic_cone
 from perfcone.quadform import (
@@ -22,19 +22,14 @@ from perfcone.symmetry import (
     ConeTransform,
     OrbitRegistry,
     _assignment_order,
-    _collect_maps,
     _full_rank_maps,
-    automorphisms,
-    classify_orbits,
     conjugate_cone,
     equivalent,
     format_registry,
     is_alternating,
-    orientation_sign,
     parse_registry,
     random_unimodular,
     span_coordinates,
-    stabilizer_has_reflection,
     strong_generators,
 )
 
@@ -45,8 +40,35 @@ from oracles import (
     rational_gram_oracle,
     span_coordinates_oracle,
 )
+from test_cone import face_lattice
 
 COORD2 = PerfectCone(2, [(1, 0), (0, 1)])
+
+
+def stabilizer_group(c):
+    """(perm, det A) of every A in the GL_g(Z) stabilizer of a full-rank
+    cone: the closure of the strong generators' pairs, with -I as
+    (identity, (-1)^g)."""
+    ident = tuple(range(len(c.generators)))
+    gens = [(perm, det_int(a)) for a, perm in _full_rank_maps(c, c, group=True)]
+    gens.append((ident, (-1) ** c.g))
+    out = {(ident, 1)}
+    stack = list(out)
+    while stack:
+        p, d = stack.pop()
+        for q, e in gens:
+            r = (tuple(q[x] for x in p), d * e)
+            if r not in out:
+                out.add(r)
+                stack.append(r)
+    return out
+
+
+def _flip_last(c):
+    """diag(1, ..., 1, -1) as a map of c onto itself, rays fixed."""
+    m = [[int(i == j) for j in range(c.g)] for i in range(c.g)]
+    m[-1][-1] = -1
+    return ConeTransform(tuple(map(tuple, m)), c, c, tuple(range(len(c.generators))))
 
 
 def _pool(seed):
@@ -71,7 +93,7 @@ def test_self_equivalence_is_identity_like():
 
 def test_faces_of_principal_g2_pairwise_equivalent():
     c = cone_of_form(principal_form(2))
-    two_dim = [f.cone for f in faces(c)[2]]
+    two_dim = [f.cone for f in face_lattice(c)[2]]
     assert len(two_dim) == 3
     for a in two_dim:
         for b in two_dim:
@@ -89,16 +111,6 @@ def test_principal4_and_d4_not_equivalent():
 def test_ambient_mismatch_rejected():
     with pytest.raises(ValueError):
         equivalent(cone_of_form(principal_form(2)), cone_of_form(principal_form(3)))
-
-
-def test_transform_inverse_round_trips():
-    c1 = cone_of_form(principal_form(2))
-    c2 = conjugate_cone(c1, [[1, 1], [0, 1]])
-    t = equivalent(c1, c2)
-    assert t is not None and t.check()
-    back = t.inverse()
-    assert back.check()
-    assert back.source == c2 and back.target == c1
 
 
 def test_check_rejects_broken_witnesses():
@@ -130,56 +142,50 @@ def test_equivalence_relation_on_conjugates(seed):
 
 
 def test_automorphism_group_of_principal_g3():
-    auts = automorphisms(cone_of_form(principal_form(3)))
-    assert len(auts) == 24
-    perms = {t.perm for t in auts}
-    assert len(perms) == 24
-    assert all(t.check() for t in auts)
+    c = cone_of_form(principal_form(3))
+    group = stabilizer_group(c)
+    assert len({perm for perm, _d in group}) == 24
+    for a, perm in _full_rank_maps(c, c, group=True):
+        assert ConeTransform(a, c, c, perm).check()
 
 
 def test_single_ray_automorphisms():
-    auts = automorphisms(PerfectCone(2, [(1, 0)]))
-    assert [t.perm for t in auts] == [(0,)]
+    assert _perm_closure(strong_generators(PerfectCone(2, [(1, 0)])), 1) == {(0,)}
 
 
 def test_coordinate_swap_is_orientation_reversing():
-    auts = automorphisms(COORD2)
-    swap = [t for t in auts if t.perm == (1, 0)]
-    assert swap
-    assert orientation_sign(COORD2, swap[0]) == -1
-    ident = [t for t in auts if t.perm == (0, 1)][0]
-    assert orientation_sign(COORD2, ident) == 1
+    perms = {perm for perm, _d in stabilizer_group(COORD2)}
+    assert perms == {(0, 1), (1, 0)}
+    assert orientation_oracle(COORD2.generators, perms) == {(1, 0): -1, (0, 1): 1}
+    assert not is_alternating(COORD2)
 
 
 def test_principal_g3_automorphisms_all_positive():
     c = cone_of_form(principal_form(3))
-    assert all(orientation_sign(c, t) == 1 for t in automorphisms(c))
+    perms = {perm for perm, _d in stabilizer_group(c)}
+    assert set(orientation_oracle(c.generators, perms).values()) == {1}
+    assert is_alternating(c)
 
 
 def test_orientation_sign_is_homomorphism():
+    # what lets the registry read alternation off the strong generators
     c = cone_of_form(principal_form(2))
-    auts = automorphisms(c)
-    by_perm = {t.perm: t for t in auts}
-    for s in auts:
-        for t in auts:
-            prod_perm = tuple(t.perm[s.perm[i]] for i in range(len(s.perm)))
+    gens = _full_rank_maps(c, c, group=True)
+    for a, p in gens:
+        for b, q in gens:
             prod = ConeTransform(
-                matrix=tuple(tuple(r) for r in mat_mul(t.matrix, s.matrix)),
+                matrix=tuple(tuple(r) for r in mat_mul(b, a)),
                 source=c,
                 target=c,
-                perm=prod_perm,
+                perm=tuple(q[x] for x in p),
             )
             assert prod.check()
-            assert orientation_sign(c, prod) == orientation_sign(
-                c, s
-            ) * orientation_sign(c, t)
-
-
-def test_orientation_sign_rejects_foreign_transform():
-    c = cone_of_form(principal_form(2))
-    t = automorphisms(COORD2)[0]
-    with pytest.raises(ValueError):
-        orientation_sign(c, t)
+    perms = {perm for perm, _d in stabilizer_group(c)}
+    assert len(perms) == 6
+    signs = orientation_oracle(c.generators, perms)
+    for p in perms:
+        for q in perms:
+            assert signs[tuple(q[x] for x in p)] == signs[p] * signs[q]
 
 
 def test_alternating_examples():
@@ -201,22 +207,26 @@ def test_alternating_is_a_class_function(seed):
 
 
 def test_stabilizer_reflections():
-    assert stabilizer_has_reflection(COORD2)
-    assert stabilizer_has_reflection(cone_of_form(principal_form(2)))
-    assert stabilizer_has_reflection(PerfectCone(2, [(1, 0)]))
-    assert stabilizer_has_reflection(PerfectCone(3, []))
+    assert any(d == -1 for _p, d in stabilizer_group(COORD2))
+    assert any(d == -1 for _p, d in stabilizer_group(cone_of_form(principal_form(2))))
+    # a boundary cone's generators end in zeros, so flipping the last
+    # coordinate fixes each of them
+    assert _flip_last(PerfectCone(2, [(1, 0)])).check()
+    assert _flip_last(PerfectCone(3, [])).check()
 
 
 def test_automorphism_witnesses_are_unimodular():
     for c in (COORD2, cone_of_form(principal_form(2))):
-        for t in automorphisms(c):
-            assert abs(det_int([list(r) for r in t.matrix])) == 1
+        for a, _perm in _full_rank_maps(c, c, group=True):
+            assert abs(det_int([list(r) for r in a])) == 1
 
 
 def test_classify_orbits_of_principal_g2_faces():
     c = cone_of_form(principal_form(2))
-    all_faces = [f.cone for fs in faces(c).values() for f in fs]
-    reg = classify_orbits(all_faces)
+    reg = OrbitRegistry(2)
+    for fs in face_lattice(c).values():
+        for f in fs:
+            reg.add(f.cone)
     assert len(reg.orbits) == 4
     dims = sorted(o.dim for o in reg.orbits)
     assert dims == [0, 1, 2, 3]
@@ -227,12 +237,15 @@ def test_classify_orbits_of_principal_g2_faces():
 def test_classify_orbits_gl_equals_sl_for_g4_tops(reg4):
     top = [o for o in reg4.orbits if o.rank == 4]
     assert top
-    assert all(stabilizer_has_reflection(o.rep) for o in top)
+    assert all(any(d == -1 for _p, d in stabilizer_group(o.rep)) for o in top)
 
 
 def test_locate_maps_every_member_to_one_orbit():
     c = cone_of_form(principal_form(3))
-    reg = classify_orbits([f.cone for fs in faces(c).values() for f in fs])
+    reg = OrbitRegistry(3)
+    for fs in face_lattice(c).values():
+        for f in fs:
+            reg.add(f.cone)
     rng = random.Random(7)
     for o in reg.orbits:
         moved = conjugate_cone(o.rep, random_unimodular(3, rng))
@@ -325,7 +338,7 @@ def _tops_and_faces(g):
     for form in load_bundled_catalog(g):
         top = cone_of_form(form)
         out.append(top)
-        out.extend(f.cone for f in faces(top).get(top.dim - 1, []))
+        out.extend(Face(top, s).cone for s in facet_index_sets(top))
     return out
 
 
@@ -418,11 +431,6 @@ def test_assignment_order_matches_prefix_rank_definition(k, rnd):
         assert (vadj, vdet) == adjugate_det(vmat)
 
 
-def _group(c):
-    """(perm, det) of every stabilizer matrix, from the generator closure."""
-    return {(perm, d) for perm, (_a, dets) in _collect_maps(c).items() for d in dets}
-
-
 def _perm_closure(perms, n):
     out = {tuple(range(n))}
     stack = list(out)
@@ -486,7 +494,7 @@ def test_generator_closure_is_the_whole_group(drawn, seed):
     moved = conjugate_cone(c, random_unimodular(g, random.Random(seed)))
     for cone in (c, moved):
         group = automorphism_oracle(cone.generators)
-        assert _group(cone) == group
+        assert stabilizer_group(cone) == group
         _assert_strong_generators(cone, group)
 
 
@@ -496,12 +504,11 @@ def test_alternation_and_reflection_match_the_oracle_group(reg2, reg3, reg4):
         assert o.alternating == is_alternating(o.rep), o.id
         gens = o.rep.generators
         group = automorphism_oracle(gens)
-        assert _group(o.rep) == group, o.id
+        assert stabilizer_group(o.rep) == group, o.id
         _assert_strong_generators(o.rep, group)
         signs = orientation_oracle(gens, {perm for perm, _d in group})
         assert 0 not in signs.values()
         assert is_alternating(o.rep) == all(s > 0 for s in signs.values()), o.id
-        assert stabilizer_has_reflection(o.rep) == any(d == -1 for _p, d in group), o.id
     for o in reg4.orbits:
         if o.rank == 4:
             continue
@@ -510,7 +517,7 @@ def test_alternation_and_reflection_match_the_oracle_group(reg2, reg3, reg4):
         assert o.alternating == is_alternating(o.rep), o.id
         gens = o.rep.generators
         assert all(not any(v[o.rank:]) for v in gens)
-        assert stabilizer_has_reflection(o.rep)
+        assert _flip_last(o.rep).check()
         if o.rank == 0:
             assert is_alternating(o.rep)
             continue
@@ -521,7 +528,10 @@ def test_alternation_and_reflection_match_the_oracle_group(reg2, reg3, reg4):
 
 
 def test_g5_catalog_automorphism_group_orders():
-    orders = {q.name: len(automorphisms(cone_of_form(q))) for q in load_bundled_catalog(5)}
+    orders = {}
+    for q in load_bundled_catalog(5):
+        c = cone_of_form(q)
+        orders[q.name] = len(_perm_closure(strong_generators(c), len(c.generators)))
     assert orders == {"principal_5": 720, "d5": 1920, "a5_3": 720}
 
 
