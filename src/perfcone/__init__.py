@@ -24,10 +24,8 @@ from .homology import (
 )
 from .matroid import (
     SimpleGraph,
-    TURepresentation,
     graphic_cone,
     inflate,
-    is_tu,
     tu_cone,
 )
 from .quadform import (
@@ -63,7 +61,6 @@ __all__ = [
     "PerfectCone",
     "QuadraticForm",
     "SimpleGraph",
-    "TURepresentation",
     "betti",
     "build_inflation_complex",
     "build_matroid_complexes",
@@ -78,7 +75,6 @@ __all__ = [
     "inflate",
     "is_alternating",
     "is_perfect",
-    "is_tu",
     "les_solve",
     "load_form_catalog",
     "minimal_vectors",

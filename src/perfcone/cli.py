@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 validation or verification failure, 2 usage.
-Every command is deterministic for a fixed RunConfig; two runs produce
-byte-identical files.
+Each command declares only the flags it reads. Every command is
+deterministic for fixed arguments; two runs produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .complexes import (
     BUILDERS,
@@ -37,6 +37,7 @@ from .homology import (
 )
 from .quadform import (
     CatalogError,
+    bundled_text,
     is_perfect,
     load_bundled_catalog,
     load_form_catalog,
@@ -47,56 +48,32 @@ from .symmetry import format_registry
 _EULER_EXPECTED = {2: 0, 3: 1, 4: 0}
 
 
-@dataclass
-class RunConfig:
-    g: int | None
-    catalog: str | None
-    out: str
-    level: str
-    seed: int | None
+def catalog_for(g: int, catalog: str | None):
+    """Catalog loader: the --catalog override applies to the top ambient
+    g only; recursion uses the bundled files."""
+    if catalog is None:
+        return None
 
-    def catalog_for(self):
-        """Catalog loader: the --catalog override applies to the top
-        ambient only; recursion uses the bundled files."""
-        if self.catalog is None:
-            return None
-        top_g = self.g
-        path = self.catalog
+    def loader(k: int):
+        if k == g:
+            with open(catalog, "r", encoding="utf-8") as fh:
+                return load_form_catalog(fh)
+        return load_bundled_catalog(k)
 
-        def loader(g: int):
-            if g == top_g:
-                with open(path, "r", encoding="utf-8") as fh:
-                    return load_form_catalog(fh)
-            return load_bundled_catalog(g)
-
-        return loader
+    return loader
 
 
-def _need_g(cfg: RunConfig) -> int:
-    if cfg.g is None:
-        raise UsageError("this command needs --g")
-    return cfg.g
-
-
-class UsageError(Exception):
-    pass
-
-
-def _write(cfg: RunConfig, name: str, text: str) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, name)
+def _write(out: str, name: str, text: str) -> str:
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return path
 
 
-def cmd_forms(cfg: RunConfig, _args) -> int:
-    g = _need_g(cfg)
-    if cfg.catalog is not None:
-        with open(cfg.catalog, "r", encoding="utf-8") as fh:
-            forms = load_form_catalog(fh)
-    else:
-        forms = load_bundled_catalog(g)
+def cmd_forms(args) -> int:
+    g = args.g
+    forms = (catalog_for(g, args.catalog) or load_bundled_catalog)(g)
     print(f"# catalog ambient {g}: {len(forms)} form(s)")
     for q in forms:
         if q.g != g:
@@ -107,10 +84,10 @@ def cmd_forms(cfg: RunConfig, _args) -> int:
     return 0
 
 
-def cmd_orbits(cfg: RunConfig, _args) -> int:
-    g = _need_g(cfg)
-    reg = build_registry(g, cfg.catalog_for(), cfg.seed)
-    path = _write(cfg, f"registry_g{g}.txt", format_registry(reg))
+def cmd_orbits(args) -> int:
+    g = args.g
+    reg = build_registry(g, catalog_for(g, args.catalog), args.seed)
+    path = _write(args.out, f"registry_g{g}.txt", format_registry(reg))
     dims = sorted({o.dim for o in reg.orbits})
     print(f"# orbit registry ambient {g}: {len(reg.orbits)} orbits -> {path}")
     print("# dim  orbits  alternating  boundary")
@@ -122,19 +99,18 @@ def cmd_orbits(cfg: RunConfig, _args) -> int:
     return 0
 
 
-def cmd_complex(cfg: RunConfig, args) -> int:
-    g = _need_g(cfg)
-    kind = args.kind
-    reg = build_registry(g, cfg.catalog_for(), cfg.seed)
+def cmd_complex(args) -> int:
+    g, kind = args.g, args.kind
+    reg = build_registry(g, catalog_for(g, args.catalog), args.seed)
     cx = BUILDERS[kind](g, reg)
-    path = _write(cfg, f"{kind.lower()}{g}.cplx", format_complex(cx))
+    path = _write(args.out, f"{kind.lower()}{g}.cplx", format_complex(cx))
     print(f"# complex {kind} ambient {g} -> {path}")
     for n in cx.degrees():
         print(f"deg {n} dim {cx.dim(n)}")
     return 0
 
 
-def cmd_homology(cfg: RunConfig, args) -> int:
+def cmd_homology(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         cx = parse_complex(fh.read())
     report = betti(cx)
@@ -142,8 +118,9 @@ def cmd_homology(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, _args) -> int:
-    g = _need_g(cfg)
+def cmd_verify(args) -> int:
+    g = args.g
+    catalogs = catalog_for(g, args.catalog)
     failures = []
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -151,8 +128,8 @@ def cmd_verify(cfg: RunConfig, _args) -> int:
         if not ok:
             failures.append(name)
 
-    reg_prev = build_registry(g - 1, cfg.catalog_for(), cfg.seed)
-    reg = build_registry(g, cfg.catalog_for(), cfg.seed, prev=reg_prev)
+    reg_prev = build_registry(g - 1, catalogs, args.seed)
+    reg = build_registry(g, catalogs, args.seed, prev=reg_prev)
     p_prev = build_perfect_complex(g - 1, reg_prev)
     p_cur = build_perfect_complex(g, reg)
     v_cur = build_voronoi_complex(g, reg)
@@ -177,17 +154,17 @@ def cmd_verify(cfg: RunConfig, _args) -> int:
         )
     else:
         print(f"# euler characteristic: {rep_p.euler()} (no gated expectation)")
-    if g <= 4 or cfg.level == "full":
+    if g <= 4 or args.level == "full":
         r_cx, c_cx = build_matroid_complexes(g, reg)
         check("d2[R]", verify_complex(r_cx))
         check("d2[C]", verify_complex(c_cx))
         check("coloop-subcomplex-acyclic", betti(c_cx).is_acyclic())
         if g <= 3:
             check("matroidal-equals-perfect", r_cx.basis == p_cur.basis)
-    if cfg.level == "full":
+    if args.level == "full":
         base = rep_p.homology
         for s in (1, 2, 3):
-            reg_s = build_registry(g, cfg.catalog_for(), s)
+            reg_s = build_registry(g, catalogs, s)
             rep_s = betti(build_perfect_complex(g, reg_s))
             check(f"seed-invariance[{s}]", rep_s.homology == base)
     if failures:
@@ -197,16 +174,16 @@ def cmd_verify(cfg: RunConfig, _args) -> int:
     return 0
 
 
-def cmd_tables(cfg: RunConfig, _args) -> int:
-    g = _need_g(cfg)
+def cmd_tables(args) -> int:
+    g = args.g
     if g <= 4:
-        reg = build_registry(g, cfg.catalog_for(), cfg.seed)
+        reg = build_registry(g, catalog_for(g, args.catalog), args.seed)
         dims = betti(build_perfect_complex(g, reg)).homology
         sys.stdout.write(format_top_weight(g, top_weight_table(g, dims)))
         sys.stdout.write(format_satake(satake_weight0_column(g, dims)))
         return 0
     if g in (5, 6, 7):
-        text = _bundled_les_text(g)
+        text = bundled_text("les", g)
         fg, h_p, h_v, iso = parse_les_fixture(text)
         if fg != g:
             raise ValueError(f"bundled fixture is for ambient {fg}")
@@ -221,22 +198,13 @@ def cmd_tables(cfg: RunConfig, _args) -> int:
     raise ValueError("tables need g <= 4 (computed) or g in {5, 6, 7} (bookkeeping)")
 
 
-def _bundled_les_text(g: int) -> str:
-    from importlib import resources
-
-    ref = resources.files("perfcone.data").joinpath(f"les_g{g}.txt")
-    if not ref.is_file():
-        raise ValueError(f"no bundled bookkeeping fixture for ambient {g}")
-    return ref.read_text(encoding="utf-8")
-
-
-def cmd_les(cfg: RunConfig, args) -> int:
-    g = _need_g(cfg)
+def cmd_les(args) -> int:
+    g = args.g
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
-        text = _bundled_les_text(g)
+        text = bundled_text("les", g)
     fg, h_p, h_v, iso = parse_les_fixture(text)
     if fg != g:
         raise ValueError(f"fixture ambient {fg} does not match --g {g}")
@@ -245,31 +213,49 @@ def cmd_les(cfg: RunConfig, args) -> int:
     return 0
 
 
+def ambient(text: str) -> int:
+    """--g: an integer of at least 1 (argparse names this function in its
+    message for one that is not an integer)."""
+    g = int(text)
+    if g < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return g
+
+
+_FLAGS = {
+    "--g": dict(type=ambient, required=True, help="ambient dimension"),
+    "--catalog": dict(default=None, help="form catalog file override for the top ambient"),
+    "--out": dict(default=".", help="output directory"),
+    "--seed": dict(type=int, default=None, help="re-run variation seed"),
+    "--level": dict(choices=("fast", "full"), default="fast", help="verification depth"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--g", type=int, default=None, help="ambient dimension")
-    common.add_argument("--catalog", default=None, help="form catalog file override")
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--level", choices=("fast", "full"), default="fast")
-    common.add_argument("--seed", type=int, default=None, help="re-run variation seed")
     parser = argparse.ArgumentParser(
         prog="perfcone",
         description="Perfect-cone chain complexes and their homology.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("forms", parents=[common]).set_defaults(func=cmd_forms)
-    sub.add_parser("orbits", parents=[common]).set_defaults(func=cmd_orbits)
-    p_complex = sub.add_parser("complex", parents=[common])
-    p_complex.add_argument("--kind", choices=tuple(BUILDERS), required=True)
-    p_complex.set_defaults(func=cmd_complex)
-    p_hom = sub.add_parser("homology", parents=[common])
-    p_hom.add_argument("file", help="complex file")
-    p_hom.set_defaults(func=cmd_homology)
-    sub.add_parser("verify", parents=[common]).set_defaults(func=cmd_verify)
-    sub.add_parser("tables", parents=[common]).set_defaults(func=cmd_tables)
-    p_les = sub.add_parser("les", parents=[common])
-    p_les.add_argument("file", nargs="?", default=None, help="bookkeeping fixture")
-    p_les.set_defaults(func=cmd_les)
+
+    def command(name, func, *flags):
+        p = sub.add_parser(name)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
+
+    command("forms", cmd_forms, "--g", "--catalog")
+    command("orbits", cmd_orbits, "--g", "--catalog", "--out", "--seed")
+    command("complex", cmd_complex, "--g", "--catalog", "--out", "--seed").add_argument(
+        "--kind", choices=tuple(BUILDERS), required=True
+    )
+    command("homology", cmd_homology).add_argument("file", help="complex file")
+    command("verify", cmd_verify, "--g", "--catalog", "--seed", "--level")
+    command("tables", cmd_tables, "--g", "--catalog", "--seed")
+    command("les", cmd_les, "--g").add_argument(
+        "file", nargs="?", default=None, help="bookkeeping fixture"
+    )
     return parser
 
 
@@ -279,21 +265,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    cfg = RunConfig(
-        g=args.g,
-        catalog=args.catalog,
-        out=args.out,
-        level=args.level,
-        seed=args.seed,
-    )
-    if cfg.g is not None and cfg.g < 1:
-        print("usage error: --g must be at least 1", file=sys.stderr)
-        return 2
     try:
-        return args.func(cfg, args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        return args.func(args)
     except (CatalogError, ValueError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

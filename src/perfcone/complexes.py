@@ -321,9 +321,9 @@ def build_matroid_complexes(g: int, reg: OrbitRegistry) -> tuple[ChainComplexQ, 
 
 
 BUILDERS = {
-    "P": lambda g, reg: build_perfect_complex(g, reg),
-    "V": lambda g, reg: build_voronoi_complex(g, reg),
-    "I": lambda g, reg: build_inflation_complex(g, reg),
+    "P": build_perfect_complex,
+    "V": build_voronoi_complex,
+    "I": build_inflation_complex,
     "R": lambda g, reg: build_matroid_complexes(g, reg)[0],
     "C": lambda g, reg: build_matroid_complexes(g, reg)[1],
 }

@@ -239,10 +239,6 @@ class Face:
     parent: PerfectCone
     mask: int
 
-    @property
-    def cone(self) -> PerfectCone:
-        return self.parent.subcone(indices(self.mask))
-
 
 def indices(mask: int) -> list[int]:
     """The generator indices of a face mask, increasing."""

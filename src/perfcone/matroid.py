@@ -11,12 +11,10 @@ of the rest for the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 from typing import Sequence
 
 from .cone import PerfectCone, reduce as cone_reduce
-from .intlinalg import det_int, mat_vec, snf_left, vec_gcd
+from .intlinalg import mat_vec, snf_left, vec_gcd
 
 
 @dataclass(frozen=True)
@@ -63,80 +61,15 @@ def graphic_cone(graph: SimpleGraph) -> PerfectCone:
     return PerfectCone(graph.vertices - 1, incidence_columns(graph))
 
 
-def is_tu(matrix: Sequence[Sequence[int]]) -> bool | None:
-    """Exhaustive total-unimodularity check.
-
-    Returns None (unverified) beyond the desk-scale cap instead of
-    guessing; callers must treat None as not verified.
-    """
-    rows = [tuple(int(x) for x in row) for row in matrix]
-    if not rows:
-        return True
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged matrix")
-    for r in rows:
-        for x in r:
-            if x not in (-1, 0, 1):
-                return False
-    if ncols > 20:
-        return None
-    total = sum(
-        comb(len(rows), k) * comb(ncols, k)
-        for k in range(1, min(len(rows), ncols) + 1)
-    )
-    if total > 2_000_000:
-        return None
-    for k in range(2, min(len(rows), ncols) + 1):
-        for rsel in combinations(range(len(rows)), k):
-            for csel in combinations(range(ncols), k):
-                sub = [[rows[i][j] for j in csel] for i in rsel]
-                if det_int(sub) not in (-1, 0, 1):
-                    return False
-    return True
-
-
-@dataclass(frozen=True)
-class TURepresentation:
-    matrix: tuple[tuple[int, ...], ...]
-    verified: bool | None
-
-    @property
-    def rows(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def cols(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
-    @property
-    def columns(self) -> list[tuple[int, ...]]:
-        return [tuple(row[j] for row in self.matrix) for j in range(self.cols)]
-
-    @classmethod
-    def verify(cls, matrix: Sequence[Sequence[int]]) -> "TURepresentation":
-        frozen = tuple(tuple(int(x) for x in row) for row in matrix)
-        outcome = is_tu(frozen)
-        if outcome is False:
-            raise ValueError("matrix is not totally unimodular")
-        return cls(frozen, outcome)
-
-    @classmethod
-    def from_graph(cls, graph: SimpleGraph) -> "TURepresentation":
-        # reduced incidence matrices are TU without an exhaustive check
-        cols = incidence_columns(graph)
-        g = graph.vertices - 1
-        frozen = tuple(tuple(c[i] for c in cols) for i in range(g))
-        return cls(frozen, True)
-
-
-def tu_cone(rep: TURepresentation, g: int) -> PerfectCone:
-    if rep.verified is not True:
-        raise ValueError("totally unimodular verification is required first")
-    cols = rep.columns
+def tu_cone(matrix: Sequence[Sequence[int]], g: int) -> PerfectCone:
+    """Cone on v v^t over the columns of a totally unimodular matrix,
+    zero-padded to ambient g. The matrix is taken as totally unimodular:
+    the package passes only the constants below, which the test suite
+    proves so by exhaustive minors."""
+    cols = list(zip(*matrix))
     if any(not any(c) for c in cols):
         raise ValueError("zero column: the represented matroid is not simple")
-    r = rep.rows
+    r = len(matrix)
     if r > g:
         raise ValueError(f"representation rank bound {r} exceeds ambient {g}")
     padded = [c + (0,) * (g - r) for c in cols]
@@ -206,7 +139,9 @@ def inflate(c: PerfectCone) -> PerfectCone:
     return out
 
 
-def _k33_dual_matrix() -> tuple[tuple[int, ...], ...]:
+def m_star_k33() -> tuple[tuple[int, ...], ...]:
+    """Rank-4 dual of the K_{3,3} cycle matroid; smallest regular matroid
+    that is neither graphic nor a graph's cone source here."""
     # [-B^T | I_4] from the standard form [I_5 | B] of the K_{3,3} cycle
     # matroid (tree a1b1, a1b2, a1b3, a2b1, a3b1)
     b_t = (
@@ -222,14 +157,7 @@ def _k33_dual_matrix() -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def m_star_k33() -> TURepresentation:
-    """Rank-4 dual of the K_{3,3} cycle matroid; smallest regular matroid
-    that is neither graphic nor a graph's cone source here."""
-    # a constant matrix, shown TU by exhaustive minors in the test suite
-    return TURepresentation(_k33_dual_matrix(), True)
-
-
-def r_10() -> TURepresentation:
+def r_10() -> tuple[tuple[int, ...], ...]:
     """The ten-element rank-5 splitter; [I_5 | A] with the circulant A."""
     a = (
         (-1, 1, 0, 0, 1),
@@ -242,5 +170,4 @@ def r_10() -> TURepresentation:
     for i in range(5):
         ident = tuple(1 if j == i else 0 for j in range(5))
         rows.append(ident + a[i])
-    # a constant matrix, shown TU by exhaustive minors in the test suite
-    return TURepresentation(tuple(rows), True)
+    return tuple(rows)

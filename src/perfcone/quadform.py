@@ -354,17 +354,22 @@ def load_form_catalog(source: str | IO[str]) -> list[QuadraticForm]:
     return forms
 
 
-def bundled_catalog_text(g: int) -> str:
+_BUNDLED = {"forms": "form catalog", "les": "bookkeeping fixture"}
+
+
+def bundled_text(kind: str, g: int) -> str:
+    """The bundled data file {kind}_g{g}.txt: kind "forms" is a form
+    catalog, "les" a bookkeeping fixture."""
     from importlib import resources
 
-    ref = resources.files("perfcone.data").joinpath(f"forms_g{g}.txt")
+    ref = resources.files("perfcone.data").joinpath(f"{kind}_g{g}.txt")
     if not ref.is_file():
-        raise ValueError(f"no bundled form catalog for ambient {g}")
+        raise ValueError(f"no bundled {_BUNDLED[kind]} for ambient {g}")
     return ref.read_text(encoding="utf-8")
 
 
 def load_bundled_catalog(g: int) -> list[QuadraticForm]:
-    return load_form_catalog(bundled_catalog_text(g))
+    return load_form_catalog(bundled_text("forms", g))
 
 
 def _facet_normal(sigma: PerfectCone, idx: Sequence[int]) -> list[list[int]]:

@@ -6,7 +6,7 @@ enumeration, and literal definitions.  Nothing imports from perfcone.
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import isqrt
+from math import comb, isqrt
 
 from sympy import Matrix, Rational, gcd
 
@@ -195,6 +195,38 @@ def simple_graphs_oracle(vertices):
         if least == edges:
             out.append(edges)
     return out
+
+
+def is_tu(matrix):
+    """Exhaustive total-unimodularity check: every square minor in
+    {-1, 0, 1}.
+
+    Returns None (unverified) beyond the desk-scale caps of 20 columns
+    and 2,000,000 minors instead of guessing.
+    """
+    rows = [tuple(int(x) for x in row) for row in matrix]
+    if not rows:
+        return True
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged matrix")
+    if any(x not in (-1, 0, 1) for r in rows for x in r):
+        return False
+    if ncols > 20:
+        return None
+    total = sum(
+        comb(len(rows), k) * comb(ncols, k)
+        for k in range(1, min(len(rows), ncols) + 1)
+    )
+    if total > 2_000_000:
+        return None
+    for k in range(2, min(len(rows), ncols) + 1):
+        for rsel in combinations(range(len(rows)), k):
+            for csel in combinations(range(ncols), k):
+                sub = [[rows[i][j] for j in csel] for i in rsel]
+                if _sylvester_det(sub) not in (-1, 0, 1):
+                    return False
+    return True
 
 
 def _normalized(v):

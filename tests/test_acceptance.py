@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from perfcone.cli import _bundled_les_text
 from perfcone.complexes import (
     build_inflation_complex,
     build_matroid_complexes,
@@ -36,6 +35,7 @@ from perfcone.matroid import (
 )
 from perfcone.quadform import (
     QuadraticForm,
+    bundled_text,
     cone_of_form,
     load_bundled_catalog,
     minimal_vectors,
@@ -234,7 +234,7 @@ def test_acceptance_6_les_bookkeeping():
         7: ({13: 1, 18: 1, 22: 1, 27: 1}, [28, 33, 37, 42]),
     }
     for g, (dims_want, ks_want) in expected.items():
-        fg, h_p, h_v, iso = parse_les_fixture(_bundled_les_text(g))
+        fg, h_p, h_v, iso = parse_les_fixture(bundled_text("les", g))
         assert fg == g
         result = les_solve(h_p, h_v, iso, g)
         assert result.unknown_degrees() == []
@@ -256,7 +256,7 @@ def test_acceptance_7_satake_table(reg5):
 
     # The bundled bookkeeping fixture must tell the same story as the
     # computed column.
-    fg, h_p, h_v, iso = parse_les_fixture(_bundled_les_text(5))
+    fg, h_p, h_v, iso = parse_les_fixture(bundled_text("les", 5))
     assert fg == 5
     assert all(v == 0 for v in h_p.values())
     res5 = les_solve(h_p, h_v, iso, 5)
@@ -269,7 +269,7 @@ def test_acceptance_7_satake_table(reg5):
         6: [(6, 6, 1)],
         7: [(7, 7, 1), (7, 12, 1), (7, 16, 1), (7, 21, 1)],
     }.items():
-        fg, h_p, h_v, iso = parse_les_fixture(_bundled_les_text(g))
+        fg, h_p, h_v, iso = parse_les_fixture(bundled_text("les", g))
         result = les_solve(h_p, h_v, iso, g)
         dims = {n: d for n, d in result.dims.items() if d}
         assert satake_weight0_column(g, dims) == want

@@ -31,7 +31,29 @@ def test_no_subcommand_is_usage_error(capsys):
 
 def test_missing_g_is_usage_error(capsys):
     assert main(["forms"]) == 2
-    assert "needs --g" in capsys.readouterr().err
+    assert "the following arguments are required: --g" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "p3.cplx", "--g", "3"],
+        ["les", "--g", "7", "--seed", "1"],
+        ["forms", "--g", "4", "--out", "build"],
+        ["verify", "--g", "2", "--out", "build"],
+        ["tables", "--g", "3", "--level", "full"],
+        ["orbits", "--g", "2", "--level", "full"],
+        ["complex", "--g", "2", "--kind", "P", "--level", "full"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_unread_flag_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # each command declares only the flags its handler reads; argparse
+    # rejects any other before the command runs or writes anything
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_global_flags(capsys):
@@ -232,11 +254,13 @@ def test_les_file_ambient_mismatch(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, ambient",
-    [(["forms", "--g", "9"], 9), (["orbits", "--g", "9"], 6)],
+    [(["forms", "--g", "9"], 9), (["orbits", "--g", "9", "--out"], 6)],
     ids=["forms", "orbits-recurses-to-first-missing"],
 )
 def test_missing_bundled_catalog_exits_1(tmp_path, capsys, command, ambient):
-    assert main(command + ["--out", str(tmp_path)]) == 1
+    if command[-1] == "--out":
+        command = command + [str(tmp_path)]
+    assert main(command) == 1
     assert capsys.readouterr().err == f"error: no bundled form catalog for ambient {ambient}\n"
 
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from perfcone.cone import (
-    Face,
     PerfectCone,
     _dd_core,
     _span_basis,
@@ -97,8 +96,9 @@ def test_rank_and_dimension_examples():
 
 
 def face_lattice(c):
-    """Every face of c by dimension, each group sorted by generator
-    indices: c, the zero face and every intersection of facets."""
+    """Every face of c as a subcone, by dimension, each group sorted by
+    generator indices: c, the zero face and every intersection of
+    facets."""
     facets = facet_index_sets(c)
     seen = {(1 << len(c.generators)) - 1, 0}
     stack = list(seen)
@@ -110,8 +110,8 @@ def face_lattice(c):
                 stack.append(m & f)
     out = {}
     for m in sorted(seen, key=indices):
-        face = Face(c, m)
-        out.setdefault(face.cone.dim, []).append(face)
+        face = c.subcone(indices(m))
+        out.setdefault(face.dim, []).append(face)
     return out
 
 
@@ -134,13 +134,10 @@ def test_face_lattice_euler_characteristic():
 
 def test_face_of_face_is_face():
     c = cone_of_form(principal_form(2))
-    for f in face_lattice(c)[2]:
-        sub = f.cone
+    for sub in face_lattice(c)[2]:
         for ff in face_lattice(sub)[1]:
-            gens = set(ff.cone.generators)
-            assert any(
-                gens == set(other.cone.generators) for other in face_lattice(c)[1]
-            )
+            gens = set(ff.generators)
+            assert any(gens == set(other.generators) for other in face_lattice(c)[1])
 
 
 def _facet_sets(c):
@@ -406,9 +403,9 @@ def test_face_monotonicity():
     c = cone_of_form(principal_form(3))
     for d, fs in face_lattice(c).items():
         for f in fs:
-            assert f.cone.rank <= c.rank
+            assert f.rank <= c.rank
             if d < c.dim:
-                assert f.cone.dim < c.dim
+                assert f.dim < c.dim
 
 
 def test_spanning_subset_spans():

@@ -1,6 +1,5 @@
 import pytest
 
-from perfcone.cli import _bundled_les_text
 from perfcone.complexes import (
     build_inflation_complex,
     build_matroid_complexes,
@@ -20,6 +19,7 @@ from perfcone.homology import (
     top_weight_table,
     verify_complex,
 )
+from perfcone.quadform import bundled_text
 
 from oracles import homology_dims_oracle
 
@@ -134,7 +134,7 @@ def test_les_solve_unknown_propagation():
 
 
 def test_les_fixture_g5():
-    g, h_p, h_v, iso = parse_les_fixture(_bundled_les_text(5))
+    g, h_p, h_v, iso = parse_les_fixture(bundled_text("les", 5))
     assert g == 5 and iso == set()
     assert all(v == 0 for v in h_p.values())
     result = les_solve(h_p, h_v, iso, g)
@@ -143,7 +143,7 @@ def test_les_fixture_g5():
 
 
 def test_les_fixture_g6():
-    g, h_p, h_v, iso = parse_les_fixture(_bundled_les_text(6))
+    g, h_p, h_v, iso = parse_les_fixture(bundled_text("les", 6))
     assert g == 6 and iso == {10, 15}
     result = les_solve(h_p, h_v, iso, g)
     assert result.unknown_degrees() == []
@@ -151,7 +151,7 @@ def test_les_fixture_g6():
 
 
 def test_les_fixture_g7():
-    g, h_p, h_v, iso = parse_les_fixture(_bundled_les_text(7))
+    g, h_p, h_v, iso = parse_les_fixture(bundled_text("les", 7))
     assert g == 7 and iso == {12}
     result = les_solve(h_p, h_v, iso, g)
     assert result.unknown_degrees() == []
@@ -159,7 +159,7 @@ def test_les_fixture_g7():
 
 
 def test_les_fixture_g8_keeps_unknowns():
-    g, h_p, h_v, iso = parse_les_fixture(_bundled_les_text(8))
+    g, h_p, h_v, iso = parse_les_fixture(bundled_text("les", 8))
     assert g == 8
     result = les_solve(h_p, h_v, iso, g)
     assert all(result.dims[n] == 0 for n in range(0, 13))
@@ -170,7 +170,7 @@ def test_les_fixture_g8_keeps_unknowns():
 
 def test_les_fixtures_g9_g10_low_degrees_vanish():
     for g, cutoff in ((9, 12), (10, 12)):
-        fg, h_p, h_v, iso = parse_les_fixture(_bundled_les_text(g))
+        fg, h_p, h_v, iso = parse_les_fixture(bundled_text("les", g))
         assert fg == g
         result = les_solve(h_p, h_v, iso, g)
         assert all(result.dims[n] == 0 for n in range(0, cutoff))

@@ -7,13 +7,11 @@ from perfcone.cone import PerfectCone, pad
 from perfcone.intlinalg import mat_vec, rank_rows, snf_left, vec_gcd
 from perfcone.matroid import (
     SimpleGraph,
-    TURepresentation,
     _rational_coloops,
     complete_graph,
     graphic_cone,
     incidence_columns,
     inflate,
-    is_tu,
     m_star_k33,
     r_10,
     tu_cone,
@@ -22,10 +20,15 @@ from perfcone.matroid import (
 from perfcone.quadform import cone_of_form, principal_form
 from perfcone.symmetry import equivalent
 
-from oracles import coloop_oracle, simple_graphs_oracle
+from oracles import coloop_oracle, is_tu, simple_graphs_oracle
 from test_quadform import COLOOP_EXAMPLE_FORM
 
 PAW = SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+
+
+def _incidence_matrix(graph):
+    """The reduced incidence matrix, its columns incidence_columns."""
+    return tuple(zip(*incidence_columns(graph)))
 
 
 def test_simple_graph_validation():
@@ -53,45 +56,37 @@ def test_graphic_cone_examples():
 
 
 def test_tu_cone_matches_graphic_route():
-    rep = TURepresentation.from_graph(complete_graph(4))
+    rep = _incidence_matrix(complete_graph(4))
     assert equivalent(tu_cone(rep, 3), graphic_cone(complete_graph(4))) is not None
 
 
 def test_tu_cone_of_identity_is_simplicial():
-    rep = TURepresentation.verify([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    c = tu_cone(rep, 3)
+    c = tu_cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
     assert c.generators == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
 def test_two_representations_same_matroid_equivalent_cones():
     # delete a different incidence row and flip some edge orientations
     k4 = complete_graph(4)
-    cols = incidence_columns(k4)
-    rep1 = TURepresentation.from_graph(k4)
+    rep1 = _incidence_matrix(k4)
     full = [
         [(1 if a == b[0] else -1 if a == b[1] else 0) for b in k4.edges]
         for a in range(4)
     ]
-    drop_first = [full[i] for i in (1, 2, 3)]
-    rep2 = TURepresentation.verify(drop_first)
+    rep2 = [full[i] for i in (1, 2, 3)]
+    assert is_tu(rep2) is True
     assert equivalent(tu_cone(rep1, 3), tu_cone(rep2, 3)) is not None
-    del cols
 
 
 def test_tu_cone_rejections():
     with pytest.raises(ValueError):
-        tu_cone(TURepresentation(((1, 0), (0, 1)), None), 2)
-    rep = TURepresentation.verify([[1, 0], [0, 0]])
+        tu_cone([[1, 0], [0, 0]], 2)
     with pytest.raises(ValueError):
-        tu_cone(rep, 2)
-    tall = TURepresentation.verify([[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        tu_cone(tall, 1)
+        tu_cone([[1, 0], [0, 1]], 1)
 
 
 def test_is_tu_examples():
-    rep = TURepresentation.from_graph(complete_graph(4))
-    assert is_tu(rep.matrix) is True
+    assert is_tu(_incidence_matrix(complete_graph(4))) is True
     assert is_tu([[1, 1], [-1, 1]]) is False
     assert is_tu([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) is True
     assert is_tu([[2, 0], [0, 1]]) is False
@@ -99,24 +94,17 @@ def test_is_tu_examples():
     assert is_tu(wide) is None
 
 
-def test_verify_raises_on_not_tu():
-    with pytest.raises(ValueError):
-        TURepresentation.verify([[1, 1], [-1, 1]])
-
-
 def test_bundled_regular_matroids():
     k33 = m_star_k33()
-    assert k33.verified is True
-    assert k33.rows == 4 and k33.cols == 9
+    assert len(k33) == 4 and {len(row) for row in k33} == {9}
     r10 = r_10()
-    assert r10.verified is True
-    assert r10.rows == 5 and r10.cols == 10
+    assert len(r10) == 5 and {len(row) for row in r10} == {10}
 
 
 def test_bundled_regular_matroids_are_tu():
-    # the fixtures are built as verified constants; this is their check
-    assert is_tu(m_star_k33().matrix) is True
-    assert is_tu(r_10().matrix) is True
+    # tu_cone takes the constants as totally unimodular; this is their check
+    assert is_tu(m_star_k33()) is True
+    assert is_tu(r_10()) is True
 
 
 def test_zg_coloops_examples():
@@ -157,25 +145,19 @@ def test_second_coloop_survives_removal_of_first():
 
 
 def test_matroid_coloops_examples():
-    paw = TURepresentation.from_graph(PAW)
-    assert _matroid_coloops_by_deletion(paw.columns) == [3]
-    k4 = TURepresentation.from_graph(complete_graph(4))
-    assert _matroid_coloops_by_deletion(k4.columns) == []
-    ident = TURepresentation.verify([[1, 0], [0, 1]])
-    assert _matroid_coloops_by_deletion(ident.columns) == [0, 1]
+    assert _matroid_coloops_by_deletion(incidence_columns(PAW)) == [3]
+    assert _matroid_coloops_by_deletion(incidence_columns(complete_graph(4))) == []
+    assert _matroid_coloops_by_deletion([(1, 0), (0, 1)]) == [0, 1]
 
 
 def test_zg_equals_matroid_coloops_on_tu_columns():
-    reps = [
-        TURepresentation.from_graph(SimpleGraph(v, edges))
+    column_sets = [
+        incidence_columns(SimpleGraph(v, edges))
         for v in (4, 5)
         for edges in simple_graphs_oracle(v)
     ]
-    reps += [m_star_k33(), r_10()]
-    for rep in reps:
-        cols = [c for c in rep.columns if any(c)]
-        if len(cols) != rep.cols:
-            continue
+    column_sets += [list(zip(*m_star_k33())), list(zip(*r_10()))]
+    for cols in column_sets:
         assert zg_coloop_indices(cols) == _matroid_coloops_by_deletion(cols)
 
 
@@ -232,11 +214,9 @@ def _vector_lists(draw):
 
 @given(_vector_lists())
 def test_coloops_match_the_deletion_loops(case):
-    g, vs = case
+    _g, vs = case
     assert zg_coloop_indices(vs) == _zg_coloops_by_deletion(vs)
     assert _rational_coloops(vs) == _matroid_coloops_by_deletion(vs)
-    rep = TURepresentation(tuple(zip(*vs)) if vs else ((),) * g, True)
-    assert rep.columns == vs
 
 
 def test_inflate_zero_cone():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import perfcone
 from perfcone.complexes import build_registry
-from perfcone.cone import Face, PerfectCone, facet_index_sets, reduce
+from perfcone.cone import Face, PerfectCone, facet_index_sets, indices, reduce
 from perfcone.intlinalg import adjugate_det, det_int, mat_mul
 from perfcone.matroid import complete_graph, graphic_cone
 from perfcone.quadform import (
@@ -93,7 +93,7 @@ def test_self_equivalence_is_identity_like():
 
 def test_faces_of_principal_g2_pairwise_equivalent():
     c = cone_of_form(principal_form(2))
-    two_dim = [f.cone for f in face_lattice(c)[2]]
+    two_dim = face_lattice(c)[2]
     assert len(two_dim) == 3
     for a in two_dim:
         for b in two_dim:
@@ -226,7 +226,7 @@ def test_classify_orbits_of_principal_g2_faces():
     reg = OrbitRegistry(2)
     for fs in face_lattice(c).values():
         for f in fs:
-            reg.add(f.cone)
+            reg.add(f)
     assert len(reg.orbits) == 4
     dims = sorted(o.dim for o in reg.orbits)
     assert dims == [0, 1, 2, 3]
@@ -245,7 +245,7 @@ def test_locate_maps_every_member_to_one_orbit():
     reg = OrbitRegistry(3)
     for fs in face_lattice(c).values():
         for f in fs:
-            reg.add(f.cone)
+            reg.add(f)
     rng = random.Random(7)
     for o in reg.orbits:
         moved = conjugate_cone(o.rep, random_unimodular(3, rng))
@@ -338,7 +338,7 @@ def _tops_and_faces(g):
     for form in load_bundled_catalog(g):
         top = cone_of_form(form)
         out.append(top)
-        out.extend(Face(top, s).cone for s in facet_index_sets(top))
+        out.extend(top.subcone(indices(s)) for s in facet_index_sets(top))
     return out
 
 
