@@ -39,7 +39,6 @@ from .quadform import (
     voronoi_neighbor,
 )
 from .symmetry import (
-    ConeTransform,
     Orbit,
     OrbitRegistry,
     equivalent,
@@ -52,7 +51,6 @@ __all__ = [
     "BettiReport",
     "ChainComplexQ",
     "ComplexTriple",
-    "ConeTransform",
     "Face",
     "LesResult",
     "MinimalVectorSet",

@@ -176,13 +176,13 @@ def cmd_verify(args) -> int:
 
 def cmd_tables(args) -> int:
     g = args.g
-    if g <= 4:
+    if g <= 5:
         reg = build_registry(g, catalog_for(g, args.catalog), args.seed)
         dims = betti(build_perfect_complex(g, reg)).homology
         sys.stdout.write(format_top_weight(g, top_weight_table(g, dims)))
         sys.stdout.write(format_satake(satake_weight0_column(g, dims)))
         return 0
-    if g in (5, 6, 7):
+    if g in (6, 7):
         text = bundled_text("les", g)
         fg, h_p, h_v, iso = parse_les_fixture(text)
         if fg != g:
@@ -195,7 +195,7 @@ def cmd_tables(args) -> int:
         sys.stdout.write(format_top_weight(g, top_weight_table(g, result.dims)))
         sys.stdout.write(format_satake(satake_weight0_column(g, result.dims)))
         return 0
-    raise ValueError("tables need g <= 4 (computed) or g in {5, 6, 7} (bookkeeping)")
+    raise ValueError("tables need g <= 5 (computed) or g in {6, 7} (bookkeeping)")
 
 
 def cmd_les(args) -> int:

@@ -144,14 +144,14 @@ def _record_facets(
                         "boundary facet missing from the padded seeds; "
                         "the lower catalog is incomplete"
                     )
-                target, t = loc
+                target, (_a, perm) = loc
             else:
-                target, t, created = reg.add(face, rng)
+                target, (_a, perm), created = reg.add(face, rng)
                 if created:
                     queue.append(target)
             eta = 0
             if orbit.alternating and target.alternating:
-                eta = _facet_sign(orbit, s, target, t.perm)
+                eta = _facet_sign(orbit, s, target, perm)
             known[mask] = record = (target.id, eta)
             stack = [s]
             while stack:

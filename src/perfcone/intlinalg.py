@@ -252,7 +252,9 @@ def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
 
 
 def det_int(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix; 1 when empty."""
+    """Exact determinant of a square integer matrix; 1 when empty. No
+    package code calls it; it stays for the tests, and because
+    perfbench's tracer counts it (intlinalg.det_int)."""
     return _det(m)
 
 

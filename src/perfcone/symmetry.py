@@ -42,7 +42,6 @@ from .cone import (
 )
 from .intlinalg import (
     Echelon,
-    det_int,
     det_sign,
     identity_matrix,
     mat_mul,
@@ -52,47 +51,10 @@ from .intlinalg import (
 )
 
 
-@dataclass(frozen=True)
-class ConeTransform:
-    matrix: tuple[tuple[int, ...], ...]
-    source: PerfectCone
-    target: PerfectCone
-    perm: tuple[int, ...]
-
-    def check(self) -> bool:
-        if det_int(self.matrix) not in (1, -1):
-            return False
-        if len(self.source.generators) != len(self.target.generators):
-            return False
-        return _ray_perm(self.matrix, self.source, _ray_index(self.target)) == self.perm
-
-
-def _identity_transform(c: PerfectCone) -> ConeTransform:
-    return ConeTransform(
-        tuple(tuple(row) for row in identity_matrix(c.g)),
-        c,
-        c,
-        tuple(range(len(c.generators))),
-    )
-
-
-def _ray_index(c: PerfectCone) -> dict[tuple[int, ...], int]:
-    return {v: j for j, v in enumerate(c.generators)}
-
-
-def _ray_perm(a, source: PerfectCone, index: dict[tuple[int, ...], int]) -> tuple[int, ...] | None:
-    """The ray permutation the matrix a induces from the source cone onto
-    the cone whose _ray_index is index, or None when some image is not a
-    ray of that cone or two rays land on the same one."""
-    perm = []
-    hit = set()
-    for v in source.generators:
-        j = index.get(sign_normalize(mat_vec(a, v)))
-        if j is None or j in hit:
-            return None
-        hit.add(j)
-        perm.append(j)
-    return tuple(perm)
+# an equivalence witness: a matrix A in GL_g(Z), as a tuple of integer
+# rows, and the ray permutation it induces, generator i of the source
+# going to generator perm[i] of the target
+Witness = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
 def _assignment_order(
@@ -319,19 +281,25 @@ def _lift_block(a_red: Sequence[Sequence[int]], u1, u2, g: int, r: int):
     return mat_mul(mat_mul(u2inv, block), u1)
 
 
-def _transform_from_matrix(a, c1: PerfectCone, c2: PerfectCone) -> ConeTransform | None:
-    perm = _ray_perm(a, c1, _ray_index(c2))
-    if perm is None:
-        return None
-    return ConeTransform(tuple(tuple(int(x) for x in row) for row in a), c1, c2, perm)
+def _witness(a, c1: PerfectCone, c2: PerfectCone) -> Witness | None:
+    """(a, perm) when the matrix a sends generator i of c1 to +- generator
+    perm[i] of c2, for every i, onto distinct generators; else None."""
+    index = {v: j for j, v in enumerate(c2.generators)}
+    perm = []
+    for v in c1.generators:
+        j = index.pop(sign_normalize(mat_vec(a, v)), None)
+        if j is None:
+            return None
+        perm.append(j)
+    return tuple(map(tuple, a)), tuple(perm)
 
 
-def equivalent(c1: PerfectCone, c2: PerfectCone) -> ConeTransform | None:
-    """A witness transform in GL_g(Z), or None."""
+def equivalent(c1: PerfectCone, c2: PerfectCone) -> Witness | None:
+    """A witness (A, perm) with A in GL_g(Z) mapping c1 onto c2, or None."""
     if c1.g != c2.g:
         raise ValueError("cones live in different ambient dimensions")
     if c1.is_zero() and c2.is_zero():
-        return _identity_transform(c1)
+        return _witness(identity_matrix(c1.g), c1, c2)
     if c1.is_zero() or c2.is_zero():
         return None
     if (c1.rank, c1.dim, len(c1.generators)) != (c2.rank, c2.dim, len(c2.generators)):
@@ -344,16 +312,12 @@ def equivalent(c1: PerfectCone, c2: PerfectCone) -> ConeTransform | None:
         inner = equivalent(red1, red2)
         if inner is None:
             return None
-        a = _lift_block([list(row) for row in inner.matrix], u1, u2, g, r)
-        t = _transform_from_matrix(a, c1, c2)
+        t = _witness(_lift_block(inner[0], u1, u2, g, r), c1, c2)
         if t is None:
             raise AssertionError("lifted transform failed to map the cone")
         return t
     found = _full_rank_maps(c1, c2)
-    if not found:
-        return None
-    a, perm = found[0]
-    return ConeTransform(a, c1, c2, perm)
+    return found[0] if found else None
 
 
 def _reduction(c: PerfectCone) -> tuple[PerfectCone, list[list[int]], list[int]]:
@@ -478,7 +442,7 @@ class OrbitRegistry:
         """The cone's fingerprint (PerfectCone.fingerprint), kept on it."""
         return c.fingerprint
 
-    def locate(self, c: PerfectCone) -> tuple[Orbit, ConeTransform] | None:
+    def locate(self, c: PerfectCone) -> tuple[Orbit, Witness] | None:
         fp = self.fingerprint(c)
         for orbit in self._buckets.get(fp, []):
             t = equivalent(c, orbit.rep)
@@ -496,18 +460,18 @@ class OrbitRegistry:
         self.by_id[orbit.id] = orbit
         self._buckets.setdefault(orbit.fingerprint, []).append(orbit)
 
-    def add(self, c: PerfectCone, rng: random.Random | None = None) -> tuple[Orbit, ConeTransform, bool]:
+    def add(self, c: PerfectCone, rng: random.Random | None = None) -> tuple[Orbit, Witness, bool]:
         loc = self.locate(c)
         if loc is not None:
             return loc[0], loc[1], False
         if rng is None:
             rep = c
-            t = _identity_transform(c)
+            t = (tuple(map(tuple, identity_matrix(c.g))), tuple(range(len(c.generators))))
             ref_order = None
         else:
             h = random_unimodular(c.g, rng)
             rep = conjugate_cone(c, h)
-            t = _transform_from_matrix(h, c, rep)
+            t = _witness(h, c, rep)
             if t is None:
                 raise AssertionError("conjugation failed to map the cone")
             ref_order = list(range(len(rep.generators)))

@@ -254,6 +254,22 @@ def _sylvester_det(m):
     return sign * m[-1][-1] if n else 1
 
 
+def is_witness(a, perm, c1, c2):
+    """True iff the integer matrix a has det +-1 and sends generator i of
+    c1 to plus or minus generator perm[i] of c2, for every i, with perm a
+    bijection onto the generators of c2."""
+    if _sylvester_det(a) not in (-1, 1):
+        return False
+    src, dst = c1.generators, c2.generators
+    if sorted(perm) != list(range(len(dst))) or len(src) != len(dst):
+        return False
+    for v, j in zip(src, perm):
+        image = [sum(x * y for x, y in zip(row, v)) for row in a]
+        if _normalized(image) != _normalized(dst[j]):
+            return False
+    return True
+
+
 def automorphism_oracle(vectors):
     """Every (ray permutation, det A) for A in GL_g(Z) mapping each vector
     to plus or minus a vector of the list.

@@ -216,6 +216,16 @@ def test_tables_computed(capsys):
     assert "GrW" not in out.replace("# top-weight", "")
     assert "# none" in out
 
+    assert main(["tables", "--g", "5"]) == 0
+    assert capsys.readouterr().out == (
+        "# top-weight cohomology of ambient 5 (nonzero graded pieces)\n"
+        "GrW 15 1\n"
+        "GrW 20 1\n"
+        "# weight-0 Satake column entries\n"
+        "E1 5 5 1\n"
+        "E1 5 10 1\n"
+    )
+
 
 def test_tables_bookkeeping(capsys):
     assert main(["tables", "--g", "6"]) == 0
@@ -253,15 +263,20 @@ def test_les_file_ambient_mismatch(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, ambient",
-    [(["forms", "--g", "9"], 9), (["orbits", "--g", "9", "--out"], 6)],
-    ids=["forms", "orbits-recurses-to-first-missing"],
+    "command, missing",
+    [
+        (["forms", "--g", "9"], "form catalog for ambient 9"),
+        (["orbits", "--g", "9", "--out"], "form catalog for ambient 6"),
+        # g = 5 tables are computed, so no g = 5 fixture is bundled
+        (["les", "--g", "5"], "bookkeeping fixture for ambient 5"),
+    ],
+    ids=["forms", "orbits-recurses-to-first-missing", "les-g5"],
 )
-def test_missing_bundled_catalog_exits_1(tmp_path, capsys, command, ambient):
+def test_missing_bundled_catalog_exits_1(tmp_path, capsys, command, missing):
     if command[-1] == "--out":
         command = command + [str(tmp_path)]
     assert main(command) == 1
-    assert capsys.readouterr().err == f"error: no bundled form catalog for ambient {ambient}\n"
+    assert capsys.readouterr().err == f"error: no bundled {missing}\n"
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

@@ -104,16 +104,16 @@ def test_registry_facet_records_are_consistent(reg3):
             assert eta in ((-1, 1) if orbit.alternating and target.alternating else (0,))
 
 
-def _fresh_eta(orbit, idx, target, t):
-    """The facet sign of rep.subcone(idx) under the witness t, from span
-    coordinates computed afresh."""
+def _fresh_eta(orbit, idx, target, perm):
+    """The facet sign of rep.subcone(idx) under a witness with ray
+    permutation perm, from span coordinates computed afresh."""
     rep = orbit.rep
     xs = span_coordinates(rep, orbit.ref_orientation)
     u = min(i for i in range(len(rep.generators)) if i not in idx)
     local_span = spanning_subset(rep.subcone(idx))
     rows = [xs[u]] + [xs[idx[b]] for b in local_span]
     xt = span_coordinates(target.rep, target.ref_orientation)
-    rows_t = [xt[t.perm[b]] for b in local_span]
+    rows_t = [xt[perm[b]] for b in local_span]
     return det_sign(rows) * (det_sign(rows_t) if rows_t else 1)
 
 
@@ -131,10 +131,10 @@ def test_facet_records_map_faces_onto_their_targets(reg4, reg5):
         for orbit in reg.orbits:
             for mask, tid, eta in orbit.facets:
                 idx = _indices(mask)
-                target, t = reg.locate(orbit.rep.subcone(idx))
+                target, (_a, perm) = reg.locate(orbit.rep.subcone(idx))
                 assert target.id == tid
                 if orbit.alternating and target.alternating:
-                    assert eta == _fresh_eta(orbit, idx, target, t), (orbit.id, idx)
+                    assert eta == _fresh_eta(orbit, idx, target, perm), (orbit.id, idx)
                 else:
                     assert eta == 0
 
@@ -292,10 +292,10 @@ def _fresh_differential_row(orbit, reg):
     row = {}
     for s in facet_index_sets(orbit.rep):
         idx = indices(s)
-        target, t = reg.locate(orbit.rep.subcone(idx))
+        target, (_a, perm) = reg.locate(orbit.rep.subcone(idx))
         if not target.alternating:
             continue
-        row[target.id] = row.get(target.id, 0) + _fresh_eta(orbit, idx, target, t)
+        row[target.id] = row.get(target.id, 0) + _fresh_eta(orbit, idx, target, perm)
     return {k: v for k, v in row.items() if v}
 
 

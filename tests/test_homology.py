@@ -133,13 +133,16 @@ def test_les_solve_unknown_propagation():
     assert result.unknown_degrees() == [4, 5]
 
 
-def test_les_fixture_g5():
-    g, h_p, h_v, iso = parse_les_fixture(bundled_text("les", 5))
-    assert g == 5 and iso == set()
-    assert all(v == 0 for v in h_p.values())
-    result = les_solve(h_p, h_v, iso, g)
+def test_les_g5_forces_computed_h_p5(reg4, reg5):
+    # exactness alone, with no declared isomorphism, forces H(P_5) from
+    # the computed H(P_4) and H(V_5), and gives the computed H(P_5)
+    h_p4 = betti(build_perfect_complex(4, reg4)).homology
+    h_v5 = betti(build_voronoi_complex(5, reg5)).homology
+    h_p5 = betti(build_perfect_complex(5, reg5)).homology
+    result = les_solve(h_p4, h_v5, [], 5)
     assert result.unknown_degrees() == []
-    assert {n: d for n, d in result.dims.items() if d} == {9: 1, 14: 1}
+    assert result.dims == h_p5
+    assert {n: d for n, d in h_p5.items() if d} == {9: 1, 14: 1}
 
 
 def test_les_fixture_g6():

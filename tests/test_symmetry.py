@@ -19,7 +19,6 @@ from perfcone.quadform import (
     voronoi_neighbor,
 )
 from perfcone.symmetry import (
-    ConeTransform,
     OrbitRegistry,
     _assignment_order,
     _full_rank_maps,
@@ -35,6 +34,7 @@ from perfcone.symmetry import (
 
 from oracles import (
     automorphism_oracle,
+    is_witness,
     orientation_oracle,
     rank_oracle,
     rational_gram_oracle,
@@ -65,10 +65,10 @@ def stabilizer_group(c):
 
 
 def _flip_last(c):
-    """diag(1, ..., 1, -1) as a map of c onto itself, rays fixed."""
+    """diag(1, ..., 1, -1) as a witness of c onto itself, rays fixed."""
     m = [[int(i == j) for j in range(c.g)] for i in range(c.g)]
     m[-1][-1] = -1
-    return ConeTransform(tuple(map(tuple, m)), c, c, tuple(range(len(c.generators))))
+    return m, tuple(range(len(c.generators)))
 
 
 def _pool(seed):
@@ -84,11 +84,11 @@ def _pool(seed):
 
 
 def test_self_equivalence_is_identity_like():
-    c = cone_of_form(principal_form(2))
-    t = equivalent(c, c)
-    assert t is not None
-    assert t.check()
-    assert t.perm == tuple(range(len(c.generators)))
+    for c in (cone_of_form(principal_form(2)), PerfectCone(2, [])):
+        t = equivalent(c, c)
+        assert t is not None
+        assert is_witness(*t, c, c)
+        assert t[1] == tuple(range(len(c.generators)))
 
 
 def test_faces_of_principal_g2_pairwise_equivalent():
@@ -98,7 +98,7 @@ def test_faces_of_principal_g2_pairwise_equivalent():
     for a in two_dim:
         for b in two_dim:
             t = equivalent(a, b)
-            assert t is not None and t.check()
+            assert t is not None and is_witness(*t, a, b)
 
 
 def test_principal4_and_d4_not_equivalent():
@@ -117,14 +117,20 @@ def test_check_rejects_broken_witnesses():
     c1 = cone_of_form(principal_form(3))
     c2 = conjugate_cone(c1, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     t = equivalent(c1, c2)
-    assert t is not None and t.check()
-    swapped = list(t.perm)
+    assert t is not None and is_witness(*t, c1, c2)
+    a, perm = t
+    swapped = list(perm)
     swapped[0], swapped[1] = swapped[1], swapped[0]
-    assert not ConeTransform(t.matrix, c1, c2, tuple(swapped)).check()
-    doubled = tuple(tuple(2 * x for x in row) for row in t.matrix)
-    assert not ConeTransform(doubled, c1, c2, t.perm).check()
+    assert not is_witness(a, tuple(swapped), c1, c2)
+    doubled = tuple(tuple(2 * x for x in row) for row in a)
+    assert not is_witness(doubled, perm, c1, c2)
     smaller = c2.subcone(range(len(c2.generators) - 1))
-    assert not ConeTransform(t.matrix, c1, smaller, t.perm).check()
+    assert not is_witness(a, perm, c1, smaller)
+    # a boundary cone's rays pin A only on their span, so only the
+    # determinant rejects a map that fixes them
+    ray = PerfectCone(2, [(1, 0)])
+    assert is_witness(((1, 0), (0, -1)), (0,), ray, ray)
+    assert not is_witness(((1, 0), (0, 2)), (0,), ray, ray)
 
 
 @settings(max_examples=30)
@@ -137,8 +143,8 @@ def test_equivalence_relation_on_conjugates(seed):
     c2 = conjugate_cone(c, h2)
     t12 = equivalent(c1, c2)
     t21 = equivalent(c2, c1)
-    assert t12 is not None and t12.check()
-    assert t21 is not None and t21.check()
+    assert t12 is not None and is_witness(*t12, c1, c2)
+    assert t21 is not None and is_witness(*t21, c2, c1)
 
 
 def test_automorphism_group_of_principal_g3():
@@ -146,7 +152,7 @@ def test_automorphism_group_of_principal_g3():
     group = stabilizer_group(c)
     assert len({perm for perm, _d in group}) == 24
     for a, perm in _full_rank_maps(c, c, group=True):
-        assert ConeTransform(a, c, c, perm).check()
+        assert is_witness(a, perm, c, c)
 
 
 def test_single_ray_automorphisms():
@@ -173,13 +179,7 @@ def test_orientation_sign_is_homomorphism():
     gens = _full_rank_maps(c, c, group=True)
     for a, p in gens:
         for b, q in gens:
-            prod = ConeTransform(
-                matrix=tuple(tuple(r) for r in mat_mul(b, a)),
-                source=c,
-                target=c,
-                perm=tuple(q[x] for x in p),
-            )
-            assert prod.check()
+            assert is_witness(mat_mul(b, a), tuple(q[x] for x in p), c, c)
     perms = {perm for perm, _d in stabilizer_group(c)}
     assert len(perms) == 6
     signs = orientation_oracle(c.generators, perms)
@@ -211,8 +211,8 @@ def test_stabilizer_reflections():
     assert any(d == -1 for _p, d in stabilizer_group(cone_of_form(principal_form(2))))
     # a boundary cone's generators end in zeros, so flipping the last
     # coordinate fixes each of them
-    assert _flip_last(PerfectCone(2, [(1, 0)])).check()
-    assert _flip_last(PerfectCone(3, [])).check()
+    for c in (PerfectCone(2, [(1, 0)]), PerfectCone(3, [])):
+        assert is_witness(*_flip_last(c), c, c)
 
 
 def test_automorphism_witnesses_are_unimodular():
@@ -251,9 +251,9 @@ def test_locate_maps_every_member_to_one_orbit():
         moved = conjugate_cone(o.rep, random_unimodular(3, rng))
         hit = reg.locate(moved)
         assert hit is not None
-        orbit, transform = hit
+        orbit, (a, perm) = hit
         assert orbit.id == o.id
-        assert transform.check()
+        assert is_witness(a, perm, moved, orbit.rep)
 
 
 def test_registry_roundtrip(reg3, reg5):
@@ -517,7 +517,7 @@ def test_alternation_and_reflection_match_the_oracle_group(reg2, reg3, reg4):
         assert o.alternating == is_alternating(o.rep), o.id
         gens = o.rep.generators
         assert all(not any(v[o.rank:]) for v in gens)
-        assert _flip_last(o.rep).check()
+        assert is_witness(*_flip_last(o.rep), o.rep, o.rep)
         if o.rank == 0:
             assert is_alternating(o.rep)
             continue
@@ -542,43 +542,58 @@ def test_strong_generators_are_automorphisms():
         gens = _full_rank_maps(c, c, group=True)
         assert gens
         for a, perm in gens:
-            t = ConeTransform(a, c, c, perm)
-            assert t.check()
-            assert det_int([list(r) for r in a]) in (1, -1)
+            assert is_witness(a, perm, c, c)
 
 
 def test_seeded_g5_witnesses_and_strong_generators_pass_check(monkeypatch):
     # the search reads each image off the Gram rows and never applies its
-    # matrix to a generator; ConeTransform.check does (_ray_perm), so it
-    # checks every witness and strong generator independently
+    # matrix to a generator; the is_witness oracle does, so it checks every
+    # witness and strong generator independently. An add that creates an
+    # orbit under a seed returns the conjugation h onto the new rep, whose
+    # perm the facet records read.
     located = []
+    added = []
     searched = []
     locate = OrbitRegistry.locate
+    add = OrbitRegistry.add
     full_rank_maps = perfcone.symmetry._full_rank_maps
 
     def recording_locate(self, c):
         loc = locate(self, c)
         if loc is not None:
-            located.append(loc[1])
+            located.append((c, *loc))
         return loc
+
+    def recording_add(self, c, rng=None):
+        result = add(self, c, rng)
+        added.append((c, *result))
+        return result
 
     def recording_maps(c1, c2, group=False):
         found = full_rank_maps(c1, c2, group)
-        searched.extend((ConeTransform(a, c1, c2, perm), group) for a, perm in found)
+        searched.extend((a, perm, c1, c2, group) for a, perm in found)
         return found
 
     monkeypatch.setattr(OrbitRegistry, "locate", recording_locate)
+    monkeypatch.setattr(OrbitRegistry, "add", recording_add)
     monkeypatch.setattr(perfcone.symmetry, "_full_rank_maps", recording_maps)
     build_registry(5, seed=1)
     # 410 located cones at ambients 1..5; 409 equivalence witnesses and 766
     # strong generators found by the search, on full-rank cones or cores
     assert len(located) == 410
-    assert sum(not group for _t, group in searched) == 409
-    assert sum(group for _t, group in searched) == 766
-    for t in located:
-        assert t.check()
-    for t, _group in searched:
-        assert t.check()
+    assert sum(not group for *_w, group in searched) == 409
+    assert sum(group for *_w, group in searched) == 766
+    created = [(c, orbit) for c, orbit, _t, new in added if new]
+    assert (len(added), len(created)) == (544, 162)
+    # every conjugation moves its cone but that of the ray of ambient 1,
+    # whose only unimodular matrices are +-1
+    assert sum(orbit.rep != c for c, orbit in created) == 161
+    for c, orbit, (a, perm) in located:
+        assert is_witness(a, perm, c, orbit.rep)
+    for c, orbit, (a, perm), _new in added:
+        assert is_witness(a, perm, c, orbit.rep)
+    for a, perm, c1, c2, _group in searched:
+        assert is_witness(a, perm, c1, c2)
 
 
 @pytest.mark.parametrize(
@@ -595,7 +610,7 @@ def test_seeded_g5_witnesses_and_strong_generators_pass_check(monkeypatch):
 def test_search_rejects_maps_that_are_not_cone_automorphisms(vectors):
     c = PerfectCone(len(vectors[0]), vectors)
     for a, perm in _full_rank_maps(c, c, group=True):
-        assert ConeTransform(a, c, c, perm).check()
+        assert is_witness(a, perm, c, c)
     _assert_strong_generators(c, automorphism_oracle(c.generators))
 
 
@@ -611,9 +626,8 @@ def test_equivalence_witnesses_are_unimodular():
         for s in facet_index_sets(sigma)[::20]:
             nb = cone_of_form(voronoi_neighbor(q, Face(sigma, s)))
             nb = conjugate_cone(nb, random_unimodular(5, rng))
-            t = next(t for c in catalog if (t := equivalent(nb, c)) is not None)
-            assert abs(det_int([list(r) for r in t.matrix])) == 1
-            assert t.check()
+            c, (a, perm) = next((c, t) for c in catalog if (t := equivalent(nb, c)) is not None)
+            assert is_witness(a, perm, nb, c)
             found += 1
     assert found == 22  # one facet each of principal_5 and a5_3, 20 of d5
 
@@ -625,14 +639,14 @@ def test_located_witnesses_are_unimodular(monkeypatch):
     def recording(self, c):
         loc = locate(self, c)
         if loc is not None:
-            witnesses.append(loc[1])
+            witnesses.append((c, *loc))
         return loc
 
     monkeypatch.setattr(OrbitRegistry, "locate", recording)
     build_registry(4)
     assert len(witnesses) > 20
-    for t in witnesses:
-        assert abs(det_int([list(r) for r in t.matrix])) == 1
+    for c, orbit, (a, perm) in witnesses:
+        assert is_witness(a, perm, c, orbit.rep)
 
 
 def test_package_keeps_no_module_level_cache():
