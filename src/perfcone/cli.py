@@ -14,6 +14,7 @@ import sys
 
 from .complexes import (
     BUILDERS,
+    MATROIDAL_MAX_G,
     build_inflation_complex,
     build_matroid_complexes,
     build_perfect_complex,
@@ -22,6 +23,7 @@ from .complexes import (
     exact_triple,
     format_complex,
     parse_complex,
+    require_matroidal_range,
 )
 from .homology import (
     betti,
@@ -101,6 +103,8 @@ def cmd_orbits(args) -> int:
 
 def cmd_complex(args) -> int:
     g, kind = args.g, args.kind
+    if kind in ("R", "C"):
+        require_matroidal_range(g)
     reg = build_registry(g, catalog_for(g, args.catalog), args.seed)
     cx = BUILDERS[kind](g, reg)
     path = _write(args.out, f"{kind.lower()}{g}.cplx", format_complex(cx))
@@ -154,7 +158,9 @@ def cmd_verify(args) -> int:
         )
     else:
         print(f"# euler characteristic: {rep_p.euler()} (no gated expectation)")
-    if g <= 4 or args.level == "full":
+    if args.level == "full" and g > MATROIDAL_MAX_G:
+        print(f"# R/C checks skipped: the matroidal flags are verified only for g <= {MATROIDAL_MAX_G}")
+    elif g <= 4 or args.level == "full":
         r_cx, c_cx = build_matroid_complexes(g, reg)
         check("d2[R]", verify_complex(r_cx))
         check("d2[C]", verify_complex(c_cx))
@@ -262,7 +268,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # an undeclared flag's value may have filled a positional, so
+            # name the flags alone when there are any
+            stray = [a for a in extra if a.startswith("-")] or extra
+            parser.error(f"unrecognized arguments: {' '.join(stray)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

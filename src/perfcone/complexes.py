@@ -17,8 +17,9 @@ target and the same orientation sign eta, one determinant in the source
 orbit's span coordinates (see _facet_sign). The sign is exact for the
 whole orbit. An automorphism of an alternating representative keeps its
 orientation and maps the outer side of one facet to that of its image.
-The witness onto the target matters only up to the target's
-automorphisms, which keep an alternating target's orientation. So eta
+The witness from the target's representative onto the face matters
+only up to the target's automorphisms, which keep an alternating
+target's orientation. So eta
 is constant on an Aut(rep)-orbit of facets. The located faces, and with
 them the new orbits and the random draws of a seeded run, are the ones
 a face-by-face walk would meet, so the registry is unchanged.
@@ -125,13 +126,15 @@ def _record_facets(
     seeded shuffle. The first member of each facet orbit is decoded into
     its sorted indices s and located, or added as a new orbit; a walk
     over the strong generators then gives its record to the rest of its
-    orbit, so a later member is recorded without any search.
+    orbit, so a later member is recorded without any search. The walk
+    keys each image by its mask, summed from a table of bits per strong
+    generator, and lists the image only when its mask is new.
     """
     rep = orbit.rep
     masks = facet_index_sets(rep)
     if rng is not None:
         rng.shuffle(masks)
-    gens = orbit.aut_gens or []
+    gens = [(p, [1 << j for j in p]) for p in orbit.aut_gens or []]
     known: dict[int, tuple[str, int]] = {}
     for mask in masks:
         if mask not in known:
@@ -156,27 +159,26 @@ def _record_facets(
             stack = [s]
             while stack:
                 x = stack.pop()
-                for p in gens:
-                    y = [p[i] for i in x]
-                    key = sum(1 << i for i in y)
+                for p, bits in gens:
+                    key = sum(map(bits.__getitem__, x))
                     if key not in known:
                         known[key] = record
-                        stack.append(y)
+                        stack.append([p[i] for i in x])
         orbit.facets.append((mask, *known[mask]))
 
 
 def _facet_sign(orbit: Orbit, s: list[int], target: Orbit, perm: tuple[int, ...]) -> int:
-    """eta of the facet s (sorted) of an alternating orbit's rep, whose
-    generator b perm sends onto generator perm[b] of the alternating
-    target's rep: the sign, in the orbit's span coordinates, of a
-    generator off the facet (it points inward) followed by the facet
-    generators sent onto the target's reference basis. The target's
-    orientation is positive on that basis, and the facet's does not
-    depend on the basis it is read on."""
+    """eta of the facet s (sorted) of an alternating orbit's rep, onto
+    which a witness from the alternating target's rep sends generator r
+    of that rep to facet generator perm[r], generator s[perm[r]] of the
+    orbit's rep (the direction locate and add return): the sign, in the
+    orbit's span coordinates, of a generator off the facet (it points
+    inward) followed by the images of the target's reference basis. The
+    target's orientation is positive on that basis, and the facet's does
+    not depend on the basis it is read on."""
     xs = orbit.coords
-    back = {r: b for b, r in enumerate(perm)}
     u = min(i for i in range(len(orbit.rep.generators)) if i not in s)
-    eta = det_sign([xs[u]] + [xs[s[back[r]]] for r in target.ref_orientation])
+    eta = det_sign([xs[u]] + [xs[s[perm[r]]] for r in target.ref_orientation])
     if eta == 0:
         raise AssertionError("facet orientation degenerated")
     return eta
@@ -188,8 +190,26 @@ def annotate_coloops(reg: OrbitRegistry) -> None:
             orb.coloop_count = len(zg_coloop_indices(orb.rep.generators))
 
 
+# The source closure of annotate_matroidal agrees with an exhaustive
+# test of every orbit (all nonzero maximal minors +-1) through g = 5; at
+# g = 6 it misses orbits, alternating ones among them, so R and C are
+# refused past this ambient.
+MATROIDAL_MAX_G = 5
+
+
+def require_matroidal_range(g: int) -> None:
+    """Raise ValueError when the matroidal flags, and with them the
+    complexes R and C, are not verified at ambient g."""
+    if g > MATROIDAL_MAX_G:
+        raise ValueError(
+            f"complexes R and C need g <= {MATROIDAL_MAX_G}: "
+            "the matroidal flags are not verified past it"
+        )
+
+
 def annotate_matroidal(reg: OrbitRegistry) -> None:
-    """Flag orbits whose cone comes from a regular matroid.
+    """Flag orbits whose cone comes from a regular matroid; g must lie in
+    the verified range (require_matroidal_range).
 
     Sources: the complete graph on g+1 vertices, plus the two desk-scale
     non-graphic regular fixtures when their rank fits. Faces of flagged
@@ -199,8 +219,7 @@ def annotate_matroidal(reg: OrbitRegistry) -> None:
     faces and is reached by the closure.
     """
     g = reg.g
-    if g + 1 > 7:
-        raise ValueError("matroidal annotation is desk-scale: needs g <= 6")
+    require_matroidal_range(g)
     sources = [graphic_cone(complete_graph(g + 1))]
     if g >= 4:
         sources.append(tu_cone(m_star_k33(), g))

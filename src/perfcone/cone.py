@@ -31,9 +31,12 @@ class PerfectCone:
     """Cone spanned by {v v^t} for a finite set of primitive vectors."""
 
     # _flat, _dim, _rank, _gram, _profiles, _fingerprint and _reduction
-    # are derived values, filled on first use and kept with the cone
+    # are derived values, filled on first use and kept with the cone;
+    # so is _search, the state of a full-rank cone as the source of an
+    # equivalence search, which symmetry._full_rank_maps fills
     __slots__ = (
-        "g", "generators", "_flat", "_dim", "_rank", "_gram", "_profiles", "_fingerprint", "_reduction"
+        "g", "generators", "_flat", "_dim", "_rank", "_gram", "_profiles", "_fingerprint", "_reduction",
+        "_search",
     )
 
     def __init__(self, g: int, generators: Iterable[Sequence[int]]):
@@ -63,6 +66,7 @@ class PerfectCone:
         self._profiles = None
         self._fingerprint = None
         self._reduction = None
+        self._search = None
 
     @property
     def flat(self) -> tuple[tuple[int, ...], ...]:

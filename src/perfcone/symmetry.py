@@ -28,9 +28,8 @@ determinant, which keeps every orientation sign taken on them.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cone import (
     PerfectCone,
@@ -53,12 +52,14 @@ from .intlinalg import (
 
 # an equivalence witness: a matrix A in GL_g(Z), as a tuple of integer
 # rows, and the ray permutation it induces, generator i of the source
-# going to generator perm[i] of the target
+# going to generator perm[i] of the target. equivalent(c1, c2) returns
+# one from c1 to c2; OrbitRegistry.locate and add return one from the
+# orbit's representative to the cone they were given.
 Witness = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
 def _assignment_order(
-    c: PerfectCone, cand: list[tuple[int, ...]]
+    c: PerfectCone, cand: Sequence[Sequence[int]]
 ) -> tuple[list[int], int, list[list[int]] | None, int]:
     """Static DFS order: rank-increasing generators first (rarest profile
     wins ties), so the assigned prefix determines the matrix early.
@@ -91,19 +92,94 @@ def _assignment_order(
     return order, prefix_len, [list(col) for col in zip(*adj_t)], det
 
 
-def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> list[tuple]:
+class _Source(NamedTuple):
+    """A full-rank cone's state as the source c1 of a search, read off the
+    cone alone and kept on it (PerfectCone._search)."""
+
+    # the DFS order; its first g generators are the prefix, the columns of V
+    order: tuple[int, ...]
+    vadj: tuple[tuple[int, ...], ...]  # adj V
+    vdet: int  # det V
+    # each generator's prefix Gram row (G_ip)_p, p in the prefix, to its index
+    rows: dict[tuple[int, ...], int]
+    # the sign plan of the prefix graph, whose edges are the prefix pairs
+    # with G_pq != 0: comp[k] is the component of prefix generator k,
+    # numbered from 0 in prefix order, and roots their first generators;
+    # tree holds (p, q, G_pq > 0) for the edges of a spanning forest, each
+    # p reached before q, and checks the other edges, each once
+    comp: tuple[int, ...]
+    roots: tuple[int, ...]
+    tree: tuple[tuple[int, int, bool], ...]
+    checks: tuple[tuple[int, int, bool], ...]
+
+
+def _search_source(c: PerfectCone) -> _Source:
+    """c's state as a search source. When two cones' profile multisets
+    agree, the candidates of each generator number as many as the
+    generators of its own profile class, so the order reads c alone."""
+    g = c.g
+    gram = c.gram
+    classes: dict[tuple, list[int]] = {}
+    for i, p in enumerate(c.profiles):
+        classes.setdefault(p, []).append(i)
+    order, prefix_len, vadj, vdet = _assignment_order(c, [classes[p] for p in c.profiles])
+    if prefix_len < g:
+        raise AssertionError("full-rank cone without a spanning prefix")
+    prefix = order[:g]
+    comp_of: dict[int, int] = {}
+    roots: list[int] = []
+    tree = []
+    for a in prefix:
+        if a in comp_of:
+            continue
+        comp_of[a] = len(roots)
+        roots.append(a)
+        stack = [a]
+        while stack:
+            x = stack.pop()
+            for y in prefix:
+                if y not in comp_of and gram[x][y]:
+                    comp_of[y] = comp_of[a]
+                    tree.append((x, y, gram[x][y] > 0))
+                    stack.append(y)
+    edges = {(x, y) for x, y, _pos in tree}
+    checks = tuple(
+        (x, y, gram[x][y] > 0)
+        for k, x in enumerate(prefix)
+        for y in prefix[k + 1 :]
+        if gram[x][y] and (x, y) not in edges and (y, x) not in edges
+    )
+    return _Source(
+        order=tuple(order),
+        vadj=tuple(map(tuple, vadj)),
+        vdet=vdet,
+        rows={tuple([row[p] for p in prefix]): i for i, row in enumerate(gram)},
+        comp=tuple(comp_of[a] for a in prefix),
+        roots=tuple(roots),
+        tree=tuple(tree),
+        checks=checks,
+    )
+
+
+def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> list[Witness]:
     """Matrices A in GL_g(Z) with A . c1 = c2 (as +- pairs), as (A, perm)
-    pairs, perm the ray permutation A induces, up to the global flip -A.
+    pairs, generator i of c1 going to generator perm[i] of c2, up to the
+    global flip -A.
 
     Both cones must be full rank with equal ambient g. By default the
     result is the first realization the search meets, or nothing. With
     group=True (and c2 = c1) it is a strong generating set of the
-    stabilizer for the base b = order[:prefix_len]: for every k, the
-    generators fixing the rays b_1..b_k generate G_k, the group of all
-    elements that fix them. The list holds every element of G_prefix_len
-    (the kernel of the action on rays lies in it) and, for each k, one
-    element of G_k for each image of b_(k+1) that the generators found
-    before it do not reach. -I is never listed; its det is (-1)^g.
+    stabilizer for the base b = order[:g]: for every k, the generators
+    fixing the rays b_1..b_k generate G_k, the group of all elements
+    that fix them. The list holds every element of G_g (the kernel of
+    the action on rays lies in it) and, for each k, one element of G_k
+    for each image of b_(k+1) that the generators found before it do not
+    reach. -I is never listed; its det is (-1)^g.
+
+    Everything the search needs of c1 alone, its order, adj V, det V,
+    prefix rows and sign plan (_Source), is computed on c1's first search
+    and kept on it, so a registry representative searched against many
+    faces computes it once.
 
     A realization is A = W V^-1, the columns of V the g prefix
     generators v_p of c1 and those of W their signed images e_p w_a(p) in
@@ -119,19 +195,22 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
       row of i, (G1[i][p])_p, is s times that of j, (e_p G2[j][a(p)])_p.
       Conversely, equal rows up to s give (A v_i - s w_j)^t adj(T2) W = 0,
       and adj(T2) and W are invertible, so A v_i = s w_j. The rows, taken
-      up to sign, are distinct for distinct rays, so the images of all
-      generators are read off the Gram rows by one dict lookup each, and
-      a generator whose row is not found has no image among the rays;
+      up to sign, are distinct for distinct rays of either cone, so each
+      row of c2 is looked up, then its negation, among the rows of c1:
+      when every one is found, the images form a bijection, and a row
+      that is not found is a ray with no preimage;
     - the profile multisets are equal, so the Gram traces g det T are,
       and det T1 = det T2 > 0. Taking determinants of the prefix Gram
       matrices, with det adj(T) = det(T)^(g-1), gives det(V)^2 =
       det(W)^2, so |det A| = 1;
-    - the search checks that W adj(V) / det V = A is integral, and an
-      integer matrix of determinant +-1 lies in GL_g(Z).
+    - the search checks that W adj(V) / det V = A is integral (always,
+      when det V = +-1), and an integer matrix of determinant +-1 lies in
+      GL_g(Z).
     """
     g = c1.g
     n = len(c1.generators)
-    if len(c2.generators) != n or c1.dim != c2.dim:
+    # a full-rank cone's fingerprint is its dimension and sorted profiles
+    if c1.fingerprint != c2.fingerprint:
         return []
     if n == 0:
         return [(tuple(tuple(r) for r in identity_matrix(g)), ())]
@@ -139,76 +218,60 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
     g2 = c2.gram
     prof1 = c1.profiles
     prof2 = c2.profiles
-    if Counter(prof1) != Counter(prof2):
-        return []
+    src = c1._search
+    if src is None:
+        src = c1._search = _search_source(c1)
+    order, vadj, vdet, rows, comp, roots, tree, checks = src
+    prefix = order[:g]
+    gens2 = c2.generators
     where: dict[tuple, list[int]] = {}
     for j, p in enumerate(prof2):
         where.setdefault(p, []).append(j)
-    cand = [tuple(where[p]) for p in prof1]
-    order, prefix_len, vadj, vdet = _assignment_order(c1, cand)
-    if prefix_len < g:
-        raise AssertionError("full-rank cone without a spanning prefix")
-    prefix = order[:prefix_len]
-    # the signed prefix rows of c1, up to sign: the images' keys
-    keys = [sign_normalize([row[p] for p in prefix]) for row in g1]
+    cand = [where[p] for p in prof1]
     assign: dict[int, int] = {}
     used = [False] * n
 
-    def realize(every: bool) -> list[tuple]:
+    def realize(every: bool) -> list[Witness]:
         """The matrices that extend the complete prefix assignment, one per
         sign pattern (all of them, or only the first)."""
-        # signs on the prefix, up to a global flip
-        eps: dict[int, int] = {}
-        comps: list[int] = []
-        root_of: dict[int, int] = {}
-        for a in prefix:
-            if a in eps:
-                continue
-            comps.append(a)
-            eps[a] = 1
-            root_of[a] = a
-            stack = [a]
-            while stack:
-                x = stack.pop()
-                for y in prefix:
-                    if g1[x][y] == 0 or x == y:
-                        continue
-                    rel = 1 if (g2[assign[x]][assign[y]] > 0) == (g1[x][y] > 0) else -1
-                    want = eps[x] * rel
-                    if y in eps:
-                        if eps[y] != want:
-                            return []
-                    else:
-                        eps[y] = want
-                        root_of[y] = a
-                        stack.append(y)
+        # signs on the prefix, up to a flip of each component of its graph
+        eps = dict.fromkeys(roots, 1)
+        for x, y, pos in tree:
+            eps[y] = eps[x] if (g2[assign[x]][assign[y]] > 0) == pos else -eps[x]
+        for x, y, pos in checks:
+            if (eps[x] == eps[y]) != ((g2[assign[x]][assign[y]] > 0) == pos):
+                return []
         found = []
-        for mask in range(1 << (len(comps) - 1)):
-            flip = {comps[0]: 1}
-            for b, root in enumerate(comps[1:]):
-                flip[root] = -1 if (mask >> b) & 1 else 1
-            signed = [(assign[a], eps[a] * flip[root_of[a]]) for a in prefix]
-            image = {
-                sign_normalize([s * row[j] for j, s in signed]): k for k, row in enumerate(g2)
-            }
-            perm = tuple(image.get(key, -1) for key in keys)
-            if -1 in perm or len(set(perm)) != n:
-                continue
-            wmat = [[s * c2.generators[j][k] for j, s in signed] for k in range(g)]
-            amat = mat_mul(wmat, vadj)
-            # A = W V^{-1} is integral iff every entry of W adj(V) is divisible by det V
-            if any(x % vdet for row in amat for x in row):
-                continue
-            found.append((tuple(tuple(x // vdet for x in row) for row in amat), perm))
-            if not every:
-                break
+        for mask in range(1 << (len(roots) - 1)):
+            bits = mask << 1  # component 0 keeps its signs
+            signed = [
+                (assign[a], -eps[a] if bits >> k & 1 else eps[a]) for a, k in zip(prefix, comp)
+            ]
+            perm = [0] * n
+            for j, row in enumerate(g2):
+                key = tuple([s * row[b] for b, s in signed])
+                i = rows.get(key)
+                if i is None:
+                    i = rows.get(tuple([-x for x in key]))
+                    if i is None:
+                        break
+                perm[i] = j
+            else:
+                wmat = [[s * gens2[b][k] for b, s in signed] for k in range(g)]
+                amat = mat_mul(wmat, vadj)
+                # A = W V^{-1} is integral iff every entry of W adj(V) is divisible by det V
+                if vdet not in (1, -1) and any(x % vdet for row in amat for x in row):
+                    continue
+                found.append((tuple(tuple(x // vdet for x in row) for row in amat), tuple(perm)))
+                if not every:
+                    break
         return found
 
-    def first(pos: int, images: Iterable[int] | None = None) -> list[tuple]:
+    def first(pos: int, images: Iterable[int] | None = None) -> list[Witness]:
         """One realization extending the current assignment, with
         order[pos] sent into images (default: every candidate), or
         nothing; assign and used are restored before it returns."""
-        if pos == prefix_len:
+        if pos == g:
             return realize(False)
         i = order[pos]
         for j in cand[i] if images is None else images:
@@ -233,15 +296,15 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
     if not group:
         gens = first(0)
     else:
-        # Sims' chain along the identity path: G_prefix_len is the kernel
-        # of the action on the base; then, for pos = prefix_len - 1 .. 0,
-        # the generators found so far lie in G_pos and one element of G_pos
-        # is added for each image of order[pos] that they do not reach
+        # Sims' chain along the identity path: G_g is the kernel of the
+        # action on the base; then, for pos = g - 1 .. 0, the generators
+        # found so far lie in G_pos and one element of G_pos is added for
+        # each image of order[pos] that they do not reach
         for i in prefix:
             assign[i] = i
             used[i] = True
         gens = realize(True)
-        for pos in reversed(range(prefix_len)):
+        for pos in reversed(range(g)):
             i = order[pos]
             del assign[i]
             used[i] = False
@@ -443,9 +506,13 @@ class OrbitRegistry:
         return c.fingerprint
 
     def locate(self, c: PerfectCone) -> tuple[Orbit, Witness] | None:
+        """(orbit, witness) for the orbit of c, or None. The search runs from
+        the orbit's representative, whose search state (_Source) serves
+        every cone located against it: the witness sends generator i of
+        orbit.rep to generator perm[i] of c."""
         fp = self.fingerprint(c)
         for orbit in self._buckets.get(fp, []):
-            t = equivalent(c, orbit.rep)
+            t = equivalent(orbit.rep, c)
             if t is not None:
                 return orbit, t
         return None
@@ -461,6 +528,10 @@ class OrbitRegistry:
         self._buckets.setdefault(orbit.fingerprint, []).append(orbit)
 
     def add(self, c: PerfectCone, rng: random.Random | None = None) -> tuple[Orbit, Witness, bool]:
+        """(orbit, witness, created): the orbit of c, a new one when locate
+        finds none, and a witness as locate returns it, from orbit.rep to
+        c. A new orbit's rep is c, or under rng its conjugate h c, and
+        then the witness is h^-1."""
         loc = self.locate(c)
         if loc is not None:
             return loc[0], loc[1], False
@@ -471,7 +542,7 @@ class OrbitRegistry:
         else:
             h = random_unimodular(c.g, rng)
             rep = conjugate_cone(c, h)
-            t = _witness(h, c, rep)
+            t = _witness(unimodular_inverse(h), rep, c)
             if t is None:
                 raise AssertionError("conjugation failed to map the cone")
             ref_order = list(range(len(rep.generators)))

@@ -56,6 +56,37 @@ def test_unread_flag_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_stray_flag_is_named_not_its_value(tmp_path, monkeypatch, capsys):
+    # homology declares no --g: argparse takes its value 4 as FILE, and
+    # the message names the undeclared flag, not the tokens left over
+    monkeypatch.chdir(tmp_path)
+    assert main(["homology", "--g", "4", "p4.cplx"]) == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --g\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+PRINCIPAL_6 = "g 6\nform principal_6\n" + "".join(
+    " ".join("1" if i == j else "1/2" for j in range(6)) + "\n" for i in range(6)
+)
+
+
+@pytest.mark.parametrize("kind", ["R", "C"])
+def test_matroid_complexes_refuse_unverified_ambients(tmp_path, monkeypatch, capsys, kind):
+    # the matroidal flags are verified through g = 5 only, so R and C at
+    # g = 6 fail before any registry is built or any file is written
+    path = tmp_path / "forms_g6.txt"
+    path.write_text(PRINCIPAL_6, encoding="utf-8")
+    built = []
+    monkeypatch.setattr(cli, "build_registry", lambda *args, **kw: built.append(args))
+    out = tmp_path / "out"
+    argv = ["complex", "--g", "6", "--kind", kind, "--catalog", str(path), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: complexes R and C need g <= 5: the matroidal flags are not verified past it\n"
+    )
+    assert built == [] and not out.exists()
+
+
 def test_bad_global_flags(capsys):
     assert main(["forms", "--g", "0"]) == 2
     assert main(["forms", "--g", "-3"]) == 2

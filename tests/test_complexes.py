@@ -106,14 +106,17 @@ def test_registry_facet_records_are_consistent(reg3):
 
 def _fresh_eta(orbit, idx, target, perm):
     """The facet sign of rep.subcone(idx) under a witness with ray
-    permutation perm, from span coordinates computed afresh."""
+    permutation perm, from span coordinates computed afresh.
+    The witness runs from target.rep to the face, as locate returns it:
+    generator r of target.rep goes to generator perm[r] of the face."""
     rep = orbit.rep
     xs = span_coordinates(rep, orbit.ref_orientation)
     u = min(i for i in range(len(rep.generators)) if i not in idx)
     local_span = spanning_subset(rep.subcone(idx))
     rows = [xs[u]] + [xs[idx[b]] for b in local_span]
     xt = span_coordinates(target.rep, target.ref_orientation)
-    rows_t = [xt[perm[b]] for b in local_span]
+    back = {b: r for r, b in enumerate(perm)}
+    rows_t = [xt[back[b]] for b in local_span]
     return det_sign(rows) * (det_sign(rows_t) if rows_t else 1)
 
 
@@ -226,7 +229,7 @@ def test_registry_builds_share_no_derived_data(monkeypatch):
     # Gram matrices, reductions and span coordinates are kept on the cones
     # and orbits of one registry, so a second build in the same process
     # eliminates exactly as much as the first: as many Gram adjugates, and
-    # as many eliminations of the search (one per search, in
+    # as many eliminations of the search (one per search source, in
     # _assignment_order)
     calls = Counter()
     for module, name in ((perfcone.cone, "adjugate_int"), (perfcone.symmetry, "_assignment_order")):
@@ -289,6 +292,8 @@ def test_orbits_keep_their_span_coordinates():
 
 
 def _fresh_differential_row(orbit, reg):
+    """The differential row of orbit from a fresh locate of each facet,
+    whose witness runs from the target's rep to the face."""
     row = {}
     for s in facet_index_sets(orbit.rep):
         idx = indices(s)

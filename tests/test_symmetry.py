@@ -253,7 +253,8 @@ def test_locate_maps_every_member_to_one_orbit():
         assert hit is not None
         orbit, (a, perm) = hit
         assert orbit.id == o.id
-        assert is_witness(a, perm, moved, orbit.rep)
+        # locate searches from the representative to the cone
+        assert is_witness(a, perm, orbit.rep, moved)
 
 
 def test_registry_roundtrip(reg3, reg5):
@@ -431,6 +432,55 @@ def test_assignment_order_matches_prefix_rank_definition(k, rnd):
         assert (vadj, vdet) == adjugate_det(vmat)
 
 
+def test_group_search_leaves_the_order_a_plain_search_takes():
+    # the search state is read off the source cone alone: the one a group
+    # search leaves on a cone is the one a plain search from it would
+    # compute from its candidate lists, the target's profile classes
+    rng = random.Random(3)
+    cones = POOL34 + [cone_of_form(q) for q in load_bundled_catalog(5)]
+    for c in cones:
+        if c.rank < c.g:
+            c = reduce(c)[0]
+        strong_generators(c)
+        state = c._search
+        assert state is not None
+        moved = conjugate_cone(c, random_unimodular(c.g, rng))
+        where = {}
+        for j, p in enumerate(moved.profiles):
+            where.setdefault(p, []).append(j)
+        cand = [where[p] for p in c.profiles]
+        order, prefix_len, vadj, vdet = _assignment_order(c, cand)
+        assert prefix_len == c.g
+        assert (state.order, state.vadj, state.vdet) == (tuple(order), tuple(map(tuple, vadj)), vdet)
+        assert equivalent(c, moved) is not None
+        assert c._search is state
+
+
+def test_registry_computes_each_search_state_once(monkeypatch):
+    # locate searches from the orbit's representative, so its state serves
+    # every cone located against it: no cone object computes it twice
+    sources = []
+    searches = []
+    search_source = perfcone.symmetry._search_source
+    full_rank_maps = perfcone.symmetry._full_rank_maps
+
+    def recording_source(c):
+        sources.append(c)
+        return search_source(c)
+
+    def recording_maps(c1, c2, group=False):
+        searches.append(c1)
+        return full_rank_maps(c1, c2, group)
+
+    monkeypatch.setattr(perfcone.symmetry, "_search_source", recording_source)
+    monkeypatch.setattr(perfcone.symmetry, "_full_rank_maps", recording_maps)
+    build_registry(5)
+    # the lists keep every cone alive, so their ids are distinct
+    assert len({id(c) for c in sources}) == len(sources)
+    assert {id(c) for c in sources} == {id(c) for c in searches}
+    assert 0 < len(sources) < len(searches)
+
+
 def _perm_closure(perms, n):
     out = {tuple(range(n))}
     stack = list(out)
@@ -548,9 +598,10 @@ def test_strong_generators_are_automorphisms():
 def test_seeded_g5_witnesses_and_strong_generators_pass_check(monkeypatch):
     # the search reads each image off the Gram rows and never applies its
     # matrix to a generator; the is_witness oracle does, so it checks every
-    # witness and strong generator independently. An add that creates an
-    # orbit under a seed returns the conjugation h onto the new rep, whose
-    # perm the facet records read.
+    # witness and strong generator independently, in the direction locate
+    # and add return it, from the orbit's rep to the cone. An add that
+    # creates an orbit under a seed returns h^-1, h the conjugation onto
+    # the new rep, whose perm the facet records read.
     located = []
     added = []
     searched = []
@@ -589,9 +640,9 @@ def test_seeded_g5_witnesses_and_strong_generators_pass_check(monkeypatch):
     # whose only unimodular matrices are +-1
     assert sum(orbit.rep != c for c, orbit in created) == 161
     for c, orbit, (a, perm) in located:
-        assert is_witness(a, perm, c, orbit.rep)
+        assert is_witness(a, perm, orbit.rep, c)
     for c, orbit, (a, perm), _new in added:
-        assert is_witness(a, perm, c, orbit.rep)
+        assert is_witness(a, perm, orbit.rep, c)
     for a, perm, c1, c2, _group in searched:
         assert is_witness(a, perm, c1, c2)
 
@@ -646,7 +697,7 @@ def test_located_witnesses_are_unimodular(monkeypatch):
     build_registry(4)
     assert len(witnesses) > 20
     for c, orbit, (a, perm) in witnesses:
-        assert is_witness(a, perm, c, orbit.rep)
+        assert is_witness(a, perm, orbit.rep, c)
 
 
 def test_package_keeps_no_module_level_cache():
