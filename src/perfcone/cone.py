@@ -32,11 +32,13 @@ class PerfectCone:
 
     # _flat, _dim, _rank, _gram, _profiles, _fingerprint and _reduction
     # are derived values, filled on first use and kept with the cone;
-    # so is _search, the state of a full-rank cone as the source of an
-    # equivalence search, which symmetry._full_rank_maps fills
+    # so are _search, the state of a full-rank cone as the source of an
+    # equivalence search, which symmetry._full_rank_maps fills, and
+    # _dual, the span and dual basis of a cone whose facet normals
+    # quadform._facet_normal takes
     __slots__ = (
         "g", "generators", "_flat", "_dim", "_rank", "_gram", "_profiles", "_fingerprint", "_reduction",
-        "_search",
+        "_search", "_dual",
     )
 
     def __init__(self, g: int, generators: Iterable[Sequence[int]]):
@@ -67,6 +69,7 @@ class PerfectCone:
         self._fingerprint = None
         self._reduction = None
         self._search = None
+        self._dual = None
 
     @property
     def flat(self) -> tuple[tuple[int, ...], ...]:
@@ -85,7 +88,11 @@ class PerfectCone:
     @property
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = rank_rows(self.generators) if self.generators else 0
+            g = self.g
+            if self._dim is not None and 2 * self._dim > g * (g - 1):
+                self._rank = g  # a lower rank r allows dimension r(r+1)/2 at most
+            else:
+                self._rank = rank_rows(self.generators) if self.generators else 0
         return self._rank
 
     @property
@@ -94,17 +101,19 @@ class PerfectCone:
         is g det T. Defined for full-rank cones only: a boundary cone
         raises ValueError, and its Gram matrix is that of its reduced
         core (reduce). A facet of a cone whose G is known gets its own
-        from G by gram_downdate (see facet). adj(T) is symmetric, so only
-        the lower triangle is computed, then mirrored."""
+        from G by gram_downdate (see facet). T's upper triangle is the
+        sum of the flattened generators, taken from flat when known. adj(T)
+        is symmetric, so only the lower triangle of G is computed, then
+        mirrored."""
         if self._gram is None:
             g = self.g
             gens = self.generators
+            flat = self._flat if self._flat is not None else map(flatten_rank1, gens)
+            upper = map(sum, zip(*flat))  # empty for the zero cone
             t = [[0] * g for _ in range(g)]
-            for v in gens:
-                for i in range(g):
-                    if v[i]:
-                        for j in range(g):
-                            t[i][j] += v[i] * v[j]
+            for i in range(g):
+                for j in range(i, g):
+                    t[i][j] = t[j][i] = next(upper, 0)
             try:
                 adj = adjugate_int(t)
             except ValueError:

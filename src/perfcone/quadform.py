@@ -13,7 +13,11 @@ its rows give the integer level bounds of the short-vector walk (see
 minimal_vectors). Each form keeps its minimal vectors once computed, so
 the Voronoi neighbour walk, which asks for them repeatedly on one base
 form, pays for the enumeration once. The walk's line search runs on an
-integer pencil of forms; only its parameter t is a Fraction.
+integer pencil of forms; only its parameter t is a Fraction. Its facet
+normals are read off the dual basis of the parent cone, which the cone
+keeps from its first normal, so a facet costs a kernel line in the few
+coordinates of the basis forms off it, not an elimination of the
+facet's forms (see _facet_normal).
 """
 
 from __future__ import annotations
@@ -23,11 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence
 
-from .cone import Face, PerfectCone, indices
+from .cone import Face, PerfectCone, indices, span_basis
 from .intlinalg import (
     Echelon,
+    adjugate_det,
     dot,
     flatten_rank1,
+    primitive_vector,
     rank_rows,
     sign_normalize,
     vec_gcd,
@@ -250,8 +256,12 @@ def is_perfect(q: QuadraticForm) -> bool:
 
 
 def cone_of_form(q: QuadraticForm) -> PerfectCone:
-    mv = minimal_vectors(q)
-    return PerfectCone(q.g, mv.vectors)
+    """The cone of q's minimal vectors. minimal_vectors gives them sorted,
+    sign-normalized, primitive and distinct, so the cone takes them as
+    they are, without the constructor's checks (as subcone does)."""
+    c = PerfectCone.__new__(PerfectCone)
+    c._start(q.g, minimal_vectors(q).vectors)
+    return c
 
 
 def principal_form(g: int) -> QuadraticForm:
@@ -372,40 +382,50 @@ def load_bundled_catalog(g: int) -> list[QuadraticForm]:
     return load_form_catalog(bundled_text("forms", g))
 
 
-def _facet_normal(sigma: PerfectCone, idx: Sequence[int]) -> list[list[int]]:
+def _facet_normal(sigma: PerfectCone, mask: int) -> list[list[int]]:
     """2R for the inward primitive normal R of the facet on the generators
-    idx of a full-dimensional cone: v^t R v = 0 on the facet, > 0 on the
-    remaining minimal vectors. R has half-integer entries off the
+    of mask of a full-dimensional cone: v^t R v = 0 on the facet, > 0 on
+    the remaining minimal vectors. R has half-integer entries off the
     diagonal, so 2R is the integer matrix.
 
-    The facet's flattened generators are eliminated only until they reach
-    rank dim - 1; the kernel vector of those rows is the normal. Each
-    later facet generator lies on the hyperplane exactly when its dot
-    with that vector is 0, and one off the hyperplane makes the face span
-    the whole cone. Raises ValueError when the face is not a facet."""
+    The normal is read off the cone's dual basis, kept on the cone
+    (PerfectCone._dual) from the first normal taken: (ref, coords) =
+    span_basis(sigma) and M = sign(det B) adj(B), B the matrix whose
+    columns are the forms of ref, so that coords[i] = M flat[i] and row k
+    of M is dual to form ref[k]. The normal vanishes on the forms of ref
+    in the facet, so it is sum_k z_k M[k] over the positions k of ref off
+    the facet (off), with z the primitive kernel line of the facet's
+    other rows coords[i], cut to those positions, and it takes the value
+    sum_k z_k coords[i][k] on generator i. Raises ValueError when the
+    face is not a facet."""
     g = sigma.g
-    flat = sigma.flat
+    dual = sigma._dual
+    if dual is None:
+        ref, coords = span_basis(sigma)
+        if len(ref) != g * (g + 1) // 2:
+            raise ValueError("face does not span a hyperplane of the cone")
+        adj, det = adjugate_det(list(zip(*(sigma.flat[r] for r in ref))))
+        dual = sigma._dual = (ref, coords, adj if det > 0 else [[-x for x in row] for row in adj])
+    ref, coords, m = dual
+    off = [k for k, r in enumerate(ref) if not mask >> r & 1]
     e = Echelon()
-    rest = iter(idx)
-    for i in rest:
-        e.add(flat[i])
-        if e.rank == sigma.dim - 1:
-            break
-    if e.rank != sigma.dim - 1:
+    for i in indices(mask & ~sum(1 << r for r in ref)):
+        row = coords[i]
+        e.add([row[k] for k in off])
+    z = e.kernel_vector(len(off))
+    if z is None:
         raise ValueError("face is not of codimension 1")
-    coeff = e.kernel_vector(g * (g + 1) // 2)
-    if coeff is None:
-        raise ValueError("face does not span a hyperplane of the cone")
-    if any(dot(coeff, flat[i]) for i in rest):
-        raise ValueError("face is not of codimension 1")
-    pegged = set(idx)
-    vals = [dot(coeff, f) for i, f in enumerate(flat) if i not in pegged]
-    if all(v > 0 for v in vals):
-        pass
-    elif all(v < 0 for v in vals):
-        coeff = [-c for c in coeff]
-    else:
+    terms = list(zip(off, z))
+    # coords[ref[k]] = D e_k with D > 0, so generator ref[k] takes the value
+    # D z_k; kernel_vector makes one z_k positive, so off a facet every
+    # value is positive
+    rest = ~mask & (1 << len(coords)) - 1
+    if any(sum(x * coords[i][k] for k, x in terms) <= 0 for i in indices(rest)):
         raise ValueError("face is not a facet: generators on both sides")
+    coeff = [0] * len(ref)
+    for k, x in terms:
+        coeff = [a + x * b for a, b in zip(coeff, m[k])]
+    coeff = primitive_vector(coeff)
     r2 = [[0] * g for _ in range(g)]
     k = 0
     for i in range(g):
@@ -435,9 +455,8 @@ def voronoi_neighbor(q: QuadraticForm, facet: Face) -> QuadraticForm:
         raise ValueError("empty face rejected (no pegged minimal vectors)")
     if mv.minimum != 1:
         raise ValueError("neighbor walk expects a form normalized to minimum 1")
-    idx = indices(facet.mask)
-    r2 = _facet_normal(sigma, idx)
-    pegged = {sigma.generators[i] for i in idx}
+    r2 = _facet_normal(sigma, facet.mask)
+    pegged = {sigma.generators[i] for i in indices(facet.mask)}
     num, den = q.num, q.den
     name = f"{q.name}~neighbor"
     t_lo = Fraction(0)

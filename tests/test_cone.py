@@ -399,6 +399,37 @@ def test_rank_against_oracle():
         assert c.dim == rank_oracle([_flat(v) for v in c.generators])
 
 
+@settings(max_examples=40)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda g: st.lists(st.tuples(*[st.integers(-2, 2)] * g), min_size=1, max_size=g * (g + 1) // 2 + 3)
+    )
+)
+def test_rank_after_dimension_agrees_with_elimination(vectors):
+    # rank r < g bounds the dimension by r(r+1)/2, so a cone whose
+    # dimension is known and above g(g-1)/2 takes rank g unreduced
+    g = len(vectors[0])
+    c = PerfectCone(g, {sign_normalize(v) for v in vectors if vec_gcd(v) == 1})
+    c.dim
+    assert c.rank == rank_rows(c.generators)
+
+
+def test_rank_after_dimension_at_the_bound():
+    # a padded full cone of rank g - 1 has dimension g(g-1)/2 exactly and
+    # must take its rank by elimination; the same cone unpadded, and D5,
+    # lie above the bound
+    for g in range(2, 7):
+        full = cone_of_form(principal_form(g - 1))
+        assert full.dim == g * (g - 1) // 2 and full.rank == g - 1
+        c = pad(full, g)
+        assert c.dim == g * (g - 1) // 2
+        assert c.rank == g - 1 == rank_rows(c.generators)
+        moved = conjugate_cone(c, random_unimodular(g, random.Random(g)))
+        assert moved.dim == c.dim and moved.rank == g - 1
+    fresh = PerfectCone(5, D5.generators)
+    assert fresh.dim == 15 and fresh.rank == 5 == rank_rows(fresh.generators)
+
+
 def test_face_monotonicity():
     c = cone_of_form(principal_form(3))
     for d, fs in face_lattice(c).items():

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from perfcone import quadform
-from perfcone.cone import Face, facet_index_sets
+from perfcone.cone import Face, PerfectCone, facet_index_sets, indices
+from perfcone.intlinalg import rank_rows, sign_normalize, vec_gcd
 from perfcone.quadform import (
     POSITIVE_DEFINITE,
     CatalogError,
@@ -125,6 +127,32 @@ def test_is_perfect_examples():
     assert is_perfect(d4)
 
 
+def _assert_cone_of_form(q):
+    """cone_of_form takes the minimal vectors unchecked: they must come
+    sorted, sign-normalized, primitive and distinct, and give the cone the
+    constructor checks."""
+    vecs = minimal_vectors(q).vectors
+    assert list(vecs) == sorted(set(vecs))
+    assert all(sign_normalize(v) == v and vec_gcd(v) == 1 for v in vecs)
+    c = cone_of_form(q)
+    checked = PerfectCone(q.g, vecs)
+    assert c == checked and hash(c) == hash(checked) and c.generators == checked.generators
+
+
+def test_cone_of_form_is_the_checked_cone_on_bundled_forms():
+    for g in range(1, 6):
+        for q in load_bundled_catalog(g):
+            _assert_cone_of_form(q)
+
+
+@settings(max_examples=60)
+@given(_small_forms(), st.integers(0, 10**6))
+def test_cone_of_form_is_the_checked_cone_on_random_forms(q, seed):
+    assume(q.definiteness == POSITIVE_DEFINITE)
+    _assert_cone_of_form(q)
+    _assert_cone_of_form(q.conjugated(random_unimodular(q.g, random.Random(seed))))
+
+
 def test_cone_of_form_examples():
     c = cone_of_form(principal_form(2))
     assert set(c.generators) == {(0, 1), (1, -1), (1, 0)}
@@ -233,11 +261,88 @@ def test_voronoi_neighbor_rejects_non_facet():
     q = principal_form(2)
     c = cone_of_form(q)
     low = Face(c, 1)  # the ray of generator 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not of codimension 1"):
         voronoi_neighbor(q, low)
+    with pytest.raises(ValueError, match="empty face"):
+        voronoi_neighbor(q, Face(c, 0))
     other = cone_of_form(principal_form(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not belong"):
         voronoi_neighbor(q, _facets(other)[0])
+
+
+def _assert_facet_normal(sigma, mask):
+    """2R is an integer symmetric matrix with an even diagonal, the
+    coefficients of R on the forms v v^t (R_ii, 2R_ij) are primitive, and
+    v^t R v is 0 on the facet's generators and positive on the others."""
+    r2 = quadform._facet_normal(sigma, mask)
+    g = sigma.g
+    assert all(type(x) is int for row in r2 for x in row)
+    assert all(r2[i][j] == r2[j][i] for i in range(g) for j in range(i))
+    assert all(r2[i][i] % 2 == 0 for i in range(g))
+    assert math.gcd(*(r2[i][j] // (1 + (i == j)) for i in range(g) for j in range(i, g))) == 1
+    for i, v in enumerate(sigma.generators):
+        value = sum(v[a] * r2[a][b] * v[b] for a in range(g) for b in range(g))
+        assert value >= 0 and (value == 0) == bool(mask >> i & 1)
+
+
+def test_facet_normals_of_the_bundled_cones():
+    for g in range(1, 6):
+        for q in load_bundled_catalog(g):
+            sigma = cone_of_form(q)
+            for m in facet_index_sets(sigma):
+                _assert_facet_normal(sigma, m)
+
+
+@settings(max_examples=10)
+@given(st.integers(2, 5), st.integers(0, 2), st.integers(0, 10**6))
+def test_facet_normals_of_conjugated_cones(g, k, seed):
+    forms = load_bundled_catalog(g)
+    q = forms[k % len(forms)].conjugated(random_unimodular(g, random.Random(seed)))
+    sigma = cone_of_form(q)
+    for m in facet_index_sets(sigma):
+        _assert_facet_normal(sigma, m)
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda g: st.lists(st.tuples(*[st.integers(-3, 3)] * g), min_size=g + 2, max_size=9)
+    )
+)
+def test_facet_normals_of_random_full_cones(vectors):
+    # the determinant of a basis of forms reaches well past the +-1 and
+    # +-2 of the bundled cones, so the normal must be made primitive
+    g = len(vectors[0])
+    sigma = PerfectCone(g, {sign_normalize(v) for v in vectors if vec_gcd(v) == 1})
+    assume(sigma.dim == g * (g + 1) // 2)
+    for m in facet_index_sets(sigma):
+        _assert_facet_normal(sigma, m)
+
+
+def test_facet_normal_rejects_faces_that_are_not_facets():
+    # a facet of a simplicial cone less one generator has codimension 2
+    q = principal_form(4)
+    sigma = cone_of_form(q)
+    m = facet_index_sets(sigma)[0]
+    with pytest.raises(ValueError, match="not of codimension 1"):
+        voronoi_neighbor(q, Face(sigma, m & m - 1))
+    # dim - 1 independent generators of D4 on no facet: their hyperplane
+    # cuts the cone, as every facet of D4 has exactly dim - 1 generators
+    q = load_bundled_catalog(4)[1]
+    sigma = cone_of_form(q)
+    facets = set(facet_index_sets(sigma))
+    cut = next(
+        m
+        for m in (sum(1 << i for i in keep) for keep in itertools.combinations(range(12), 9))
+        if m not in facets and rank_rows([sigma.flat[i] for i in indices(m)]) == 9
+    )
+    with pytest.raises(ValueError, match="generators on both sides"):
+        voronoi_neighbor(q, Face(sigma, cut))
+    # the cone of a form that is not perfect has no facet normals
+    q = QuadraticForm([[1, 0], [0, 1]])
+    sigma = cone_of_form(q)
+    with pytest.raises(ValueError, match="does not span a hyperplane"):
+        voronoi_neighbor(q, Face(sigma, facet_index_sets(sigma)[0]))
 
 
 def test_voronoi_neighbor_rejects_a_facet_plus_one_generator():
