@@ -108,7 +108,7 @@ def _extend(prev: OrbitRegistry, forms: list[QuadraticForm], seed: int | None) -
     reg._counters = dict(prev._counters)
     queue: list[Orbit] = []
     for form in forms:
-        orbit, _t, created = reg.add(cone_of_form(form), rng)
+        orbit, _perm, created = reg.add(cone_of_form(form), rng)
         if created:
             queue.append(orbit)
     while queue:
@@ -147,9 +147,9 @@ def _record_facets(
                         "boundary facet missing from the padded seeds; "
                         "the lower catalog is incomplete"
                     )
-                target, (_a, perm) = loc
+                target, perm = loc
             else:
-                target, (_a, perm), created = reg.add(face, rng)
+                target, perm, created = reg.add(face, rng)
                 if created:
                     queue.append(target)
             eta = 0

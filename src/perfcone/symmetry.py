@@ -1,7 +1,7 @@
 """GL_g(Z)-equivalence of cones, automorphisms, orientations, orbits.
 
 Equivalence search runs on full-rank cones; boundary cones are reduced
-first and the witness matrix is lifted back. The pruning invariant is the
+first and the ray permutation is pulled back. The pruning invariant is the
 integer Gram matrix G_ij = v_i^t adj(T) v_j with T = sum of v v^t. It is
 det T times the rational Gram matrix v_i^t T^{-1} v_j, and det T > 0 is a
 GL_g(Z) invariant of the cone, so every comparison made on G is the one
@@ -18,7 +18,8 @@ returns a strong generating set along the base of the assignment order
 (Sims' stabilizer chain, pruned by the orbits of the generators found so
 far, as in McKay-Piperno's backtrack). The orientation sign is a
 homomorphism, so the alternation test reads only the generators; the
-full group is their closure under composition, with -I.
+full group is their closure under composition, with -I. On a simplicial
+cone a generator's sign is the parity of its ray permutation.
 
 All arithmetic here is on integers: inverses appear only as adjugates
 with a divisibility test, and span coordinates are scaled by a positive
@@ -50,12 +51,14 @@ from .intlinalg import (
 )
 
 
-# an equivalence witness: a matrix A in GL_g(Z), as a tuple of integer
-# rows, and the ray permutation it induces, generator i of the source
-# going to generator perm[i] of the target. equivalent(c1, c2) returns
-# one from c1 to c2; OrbitRegistry.locate and add return one from the
-# orbit's representative to the cone they were given.
+# an equivalence witness, as equivalent(c1, c2) returns it: A in GL_g(Z),
+# a tuple of integer rows, and the ray permutation it induces, generator i
+# of c1 going to generator perm[i] of c2. The registry keeps only perms.
 Witness = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
+
+# a realization of the search: (perm, signs), prefix generator order[k]
+# going to exactly signs[k] times generator perm[order[k]]
+Realization = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _assignment_order(
@@ -161,10 +164,9 @@ def _search_source(c: PerfectCone) -> _Source:
     )
 
 
-def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> list[Witness]:
-    """Matrices A in GL_g(Z) with A . c1 = c2 (as +- pairs), as (A, perm)
-    pairs, generator i of c1 going to generator perm[i] of c2, up to the
-    global flip -A.
+def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> list[Realization]:
+    """Matrices A in GL_g(Z) with A . c1 = c2 (as +- pairs), up to the
+    global flip -A, as realizations (perm, signs).
 
     Both cones must be full rank with equal ambient g. By default the
     result is the first realization the search meets, or nothing. With
@@ -203,17 +205,17 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
       and det T1 = det T2 > 0. Taking determinants of the prefix Gram
       matrices, with det adj(T) = det(T)^(g-1), gives det(V)^2 =
       det(W)^2, so |det A| = 1;
-    - the search checks that W adj(V) / det V = A is integral (always,
-      when det V = +-1), and an integer matrix of determinant +-1 lies in
-      GL_g(Z).
+    - the search checks that W adj(V) / det V = A is integral (forming
+      it only when det V != +-1), and an integer matrix of determinant
+      +-1 lies in GL_g(Z).
+
+    equivalent forms A itself, from the realization's prefix signs.
     """
     g = c1.g
     n = len(c1.generators)
     # a full-rank cone's fingerprint is its dimension and sorted profiles
     if c1.fingerprint != c2.fingerprint:
         return []
-    if n == 0:
-        return [(tuple(tuple(r) for r in identity_matrix(g)), ())]
     g1 = c1.gram
     g2 = c2.gram
     prof1 = c1.profiles
@@ -221,7 +223,7 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
     src = c1._search
     if src is None:
         src = c1._search = _search_source(c1)
-    order, vadj, vdet, rows, comp, roots, tree, checks = src
+    order, _vadj, vdet, rows, comp, roots, tree, checks = src
     prefix = order[:g]
     gens2 = c2.generators
     where: dict[tuple, list[int]] = {}
@@ -231,9 +233,9 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
     assign: dict[int, int] = {}
     used = [False] * n
 
-    def realize(every: bool) -> list[Witness]:
-        """The matrices that extend the complete prefix assignment, one per
-        sign pattern (all of them, or only the first)."""
+    def realize(every: bool) -> list[Realization]:
+        """The realizations that extend the complete prefix assignment, one
+        per sign pattern (all of them, or only the first)."""
         # signs on the prefix, up to a flip of each component of its graph
         eps = dict.fromkeys(roots, 1)
         for x, y, pos in tree:
@@ -257,17 +259,15 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
                         break
                 perm[i] = j
             else:
-                wmat = [[s * gens2[b][k] for b, s in signed] for k in range(g)]
-                amat = mat_mul(wmat, vadj)
                 # A = W V^{-1} is integral iff every entry of W adj(V) is divisible by det V
-                if vdet not in (1, -1) and any(x % vdet for row in amat for x in row):
+                if vdet not in (1, -1) and _matrix(src, gens2, signed) is None:
                     continue
-                found.append((tuple(tuple(x // vdet for x in row) for row in amat), tuple(perm)))
+                found.append((tuple(perm), tuple([s for _b, s in signed])))
                 if not every:
                     break
         return found
 
-    def first(pos: int, images: Iterable[int] | None = None) -> list[Witness]:
+    def first(pos: int, images: Iterable[int] | None = None) -> list[Realization]:
         """One realization extending the current assignment, with
         order[pos] sent into images (default: every candidate), or
         nothing; assign and used are restored before it returns."""
@@ -308,16 +308,28 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
             i = order[pos]
             del assign[i]
             used[i] = False
-            orbit = _orbit(i, [perm for _a, perm in gens])
+            orbit = _orbit(i, [perm for perm, _s in gens])
             for j in cand[i]:
                 if j in orbit:
                     continue
                 found = first(pos, (j,))
                 if found:
                     gens.append(found[0])
-                    orbit = _orbit(i, [perm for _a, perm in gens])
+                    orbit = _orbit(i, [perm for perm, _s in gens])
     del first  # first reaches itself through its closure cell: a reference cycle
     return gens
+
+
+def _matrix(src: _Source, gens2, signed) -> list[list[int]] | None:
+    """A = W adj(V) / det V, W with the columns s w_b for (b, s) in
+    signed, or None when A is not integral."""
+    wadj = mat_mul([[s * gens2[b][k] for b, s in signed] for k in range(len(signed))], src.vadj)
+    d = src.vdet
+    if d in (1, -1):
+        return wadj if d == 1 else [[-x for x in row] for row in wadj]
+    if any(x % d for row in wadj for x in row):
+        return None
+    return [[x // d for x in row] for row in wadj]
 
 
 def _orbit(point: int, perms: list[tuple[int, ...]]) -> set[int]:
@@ -334,56 +346,41 @@ def _orbit(point: int, perms: list[tuple[int, ...]]) -> set[int]:
     return orbit
 
 
-def _lift_block(a_red: Sequence[Sequence[int]], u1, u2, g: int, r: int):
-    """U2^{-1} diag(a_red, I) U1, the ambient witness for reduced cones."""
-    block = identity_matrix(g)
-    for i in range(r):
-        for j in range(r):
-            block[i][j] = a_red[i][j]
-    u2inv = unimodular_inverse(u2)
-    return mat_mul(mat_mul(u2inv, block), u1)
-
-
-def _witness(a, c1: PerfectCone, c2: PerfectCone) -> Witness | None:
-    """(a, perm) when the matrix a sends generator i of c1 to +- generator
-    perm[i] of c2, for every i, onto distinct generators; else None."""
-    index = {v: j for j, v in enumerate(c2.generators)}
-    perm = []
-    for v in c1.generators:
-        j = index.pop(sign_normalize(mat_vec(a, v)), None)
-        if j is None:
-            return None
-        perm.append(j)
-    return tuple(map(tuple, a)), tuple(perm)
-
-
 def equivalent(c1: PerfectCone, c2: PerfectCone) -> Witness | None:
-    """A witness (A, perm) with A in GL_g(Z) mapping c1 onto c2, or None."""
+    """A witness (A, perm) with A in GL_g(Z) mapping c1 onto c2, or None.
+
+    A is formed once, from the prefix signs of the realization the search
+    found. Boundary cones are searched on their reductions (c'_k, U_k):
+    the perm is pulled back to the cones' own rays, and A is U2^-1
+    diag(A', I) U1."""
     if c1.g != c2.g:
         raise ValueError("cones live in different ambient dimensions")
-    if c1.is_zero() and c2.is_zero():
-        return _witness(identity_matrix(c1.g), c1, c2)
     if c1.is_zero() or c2.is_zero():
+        if c1.is_zero() and c2.is_zero():
+            return tuple(map(tuple, identity_matrix(c1.g))), ()
         return None
     if (c1.rank, c1.dim, len(c1.generators)) != (c2.rank, c2.dim, len(c2.generators)):
         return None
-    g = c1.g
-    if c1.rank < g:
-        r = c1.rank
-        red1, u1 = cone_reduce(c1)
-        red2, u2 = cone_reduce(c2)
-        inner = equivalent(red1, red2)
-        if inner is None:
-            return None
-        t = _witness(_lift_block(inner[0], u1, u2, g, r), c1, c2)
-        if t is None:
-            raise AssertionError("lifted transform failed to map the cone")
-        return t
-    found = _full_rank_maps(c1, c2)
-    return found[0] if found else None
+    full = c1.rank == c1.g
+    (core1, u1, local1), (core2, u2, local2) = (
+        ((c1, None, None), (c2, None, None)) if full else (_reduction(c1), _reduction(c2))
+    )
+    found = _full_rank_maps(core1, core2)
+    if not found:
+        return None
+    perm, signs = found[0]
+    src = core1._search
+    a = _matrix(src, core2.generators, [(perm[p], s) for p, s in zip(src.order, signs)])
+    if full:
+        return tuple(map(tuple, a)), perm
+    block = identity_matrix(c1.g)
+    for i, row in enumerate(a):
+        block[i][: len(row)] = row
+    a = mat_mul(mat_mul(unimodular_inverse(u2), block), u1)
+    return tuple(map(tuple, a)), _pull_back(perm, local1, local2)
 
 
-def _reduction(c: PerfectCone) -> tuple[PerfectCone, list[list[int]], list[int]]:
+def _reduction(c: PerfectCone) -> tuple[PerfectCone, tuple[tuple[int, ...], ...], list[int]]:
     """(c', U, local) for a boundary cone, with (c', U) = reduce(c) and
     local[i] the index in c' of the truncated image of generator i."""
     red, u = cone_reduce(c)
@@ -394,22 +391,48 @@ def _reduction(c: PerfectCone) -> tuple[PerfectCone, list[list[int]], list[int]]
     return red, u, local
 
 
-def _pull_back(perm_red: tuple[int, ...], local: list[int]) -> tuple[int, ...]:
-    """A ray permutation of the reduction, read on the original rays."""
-    back = {k: i for i, k in enumerate(local)}
-    return tuple(back[perm_red[k]] for k in local)
+def _pull_back(perm_red: tuple[int, ...], local1: list[int], local2: list[int]) -> tuple[int, ...]:
+    """A ray permutation between two reductions, read on the original rays."""
+    back = {k: i for i, k in enumerate(local2)}
+    return tuple(back[perm_red[k]] for k in local1)
 
 
 def strong_generators(c: PerfectCone) -> list[tuple[int, ...]]:
     """Ray permutations of a strong generating set of the automorphism
     group (see _full_rank_maps); a boundary cone reads them off its
-    reduction, whose stabilizer induces the same permutations."""
+    reduction, whose stabilizer induces the same permutations. Each perm
+    is listed once, and the identity (the kernel's perm) not at all."""
     if c.is_zero():
         return []
     if c.rank == c.g:
-        return [perm for _a, perm in _full_rank_maps(c, c, group=True)]
-    red, _u, local = _reduction(c)
-    return [_pull_back(perm, local) for _a, perm in _full_rank_maps(red, red, group=True)]
+        perms = [perm for perm, _s in _full_rank_maps(c, c, group=True)]
+    else:
+        red, _u, local = _reduction(c)
+        found = _full_rank_maps(red, red, group=True)
+        perms = [_pull_back(perm, local, local) for perm, _s in found]
+    identity = tuple(range(len(c.generators)))
+    return [perm for perm in dict.fromkeys(perms) if perm != identity]
+
+
+def _orientation(perm: Sequence[int], ref: Sequence[int], coords: Sequence[Sequence[int]]) -> int:
+    """The sign of the automorphism with ray permutation perm on the span
+    of the generator forms, from span_basis's (ref, coords): the sign of
+    the determinant of the images of the reference forms. When the forms
+    are independent, they are a basis that perm permutes, and the sign is
+    the parity of perm."""
+    n = len(perm)
+    if n != len(ref):
+        return det_sign([coords[perm[s]] for s in ref])
+    cycles = 0
+    seen = [False] * n
+    for i in range(n):
+        if not seen[i]:
+            cycles += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return -1 if (n - cycles) % 2 else 1
 
 
 def span_coordinates(c: PerfectCone, ref: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -505,16 +528,15 @@ class OrbitRegistry:
         """The cone's fingerprint (PerfectCone.fingerprint), kept on it."""
         return c.fingerprint
 
-    def locate(self, c: PerfectCone) -> tuple[Orbit, Witness] | None:
-        """(orbit, witness) for the orbit of c, or None. The search runs from
-        the orbit's representative, whose search state (_Source) serves
-        every cone located against it: the witness sends generator i of
-        orbit.rep to generator perm[i] of c."""
-        fp = self.fingerprint(c)
-        for orbit in self._buckets.get(fp, []):
+    def locate(self, c: PerfectCone) -> tuple[Orbit, tuple[int, ...]] | None:
+        """(orbit, perm) for the orbit of c, or None: the perm of
+        equivalent(orbit.rep, c), generator i of orbit.rep going to
+        +-generator perm[i] of c. The search runs from the representative,
+        whose search state (_Source) serves every cone located against it."""
+        for orbit in self._buckets.get(self.fingerprint(c), []):
             t = equivalent(orbit.rep, c)
             if t is not None:
-                return orbit, t
+                return orbit, t[1]
         return None
 
     def _new_id(self, rank: int, dim: int) -> str:
@@ -527,31 +549,33 @@ class OrbitRegistry:
         self.by_id[orbit.id] = orbit
         self._buckets.setdefault(orbit.fingerprint, []).append(orbit)
 
-    def add(self, c: PerfectCone, rng: random.Random | None = None) -> tuple[Orbit, Witness, bool]:
-        """(orbit, witness, created): the orbit of c, a new one when locate
-        finds none, and a witness as locate returns it, from orbit.rep to
-        c. A new orbit's rep is c, or under rng its conjugate h c, and
-        then the witness is h^-1."""
+    def add(
+        self, c: PerfectCone, rng: random.Random | None = None
+    ) -> tuple[Orbit, tuple[int, ...], bool]:
+        """(orbit, perm, created): the orbit of c, a new one when locate
+        finds none, and perm as locate returns it. A new orbit's rep is c,
+        or under rng its conjugate h c, whose generator i is +-h v_perm[i]."""
         loc = self.locate(c)
         if loc is not None:
             return loc[0], loc[1], False
+        n = len(c.generators)
         if rng is None:
             rep = c
-            t = (tuple(map(tuple, identity_matrix(c.g))), tuple(range(len(c.generators))))
+            perm = tuple(range(n))
             ref_order = None
         else:
             h = random_unimodular(c.g, rng)
             rep = conjugate_cone(c, h)
-            t = _witness(unimodular_inverse(h), rep, c)
-            if t is None:
-                raise AssertionError("conjugation failed to map the cone")
-            ref_order = list(range(len(rep.generators)))
+            index = {v: i for i, v in enumerate(rep.generators)}
+            at = [index[sign_normalize(mat_vec(h, v))] for v in c.generators]
+            perm = tuple(sorted(range(n), key=at.__getitem__))
+            ref_order = list(range(n))
             rng.shuffle(ref_order)
         gens = strong_generators(rep)
         ref, coords = span_basis(rep, ref_order)
         # the orientation sign is a homomorphism on the automorphism group,
-        # so the strong generators decide alternation, in any basis
-        alternating = all(det_sign([coords[perm[s]] for s in ref]) > 0 for perm in gens)
+        # so the strong generators decide alternation
+        alternating = all(_orientation(p, ref, coords) > 0 for p in gens)
         orbit = Orbit(
             id=self._new_id(c.rank, c.dim),
             rep=rep,
@@ -565,7 +589,7 @@ class OrbitRegistry:
             coords=coords if alternating else None,
         )
         self._insert(orbit)
-        return orbit, t, True
+        return orbit, perm, True
 
     def add_seed(self, orbit: Orbit):
         if orbit.id in self.by_id:

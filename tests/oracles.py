@@ -6,9 +6,9 @@ enumeration, and literal definitions.  Nothing imports from perfcone.
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
-from sympy import Matrix, Rational, gcd
+from sympy import Matrix, Rational
 
 
 def rank_oracle(rows):
@@ -102,21 +102,19 @@ def coloop_oracle(vectors, index):
     r = m.rank()
     if mv.rank() != r + 1:
         return False
-    return _minor_gcd(mv, r + 1) == _minor_gcd(m, r)
+    return _minor_gcd(mv.tolist(), r + 1) == _minor_gcd(m.tolist(), r)
 
 
-def _minor_gcd(m, k):
-    if k == 0:
-        return 1
-    vals = []
-    for rows in combinations(range(m.rows), k):
-        for cols in combinations(range(m.cols), k):
-            d = m[rows, cols].det()
-            if d:
-                vals.append(abs(d))
+def _minor_gcd(rows, k):
+    """The gcd of the k x k minors of an integer matrix, given by its
+    rows: when the rows span Q^k and k is the column count, the covolume
+    of their lattice in Z^k."""
     out = 0
-    for v in vals:
-        out = gcd(out, v)
+    for rsel in combinations(range(len(rows)), k):
+        for csel in combinations(range(len(rows[0]) if rows else 0), k):
+            out = gcd(out, int(_sylvester_det([[rows[i][j] for j in csel] for i in rsel])))
+            if out == 1:
+                return out
     return out
 
 
@@ -268,6 +266,112 @@ def is_witness(a, perm, c1, c2):
         if _normalized(image) != _normalized(dst[j]):
             return False
     return True
+
+
+def _basis_coordinates(vectors):
+    """(basis, scale, coords): basis lists the indices of the vectors
+    independent of those before them, and coords[i] is scale > 0 times
+    the coordinates of vector i in the vectors of basis, as integers.
+
+    By Cramer's rule on the rows J, the pivots of a fraction-free
+    elimination, on which the basis vectors are independent: c = adj(S)
+    v_J / det S, S the basis vectors restricted to J. It is exact for
+    every vector of their span."""
+    basis, pivots, rows = [], [], []
+    for i, v in enumerate(vectors):
+        w = list(v)
+        for p, row in zip(pivots, rows):
+            if w[p]:
+                w = [row[p] * x - w[p] * y for x, y in zip(w, row)]
+        p = next((k for k, x in enumerate(w) if x), None)
+        if p is not None:
+            basis.append(i)
+            pivots.append(p)
+            rows.append(w)
+    r = len(basis)
+    sub = [[vectors[b][p] for b in basis] for p in pivots]
+    scale = _sylvester_det(sub)
+    adj = [
+        [
+            (-1) ** (k + q)
+            * _sylvester_det([row[:k] + row[k + 1 :] for t, row in enumerate(sub) if t != q])
+            for q in range(r)
+        ]
+        for k in range(r)
+    ]
+    if scale < 0:
+        scale = -scale
+        adj = [[-x for x in row] for row in adj]
+    coords = [[sum(a * v[p] for a, p in zip(row, pivots)) for row in adj] for v in vectors]
+    return basis, scale, coords
+
+
+def induces(perm, c1, c2):
+    """The maps that show that some A in GL_g(Z) sends generator i of c1
+    to plus or minus generator perm[i] of c2, for every i; empty when
+    none does (or perm is not a bijection onto c2's generators).
+
+    Tries the 2^r sign patterns s on a basis b_1..b_r of c1's generators
+    (r the rank), with exact coordinates in that basis. A pattern
+    works when the linear map f of span(c1) with f(b_k) = s_k w_perm(b_k)
+    sends every generator v_i to +-w_perm(i), and maps the lattice points
+    of span(c1) onto those of span(c2): with M1 the g x r matrix of the
+    b_k and M2 that of the f(b_k), M1 c is integral iff M2 c is, that is
+    the row lattices of M1 and M2 in Z^r are equal. Their covolumes are
+    the gcds of the r x r minors, and the lattices are equal iff M1, M2
+    and the stacked [M1; M2] have the same one.
+    Such an f extends to GL_g(Z), as saturated sublattices of equal rank
+    have complements of equal rank. When r = g a pattern gives exactly
+    one A, the check is that A is integral with det +-1, and the list
+    holds those A as tuples of integer rows; otherwise it holds the
+    matrices M2."""
+    src, dst = c1.generators, c2.generators
+    n = len(src)
+    if len(dst) != n or sorted(perm) != list(range(n)):
+        return []
+    g = c1.g
+    units = [tuple(int(i == j) for j in range(g)) for i in range(g)]
+    basis, scale, coords = _basis_coordinates(list(src) + units)
+    r = sum(1 for b in basis if b < n)
+    m1 = [[src[b][j] for b in basis[:r]] for j in range(g)]
+    d1 = _minor_gcd(m1, r)
+    # generators checkable once the signs of b_1..b_k are chosen
+    last = [max((k for k, x in enumerate(c) if x), default=-1) for c in coords[:n]]
+    ready = [[i for i in range(n) if last[i] == k] for k in range(r)]
+    found = []
+    images = []  # s_k w_perm(b_k), k < len(images)
+
+    def image(c):
+        """scale times f of the vector with coordinates c / scale"""
+        return [sum(x * w[j] for x, w in zip(c, images)) for j in range(g)]
+
+    def extend(k):
+        if k == r:
+            m2 = [list(col) for col in zip(*images)] if images else [[] for _ in range(g)]
+            if r == g:
+                # column j of A is f(e_j)
+                cols = [image(c) for c in coords[n:]]
+                if any(x % scale for col in cols for x in col):
+                    return
+                a = [[col[i] // scale for col in cols] for i in range(g)]
+                if _sylvester_det(a) in (1, -1):
+                    found.append(tuple(map(tuple, a)))
+            elif _minor_gcd(m2, r) == d1 == _minor_gcd(m1 + m2, r):
+                found.append(tuple(map(tuple, m2)))
+            return
+        w = dst[perm[basis[k]]]
+        for s in (1, -1) if k else (1,):
+            images.append(tuple(s * x for x in w))
+            if all(
+                _normalized(image(coords[i])) == _normalized([scale * x for x in dst[perm[i]]])
+                for i in ready[k]
+            ):
+                extend(k + 1)
+            images.pop()
+
+    extend(0)
+    # f and -f work together; the search fixed s_1 = 1
+    return found + [tuple(tuple(-x for x in row) for row in m) for m in found]
 
 
 def automorphism_oracle(vectors):

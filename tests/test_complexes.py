@@ -1,4 +1,5 @@
 import hashlib
+import math
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ import perfcone.symmetry
 from perfcone.complexes import (
     BUILDERS,
     _build_by_predicate,
+    _facet_sign,
     annotate_coloops,
     annotate_matroidal,
     build_inflation_complex,
@@ -31,9 +33,9 @@ from perfcone.matroid import (
     tu_cone,
 )
 from perfcone.quadform import cone_of_form, load_bundled_catalog, principal_form
-from perfcone.symmetry import OrbitRegistry, format_registry, span_coordinates
+from perfcone.symmetry import OrbitRegistry, format_registry, span_coordinates, strong_generators
 
-from oracles import simple_graphs_oracle
+from oracles import det_oracle, induces, simple_graphs_oracle, span_coordinates_oracle
 
 # SHA-256 of `perfcone orbits --g N` and `perfcone complex --g N --kind K`
 # output, recorded before the symmetry layer went integer-only; faster
@@ -134,12 +136,76 @@ def test_facet_records_map_faces_onto_their_targets(reg4, reg5):
         for orbit in reg.orbits:
             for mask, tid, eta in orbit.facets:
                 idx = _indices(mask)
-                target, (_a, perm) = reg.locate(orbit.rep.subcone(idx))
+                target, perm = reg.locate(orbit.rep.subcone(idx))
                 assert target.id == tid
                 if orbit.alternating and target.alternating:
                     assert eta == _fresh_eta(orbit, idx, target, perm), (orbit.id, idx)
                 else:
                     assert eta == 0
+
+
+# An alternating cone of ambient 3, its facet of 6 generators in
+# dimension 5 (generators 0, 2, 3, 4, 5 and 6), and a conjugate of that
+# facet, whose orbit is alternating, as the target's representative.
+# Facet signs read the witness from the target's representative to the
+# face; on this facet the inverse reading gives the opposite sign for
+# every witness. No facet of the bundled g <= 5 cones separates the two:
+# the only non-simplicial facets of alternating orbits there, D5's, have
+# a non-alternating orbit, and on a simplicial facet both readings take
+# the determinant of one row set, permuted with one parity.
+DIRECTION_CONE = PerfectCone(
+    3, [(0, 1, -1), (0, 1, 0), (1, -1, 1), (1, 0, -1), (1, 0, 0), (1, 1, -1), (1, 1, 1)]
+)
+DIRECTION_FACET = [0, 2, 3, 4, 5, 6]
+DIRECTION_TARGET = PerfectCone(
+    3, [(0, 0, 1), (0, 1, -1), (0, 1, 0), (0, 1, 1), (1, 1, -1), (2, 1, 1)]
+)
+
+
+def _perm_closure(perms, n):
+    out = {tuple(range(n))}
+    stack = list(out)
+    while stack:
+        p = stack.pop()
+        for q in perms:
+            r = tuple(q[x] for x in p)
+            if r not in out:
+                out.add(r)
+                stack.append(r)
+    return out
+
+
+def test_facet_sign_reads_the_witness_from_the_target_to_the_face():
+    reg = OrbitRegistry(3)
+    orbit = reg.add(DIRECTION_CONE)[0]
+    target = reg.add(DIRECTION_TARGET)[0]
+    assert orbit.alternating and target.alternating
+    s = DIRECTION_FACET
+    face = orbit.rep.facet(s)
+    assert face.dim == 5
+    located, perm = reg.locate(face)
+    assert located is target
+    # eta by its definition, in coordinates computed afresh: a generator
+    # off the facet, then the images A v_r of the target's reference
+    # basis, A a matrix the oracle finds for perm
+    a = induces(perm, target.rep, face)[0]
+    images = [
+        tuple(sum(x * y for x, y in zip(row, target.rep.generators[r])) for row in a)
+        for r in target.ref_orientation
+    ]
+    coords = span_coordinates_oracle(list(orbit.rep.generators) + images, orbit.ref_orientation)
+    n = len(orbit.rep.generators)
+    u = min(i for i in range(n) if i not in s)
+    rows = [coords[u]] + coords[n:]
+    scaled = [[x * math.lcm(*(y.denominator for y in row)) for x in row] for row in rows]
+    expected = det_oracle([[int(x) for x in row] for row in scaled])
+    expected = (expected > 0) - (expected < 0)
+    assert expected != 0
+    for sigma in _perm_closure(strong_generators(target.rep), len(perm)):
+        witness = tuple(perm[sigma[r]] for r in range(len(perm)))
+        inverse = tuple(sorted(range(len(perm)), key=witness.__getitem__))
+        assert _facet_sign(orbit, s, target, witness) == expected
+        assert _facet_sign(orbit, s, target, inverse) == -expected
 
 
 def _facet_orbits(orbit):
@@ -297,7 +363,7 @@ def _fresh_differential_row(orbit, reg):
     row = {}
     for s in facet_index_sets(orbit.rep):
         idx = indices(s)
-        target, (_a, perm) = reg.locate(orbit.rep.subcone(idx))
+        target, perm = reg.locate(orbit.rep.subcone(idx))
         if not target.alternating:
             continue
         row[target.id] = row.get(target.id, 0) + _fresh_eta(orbit, idx, target, perm)

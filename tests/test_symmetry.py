@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import perfcone
 from perfcone.complexes import build_registry
-from perfcone.cone import Face, PerfectCone, facet_index_sets, indices, reduce
-from perfcone.intlinalg import adjugate_det, det_int, mat_mul
+from perfcone.cone import Face, PerfectCone, facet_index_sets, indices, reduce, span_basis
+from perfcone.intlinalg import adjugate_det, det_int, det_sign
 from perfcone.matroid import complete_graph, graphic_cone
 from perfcone.quadform import (
     cone_of_form,
@@ -22,6 +22,8 @@ from perfcone.symmetry import (
     OrbitRegistry,
     _assignment_order,
     _full_rank_maps,
+    _matrix,
+    _orientation,
     conjugate_cone,
     equivalent,
     format_registry,
@@ -34,6 +36,7 @@ from perfcone.symmetry import (
 
 from oracles import (
     automorphism_oracle,
+    induces,
     is_witness,
     orientation_oracle,
     rank_oracle,
@@ -47,10 +50,11 @@ COORD2 = PerfectCone(2, [(1, 0), (0, 1)])
 
 def stabilizer_group(c):
     """(perm, det A) of every A in the GL_g(Z) stabilizer of a full-rank
-    cone: the closure of the strong generators' pairs, with -I as
-    (identity, (-1)^g)."""
+    cone: the closure of the pairs (perm, det A) for every A the oracle
+    finds inducing the identity (the kernel of the action on rays) or a
+    strong generator's perm, with -I as (identity, (-1)^g)."""
     ident = tuple(range(len(c.generators)))
-    gens = [(perm, det_int(a)) for a, perm in _full_rank_maps(c, c, group=True)]
+    gens = [(p, det_int(a)) for p in [ident, *strong_generators(c)] for a in induces(p, c, c)]
     gens.append((ident, (-1) ** c.g))
     out = {(ident, 1)}
     stack = list(out)
@@ -126,6 +130,9 @@ def test_check_rejects_broken_witnesses():
     assert not is_witness(doubled, perm, c1, c2)
     smaller = c2.subcone(range(len(c2.generators) - 1))
     assert not is_witness(a, perm, c1, smaller)
+    # the perm oracle finds the matrix itself
+    assert induces(perm, c1, c2) and not induces(tuple(swapped), c1, c2)
+    assert not induces(perm, c1, smaller)
     # a boundary cone's rays pin A only on their span, so only the
     # determinant rejects a map that fixes them
     ray = PerfectCone(2, [(1, 0)])
@@ -151,8 +158,8 @@ def test_automorphism_group_of_principal_g3():
     c = cone_of_form(principal_form(3))
     group = stabilizer_group(c)
     assert len({perm for perm, _d in group}) == 24
-    for a, perm in _full_rank_maps(c, c, group=True):
-        assert is_witness(a, perm, c, c)
+    for perm in strong_generators(c):
+        assert induces(perm, c, c)
 
 
 def test_single_ray_automorphisms():
@@ -173,13 +180,59 @@ def test_principal_g3_automorphisms_all_positive():
     assert is_alternating(c)
 
 
+def test_orientation_matches_the_span_determinant(reg5):
+    # the registry reads a simplicial orbit's signs as permutation
+    # parities; the span determinant is the sign they replace
+    simplicial = 0
+    for reg in (reg5, build_registry(5, seed=1), build_registry(5, seed=2)):
+        for o in reg.orbits:
+            coords = span_coordinates(o.rep, o.ref_orientation)
+            for perm in o.aut_gens or []:
+                sign = det_sign([coords[perm[s]] for s in o.ref_orientation])
+                assert _orientation(perm, o.ref_orientation, coords) == sign, o.id
+            simplicial += len(o.rep.generators) == o.dim and o.aut_gens is not None
+    # the 162 searched orbits but D5 and five of its faces, at each seed
+    assert simplicial == 3 * 156
+
+
+# n generators, dimension d; the alternating ones are at 2 and 3
+ORIENTATION_POOL = [
+    COORD2,  # n = d = 2
+    cone_of_form(principal_form(2)),  # n = d = 3
+    cone_of_form(principal_form(3)),  # n = d = 6
+    # n - d = 1
+    PerfectCone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]),
+    PerfectCone(3, [(1, 0, 0), (0, 1, 0)]),  # a boundary cone
+]
+
+
+@settings(max_examples=30)
+@given(st.integers(0, len(ORIENTATION_POOL) - 1), st.integers(0, 10**6))
+def test_orientation_on_conjugates(k, seed):
+    # in a seeded conjugate, with a shuffled reference order, the sign is
+    # the span determinant and the oracle's sign
+    rng = random.Random(seed)
+    c = ORIENTATION_POOL[k]
+    moved = conjugate_cone(c, random_unimodular(c.g, rng))
+    order = list(range(len(moved.generators)))
+    rng.shuffle(order)
+    ref, coords = span_basis(moved, order)
+    gens = strong_generators(moved)
+    signs = [_orientation(perm, ref, coords) for perm in gens]
+    assert signs == [det_sign([coords[perm[s]] for s in ref]) for perm in gens]
+    if moved.rank == moved.g:
+        assert signs == [orientation_oracle(moved.generators, [p])[p] for p in gens]
+    assert all(signs) and (min(signs) > 0) == is_alternating(c)
+    assert (min(signs) > 0) == (k in (2, 3)), k
+
+
 def test_orientation_sign_is_homomorphism():
     # what lets the registry read alternation off the strong generators
     c = cone_of_form(principal_form(2))
-    gens = _full_rank_maps(c, c, group=True)
-    for a, p in gens:
-        for b, q in gens:
-            assert is_witness(mat_mul(b, a), tuple(q[x] for x in p), c, c)
+    gens = strong_generators(c)
+    for p in gens:
+        for q in gens:
+            assert induces(tuple(q[x] for x in p), c, c)
     perms = {perm for perm, _d in stabilizer_group(c)}
     assert len(perms) == 6
     signs = orientation_oracle(c.generators, perms)
@@ -215,10 +268,28 @@ def test_stabilizer_reflections():
         assert is_witness(*_flip_last(c), c, c)
 
 
+def test_boundary_witnesses_lift_from_the_reductions(reg4):
+    # a boundary cone is searched on its reduction: equivalent lifts the
+    # reduced matrix through both reductions and pulls the perm back, and
+    # the two must describe one map, in either direction
+    rng = random.Random(5)
+    faces = [o.rep for o in reg4.orbits if 2 <= o.rank < 4]
+    assert {c.rank for c in faces} == {2, 3}
+    for c in faces:
+        for _ in range(2):
+            moved = conjugate_cone(c, random_unimodular(4, rng))
+            assert is_witness(*equivalent(c, moved), c, moved)
+            assert is_witness(*equivalent(moved, c), moved, c)
+
+
 def test_automorphism_witnesses_are_unimodular():
-    for c in (COORD2, cone_of_form(principal_form(2))):
-        for a, _perm in _full_rank_maps(c, c, group=True):
-            assert abs(det_int([list(r) for r in a])) == 1
+    # the matrix equivalent forms from a realization's prefix signs
+    for c in (COORD2, cone_of_form(principal_form(2)), PerfectCone(2, [(1, 0), (1, 2)])):
+        for perm, signs in _full_rank_maps(c, c, group=True):
+            src = c._search
+            a = _matrix(src, c.generators, [(perm[p], s) for p, s in zip(src.order, signs)])
+            assert abs(det_int(a)) == 1
+            assert is_witness(a, perm, c, c)
 
 
 def test_classify_orbits_of_principal_g2_faces():
@@ -251,10 +322,10 @@ def test_locate_maps_every_member_to_one_orbit():
         moved = conjugate_cone(o.rep, random_unimodular(3, rng))
         hit = reg.locate(moved)
         assert hit is not None
-        orbit, (a, perm) = hit
+        orbit, perm = hit
         assert orbit.id == o.id
         # locate searches from the representative to the cone
-        assert is_witness(a, perm, orbit.rep, moved)
+        assert induces(perm, orbit.rep, moved)
 
 
 def test_registry_roundtrip(reg3, reg5):
@@ -503,7 +574,7 @@ def _assert_strong_generators(c, group):
     cand = [tuple(j for j in range(n) if prof[j] == prof[i]) for i in range(n)]
     order, prefix_len, _adj, _det = _assignment_order(c, cand)
     base = order[:prefix_len]
-    gens = [perm for _a, perm in _full_rank_maps(c, c, group=True)]
+    gens = strong_generators(c)
     perms = {perm for perm, _d in group}
     for k in range(prefix_len + 1):
         fixed = base[:k]
@@ -589,19 +660,19 @@ def test_strong_generators_are_automorphisms():
     for c in POOL34:
         if c.rank < c.g:
             c = reduce(c)[0]
-        gens = _full_rank_maps(c, c, group=True)
+        gens = strong_generators(c)
         assert gens
-        for a, perm in gens:
-            assert is_witness(a, perm, c, c)
+        for perm in gens:
+            assert induces(perm, c, c)
 
 
 def test_seeded_g5_witnesses_and_strong_generators_pass_check(monkeypatch):
-    # the search reads each image off the Gram rows and never applies its
-    # matrix to a generator; the is_witness oracle does, so it checks every
-    # witness and strong generator independently, in the direction locate
-    # and add return it, from the orbit's rep to the cone. An add that
-    # creates an orbit under a seed returns h^-1, h the conjugation onto
-    # the new rep, whose perm the facet records read.
+    # the search reads each image off the Gram rows and forms no matrix;
+    # the induces oracle finds one, so it checks every perm located, added
+    # and found by the search independently, in the direction locate and
+    # add return it, from the orbit's rep to the cone. An add that creates
+    # an orbit under a seed returns the perm of h^-1, h the conjugation
+    # onto the new rep, which the facet records read.
     located = []
     added = []
     searched = []
@@ -622,7 +693,7 @@ def test_seeded_g5_witnesses_and_strong_generators_pass_check(monkeypatch):
 
     def recording_maps(c1, c2, group=False):
         found = full_rank_maps(c1, c2, group)
-        searched.extend((a, perm, c1, c2, group) for a, perm in found)
+        searched.extend((perm, c1, c2, group) for perm, _s in found)
         return found
 
     monkeypatch.setattr(OrbitRegistry, "locate", recording_locate)
@@ -639,12 +710,12 @@ def test_seeded_g5_witnesses_and_strong_generators_pass_check(monkeypatch):
     # every conjugation moves its cone but that of the ray of ambient 1,
     # whose only unimodular matrices are +-1
     assert sum(orbit.rep != c for c, orbit in created) == 161
-    for c, orbit, (a, perm) in located:
-        assert is_witness(a, perm, orbit.rep, c)
-    for c, orbit, (a, perm), _new in added:
-        assert is_witness(a, perm, orbit.rep, c)
-    for a, perm, c1, c2, _group in searched:
-        assert is_witness(a, perm, c1, c2)
+    for c, orbit, perm in located:
+        assert induces(perm, orbit.rep, c)
+    for c, orbit, perm, _new in added:
+        assert induces(perm, orbit.rep, c)
+    for perm, c1, c2, _group in searched:
+        assert induces(perm, c1, c2)
 
 
 @pytest.mark.parametrize(
@@ -660,8 +731,8 @@ def test_seeded_g5_witnesses_and_strong_generators_pass_check(monkeypatch):
 )
 def test_search_rejects_maps_that_are_not_cone_automorphisms(vectors):
     c = PerfectCone(len(vectors[0]), vectors)
-    for a, perm in _full_rank_maps(c, c, group=True):
-        assert is_witness(a, perm, c, c)
+    for perm in strong_generators(c):
+        assert induces(perm, c, c)
     _assert_strong_generators(c, automorphism_oracle(c.generators))
 
 
@@ -696,8 +767,8 @@ def test_located_witnesses_are_unimodular(monkeypatch):
     monkeypatch.setattr(OrbitRegistry, "locate", recording)
     build_registry(4)
     assert len(witnesses) > 20
-    for c, orbit, (a, perm) in witnesses:
-        assert is_witness(a, perm, orbit.rep, c)
+    for c, orbit, perm in witnesses:
+        assert induces(perm, orbit.rep, c)
 
 
 def test_package_keeps_no_module_level_cache():
