@@ -277,13 +277,6 @@ def frac_inverse(m: Sequence[Sequence[int]]) -> list[list[Fraction]]:
     return [[Fraction(x, d) for x in row] for row in adj]
 
 
-def unimodular_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    adj, d = adjugate_det(m)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return [[d * x for x in row] for row in adj]
-
-
 def snf_left(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], int]:
     """Unimodular row reduction of m to echelon form over Z (Hermite-style,
     without reduction above the pivots); return (U, U m, rank).

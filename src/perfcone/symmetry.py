@@ -47,14 +47,7 @@ from .intlinalg import (
     mat_mul,
     mat_vec,
     sign_normalize,
-    unimodular_inverse,
 )
-
-
-# an equivalence witness, as equivalent(c1, c2) returns it: A in GL_g(Z),
-# a tuple of integer rows, and the ray permutation it induces, generator i
-# of c1 going to generator perm[i] of c2. The registry keeps only perms.
-Witness = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 # a realization of the search: (perm, signs), prefix generator order[k]
 # going to exactly signs[k] times generator perm[order[k]]
@@ -209,7 +202,7 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
       it only when det V != +-1), and an integer matrix of determinant
       +-1 lies in GL_g(Z).
 
-    equivalent forms A itself, from the realization's prefix signs.
+    So a realization proves that A exists, and no caller forms it.
     """
     g = c1.g
     n = len(c1.generators)
@@ -322,11 +315,10 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
 
 def _matrix(src: _Source, gens2, signed) -> list[list[int]] | None:
     """A = W adj(V) / det V, W with the columns s w_b for (b, s) in
-    signed, or None when A is not integral."""
+    signed, or None when A is not integral. The search calls it only for
+    its integrality test, when det V != +-1."""
     wadj = mat_mul([[s * gens2[b][k] for b, s in signed] for k in range(len(signed))], src.vadj)
     d = src.vdet
-    if d in (1, -1):
-        return wadj if d == 1 else [[-x for x in row] for row in wadj]
     if any(x % d for row in wadj for x in row):
         return None
     return [[x // d for x in row] for row in wadj]
@@ -346,49 +338,38 @@ def _orbit(point: int, perms: list[tuple[int, ...]]) -> set[int]:
     return orbit
 
 
-def equivalent(c1: PerfectCone, c2: PerfectCone) -> Witness | None:
-    """A witness (A, perm) with A in GL_g(Z) mapping c1 onto c2, or None.
+def equivalent(c1: PerfectCone, c2: PerfectCone) -> tuple[int, ...] | None:
+    """The ray permutation of some A in GL_g(Z) mapping c1 onto c2, or
+    None: generator i of c1 goes to +-generator perm[i] of c2. The zero
+    cones give (), which is falsy, so callers test the result against None.
 
-    A is formed once, from the prefix signs of the realization the search
-    found. Boundary cones are searched on their reductions (c'_k, U_k):
-    the perm is pulled back to the cones' own rays, and A is U2^-1
-    diag(A', I) U1."""
+    A is proven to exist and never formed (see _full_rank_maps). Boundary
+    cones are searched on their reductions, and the perm is pulled back
+    to the cones' own rays; any A' between the reduced cores lifts to
+    diag(A', I) in the reduced coordinates of both."""
     if c1.g != c2.g:
         raise ValueError("cones live in different ambient dimensions")
     if c1.is_zero() or c2.is_zero():
-        if c1.is_zero() and c2.is_zero():
-            return tuple(map(tuple, identity_matrix(c1.g))), ()
-        return None
+        return () if c1.is_zero() and c2.is_zero() else None
     if (c1.rank, c1.dim, len(c1.generators)) != (c2.rank, c2.dim, len(c2.generators)):
         return None
-    full = c1.rank == c1.g
-    (core1, u1, local1), (core2, u2, local2) = (
-        ((c1, None, None), (c2, None, None)) if full else (_reduction(c1), _reduction(c2))
-    )
+    if c1.rank == c1.g:
+        found = _full_rank_maps(c1, c2)
+        return found[0][0] if found else None
+    (core1, local1), (core2, local2) = _reduction(c1), _reduction(c2)
     found = _full_rank_maps(core1, core2)
-    if not found:
-        return None
-    perm, signs = found[0]
-    src = core1._search
-    a = _matrix(src, core2.generators, [(perm[p], s) for p, s in zip(src.order, signs)])
-    if full:
-        return tuple(map(tuple, a)), perm
-    block = identity_matrix(c1.g)
-    for i, row in enumerate(a):
-        block[i][: len(row)] = row
-    a = mat_mul(mat_mul(unimodular_inverse(u2), block), u1)
-    return tuple(map(tuple, a)), _pull_back(perm, local1, local2)
+    return _pull_back(found[0][0], local1, local2) if found else None
 
 
-def _reduction(c: PerfectCone) -> tuple[PerfectCone, tuple[tuple[int, ...], ...], list[int]]:
-    """(c', U, local) for a boundary cone, with (c', U) = reduce(c) and
+def _reduction(c: PerfectCone) -> tuple[PerfectCone, list[int]]:
+    """(c', local) for a boundary cone, with c' = reduce(c)[0] and
     local[i] the index in c' of the truncated image of generator i."""
     red, u = cone_reduce(c)
     local = [
         red.generators.index(sign_normalize(tuple(mat_vec(u, v)[: c.rank])))
         for v in c.generators
     ]
-    return red, u, local
+    return red, local
 
 
 def _pull_back(perm_red: tuple[int, ...], local1: list[int], local2: list[int]) -> tuple[int, ...]:
@@ -407,7 +388,7 @@ def strong_generators(c: PerfectCone) -> list[tuple[int, ...]]:
     if c.rank == c.g:
         perms = [perm for perm, _s in _full_rank_maps(c, c, group=True)]
     else:
-        red, _u, local = _reduction(c)
+        red, local = _reduction(c)
         found = _full_rank_maps(red, red, group=True)
         perms = [_pull_back(perm, local, local) for perm, _s in found]
     identity = tuple(range(len(c.generators)))
@@ -534,9 +515,9 @@ class OrbitRegistry:
         +-generator perm[i] of c. The search runs from the representative,
         whose search state (_Source) serves every cone located against it."""
         for orbit in self._buckets.get(self.fingerprint(c), []):
-            t = equivalent(orbit.rep, c)
-            if t is not None:
-                return orbit, t[1]
+            perm = equivalent(orbit.rep, c)
+            if perm is not None:
+                return orbit, perm
         return None
 
     def _new_id(self, rank: int, dim: int) -> str:

@@ -1,6 +1,5 @@
 """Properties of the fraction-free elimination kernel, against sympy."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -17,10 +16,8 @@ from perfcone.intlinalg import (
     pivot_columns,
     rank_rows,
     snf_left,
-    unimodular_inverse,
     vec_gcd,
 )
-from perfcone.symmetry import random_unimodular
 
 from oracles import (
     adjugate_oracle,
@@ -79,19 +76,6 @@ def test_adjugate(m):
     n = len(m)
     assert mat_mul(adj, m) == [[d * (i == j) for j in range(n)] for i in range(n)]
     assert frac_inverse(m) == [[Fraction(x, d) for x in row] for row in adj]
-
-
-@settings(max_examples=60)
-@given(st.integers(1, 6), st.integers(0, 10**6))
-def test_unimodular_inverse(g, seed):
-    h = random_unimodular(g, random.Random(seed))
-    inv = unimodular_inverse(h)
-    assert mat_mul(inv, h) == [[int(i == j) for j in range(g)] for i in range(g)]
-
-
-def test_unimodular_inverse_rejects_det_two():
-    with pytest.raises(ValueError):
-        unimodular_inverse([[2, 0], [0, 1]])
 
 
 @settings(max_examples=80)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 from pathlib import Path
@@ -89,10 +90,9 @@ def _pool(seed):
 
 def test_self_equivalence_is_identity_like():
     for c in (cone_of_form(principal_form(2)), PerfectCone(2, [])):
-        t = equivalent(c, c)
-        assert t is not None
-        assert is_witness(*t, c, c)
-        assert t[1] == tuple(range(len(c.generators)))
+        perm = equivalent(c, c)
+        assert perm == tuple(range(len(c.generators)))
+        assert induces(perm, c, c)
 
 
 def test_faces_of_principal_g2_pairwise_equivalent():
@@ -101,8 +101,8 @@ def test_faces_of_principal_g2_pairwise_equivalent():
     assert len(two_dim) == 3
     for a in two_dim:
         for b in two_dim:
-            t = equivalent(a, b)
-            assert t is not None and is_witness(*t, a, b)
+            perm = equivalent(a, b)
+            assert perm is not None and induces(perm, a, b)
 
 
 def test_principal4_and_d4_not_equivalent():
@@ -120,9 +120,12 @@ def test_ambient_mismatch_rejected():
 def test_check_rejects_broken_witnesses():
     c1 = cone_of_form(principal_form(3))
     c2 = conjugate_cone(c1, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    t = equivalent(c1, c2)
-    assert t is not None and is_witness(*t, c1, c2)
-    a, perm = t
+    perm = equivalent(c1, c2)
+    assert perm is not None
+    # the perm oracle finds the matrices that induce the perm
+    maps = induces(perm, c1, c2)
+    assert maps and all(is_witness(a, perm, c1, c2) for a in maps)
+    a = maps[0]
     swapped = list(perm)
     swapped[0], swapped[1] = swapped[1], swapped[0]
     assert not is_witness(a, tuple(swapped), c1, c2)
@@ -130,8 +133,7 @@ def test_check_rejects_broken_witnesses():
     assert not is_witness(doubled, perm, c1, c2)
     smaller = c2.subcone(range(len(c2.generators) - 1))
     assert not is_witness(a, perm, c1, smaller)
-    # the perm oracle finds the matrix itself
-    assert induces(perm, c1, c2) and not induces(tuple(swapped), c1, c2)
+    assert not induces(tuple(swapped), c1, c2)
     assert not induces(perm, c1, smaller)
     # a boundary cone's rays pin A only on their span, so only the
     # determinant rejects a map that fixes them
@@ -148,10 +150,10 @@ def test_equivalence_relation_on_conjugates(seed):
     h2 = random_unimodular(c.g, rng)
     c1 = conjugate_cone(c, h1)
     c2 = conjugate_cone(c, h2)
-    t12 = equivalent(c1, c2)
-    t21 = equivalent(c2, c1)
-    assert t12 is not None and is_witness(*t12, c1, c2)
-    assert t21 is not None and is_witness(*t21, c2, c1)
+    p12 = equivalent(c1, c2)
+    p21 = equivalent(c2, c1)
+    assert p12 is not None and induces(p12, c1, c2)
+    assert p21 is not None and induces(p21, c2, c1)
 
 
 def test_automorphism_group_of_principal_g3():
@@ -269,21 +271,59 @@ def test_stabilizer_reflections():
 
 
 def test_boundary_witnesses_lift_from_the_reductions(reg4):
-    # a boundary cone is searched on its reduction: equivalent lifts the
-    # reduced matrix through both reductions and pulls the perm back, and
-    # the two must describe one map, in either direction
+    # a boundary cone is searched on its reduction: equivalent pulls the
+    # perm back through both reductions' index maps, and a map of GL_4(Z)
+    # must induce it, in either direction
     rng = random.Random(5)
     faces = [o.rep for o in reg4.orbits if 2 <= o.rank < 4]
     assert {c.rank for c in faces} == {2, 3}
     for c in faces:
         for _ in range(2):
             moved = conjugate_cone(c, random_unimodular(4, rng))
-            assert is_witness(*equivalent(c, moved), c, moved)
-            assert is_witness(*equivalent(moved, c), moved, c)
+            for a, b in ((c, moved), (moved, c)):
+                perm = equivalent(a, b)
+                assert perm is not None and induces(perm, a, b)
+
+
+def test_graphic_searches_form_no_matrix(monkeypatch):
+    # the cones of principal_form(3) and principal_form(4) are graphic (K_4
+    # and K_5): every basis of their generators has |det| 1, and so has
+    # every basis of a face's reduction, so det V = +-1 on each search and
+    # realize skips the integrality test; equivalent forms no matrix
+    calls = []
+    matrix = perfcone.symmetry._matrix
+
+    def counting(*args):
+        calls.append(args)
+        return matrix(*args)
+
+    monkeypatch.setattr(perfcone.symmetry, "_matrix", counting)
+    rng = random.Random(2)
+    for g in (3, 4):
+        c = cone_of_form(principal_form(g))
+        dets = {abs(det_int(list(b))) for b in itertools.combinations(c.generators, g)}
+        assert dets == {0, 1}
+        faces = [f for fs in face_lattice(c).values() for f in fs if not f.is_zero()]
+        assert len(faces) == 2 ** len(c.generators) - 1  # the cone is simplicial
+        for f in faces if g == 3 else rng.sample(faces, 60):
+            moved = conjugate_cone(f, random_unimodular(g, rng))
+            assert equivalent(f, moved) is not None
+            assert equivalent(moved, f) is not None
+    assert calls == []
+
+
+def test_zero_cones_are_equivalent_by_the_empty_perm(reg3):
+    # () is falsy: locate must still read it as a hit
+    zero = PerfectCone(3, [])
+    assert equivalent(zero, zero) == ()
+    assert equivalent(zero, PerfectCone(3, [(1, 0, 0)])) is None
+    orbit, perm = reg3.locate(zero)
+    assert (orbit.id, perm) == ("r0d0n0", ())
+    assert reg3.add(zero) == (orbit, (), False)
 
 
 def test_automorphism_witnesses_are_unimodular():
-    # the matrix equivalent forms from a realization's prefix signs
+    # the matrix a realization's prefix signs give
     for c in (COORD2, cone_of_form(principal_form(2)), PerfectCone(2, [(1, 0), (1, 2)])):
         for perm, signs in _full_rank_maps(c, c, group=True):
             src = c._search
@@ -748,8 +788,8 @@ def test_equivalence_witnesses_are_unimodular():
         for s in facet_index_sets(sigma)[::20]:
             nb = cone_of_form(voronoi_neighbor(q, Face(sigma, s)))
             nb = conjugate_cone(nb, random_unimodular(5, rng))
-            c, (a, perm) = next((c, t) for c in catalog if (t := equivalent(nb, c)) is not None)
-            assert is_witness(a, perm, nb, c)
+            c, perm = next((c, p) for c in catalog if (p := equivalent(nb, c)) is not None)
+            assert induces(perm, nb, c)
             found += 1
     assert found == 22  # one facet each of principal_5 and a5_3, 20 of d5
 
@@ -789,7 +829,7 @@ def test_kernels_leave_no_reference_cycles():
         minimal_vectors(principal_form(5))
         a, _d5, b = (cone_of_form(q) for q in load_bundled_catalog(5))
         assert equivalent(a, b) is None
-        assert equivalent(a, conjugate_cone(a, random_unimodular(5, random.Random(0))))
+        assert equivalent(a, conjugate_cone(a, random_unimodular(5, random.Random(0)))) is not None
         strong_generators(b)
         facet_index_sets(b)
         assert gc.collect() == 0
