@@ -26,7 +26,7 @@ from .matroid import (
     SimpleGraph,
     graphic_cone,
     inflate,
-    tu_cone,
+    is_matroidal,
 )
 from .quadform import (
     MinimalVectorSet,
@@ -72,6 +72,7 @@ __all__ = [
     "graphic_cone",
     "inflate",
     "is_alternating",
+    "is_matroidal",
     "is_perfect",
     "les_solve",
     "load_form_catalog",
@@ -83,7 +84,6 @@ __all__ = [
     "satake_weight0_column",
     "spanning_subset",
     "top_weight_table",
-    "tu_cone",
     "verify_complex",
     "voronoi_neighbor",
 ]

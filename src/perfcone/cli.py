@@ -14,7 +14,6 @@ import sys
 
 from .complexes import (
     BUILDERS,
-    MATROIDAL_MAX_G,
     build_inflation_complex,
     build_matroid_complexes,
     build_perfect_complex,
@@ -23,7 +22,6 @@ from .complexes import (
     exact_triple,
     format_complex,
     parse_complex,
-    require_matroidal_range,
 )
 from .homology import (
     betti,
@@ -103,8 +101,6 @@ def cmd_orbits(args) -> int:
 
 def cmd_complex(args) -> int:
     g, kind = args.g, args.kind
-    if kind in ("R", "C"):
-        require_matroidal_range(g)
     reg = build_registry(g, catalog_for(g, args.catalog), args.seed)
     cx = BUILDERS[kind](g, reg)
     path = _write(args.out, f"{kind.lower()}{g}.cplx", format_complex(cx))
@@ -158,9 +154,7 @@ def cmd_verify(args) -> int:
         )
     else:
         print(f"# euler characteristic: {rep_p.euler()} (no gated expectation)")
-    if args.level == "full" and g > MATROIDAL_MAX_G:
-        print(f"# R/C checks skipped: the matroidal flags are verified only for g <= {MATROIDAL_MAX_G}")
-    elif g <= 4 or args.level == "full":
+    if g <= 4 or args.level == "full":
         r_cx, c_cx = build_matroid_complexes(g, reg)
         check("d2[R]", verify_complex(r_cx))
         check("d2[C]", verify_complex(c_cx))

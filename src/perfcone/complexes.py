@@ -33,14 +33,7 @@ from typing import Callable
 
 from .cone import PerfectCone, facet_index_sets, indices, int_field, pad
 from .intlinalg import det_sign
-from .matroid import (
-    complete_graph,
-    graphic_cone,
-    m_star_k33,
-    r_10,
-    tu_cone,
-    zg_coloop_indices,
-)
+from .matroid import is_matroidal, zg_coloop_indices
 from .quadform import QuadraticForm, cone_of_form, load_bundled_catalog
 from .symmetry import Orbit, OrbitRegistry
 
@@ -190,56 +183,17 @@ def annotate_coloops(reg: OrbitRegistry) -> None:
             orb.coloop_count = len(zg_coloop_indices(orb.rep.generators))
 
 
-# The source closure of annotate_matroidal agrees with an exhaustive
-# test of every orbit (all nonzero maximal minors +-1) through g = 5; at
-# g = 6 it misses orbits, alternating ones among them, so R and C are
-# refused past this ambient.
-MATROIDAL_MAX_G = 5
-
-
-def require_matroidal_range(g: int) -> None:
-    """Raise ValueError when the matroidal flags, and with them the
-    complexes R and C, are not verified at ambient g."""
-    if g > MATROIDAL_MAX_G:
-        raise ValueError(
-            f"complexes R and C need g <= {MATROIDAL_MAX_G}: "
-            "the matroidal flags are not verified past it"
-        )
-
-
 def annotate_matroidal(reg: OrbitRegistry) -> None:
-    """Flag orbits whose cone comes from a regular matroid; g must lie in
-    the verified range (require_matroidal_range).
-
-    Sources: the complete graph on g+1 vertices, plus the two desk-scale
-    non-graphic regular fixtures when their rank fits. Faces of flagged
-    orbits are flagged transitively (column deletion keeps regularity).
-    The graphic cone of K_{g+1} is the principal cone, which is
-    simplicial, so the cone of every graph on g+1 vertices is one of its
-    faces and is reached by the closure.
-    """
-    g = reg.g
-    require_matroidal_range(g)
-    sources = [graphic_cone(complete_graph(g + 1))]
-    if g >= 4:
-        sources.append(tu_cone(m_star_k33(), g))
-    if g >= 5:
-        sources.append(tu_cone(r_10(), g))
+    """Flag the orbits whose cone comes from a regular matroid
+    (is_matroidal). Orbits are visited by decreasing dimension; a facet
+    target of a flagged orbit is flagged without a test, since a face of
+    a matroidal cone is matroidal, and every other orbit is tested on its
+    representative."""
     flagged: set[str] = set()
-    for cone in sources:
-        loc = reg.locate(cone)
-        if loc is None:
-            raise AssertionError("matroidal source cone missing from the registry")
-        flagged.add(loc[0].id)
-    stack = list(flagged)
-    while stack:
-        oid = stack.pop()
-        for _mask, tid, _eta in reg.by_id[oid].facets:
-            if tid not in flagged:
-                flagged.add(tid)
-                stack.append(tid)
-    for orb in reg.orbits:
-        orb.matroidal = orb.id in flagged
+    for orb in sorted(reg.orbits, key=lambda o: -o.dim):
+        orb.matroidal = orb.id in flagged or is_matroidal(orb.rep)
+        if orb.matroidal:
+            flagged.update(tid for _mask, tid, _eta in orb.facets)
 
 
 @dataclass

@@ -151,7 +151,7 @@ class Echelon:
         The Jordan form's right block is adj(m Q) = det(Q) Q^-1 adj(m),
         Q the pivot order, and det B = det(m Q).
         """
-        s = _perm_sign(self.pivots)
+        s = perm_sign(self.pivots)
         n = self.width
         adj: list[list[int]] = [[]] * n
         for r, c in zip(self.jordan(), self.pivots):
@@ -183,7 +183,9 @@ def _echelon(rows: Iterable[Sequence[int]]) -> Echelon:
     return e
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
+def perm_sign(perm: Sequence[int]) -> int:
+    """The parity of a permutation of range(len(perm)): -1 when it has an
+    odd number of cycles of even length."""
     sign = 1
     seen = [False] * len(perm)
     for start in range(len(perm)):
@@ -214,7 +216,7 @@ def _det(m: Sequence[Sequence[int]]) -> int:
         if not e.add(row):
             return 0
     # B is m with its columns permuted into pivot order
-    return _perm_sign(e.pivots) * e.det
+    return perm_sign(e.pivots) * e.det
 
 
 def adjugate_det(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
@@ -225,6 +227,31 @@ def adjugate_det(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
         if not e.add(list(row) + [int(i == j) for j in range(n)]):
             raise ValueError("matrix is singular")
     return e.adjugate()
+
+
+def pick_basis(
+    rows: Sequence[Sequence[int]], order: Iterable[int], width: int
+) -> tuple[list[int], list[list[int]] | None, int]:
+    """The indices, in order, of the rows that raise the rank, until it
+    reaches width; with (adj m, det m), m the matrix of those rows, when
+    it does, else (None, 0). Rows are tuples of length width.
+
+    One Echelon over the rows [v_i | e_k], k the slot v_i would take among
+    the picked rows, gives all three: a row is kept exactly when it raises
+    the rank, so the kept rows are [m | I].
+    """
+    unit = [tuple(row) for row in identity_matrix(width)]
+    basis = Echelon(width)
+    picked: list[int] = []
+    for i in order:
+        if len(picked) == width:
+            break  # the picked rows span every column
+        if basis.add(rows[i] + unit[len(picked)]):
+            picked.append(i)
+    if len(picked) < width:
+        return picked, None, 0
+    adj, det = basis.adjugate()
+    return picked, adj, det
 
 
 def rank_rows(rows: Sequence[Sequence[int]]) -> int:

@@ -1,4 +1,12 @@
-"""Graphic and regular matroid cone sources, coloops, inflation.
+"""Graphic cones, the regular-matroid test, coloops, inflation.
+
+A cone is matroidal when its generators, in the coordinates of their
+saturated span, are the columns of a totally unimodular matrix: the
+cone of a regular matroid (Melo-Viviani, Math. Ann. 2012). is_matroidal
+decides it from the cone alone, by Ghouila-Houri's characterisation of
+total unimodularity (C. R. Acad. Sci. Paris 1962); no source cone or
+bound on g is involved. A face keeps a subset of the generators, so a
+face of a matroidal cone is matroidal.
 
 The lattice coloop test runs through saturation: v is a coloop of S iff
 v avoids the rational span of S minus v and the image of v stays
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cone import PerfectCone, reduce as cone_reduce
-from .intlinalg import mat_vec, snf_left, vec_gcd
+from .intlinalg import dot, mat_vec, pick_basis, snf_left, vec_gcd
 
 
 @dataclass(frozen=True)
@@ -61,22 +69,71 @@ def graphic_cone(graph: SimpleGraph) -> PerfectCone:
     return PerfectCone(graph.vertices - 1, incidence_columns(graph))
 
 
-def tu_cone(matrix: Sequence[Sequence[int]], g: int) -> PerfectCone:
-    """Cone on v v^t over the columns of a totally unimodular matrix,
-    zero-padded to ambient g. The matrix is taken as totally unimodular:
-    the package passes only the constants below, which the test suite
-    proves so by exhaustive minors."""
-    cols = list(zip(*matrix))
-    if any(not any(c) for c in cols):
-        raise ValueError("zero column: the represented matroid is not simple")
-    r = len(matrix)
-    if r > g:
-        raise ValueError(f"representation rank bound {r} exceeds ambient {g}")
-    padded = [c + (0,) * (g - r) for c in cols]
-    try:
-        return PerfectCone(g, padded)
-    except ValueError as exc:
-        raise ValueError(f"column set is not simple: {exc}") from exc
+def is_matroidal(c: PerfectCone) -> bool:
+    """True iff the generators of c are the columns of a totally
+    unimodular matrix in some basis of the saturation of their span.
+
+    On the reduced core, of rank r, pick_basis gives r independent
+    generators B, with adj B and det B. The generators are the columns of
+    [I | A'] over B, A' the r x m coordinates of the other m generators.
+    So c is matroidal iff |det B| = 1 (B is a basis of the saturation),
+    every entry of A' lies in {0, +-1}, and A' is totally unimodular.
+    """
+    red = c if c.rank == c.g else cone_reduce(c)[0]
+    gens = red.generators
+    chosen, adj, det = pick_basis(gens, range(len(gens)), red.g)
+    if det not in (1, -1):
+        return False
+    # w = sum_k x_k b_k, b_k the rows of B, so x = det w adj B
+    cols = list(zip(*adj))
+    picked = set(chosen)
+    rows = [0] * red.g
+    shift = 0
+    for i, w in enumerate(gens):
+        if i in picked:
+            continue
+        for k, col in enumerate(cols):
+            x = det * dot(w, col)
+            if x not in (-1, 0, 1):
+                return False
+            rows[k] += x << shift
+        shift += 8
+    return _ghouila_houri(rows, shift // 8)
+
+
+def _ghouila_houri(rows: list[int], width: int) -> bool:
+    """Whether every non-empty subset of the rows has a +-1 signing whose
+    column sums lie in {-1, 0, 1}: Ghouila-Houri's test that the matrix
+    is totally unimodular.
+
+    Each row is packed one byte per column, entry a at byte j as a 256^j,
+    so adding rows adds bytes; a column sum stays in [-r, r], and bytes
+    do not run into each other while r < 127. With
+    ones the packed all-ones row, a sum s passes iff each byte of
+    y = s + ones lies in {0, 1, 2}: no bit above the lowest two is set,
+    and the two are not both set. A subset's signings, up to one global
+    sign, are its top row plus or minus those of the subset without it,
+    so (3^r - 1) / 2 sums cover every subset.
+    """
+    ones = ((1 << 8 * width) - 1) // 255
+    high = 0xFC * ones
+    # sums[m]: the signed sums of the row subset m, its top row taken +
+    sums: list[list[int]] = [[0]]
+    for m in range(1, 1 << len(rows)):
+        top = m.bit_length() - 1
+        row = rows[top]
+        rest = m ^ (1 << top)
+        cur = [row + s for s in sums[rest]]
+        if rest:
+            cur += [row - s for s in sums[rest]]
+        for s in cur:
+            y = s + ones
+            if not (y & high or y & (y >> 1) & ones):
+                break
+        else:
+            return False
+        sums.append(cur)
+    return True
 
 
 def _rational_coloops(vectors: Sequence[Sequence[int]]) -> list[int]:
@@ -137,37 +194,3 @@ def inflate(c: PerfectCone) -> PerfectCone:
     if len(zg_coloop_indices(out.generators)) != 1:
         raise AssertionError("inflation did not create a unique coloop")
     return out
-
-
-def m_star_k33() -> tuple[tuple[int, ...], ...]:
-    """Rank-4 dual of the K_{3,3} cycle matroid; smallest regular matroid
-    that is neither graphic nor a graph's cone source here."""
-    # [-B^T | I_4] from the standard form [I_5 | B] of the K_{3,3} cycle
-    # matroid (tree a1b1, a1b2, a1b3, a2b1, a3b1)
-    b_t = (
-        (-1, 1, 0, 1, 0),
-        (-1, 0, 1, 1, 0),
-        (-1, 1, 0, 0, 1),
-        (-1, 0, 1, 0, 1),
-    )
-    rows = []
-    for i, row in enumerate(b_t):
-        ident = tuple(1 if j == i else 0 for j in range(4))
-        rows.append(tuple(-x for x in row) + ident)
-    return tuple(rows)
-
-
-def r_10() -> tuple[tuple[int, ...], ...]:
-    """The ten-element rank-5 splitter; [I_5 | A] with the circulant A."""
-    a = (
-        (-1, 1, 0, 0, 1),
-        (1, -1, 1, 0, 0),
-        (0, 1, -1, 1, 0),
-        (0, 0, 1, -1, 1),
-        (1, 0, 0, 1, -1),
-    )
-    rows = []
-    for i in range(5):
-        ident = tuple(1 if j == i else 0 for j in range(5))
-        rows.append(ident + a[i])
-    return tuple(rows)

@@ -41,11 +41,12 @@ from .cone import (
     span_basis,
 )
 from .intlinalg import (
-    Echelon,
     det_sign,
     identity_matrix,
     mat_mul,
     mat_vec,
+    perm_sign,
+    pick_basis,
     sign_normalize,
 )
 
@@ -62,29 +63,17 @@ def _assignment_order(
 
     Returns (order, prefix_len, adj V, det V), V the matrix whose columns
     are the prefix generators order[:prefix_len]; when they do not reach
-    rank g, adj V is None and det V is 0. One Echelon over the rows
-    [v_i | e_k], k the slot v_i would take in the prefix, gives all
-    three: a row is kept exactly when it raises the rank, so the kept
-    rows are [V^t | I], and the Echelon's adjugate is adj(V^t), the
-    transpose of adj V.
+    rank g, adj V is None and det V is 0. The prefix is pick_basis of the
+    generators in that order, and its adjugate is adj(V^t), the transpose
+    of adj V.
     """
-    g = c.g
-    gens = c.generators
-    remaining = sorted(range(len(gens)), key=lambda i: (len(cand[i]), i))
-    unit = [tuple(row) for row in identity_matrix(g)]
-    basis = Echelon(g)
-    order: list[int] = []
-    for i in remaining:
-        if basis.add(gens[i] + unit[len(order)]):
-            order.append(i)
-            if len(order) == g:
-                break  # the prefix spans every column
+    remaining = sorted(range(len(c.generators)), key=lambda i: (len(cand[i]), i))
+    order, adj_t, det = pick_basis(c.generators, remaining, c.g)
     prefix_len = len(order)
     prefix = set(order)
     order.extend(i for i in remaining if i not in prefix)
-    if prefix_len < g:
+    if adj_t is None:
         return order, prefix_len, None, 0
-    adj_t, det = basis.adjugate()
     return order, prefix_len, [list(col) for col in zip(*adj_t)], det
 
 
@@ -401,19 +390,9 @@ def _orientation(perm: Sequence[int], ref: Sequence[int], coords: Sequence[Seque
     the determinant of the images of the reference forms. When the forms
     are independent, they are a basis that perm permutes, and the sign is
     the parity of perm."""
-    n = len(perm)
-    if n != len(ref):
+    if len(perm) != len(ref):
         return det_sign([coords[perm[s]] for s in ref])
-    cycles = 0
-    seen = [False] * n
-    for i in range(n):
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return -1 if (n - cycles) % 2 else 1
+    return perm_sign(perm)
 
 
 def span_coordinates(c: PerfectCone, ref: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -1,7 +1,8 @@
 """Small independent reimplementations used to check the package.
 
 Everything here is deliberately naive: dense sympy linear algebra, box
-enumeration, and literal definitions.  Nothing imports from perfcone.
+enumeration, and literal definitions.  Nothing computes with perfcone:
+tu_cone only hands its columns to PerfectCone.
 """
 
 from fractions import Fraction
@@ -9,6 +10,8 @@ from itertools import combinations, permutations, product
 from math import comb, gcd, isqrt
 
 from sympy import Matrix, Rational
+
+from perfcone.cone import PerfectCone
 
 
 def rank_oracle(rows):
@@ -225,6 +228,67 @@ def is_tu(matrix):
                 if _sylvester_det(sub) not in (-1, 0, 1):
                     return False
     return True
+
+
+def tu_cone(matrix, g):
+    """Cone on v v^t over the columns of a {0, +-1} matrix, zero-padded
+    to ambient g. The columns must be nonzero and pairwise non-parallel."""
+    cols = list(zip(*matrix))
+    if any(not any(c) for c in cols):
+        raise ValueError("zero column: the represented matroid is not simple")
+    r = len(matrix)
+    if r > g:
+        raise ValueError(f"representation rank bound {r} exceeds ambient {g}")
+    padded = [c + (0,) * (g - r) for c in cols]
+    try:
+        return PerfectCone(g, padded)
+    except ValueError as exc:
+        raise ValueError(f"column set is not simple: {exc}") from exc
+
+
+def m_star_k33():
+    """Rank-4 dual of the K_{3,3} cycle matroid: a regular matroid that is
+    not graphic."""
+    # [-B^T | I_4] from the standard form [I_5 | B] of the K_{3,3} cycle
+    # matroid (tree a1b1, a1b2, a1b3, a2b1, a3b1)
+    b_t = (
+        (-1, 1, 0, 1, 0),
+        (-1, 0, 1, 1, 0),
+        (-1, 1, 0, 0, 1),
+        (-1, 0, 1, 0, 1),
+    )
+    rows = []
+    for i, row in enumerate(b_t):
+        ident = tuple(1 if j == i else 0 for j in range(4))
+        rows.append(tuple(-x for x in row) + ident)
+    return tuple(rows)
+
+
+def r_10():
+    """The ten-element rank-5 splitter; [I_5 | A] with the circulant A."""
+    a = (
+        (-1, 1, 0, 0, 1),
+        (1, -1, 1, 0, 0),
+        (0, 1, -1, 1, 0),
+        (0, 0, 1, -1, 1),
+        (1, 0, 0, 1, -1),
+    )
+    rows = []
+    for i in range(5):
+        ident = tuple(1 if j == i else 0 for j in range(5))
+        rows.append(ident + a[i])
+    return tuple(rows)
+
+
+def unimodular_oracle(vectors):
+    """Whether the vectors are a unimodular configuration: for every set
+    of k independent ones, k their rank, the gcd of the k x k minors of
+    their matrix is 1. That gcd is |det| of the set in the coordinates of
+    the saturated span, so this holds iff, in some basis of it, the
+    vectors are the columns of a totally unimodular matrix."""
+    rows = [tuple(v) for v in vectors]
+    k = Matrix(rows).rank() if rows else 0
+    return k == 0 or all(_minor_gcd(list(sub), k) <= 1 for sub in combinations(rows, k))
 
 
 def _normalized(v):

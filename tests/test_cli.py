@@ -70,21 +70,19 @@ PRINCIPAL_6 = "g 6\nform principal_6\n" + "".join(
 )
 
 
-@pytest.mark.parametrize("kind", ["R", "C"])
-def test_matroid_complexes_refuse_unverified_ambients(tmp_path, monkeypatch, capsys, kind):
-    # the matroidal flags are verified through g = 5 only, so R and C at
-    # g = 6 fail before any registry is built or any file is written
+def test_matroid_complex_past_g5(tmp_path, capsys):
+    # the matroidal flags hold at every g; every face of the principal
+    # cone is graphic, so R holds every interior orbit that V holds
     path = tmp_path / "forms_g6.txt"
     path.write_text(PRINCIPAL_6, encoding="utf-8")
-    built = []
-    monkeypatch.setattr(cli, "build_registry", lambda *args, **kw: built.append(args))
-    out = tmp_path / "out"
-    argv = ["complex", "--g", "6", "--kind", kind, "--catalog", str(path), "--out", str(out)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == (
-        "error: complexes R and C need g <= 5: the matroidal flags are not verified past it\n"
-    )
-    assert built == [] and not out.exists()
+    for kind in "VR":
+        argv = ["complex", "--g", "6", "--kind", kind, "--catalog", str(path), "--out", str(tmp_path)]
+        assert main(argv) == 0
+    capsys.readouterr()
+    v6, r6 = (parse_complex((tmp_path / f"{k}6.cplx").read_text(encoding="utf-8")) for k in "vr")
+    v_ids = {oid for ids in v6.basis.values() for oid in ids}
+    r_ids = {oid for ids in r6.basis.values() for oid in ids}
+    assert v_ids and v_ids <= r_ids
 
 
 def test_bad_global_flags(capsys):

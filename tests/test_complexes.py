@@ -25,17 +25,19 @@ from perfcone.complexes import (
 from perfcone.cone import PerfectCone, facet_index_sets, indices, spanning_subset
 from perfcone.homology import betti, verify_complex
 from perfcone.intlinalg import det_sign, flatten_rank1, rank_rows
-from perfcone.matroid import (
-    SimpleGraph,
-    complete_graph,
-    graphic_cone,
-    m_star_k33,
-    tu_cone,
-)
+from perfcone.matroid import SimpleGraph, complete_graph, graphic_cone, is_matroidal
 from perfcone.quadform import cone_of_form, load_bundled_catalog, principal_form
 from perfcone.symmetry import OrbitRegistry, format_registry, span_coordinates, strong_generators
 
-from oracles import det_oracle, induces, simple_graphs_oracle, span_coordinates_oracle
+from oracles import (
+    det_oracle,
+    induces,
+    m_star_k33,
+    simple_graphs_oracle,
+    span_coordinates_oracle,
+    tu_cone,
+    unimodular_oracle,
+)
 
 # SHA-256 of `perfcone orbits --g N` and `perfcone complex --g N --kind K`
 # output, recorded before the symmetry layer went integer-only; faster
@@ -473,8 +475,10 @@ def _flag_closure(reg, sources):
 def test_matroidal_flags_match_every_graph_source(reg2, reg3, reg4, reg5):
     """The complete graph reaches every graph on g+1 vertices as a face,
     so its closure flags what all graphs on g+1 vertices flag (checked
-    where the graph enumeration is quick, up to five vertices)."""
-    for g, reg, count in ((2, reg2, 4), (3, reg3, 9), (4, reg4, 26), (5, reg5, 100)):
+    where the graph enumeration is quick, up to five vertices). At g = 5
+    the flags hold 7 non-alternating orbits more than the closure of the
+    graphs, M*(K_{3,3}) and R10 reaches."""
+    for g, reg, count in ((2, reg2, 4), (3, reg3, 9), (4, reg4, 26), (5, reg5, 107)):
         annotate_matroidal(reg)
         flagged = {o.id for o in reg.orbits if o.matroidal}
         assert len(flagged) == count
@@ -484,6 +488,33 @@ def test_matroidal_flags_match_every_graph_source(reg2, reg3, reg4, reg5):
         if g == 4:
             sources.append(tu_cone(m_star_k33(), g))
         assert _flag_closure(reg, sources) == flagged
+
+
+def test_matroidal_flags_are_the_test_on_every_orbit(reg2, reg3, reg4, reg5):
+    # the walk skips the test below a flagged orbit; it must agree with
+    # the test itself, and, where the minors are few, with the minors
+    for g, reg in ((2, reg2), (3, reg3), (4, reg4), (5, reg5)):
+        annotate_matroidal(reg)
+        for o in reg.orbits:
+            assert o.matroidal == is_matroidal(o.rep), o.id
+            if g <= 4:
+                assert o.matroidal == unimodular_oracle(o.rep.generators), o.id
+
+
+def test_matroidal_flags_on_the_principal_g6_registry(reg5):
+    # every face of the principal cone is graphic, and padding keeps the
+    # g = 5 flags on the boundary
+    def catalog(k):
+        return [principal_form(6)] if k == 6 else load_bundled_catalog(k)
+
+    reg6 = build_registry(6, catalog, prev=reg5)
+    annotate_matroidal(reg5)
+    annotate_matroidal(reg6)
+    assert len(reg6.orbits) == 696
+    full = [o for o in reg6.orbits if o.rank == 6]
+    assert len(full) == 533 and all(o.matroidal for o in full)
+    boundary = {o.id: o.matroidal for o in reg6.orbits if o.rank < 6}
+    assert boundary == {o.id: o.matroidal for o in reg5.orbits}
 
 
 def test_subcomplex_closure_guard(reg3):

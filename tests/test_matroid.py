@@ -1,10 +1,11 @@
+import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from perfcone.cone import PerfectCone, pad
-from perfcone.intlinalg import mat_vec, rank_rows, snf_left, vec_gcd
+from perfcone.intlinalg import mat_vec, rank_rows, sign_normalize, snf_left, vec_gcd
 from perfcone.matroid import (
     SimpleGraph,
     _rational_coloops,
@@ -12,15 +13,21 @@ from perfcone.matroid import (
     graphic_cone,
     incidence_columns,
     inflate,
-    m_star_k33,
-    r_10,
-    tu_cone,
+    is_matroidal,
     zg_coloop_indices,
 )
-from perfcone.quadform import cone_of_form, principal_form
-from perfcone.symmetry import equivalent
+from perfcone.quadform import cone_of_form, load_bundled_catalog, minimal_vectors, principal_form
+from perfcone.symmetry import conjugate_cone, equivalent, random_unimodular
 
-from oracles import coloop_oracle, is_tu, simple_graphs_oracle
+from oracles import (
+    coloop_oracle,
+    is_tu,
+    m_star_k33,
+    r_10,
+    simple_graphs_oracle,
+    tu_cone,
+    unimodular_oracle,
+)
 from test_quadform import COLOOP_EXAMPLE_FORM
 
 PAW = SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
@@ -102,9 +109,62 @@ def test_bundled_regular_matroids():
 
 
 def test_bundled_regular_matroids_are_tu():
-    # tu_cone takes the constants as totally unimodular; this is their check
+    # the tests take the constants as totally unimodular; this is their check
     assert is_tu(m_star_k33()) is True
     assert is_tu(r_10()) is True
+
+
+def test_is_matroidal_on_regular_and_irregular_cones():
+    assert is_matroidal(tu_cone(m_star_k33(), 4))
+    assert is_matroidal(tu_cone(r_10(), 5))
+    for g in range(1, 7):
+        assert is_matroidal(graphic_cone(complete_graph(g + 1))), g
+    assert is_matroidal(PerfectCone(3, []))
+    # D4: its 12 minimal-vector pairs hold a 4 x 4 minor of determinant 2
+    (d4,) = [q for q in load_bundled_catalog(4) if len(minimal_vectors(q)) == 12]
+    assert not is_matroidal(cone_of_form(d4))
+    # simplicial, but the generators span an index-2 sublattice of Z^2
+    assert not is_matroidal(PerfectCone(2, [(1, 1), (1, -1)]))
+
+
+@st.composite
+def _standard_forms(draw):
+    """[I_r | A'] with A' a {0, +-1} matrix whose columns are nonzero,
+    pairwise non-parallel and not unit vectors, so the columns of the
+    whole are a simple matroid's."""
+    r = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 5))
+    cols = draw(st.lists(st.tuples(*[st.sampled_from((-1, 0, 1))] * r), min_size=m, max_size=m))
+    unit = {sign_normalize(tuple(int(i == k) for i in range(r))) for k in range(r)}
+    keys = [sign_normalize(c) for c in cols]
+    assume(all(sum(map(abs, c)) > 1 for c in cols) and len(set(keys) | unit) == r + m)
+    return [tuple(int(i == k) for i in range(r)) + tuple(c[k] for c in cols) for k in range(r)]
+
+
+@given(_standard_forms(), st.integers(0, 1), st.integers(0, 2**32 - 1))
+def test_is_matroidal_matches_total_unimodularity(matrix, extra, seed):
+    g = len(matrix) + extra
+    c = tu_cone(matrix, g)
+    moved = conjugate_cone(c, random_unimodular(g, random.Random(seed)))
+    assert is_matroidal(c) == is_matroidal(moved) == is_tu(matrix)
+
+
+@st.composite
+def _small_configurations(draw):
+    """Distinct primitive vectors, up to sign, with entries in [-1, 1] (so
+    that some sets are unimodular) or, for a third of the draws, [-2, 2]."""
+    g = draw(st.integers(1, 4))
+    b = draw(st.sampled_from((1, 1, 2)))
+    vs = draw(st.lists(st.tuples(*[st.integers(-b, b)] * g), max_size=7))
+    out = {sign_normalize(v) for v in vs if vec_gcd(v) == 1}
+    return g, sorted(out)
+
+
+@given(_small_configurations())
+def test_is_matroidal_matches_the_minor_oracle(case):
+    # vectors in any position: rank below g, spans of index > 1
+    g, vs = case
+    assert is_matroidal(PerfectCone(g, vs)) == unimodular_oracle(vs)
 
 
 def test_zg_coloops_examples():
