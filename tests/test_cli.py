@@ -70,19 +70,26 @@ PRINCIPAL_6 = "g 6\nform principal_6\n" + "".join(
 )
 
 
-def test_matroid_complex_past_g5(tmp_path, capsys):
-    # the matroidal flags hold at every g; every face of the principal
-    # cone is graphic, so R holds every interior orbit that V holds
+@pytest.mark.parametrize("kind", ["R", "C"])
+def test_matroid_complex_past_g5(tmp_path, capsys, kind):
+    # the matroidal flags hold at every g, so R and C build at g = 6. Every
+    # face of the principal cone is graphic, so R holds every interior
+    # orbit that V holds, and C is the part of R that I holds
     path = tmp_path / "forms_g6.txt"
     path.write_text(PRINCIPAL_6, encoding="utf-8")
-    for kind in "VR":
-        argv = ["complex", "--g", "6", "--kind", kind, "--catalog", str(path), "--out", str(tmp_path)]
+    kinds = kind + {"R": "V", "C": "RI"}[kind]
+    for k in kinds:
+        argv = ["complex", "--g", "6", "--kind", k, "--catalog", str(path), "--out", str(tmp_path)]
         assert main(argv) == 0
     capsys.readouterr()
-    v6, r6 = (parse_complex((tmp_path / f"{k}6.cplx").read_text(encoding="utf-8")) for k in "vr")
-    v_ids = {oid for ids in v6.basis.values() for oid in ids}
-    r_ids = {oid for ids in r6.basis.values() for oid in ids}
-    assert v_ids and v_ids <= r_ids
+    ids = {}
+    for k in kinds:
+        cx = parse_complex((tmp_path / f"{k.lower()}6.cplx").read_text(encoding="utf-8"))
+        ids[k] = {oid for oids in cx.basis.values() for oid in oids}
+    if kind == "R":
+        assert ids["V"] and ids["V"] <= ids["R"]
+    else:
+        assert ids["C"] and ids["C"] == ids["R"] & ids["I"]
 
 
 def test_bad_global_flags(capsys):
