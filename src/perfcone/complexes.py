@@ -13,16 +13,21 @@ inherited as well.
 Facet records are made one automorphism orbit of facets at a time. The
 first member of each facet orbit met in the walk order is located (or
 added) as a face, and every other member gets the same record: the same
-target and the same orientation sign eta, one determinant in the source
-orbit's span coordinates (see _facet_sign). The sign is exact for the
-whole orbit. An automorphism of an alternating representative keeps its
-orientation and maps the outer side of one facet to that of its image.
-The witness from the target's representative onto the face matters
-only up to the target's automorphisms, which keep an alternating
-target's orientation. So eta
+target and the same orientation sign eta, read in the source orbit's
+span coordinates (see _facet_sign): one determinant, or on a simplicial
+orbit, whose coordinates are a scaled unit basis, a permutation parity.
+The sign is exact for the whole orbit. An automorphism of an
+alternating representative keeps its orientation and maps the outer
+side of one facet to that of its image. The witness from the target's
+representative onto the face matters only up to the target's
+automorphisms, which keep an alternating target's orientation. So eta
 is constant on an Aut(rep)-orbit of facets. The located faces, and with
 them the new orbits and the random draws of a seeded run, are the ones
 a face-by-face walk would meet, so the registry is unchanged.
+
+The I and C complexes read the lattice coloop count of the rank-g
+orbits only; annotate_coloops counts those, each from its Gram matrix
+(matroid.lattice_coloops).
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .cone import PerfectCone, facet_index_sets, indices, int_field, pad
-from .intlinalg import det_sign
-from .matroid import is_matroidal, zg_coloop_indices
+from .intlinalg import det_sign, perm_sign
+from .matroid import is_matroidal, lattice_coloops
 from .quadform import QuadraticForm, cone_of_form, load_bundled_catalog
 from .symmetry import Orbit, OrbitRegistry
 
@@ -84,7 +89,6 @@ def _zero_registry() -> OrbitRegistry:
             alternating=True,
             ref_orientation=(),
             fingerprint=reg.fingerprint(zero),
-            coords=(),
         )
     )
     return reg
@@ -168,19 +172,32 @@ def _facet_sign(orbit: Orbit, s: list[int], target: Orbit, perm: tuple[int, ...]
     orbit's span coordinates, of a generator off the facet (it points
     inward) followed by the images of the target's reference basis. The
     target's orientation is positive on that basis, and the facet's does
-    not depend on the basis it is read on."""
-    xs = orbit.coords
+    not depend on the basis it is read on.
+
+    A simplicial orbit keeps no coordinates: generator i's are D e_pos[i],
+    pos[i] its place in ref_orientation, so the determinant is D^n times
+    the parity of the pos of those generators, and only the parity is
+    taken."""
     u = min(i for i in range(len(orbit.rep.generators)) if i not in s)
-    eta = det_sign([xs[u]] + [xs[s[perm[r]]] for r in target.ref_orientation])
+    rows = [u] + [s[perm[r]] for r in target.ref_orientation]
+    xs = orbit.coords
+    if xs is None:
+        ref = orbit.ref_orientation
+        pos = sorted(range(len(ref)), key=ref.__getitem__)
+        return perm_sign([pos[i] for i in rows])
+    eta = det_sign([xs[i] for i in rows])
     if eta == 0:
         raise AssertionError("facet orientation degenerated")
     return eta
 
 
 def annotate_coloops(reg: OrbitRegistry) -> None:
+    """Count the lattice coloops of each full-rank orbit's rep. The I and
+    C predicates read the count only when the rank is g, so a boundary
+    orbit takes no test."""
     for orb in reg.orbits:
-        if orb.coloop_count is None:
-            orb.coloop_count = len(zg_coloop_indices(orb.rep.generators))
+        if orb.rank == reg.g and orb.coloop_count is None:
+            orb.coloop_count = len(lattice_coloops(orb.rep))
 
 
 def annotate_matroidal(reg: OrbitRegistry) -> None:

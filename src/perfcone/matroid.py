@@ -11,9 +11,11 @@ face of a matroidal cone is matroidal.
 The lattice coloop test runs through saturation: v is a coloop of S iff
 v avoids the rational span of S minus v and the image of v stays
 primitive in Z^g modulo the saturation of the integer span of S minus v.
-The first condition is a rank test: v avoids that span iff removing it
-lowers the rank. Only a v that passes it needs a left Smith reduction
-of the rest for the second.
+Only a v that passes the first condition needs a left Smith reduction of
+the rest for the second (_stays_primitive). For a list of vectors the
+first condition is one elimination (_rational_coloops); for the
+generators of a full-rank cone it is read off the Gram matrix the cone
+already keeps, with no elimination (lattice_coloops).
 """
 
 from __future__ import annotations
@@ -150,6 +152,21 @@ def _rational_coloops(vectors: Sequence[Sequence[int]]) -> list[int]:
     return [i for i in range(len(vectors)) if not any(row[i] for row in kernel)]
 
 
+def _stays_primitive(vs: Sequence[tuple[int, ...]], i: int) -> bool:
+    """For v = vs[i] outside the rational span of the other vectors:
+    whether the image of v in Z^g modulo the saturation of the integer
+    span of the others is primitive. Rows r.. of U, for U m the echelon
+    form of the matrix m with the others as columns, read Z^g modulo that
+    saturation."""
+    v = vs[i]
+    others = vs[:i] + vs[i + 1 :]
+    if not others:
+        return vec_gcd(v) == 1
+    m = [[w[k] for w in others] for k in range(len(v))]
+    u, _d, r = snf_left(m)
+    return vec_gcd(mat_vec(u, v)[r:]) == 1
+
+
 def zg_coloop_indices(vectors: Sequence[Sequence[int]]) -> list[int]:
     """Indices of the vectors of S that extend to a Z-basis with
     span_Z(rest) inside the complementary sublattice."""
@@ -159,19 +176,29 @@ def zg_coloop_indices(vectors: Sequence[Sequence[int]]) -> list[int]:
     g = len(vs[0])
     if any(len(v) != g for v in vs):
         raise ValueError("vectors of mixed length")
-    out = []
-    for i in _rational_coloops(vs):
-        v = vs[i]
-        others = vs[:i] + vs[i + 1 :]
-        if not others:
-            if vec_gcd(v) == 1:
-                out.append(i)
-            continue
-        m = [[w[k] for w in others] for k in range(g)]
-        u, _d, r = snf_left(m)
-        if vec_gcd(mat_vec(u, v)[r:]) == 1:
-            out.append(i)
-    return out
+    return [i for i in _rational_coloops(vs) if _stays_primitive(vs, i)]
+
+
+def lattice_coloops(c: PerfectCone) -> list[int]:
+    """zg_coloop_indices of the generators of a full-rank cone, with the
+    rational test read off its Gram matrix G = V^t adj(T) V (V the g x n
+    matrix of the generators, T = V V^t).
+
+    G is det T times P = V^t T^-1 V, the orthogonal projection of R^n
+    onto the row space of V. v_i lies outside the rational span of the
+    other generators iff some functional is 1 on v_i and 0 on the rest,
+    that is, iff e_i lies in that row space, iff P_ii = |P e_i|^2 = 1.
+    The trace of P is its rank g, so the test is g G_ii = trace G. Only
+    those generators take the saturation test.
+    """
+    if c.rank != c.g:
+        raise ValueError("lattice_coloops needs a full-rank cone")
+    gram = c.gram
+    trace = sum(row[i] for i, row in enumerate(gram))
+    gens = c.generators
+    return [
+        i for i, row in enumerate(gram) if c.g * row[i] == trace and _stays_primitive(gens, i)
+    ]
 
 
 def inflate(c: PerfectCone) -> PerfectCone:

@@ -384,12 +384,14 @@ def strong_generators(c: PerfectCone) -> list[tuple[int, ...]]:
     return [perm for perm in dict.fromkeys(perms) if perm != identity]
 
 
-def _orientation(perm: Sequence[int], ref: Sequence[int], coords: Sequence[Sequence[int]]) -> int:
+def _orientation(
+    perm: Sequence[int], ref: Sequence[int], coords: Sequence[Sequence[int]] | None
+) -> int:
     """The sign of the automorphism with ray permutation perm on the span
     of the generator forms, from span_basis's (ref, coords): the sign of
     the determinant of the images of the reference forms. When the forms
     are independent, they are a basis that perm permutes, and the sign is
-    the parity of perm."""
+    the parity of perm; coords is not read, and may be None."""
     if len(perm) != len(ref):
         return det_sign([coords[perm[s]] for s in ref])
     return perm_sign(perm)
@@ -463,9 +465,15 @@ class Orbit:
     # (the zero orbit, parsed registries)
     aut_gens: list[tuple[int, ...]] | None = None
     matroidal: bool = False
+    # the lattice coloops of rep (matroid.lattice_coloops) on a rank-g
+    # orbit, filled by complexes.annotate_coloops; None on a boundary
+    # orbit, whose count no complex reads
     coloop_count: int | None = None
-    # span_coordinates(rep, ref_orientation) of an alternating orbit; each
-    # facet sign eta is one determinant on these rows, not on the target's
+    # span_coordinates(rep, ref_orientation) of an alternating orbit that
+    # is not simplicial; each facet sign eta is one determinant on these
+    # rows, not on the target's. None on a simplicial orbit, whose
+    # coordinates are D e_k for the generator at place k of
+    # ref_orientation, and whose facet signs are parities
     coords: tuple[tuple[int, ...], ...] | None = None
 
 
@@ -532,7 +540,14 @@ class OrbitRegistry:
             ref_order = list(range(n))
             rng.shuffle(ref_order)
         gens = strong_generators(rep)
-        ref, coords = span_basis(rep, ref_order)
+        if c.dim == n:
+            # simplicial: the forms are their own basis, which span_basis
+            # would pick in any order, so no elimination is run; a seeded
+            # run has still drawn ref_order, and its random stream is kept
+            ref, coords = tuple(range(n)), None
+            rep._dim = n
+        else:
+            ref, coords = span_basis(rep, ref_order)
         # the orientation sign is a homomorphism on the automorphism group,
         # so the strong generators decide alternation
         alternating = all(_orientation(p, ref, coords) > 0 for p in gens)
@@ -616,7 +631,7 @@ def parse_registry(text: str) -> OrbitRegistry:
             alternating=alt == "1",
             ref_orientation=ref,
             fingerprint=reg.fingerprint(c),
-            coords=coords if alt == "1" else None,
+            coords=coords if alt == "1" and len(ref) < n else None,
         )
         reg.add_seed(orbit)
     if reg is None:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +25,7 @@ from perfcone.complexes import (
 )
 from perfcone.cone import PerfectCone, facet_index_sets, indices, spanning_subset
 from perfcone.homology import betti, verify_complex
-from perfcone.intlinalg import det_sign, flatten_rank1, rank_rows
+from perfcone.intlinalg import det_sign, flatten_rank1, perm_sign, rank_rows
 from perfcone.matroid import SimpleGraph, complete_graph, graphic_cone, is_matroidal
 from perfcone.quadform import cone_of_form, load_bundled_catalog, principal_form
 from perfcone.symmetry import OrbitRegistry, format_registry, span_coordinates, strong_generators
@@ -210,6 +211,62 @@ def test_facet_sign_reads_the_witness_from_the_target_to_the_face():
         assert _facet_sign(orbit, s, target, inverse) == -expected
 
 
+def _determinant_sign(orbit, s, target, perm):
+    """_facet_sign as one determinant on span coordinates taken afresh,
+    in the places of orbit.ref_orientation, for any orbit."""
+    xs = span_coordinates(orbit.rep, orbit.ref_orientation)
+    u = min(i for i in range(len(orbit.rep.generators)) if i not in s)
+    return det_sign([xs[u]] + [xs[s[perm[r]]] for r in target.ref_orientation])
+
+
+def _simplicial_signed_facets(reg):
+    """(orbit, s, target, perm, eta) for every facet record of a simplicial
+    alternating orbit onto an alternating target, perm from a fresh
+    locate of the face."""
+    for orbit in reg.orbits:
+        if orbit.alternating and orbit.dim == len(orbit.rep.generators):
+            for mask, tid, eta in orbit.facets:
+                target = reg.by_id[tid]
+                if target.alternating:
+                    s = indices(mask)
+                    located, perm = reg.locate(orbit.rep.facet(s))
+                    assert located is target
+                    yield orbit, s, target, perm, eta
+
+
+def test_simplicial_facet_signs_are_the_determinant(reg5):
+    # a simplicial orbit keeps no coordinates and signs its facets by a
+    # parity; every ambient up to 5 is padded into reg5
+    checked = 0
+    for reg in (reg5, build_registry(5, seed=1)):
+        for orbit, s, target, perm, eta in _simplicial_signed_facets(reg):
+            assert orbit.coords is None
+            assert eta == _determinant_sign(orbit, s, target, perm) != 0, orbit.id
+            checked += 1
+    assert checked > 0
+
+
+def test_simplicial_facet_sign_reads_the_orient_order(reg5):
+    # a hand-edited orient line may list a simplicial basis in any order:
+    # reordering the source's basis, or the target's, by a permutation
+    # multiplies eta by its parity
+    orbit, s, target, perm, eta = next(
+        f for f in _simplicial_signed_facets(reg5) if len(f[1]) >= 4
+    )
+    n = len(orbit.rep.generators)
+    for order in (
+        (1, 0) + tuple(range(2, n)),
+        tuple(range(1, n)) + (0,),
+        tuple(range(n))[::-1],
+    ):
+        moved = replace(orbit, ref_orientation=tuple(orbit.ref_orientation[k] for k in order))
+        got = _facet_sign(moved, s, target, perm)
+        assert got == _determinant_sign(moved, s, target, perm) == eta * perm_sign(order)
+    ref = target.ref_orientation
+    flipped = replace(target, ref_orientation=(ref[1], ref[0]) + ref[2:])
+    assert _facet_sign(orbit, s, flipped, perm) == -eta
+
+
 def _facet_orbits(orbit):
     """One record per orbit of the recorded facets under the stored
     strong generators."""
@@ -349,14 +406,37 @@ def test_facet_cones_take_their_dimension_from_the_parent(name, request):
 
 
 def test_orbits_keep_their_span_coordinates():
-    # filled when the orbit is made or seeded, before any complex is built
-    reg = build_registry(4)
+    # filled when the orbit is made or seeded, before any complex is built;
+    # a simplicial orbit keeps none, as its facet signs are parities. g = 5
+    # is the first registry with an alternating orbit that is not simplicial
+    reg = build_registry(5)
     assert any(not o.alternating for o in reg.orbits)
+    assert any(o.alternating and o.dim == len(o.rep.generators) for o in reg.orbits)
+    assert any(o.alternating and o.dim < len(o.rep.generators) for o in reg.orbits)
     for orbit in reg.orbits:
-        if orbit.alternating:
+        if orbit.alternating and orbit.dim < len(orbit.rep.generators):
             assert orbit.coords == span_coordinates(orbit.rep, orbit.ref_orientation)
         else:
             assert orbit.coords is None
+
+
+def test_simplicial_orbits_take_no_span_elimination(monkeypatch):
+    # the forms of a simplicial orbit are their own basis, so neither
+    # OrbitRegistry.add nor facet_index_sets eliminates them
+    seen = []
+    span_basis = perfcone.cone.span_basis
+
+    def recording(c, order=None):
+        seen.append(rank_rows(c.flat) < len(c.generators))
+        return span_basis(c, order)
+
+    monkeypatch.setattr(perfcone.cone, "span_basis", recording)
+    monkeypatch.setattr(perfcone.symmetry, "span_basis", recording)
+    reg = build_registry(5)
+    others = [o for o in reg.orbits if o.dim < len(o.rep.generators)]
+    # one in add, one in facet_index_sets, for each orbit that is not simplicial
+    assert len(seen) == 2 * len(others) > 0
+    assert all(seen)
 
 
 def _fresh_differential_row(orbit, reg):

@@ -2,8 +2,9 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+from perfcone.complexes import build_registry
 from perfcone.cone import PerfectCone, pad
 from perfcone.intlinalg import mat_vec, rank_rows, sign_normalize, snf_left, vec_gcd
 from perfcone.matroid import (
@@ -14,6 +15,7 @@ from perfcone.matroid import (
     incidence_columns,
     inflate,
     is_matroidal,
+    lattice_coloops,
     zg_coloop_indices,
 )
 from perfcone.quadform import cone_of_form, load_bundled_catalog, minimal_vectors, principal_form
@@ -277,6 +279,74 @@ def test_coloops_match_the_deletion_loops(case):
     _g, vs = case
     assert zg_coloop_indices(vs) == _zg_coloops_by_deletion(vs)
     assert _rational_coloops(vs) == _matroid_coloops_by_deletion(vs)
+
+
+def _gram_candidates(c):
+    """The generators of a full-rank cone with g G_ii = trace G."""
+    gram = c.gram
+    trace = sum(row[i] for i, row in enumerate(gram))
+    return [i for i, row in enumerate(gram) if c.g * row[i] == trace]
+
+
+def test_lattice_coloops_on_every_full_rank_orbit(reg2, reg3, reg4, reg5, reg6_principal):
+    # the Gram diagonal marks exactly the rational coloops, and the
+    # saturation test on those alone gives zg_coloop_indices
+    regs = [reg2, reg3, reg4, reg5, reg6_principal]
+    seeded = None
+    for g in range(1, 6):
+        seeded = build_registry(g, seed=1, prev=seeded)
+        regs.append(seeded)
+    checked = 0
+    for reg in regs:
+        for o in reg.orbits:
+            if o.rank < reg.g:
+                continue
+            gens = o.rep.generators
+            assert _gram_candidates(o.rep) == _rational_coloops(gens), o.id
+            assert lattice_coloops(o.rep) == zg_coloop_indices(gens), o.id
+            checked += 1
+    assert checked > 533
+    # a g = 5 orbit whose 5 generators span an index > 1 sublattice: every
+    # generator is a rational coloop, and none is a lattice coloop
+    odd = [
+        o.id
+        for o in reg5.orbits
+        if o.rank == 5 and len(_gram_candidates(o.rep)) == 5 and not lattice_coloops(o.rep)
+    ]
+    assert odd == ["r5d5n1"]
+
+
+@st.composite
+def _full_rank_sets(draw):
+    """Distinct primitive vectors, up to sign, that span Q^g (g <= 4, at
+    most 8 of them), moved by a random unimodular matrix. For two draws in
+    three, the first coordinate of every vector is scaled by 2 or 3 before
+    the move, so their span has index > 1 in Z^g."""
+    g = draw(st.integers(1, 4))
+    k = draw(st.sampled_from((1, 2, 3)))
+    vs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * g), min_size=g, max_size=8))
+    h = random_unimodular(g, random.Random(draw(st.integers(0, 2**32 - 1))))
+    out = set()
+    for v in vs:
+        w = tuple(mat_vec(h, (k * v[0],) + v[1:]))
+        if vec_gcd(w) == 1:
+            out.add(sign_normalize(w))
+    assume(rank_rows(list(out)) == g)
+    return g, sorted(out)
+
+
+@given(_full_rank_sets())
+@example((2, [(1, -1), (1, 1)]))  # index 2: two rational coloops, no lattice coloop
+def test_lattice_coloops_match_the_oracle(case):
+    g, vs = case
+    c = PerfectCone(g, vs)
+    gens = c.generators
+    assert lattice_coloops(c) == [i for i in range(len(gens)) if coloop_oracle(gens, i)]
+
+
+def test_lattice_coloops_need_a_full_rank_cone():
+    with pytest.raises(ValueError):
+        lattice_coloops(PerfectCone(3, [(1, 0, 0), (0, 1, 0)]))
 
 
 def test_inflate_zero_cone():

@@ -378,6 +378,11 @@ def test_registry_roundtrip(reg3, reg5):
             assert a.rep == b.rep
             assert a.alternating == b.alternating
             assert a.ref_orientation == b.ref_orientation
+            # span coordinates are kept only where a facet sign reads them
+            if a.alternating and a.dim < len(a.rep.generators):
+                assert b.coords == span_coordinates(b.rep, b.ref_orientation)
+            else:
+                assert b.coords is None
             assert a.coords == b.coords
         assert format_registry(back) == text
 
@@ -400,12 +405,17 @@ def test_registry_ids_number_each_stratum_from_zero(reg5):
             assert sorted(got) == list(range(len(got))), prefix
 
 
-def test_span_coordinates_keep_an_unsorted_orient_order(reg4):
+def test_span_coordinates_keep_an_unsorted_orient_order(reg5):
     # a hand-edited orient line may list its basis in any order; the
-    # coordinate columns follow that order
-    i, orbit = next((i, o) for i, o in enumerate(reg4.orbits) if o.alternating and o.dim >= 3)
+    # coordinate columns follow that order. Only an alternating orbit that
+    # is not simplicial keeps coordinates; the first at g = 5 is r5d15n1
+    i, orbit = next(
+        (i, o)
+        for i, o in enumerate(reg5.orbits)
+        if o.alternating and o.dim < len(o.rep.generators)
+    )
     ref = orbit.ref_orientation[::-1]
-    lines = format_registry(reg4).splitlines()
+    lines = format_registry(reg5).splitlines()
     at = [j for j, line in enumerate(lines) if line.startswith("orient")][i]
     lines[at] = "orient " + " ".join(map(str, ref))
     coords = parse_registry("\n".join(lines)).by_id[orbit.id].coords
