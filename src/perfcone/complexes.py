@@ -6,9 +6,10 @@ face enumeration then only ever discovers full-rank orbits. A padded
 seed is the smaller registry's orbit record with the representative
 padded. Padding changes neither its facet combinatorics nor any span
 coordinate, so inherited facet records stay valid verbatim. Nor does it
-change the rank, the dimension or the reduced core up to GL(Z), and the
-fingerprint reads only those (the core's sorted Gram profiles), so it is
-inherited as well.
+change the rank, the dimension or the core, and the fingerprint reads
+only those (the core's sorted Gram profiles): pad hands all four over
+from the smaller representative, so a padded seed shares its core, and
+the core's search state, and is never reduced again.
 
 Facet records are made one automorphism orbit of facets at a time. The
 first member of each facet orbit met in the walk order is located (or
@@ -79,17 +80,8 @@ def build_registry(
 
 def _zero_registry() -> OrbitRegistry:
     reg = OrbitRegistry(0)
-    zero = PerfectCone(0, [])
     reg.add_seed(
-        Orbit(
-            id=reg._new_id(0, 0),
-            rep=zero,
-            rank=0,
-            dim=0,
-            alternating=True,
-            ref_orientation=(),
-            fingerprint=reg.fingerprint(zero),
-        )
+        Orbit(id=reg._new_id(0, 0), rep=PerfectCone(0, []), alternating=True, ref_orientation=())
     )
     return reg
 

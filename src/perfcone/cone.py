@@ -18,7 +18,6 @@ from .intlinalg import (
     Echelon,
     adjugate_int,
     flatten_rank1,
-    identity_matrix,
     mat_vec,
     rank_rows,
     sign_normalize,
@@ -31,11 +30,11 @@ class PerfectCone:
     """Cone spanned by {v v^t} for a finite set of primitive vectors."""
 
     # _flat, _dim, _rank, _gram, _profiles, _fingerprint and _reduction
-    # are derived values, filled on first use and kept with the cone;
-    # so are _search, the state of a full-rank cone as the source of an
-    # equivalence search, which symmetry._full_rank_maps fills, and
-    # _dual, the span and dual basis of a cone whose facet normals
-    # quadform._facet_normal takes
+    # (a boundary cone's core, see reduce) are derived values, filled on
+    # first use or handed over by pad, and kept with the cone; so are
+    # _search, the state of a full-rank cone as the source of an
+    # equivalence search, which symmetry._full_rank_maps fills, and _dual,
+    # the span and dual basis that quadform._facet_normal takes
     __slots__ = (
         "g", "generators", "_flat", "_dim", "_rank", "_gram", "_profiles", "_fingerprint", "_reduction",
         "_search", "_dual",
@@ -144,14 +143,15 @@ class PerfectCone:
     def fingerprint(self) -> tuple:
         """The GL_g(Z) invariant the orbit registry sorts cones by:
         ("zero",) for the zero cone, else the rank, the dimension and the
-        sorted profiles of the reduced core (reduce). A conjugate cone has
-        the same fingerprint, so a registry that has it for one cone of an
-        orbit has it for the orbit's representative."""
+        sorted profiles of the core (reduce), one per generator. A
+        conjugate cone has the same fingerprint, and so has a padded one
+        (pad), so a registry that has it for one cone of an orbit has it
+        for the orbit's representative."""
         if self._fingerprint is None:
             if not self.generators:
                 self._fingerprint = ("zero",)
             else:
-                core = self if self.rank == self.g else reduce(self)[0]
+                core = reduce(self)[0]
                 self._fingerprint = (self.rank, self.dim, tuple(sorted(core.profiles)))
         return self._fingerprint
 
@@ -259,46 +259,64 @@ def indices(mask: int) -> list[int]:
 
 
 def pad(c: PerfectCone, g: int) -> PerfectCone:
-    """Embed into a larger ambient dimension by appending zero coordinates."""
+    """Embed into a larger ambient dimension by appending zero coordinates.
+
+    Appended zeros keep the generators primitive, sign-normalized,
+    distinct and sorted. The padded cone keeps c's rank, dimension and
+    fingerprint, as far as they are known, and a boundary result shares
+    c's core (reduce), with its Gram matrix and search state.
+    """
     if g < c.g:
         raise ValueError("pad target must not shrink the ambient dimension")
     tail = (0,) * (g - c.g)
-    return PerfectCone(g, [v + tail for v in c.generators])
+    p = PerfectCone.__new__(PerfectCone)
+    p._start(g, tuple([v + tail for v in c.generators]))
+    if c.rank < g:
+        p._reduction = reduce(c)
+    p._dim, p._rank, p._fingerprint = c._dim, c._rank, c._fingerprint
+    return p
 
 
-def reduce(c: PerfectCone) -> tuple[PerfectCone, tuple[tuple[int, ...], ...]]:
-    """Block-form representative of a boundary cone.
+def reduce(c: PerfectCone) -> tuple[PerfectCone, tuple[int, ...]]:
+    """(core, local): the full-rank core of c, a cone of ambient rank(c),
+    and local[i] the index in the core of the image of generator i.
 
-    Returns (c', A) with A in GL_g(Z) such that every A v has zeros past
-    the first rank(c) coordinates; c' collects the truncations. A maps the
-    saturation of the generator span onto the coordinate sublattice, which
-    is exactly the basis-extension contract. The pair is kept on the cone,
-    so every caller shares one c' (and its Gram matrix); A is a tuple of
-    rows for that reason. A is invertible and linear, so c' has the
-    cone's dimension, which it takes over when known, and full rank.
+    A full-rank cone is its own core, with local the identity, and
+    nothing is kept on it (a kept pair would make the cone reference
+    itself). A boundary cone takes U in GL_g(Z) from snf_left, with every
+    U v zero past the first r = rank(c) coordinates: U maps the saturation
+    of the generator span onto the coordinate sublattice. The core
+    collects the sign-normalized truncations, and the pair is kept on
+    the cone, so every caller shares one core (and its Gram matrix and
+    search state). U is invertible and linear, so the core has the cone's
+    dimension, which it takes over when known; any A' in GL_r(Z) between
+    two cores lifts to diag(A', I) between the cones, in the coordinates
+    of their U.
     """
     if c._reduction is not None:
         return c._reduction
     r = c.rank
-    if r >= c.g:
-        raise ValueError("reduce expects a boundary cone (rank < g)")
+    if r == c.g:
+        return c, tuple(range(len(c.generators)))
     if not c.generators:
-        u = identity_matrix(c.g)
-        red = PerfectCone(0, [])
+        core = PerfectCone(0, [])
+        local: tuple[int, ...] = ()
     else:
         cols = [list(col) for col in zip(*c.generators)]  # g x n
         u, _d, rk = snf_left(cols)
         if rk != r:
             raise AssertionError("rank disagreement between elimination routes")
-        new_gens = []
+        truncs = []
         for v in c.generators:
             w = mat_vec(u, v)
             if any(w[r:]):
                 raise AssertionError("row transform failed to flatten the span")
-            new_gens.append(tuple(w[:r]))
-        red = PerfectCone(r, new_gens)
-    red._dim, red._rank = c._dim, r
-    c._reduction = (red, tuple(tuple(row) for row in u))
+            truncs.append(sign_normalize(w[:r]))
+        core = PerfectCone(r, truncs)
+        at = {v: k for k, v in enumerate(core.generators)}
+        local = tuple([at[v] for v in truncs])
+    core._dim, core._rank = c._dim, r
+    c._reduction = (core, local)
     return c._reduction
 
 

@@ -75,21 +75,21 @@ def is_matroidal(c: PerfectCone) -> bool:
     """True iff the generators of c are the columns of a totally
     unimodular matrix in some basis of the saturation of their span.
 
-    On the reduced core, of rank r, pick_basis gives r independent
+    On the core (cone.reduce), of rank r, pick_basis gives r independent
     generators B, with adj B and det B. The generators are the columns of
     [I | A'] over B, A' the r x m coordinates of the other m generators.
     So c is matroidal iff |det B| = 1 (B is a basis of the saturation),
     every entry of A' lies in {0, +-1}, and A' is totally unimodular.
     """
-    red = c if c.rank == c.g else cone_reduce(c)[0]
-    gens = red.generators
-    chosen, adj, det = pick_basis(gens, range(len(gens)), red.g)
+    core = cone_reduce(c)[0]
+    gens = core.generators
+    chosen, adj, det = pick_basis(gens, range(len(gens)), core.g)
     if det not in (1, -1):
         return False
     # w = sum_k x_k b_k, b_k the rows of B, so x = det w adj B
     cols = list(zip(*adj))
     picked = set(chosen)
-    rows = [0] * red.g
+    rows = [0] * core.g
     shift = 0
     for i, w in enumerate(gens):
         if i in picked:
@@ -212,8 +212,8 @@ def inflate(c: PerfectCone) -> PerfectCone:
         raise ValueError("inflation needs rank at most g-1")
     if zg_coloop_indices(c.generators):
         raise ValueError("inflation domain excludes cones with a coloop")
-    red, _u = cone_reduce(c)
-    block = [v + (0,) * (g - red.g) for v in red.generators]
+    core = cone_reduce(c)[0]
+    block = [v + (0,) * (g - core.g) for v in core.generators]
     unit = tuple(0 for _ in range(g - 1)) + (1,)
     out = PerfectCone(g, block + [unit])
     if out.dim != c.dim + 1:

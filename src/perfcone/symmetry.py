@@ -1,8 +1,8 @@
 """GL_g(Z)-equivalence of cones, automorphisms, orientations, orbits.
 
-Equivalence search runs on full-rank cones; boundary cones are reduced
-first and the ray permutation is pulled back. The pruning invariant is the
-integer Gram matrix G_ij = v_i^t adj(T) v_j with T = sum of v v^t. It is
+Equivalence search runs on the cores of cones (cone.reduce), and the
+ray permutation is pulled back. The pruning invariant is the integer
+Gram matrix G_ij = v_i^t adj(T) v_j with T = sum of v v^t. It is
 det T times the rational Gram matrix v_i^t T^{-1} v_j, and det T > 0 is a
 GL_g(Z) invariant of the cone, so every comparison made on G is the one
 the rational matrix would give. A matrix mapping generators to
@@ -150,7 +150,8 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
     """Matrices A in GL_g(Z) with A . c1 = c2 (as +- pairs), up to the
     global flip -A, as realizations (perm, signs).
 
-    Both cones must be full rank with equal ambient g. By default the
+    Both cones must be full rank with equal fingerprints (so equal g and
+    profile multisets), which the callers compare first. By default the
     result is the first realization the search meets, or nothing. With
     group=True (and c2 = c1) it is a strong generating set of the
     stabilizer for the base b = order[:g]: for every k, the generators
@@ -195,9 +196,6 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
     """
     g = c1.g
     n = len(c1.generators)
-    # a full-rank cone's fingerprint is its dimension and sorted profiles
-    if c1.fingerprint != c2.fingerprint:
-        return []
     g1 = c1.gram
     g2 = c2.gram
     prof1 = c1.profiles
@@ -332,54 +330,38 @@ def equivalent(c1: PerfectCone, c2: PerfectCone) -> tuple[int, ...] | None:
     None: generator i of c1 goes to +-generator perm[i] of c2. The zero
     cones give (), which is falsy, so callers test the result against None.
 
-    A is proven to exist and never formed (see _full_rank_maps). Boundary
-    cones are searched on their reductions, and the perm is pulled back
-    to the cones' own rays; any A' between the reduced cores lifts to
-    diag(A', I) in the reduced coordinates of both."""
+    Cones with different fingerprints are not equivalent, and no search
+    is run; the fingerprint holds the rank, the dimension and the
+    generator count. Otherwise the search runs on the cores (cone.reduce),
+    and the perm is pulled back to the cones' own rays. A is proven to
+    exist and never formed (see _full_rank_maps)."""
     if c1.g != c2.g:
         raise ValueError("cones live in different ambient dimensions")
-    if c1.is_zero() or c2.is_zero():
-        return () if c1.is_zero() and c2.is_zero() else None
-    if (c1.rank, c1.dim, len(c1.generators)) != (c2.rank, c2.dim, len(c2.generators)):
+    if c1.fingerprint != c2.fingerprint:
         return None
-    if c1.rank == c1.g:
-        found = _full_rank_maps(c1, c2)
-        return found[0][0] if found else None
-    (core1, local1), (core2, local2) = _reduction(c1), _reduction(c2)
+    if c1.is_zero():
+        return ()
+    (core1, local1), (core2, local2) = cone_reduce(c1), cone_reduce(c2)
     found = _full_rank_maps(core1, core2)
     return _pull_back(found[0][0], local1, local2) if found else None
 
 
-def _reduction(c: PerfectCone) -> tuple[PerfectCone, list[int]]:
-    """(c', local) for a boundary cone, with c' = reduce(c)[0] and
-    local[i] the index in c' of the truncated image of generator i."""
-    red, u = cone_reduce(c)
-    local = [
-        red.generators.index(sign_normalize(tuple(mat_vec(u, v)[: c.rank])))
-        for v in c.generators
-    ]
-    return red, local
-
-
-def _pull_back(perm_red: tuple[int, ...], local1: list[int], local2: list[int]) -> tuple[int, ...]:
-    """A ray permutation between two reductions, read on the original rays."""
+def _pull_back(perm: Sequence[int], local1: Sequence[int], local2: Sequence[int]) -> tuple[int, ...]:
+    """A ray permutation between two cores, read on the cones' own rays."""
     back = {k: i for i, k in enumerate(local2)}
-    return tuple(back[perm_red[k]] for k in local1)
+    return tuple([back[perm[k]] for k in local1])
 
 
 def strong_generators(c: PerfectCone) -> list[tuple[int, ...]]:
     """Ray permutations of a strong generating set of the automorphism
-    group (see _full_rank_maps); a boundary cone reads them off its
-    reduction, whose stabilizer induces the same permutations. Each perm
-    is listed once, and the identity (the kernel's perm) not at all."""
+    group (see _full_rank_maps), read off the core's stabilizer, which
+    induces the same permutations. Each perm is listed once, and the
+    identity (the kernel's perm) not at all."""
     if c.is_zero():
         return []
-    if c.rank == c.g:
-        perms = [perm for perm, _s in _full_rank_maps(c, c, group=True)]
-    else:
-        red, local = _reduction(c)
-        found = _full_rank_maps(red, red, group=True)
-        perms = [_pull_back(perm, local, local) for perm, _s in found]
+    core, local = cone_reduce(c)
+    found = _full_rank_maps(core, core, group=True)
+    perms = [_pull_back(perm, local, local) for perm, _s in found]
     identity = tuple(range(len(c.generators)))
     return [perm for perm in dict.fromkeys(perms) if perm != identity]
 
@@ -451,11 +433,8 @@ def conjugate_cone(c: PerfectCone, h: Sequence[Sequence[int]]) -> PerfectCone:
 class Orbit:
     id: str
     rep: PerfectCone
-    rank: int
-    dim: int
     alternating: bool
     ref_orientation: tuple[int, ...]
-    fingerprint: tuple
     # (facet bitmask, target id, eta): bit i is set when generator i of
     # rep lies on the facet; eta is the facet's orientation against the
     # target orbit's, or 0 unless both orbits are alternating
@@ -475,6 +454,19 @@ class Orbit:
     # coordinates are D e_k for the generator at place k of
     # ref_orientation, and whose facet signs are parities
     coords: tuple[tuple[int, ...], ...] | None = None
+
+    # read off the representative, which keeps them
+    @property
+    def rank(self) -> int:
+        return self.rep.rank
+
+    @property
+    def dim(self) -> int:
+        return self.rep.dim
+
+    @property
+    def fingerprint(self) -> tuple:
+        return self.rep.fingerprint
 
 
 class OrbitRegistry:
@@ -554,12 +546,8 @@ class OrbitRegistry:
         orbit = Orbit(
             id=self._new_id(c.rank, c.dim),
             rep=rep,
-            rank=c.rank,
-            dim=c.dim,
             alternating=alternating,
             ref_orientation=ref,
-            # locate took c's fingerprint, which a conjugate rep shares
-            fingerprint=c.fingerprint,
             aut_gens=gens,
             coords=coords if alternating else None,
         )
@@ -626,11 +614,8 @@ def parse_registry(text: str) -> OrbitRegistry:
         orbit = Orbit(
             id=reg._new_id(rank, c.dim),
             rep=c,
-            rank=rank,
-            dim=c.dim,
             alternating=alt == "1",
             ref_orientation=ref,
-            fingerprint=reg.fingerprint(c),
             coords=coords if alt == "1" and len(ref) < n else None,
         )
         reg.add_seed(orbit)

@@ -23,7 +23,7 @@ from perfcone.complexes import (
     format_complex,
     parse_complex,
 )
-from perfcone.cone import PerfectCone, facet_index_sets, indices, spanning_subset
+from perfcone.cone import PerfectCone, facet_index_sets, indices, reduce, spanning_subset
 from perfcone.homology import betti, verify_complex
 from perfcone.intlinalg import det_sign, flatten_rank1, perm_sign, rank_rows
 from perfcone.matroid import SimpleGraph, complete_graph, graphic_cone, is_matroidal
@@ -374,9 +374,22 @@ def test_registry_builds_share_no_derived_data(monkeypatch):
 
 
 def test_padded_seeds_inherit_their_fingerprint(reg5):
+    # pad hands the rank, dimension and fingerprint over without the
+    # constructor's checks; a fresh cone on the same generators takes
+    # them from nothing kept
     assert any(o.rank < reg5.g for o in reg5.orbits)
-    for orbit in reg5.orbits:
-        assert orbit.fingerprint == reg5.fingerprint(orbit.rep)
+    for o in reg5.orbits:
+        fresh = PerfectCone(reg5.g, o.rep.generators)
+        assert o.rep == fresh
+        assert (o.rank, o.dim, o.fingerprint) == (fresh.rank, fresh.dim, fresh.fingerprint), o.id
+
+
+def test_padded_seeds_share_their_core(reg4):
+    # every seed of the g = 5 registry searches on the core of the g = 4
+    # orbit it pads, and is never reduced itself
+    reg5 = build_registry(5, prev=reg4)
+    for o in reg4.orbits:
+        assert reduce(reg5.by_id[o.id].rep)[0] is reduce(o.rep)[0], o.id
 
 
 @pytest.mark.parametrize("name", ["reg2", "reg3", "reg4", "reg5"])

@@ -24,7 +24,6 @@ from perfcone.cone import (
 )
 from perfcone.intlinalg import (
     Echelon,
-    det_int,
     dot,
     flatten_rank1,
     mat_vec,
@@ -37,7 +36,7 @@ from perfcone.matroid import graphic_cone, complete_graph
 from perfcone.quadform import QuadraticForm, cone_of_form, load_bundled_catalog, principal_form
 from perfcone.symmetry import conjugate_cone, equivalent, random_unimodular, span_coordinates
 
-from oracles import facets_bruteforce, rank_oracle, span_coordinates_oracle
+from oracles import facets_bruteforce, induces, rank_oracle, span_coordinates_oracle
 
 
 def _flat(v):
@@ -366,19 +365,47 @@ def test_dd_masks_on_d6_subcones(keep, seed, rnd):
     _assert_masks_follow_the_rows(c, seed, rnd, 40)
 
 
-def test_reduce_examples():
-    padded = pad(cone_of_form(principal_form(2)), 3)
-    red, transform = reduce(padded)
-    assert red.g == 2
-    assert equivalent(red, cone_of_form(principal_form(2))) is not None
-    assert abs(det_int(transform)) == 1
+def test_reduce_examples(reg4):
+    base = cone_of_form(principal_form(2))
+    padded = pad(base, 3)
+    core, local = reduce(padded)
+    assert core.g == 2
+    assert equivalent(core, base) is not None
+    assert induces(local, padded, pad(core, 3))
 
     ray = PerfectCone(2, [(1, 0)])
-    red, _ = reduce(ray)
-    assert red.g == 1 and red.generators == ((1,),)
+    core, local = reduce(ray)
+    assert core.g == 1 and core.generators == ((1,),) and local == (0,)
 
-    with pytest.raises(ValueError):
-        reduce(cone_of_form(principal_form(2)))
+    # a full-rank cone is its own core, and keeps no pair on itself
+    full = cone_of_form(principal_form(3))
+    core, local = reduce(full)
+    assert core is full and local == tuple(range(len(full.generators)))
+    assert full._reduction is None
+
+    # boundary faces, fresh so that each is reduced by elimination, and
+    # conjugates of padded cones as test_reduce_after_pad_recovers_cone
+    # draws them: local sends generator i to the core generator that a
+    # map of GL_g(Z) takes it to
+    faces = []
+    for o in reg4.orbits:
+        rep = o.rep
+        if 0 < rep.rank < 4:
+            faces.append(PerfectCone(4, rep.generators))
+        elif rep.rank == 4:
+            for m in facet_index_sets(rep):
+                face = PerfectCone(4, rep.facet(indices(m)).generators)
+                if face.rank < 4:
+                    faces.append(face)
+    assert {c.rank for c in faces} == {1, 2, 3}
+    for seed in range(8):
+        for gsrc in (1, 2):
+            big = pad(cone_of_form(principal_form(gsrc)), gsrc + 1 + seed % 2)
+            faces.append(conjugate_cone(big, random_unimodular(big.g, random.Random(seed))))
+    for c in faces:
+        core, local = reduce(c)
+        assert core.g == core.rank == c.rank
+        assert induces(local, c, pad(core, c.g)), c.generators
 
 
 @settings(max_examples=25)
@@ -421,7 +448,8 @@ def test_rank_after_dimension_at_the_bound():
     for g in range(2, 7):
         full = cone_of_form(principal_form(g - 1))
         assert full.dim == g * (g - 1) // 2 and full.rank == g - 1
-        c = pad(full, g)
+        # fresh, as pad hands the rank over
+        c = PerfectCone(g, pad(full, g).generators)
         assert c.dim == g * (g - 1) // 2
         assert c.rank == g - 1 == rank_rows(c.generators)
         moved = conjugate_cone(c, random_unimodular(g, random.Random(g)))

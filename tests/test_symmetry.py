@@ -322,6 +322,26 @@ def test_zero_cones_are_equivalent_by_the_empty_perm(reg3):
     assert reg3.add(zero) == (orbit, (), False)
 
 
+def test_the_fingerprint_rejects_before_any_search(monkeypatch):
+    # equivalent compares the fingerprints, which hold the rank, the
+    # dimension and the generator count, before any search: faces of one
+    # ambient with different dimensions, boundary or not, and a zero cone
+    # against a nonzero one are refused without one
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched two cones with different fingerprints")
+
+    monkeypatch.setattr(perfcone.symmetry, "_full_rank_maps", no_search)
+    c = cone_of_form(principal_form(4))
+    d4 = cone_of_form(next(q for q in load_bundled_catalog(4) if q.name != "principal_4"))
+    faces = [fs[0] for _dim, fs in sorted(face_lattice(c).items())] + [d4]
+    assert [f.dim for f in faces] == list(range(11)) + [10]
+    assert faces[0].is_zero() and faces[-2] == c
+    assert {f.rank for f in faces} == {0, 1, 2, 3, 4}
+    for a, b in itertools.combinations(faces, 2):
+        assert a.fingerprint != b.fingerprint
+        assert equivalent(a, b) is None and equivalent(b, a) is None
+
+
 def test_automorphism_witnesses_are_unimodular():
     # the matrix a realization's prefix signs give
     for c in (COORD2, cone_of_form(principal_form(2)), PerfectCone(2, [(1, 0), (1, 2)])):
