@@ -177,12 +177,16 @@ def cmd_verify(args) -> int:
 def cmd_tables(args) -> int:
     g = args.g
     if g <= 5:
-        reg = build_registry(g, catalog_for(g, args.catalog), args.seed)
+        reg = build_registry(g, catalog_for(g, args.catalog))
         dims = betti(build_perfect_complex(g, reg)).homology
         sys.stdout.write(format_top_weight(g, top_weight_table(g, dims)))
         sys.stdout.write(format_satake(satake_weight0_column(g, dims)))
         return 0
     if g in (6, 7):
+        if args.catalog is not None:
+            raise ValueError(
+                f"tables for ambient {g} come from the bundled bookkeeping fixture, not a catalog"
+            )
         text = bundled_text("les", g)
         fg, h_p, h_v, iso = parse_les_fixture(text)
         if fg != g:
@@ -252,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     command("homology", cmd_homology).add_argument("file", help="complex file")
     command("verify", cmd_verify, "--g", "--catalog", "--seed", "--level")
-    command("tables", cmd_tables, "--g", "--catalog", "--seed")
+    command("tables", cmd_tables, "--g", "--catalog")
     command("les", cmd_les, "--g").add_argument(
         "file", nargs="?", default=None, help="bookkeeping fixture"
     )

@@ -15,8 +15,9 @@ Facet records are made one automorphism orbit of facets at a time. The
 first member of each facet orbit met in the walk order is located (or
 added) as a face, and every other member gets the same record: the same
 target and the same orientation sign eta, read in the source orbit's
-span coordinates (see _facet_sign): one determinant, or on a simplicial
-orbit, whose coordinates are a scaled unit basis, a permutation parity.
+span basis by symmetry.orientation_sign (see _facet_sign): one
+determinant, or on a simplicial orbit, whose coordinates are a scaled
+unit basis, a permutation parity.
 The sign is exact for the whole orbit. An automorphism of an
 alternating representative keeps its orientation and maps the outer
 side of one facet to that of its image. The witness from the target's
@@ -38,10 +39,9 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .cone import PerfectCone, facet_index_sets, indices, int_field, pad
-from .intlinalg import det_sign, perm_sign
 from .matroid import is_matroidal, lattice_coloops
 from .quadform import QuadraticForm, cone_of_form, load_bundled_catalog
-from .symmetry import Orbit, OrbitRegistry
+from .symmetry import Orbit, OrbitRegistry, orientation_sign
 
 
 def build_registry(
@@ -164,20 +164,11 @@ def _facet_sign(orbit: Orbit, s: list[int], target: Orbit, perm: tuple[int, ...]
     orbit's span coordinates, of a generator off the facet (it points
     inward) followed by the images of the target's reference basis. The
     target's orientation is positive on that basis, and the facet's does
-    not depend on the basis it is read on.
-
-    A simplicial orbit keeps no coordinates: generator i's are D e_pos[i],
-    pos[i] its place in ref_orientation, so the determinant is D^n times
-    the parity of the pos of those generators, and only the parity is
-    taken."""
+    not depend on the basis it is read on. A simplicial orbit keeps no
+    coordinates, and the sign is a parity (symmetry.orientation_sign)."""
     u = min(i for i in range(len(orbit.rep.generators)) if i not in s)
     rows = [u] + [s[perm[r]] for r in target.ref_orientation]
-    xs = orbit.coords
-    if xs is None:
-        ref = orbit.ref_orientation
-        pos = sorted(range(len(ref)), key=ref.__getitem__)
-        return perm_sign([pos[i] for i in rows])
-    eta = det_sign([xs[i] for i in rows])
+    eta = orientation_sign(rows, orbit.ref_orientation, orbit.coords)
     if eta == 0:
         raise AssertionError("facet orientation degenerated")
     return eta

@@ -16,9 +16,10 @@ from typing import Iterable, Sequence
 
 from .intlinalg import (
     Echelon,
-    adjugate_int,
+    adjugate_det,
     flatten_rank1,
     mat_vec,
+    pick_basis,
     rank_rows,
     sign_normalize,
     snf_left,
@@ -114,7 +115,7 @@ class PerfectCone:
                 for j in range(i, g):
                     t[i][j] = t[j][i] = next(upper, 0)
             try:
-                adj = adjugate_int(t)
+                adj = adjugate_det(t)[0]
             except ValueError:
                 raise ValueError(
                     "the Gram matrix needs a full-rank cone; take it on the reduced core (cone.reduce)"
@@ -320,33 +321,17 @@ def reduce(c: PerfectCone) -> tuple[PerfectCone, tuple[int, ...]]:
     return c._reduction
 
 
-def greedy_spanning(rows: Sequence[Sequence[int]], order: Iterable[int]) -> list[int]:
-    """Lexicographically least (w.r.t. order) index subset whose rows span,
-    in the order picked.
-
-    A row is picked when it raises the rank of the rows picked before it,
-    so one pass against a growing echelon basis finds the subset.
-    """
-    basis = Echelon()
-    chosen: list[int] = []
-    for i in order:
-        if basis.add(rows[i]):
-            chosen.append(i)
-            if len(chosen) == len(rows[i]):
-                break  # the picked rows span every column
-    return chosen
-
-
 def spanning_subset(c: PerfectCone, order: Sequence[int] | None = None) -> tuple[int, ...]:
-    """Index subset (increasing) whose forms span the cone's linear span.
+    """Index subset (increasing) whose forms span the cone's linear span:
+    the forms, taken in order (index order when None), that raise the
+    rank of those before them (pick_basis).
 
     The pipeline takes this subset from span_basis, with the coordinates.
     This stays as the tests' reference for it, and because perfbench's
     tracer times it (cone.spanning_subset)."""
-    rows = c.flat
     if order is None:
-        order = range(len(rows))
-    return tuple(sorted(greedy_spanning(rows, order)))
+        order = range(len(c.generators))
+    return tuple(sorted(pick_basis(c.flat, order, c.g * (c.g + 1) // 2)[0]))
 
 
 def _span_basis(
@@ -357,7 +342,7 @@ def _span_basis(
     One Echelon over the columns of the matrix A whose columns are the
     rows taken in order, then its Jordan form adj(B) A. The pivots of a
     row-echelon form are the first columns independent of those before
-    them, which is greedy_spanning's pick. Column p of adj(B) A is det B
+    them, which is spanning_subset's pick. Column p of adj(B) A is det B
     times the coordinates of row order[p] in the picked rows, taken in
     pivot order; the sign of det B makes the factor positive.
     """

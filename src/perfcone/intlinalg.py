@@ -9,9 +9,9 @@ elimination", Math. Comp. 1968), with fraction-free back substitution
 where the Gauss-Jordan form is needed. Its entries are minors of the
 input, so every division is exact and no entry is a fraction. Ranks,
 pivot columns, determinants, adjugates, inverses and kernel vectors are
-all read off its state. The quadratic-form layer reads definiteness and
-the short-vector levels of a form off the same Bareiss rows.
-``snf_left`` works with unimodular row operations instead: an echelon
+all read off its state. The quadratic-form layer reads positive
+definiteness and the short-vector levels of a form off the same Bareiss
+rows. ``snf_left`` works with unimodular row operations instead: an echelon
 form over Z, for the lattice reductions of boundary cones and the
 coloop test.
 """
@@ -289,11 +289,6 @@ def det_sign(m: Sequence[Sequence[int]]) -> int:
     """Sign (-1, 0, +1) of the determinant of a square integer matrix."""
     d = _det(m)
     return (d > 0) - (d < 0)
-
-
-def adjugate_int(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """adj(m) with adj(m) m = det(m) I, for invertible integer m."""
-    return adjugate_det(m)[0]
 
 
 def frac_inverse(m: Sequence[Sequence[int]]) -> list[list[Fraction]]:

@@ -10,14 +10,17 @@ because the cone of a form only depends on it up to scale.
 One Bareiss elimination of ``num`` (``intlinalg.Echelon``) settles
 positive definiteness by Sylvester's criterion on the leading minors, and
 its rows give the integer level bounds of the short-vector walk (see
-minimal_vectors). Each form keeps its minimal vectors once computed, so
-the Voronoi neighbour walk, which asks for them repeatedly on one base
-form, pays for the enumeration once. The walk's line search runs on an
-integer pencil of forms; only its parameter t is a Fraction. Its facet
-normals are read off the dual basis of the parent cone, which the cone
-keeps from its first normal, so a facet costs a kernel line in the few
-coordinates of the basis forms off it, not an elimination of the
-facet's forms (see _facet_normal).
+minimal_vectors). A form keeps those rows as ``_rows``, None when it is
+not positive definite; that is the only definiteness question asked,
+since every form of a Voronoi complex is positive definite. Each form
+keeps its minimal vectors once computed, so the Voronoi neighbour walk,
+which asks for them repeatedly on one base form, pays for the
+enumeration once. The walk's line search runs on an integer pencil of
+forms; only its parameter t is a Fraction. Its facet normals are read
+off the dual basis of the parent cone, which the cone keeps from its
+first normal, so a facet costs a kernel line in the few coordinates of
+the basis forms off it, not an elimination of the facet's forms (see
+_facet_normal).
 """
 
 from __future__ import annotations
@@ -38,10 +41,6 @@ from .intlinalg import (
     sign_normalize,
     vec_gcd,
 )
-
-POSITIVE_DEFINITE = "positive-definite"
-RATIONAL_KERNEL_PSD = "rational-kernel-psd"
-OTHER = "other"
 
 
 class QuadraticForm:
@@ -81,12 +80,6 @@ class QuadraticForm:
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         den = self.den
         return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
-
-    @property
-    def definiteness(self) -> str:
-        if self._rows is not None:
-            return POSITIVE_DEFINITE
-        return RATIONAL_KERNEL_PSD if _is_psd(self.num) else OTHER
 
     def value(self, v: Sequence[int]) -> Fraction:
         return Fraction(_int_value(self.num, v), self.den)
@@ -135,26 +128,6 @@ def _sylvester_rows(num: Sequence[Sequence[int]]) -> list[list[int]] | None:
         if not e.add(row) or e.pivots[i] != i or e.det <= 0:
             return None
     return e.rows
-
-
-def _is_psd(m: Sequence[Sequence[int]]) -> bool:
-    """Positive semidefiniteness of a symmetric integer matrix.
-
-    One Bareiss elimination (Echelon) of the rows in order. Row i,
-    reduced against the kept rows K, is row i of the Schur complement of
-    the definite block m_KK, times a positive factor, and m is
-    semidefinite exactly when that complement is. A row that reduces to
-    zero is a zero row of the complement, which is allowed. A kept row
-    must pivot on its own diagonal, since a zero diagonal entry with a
-    nonzero entry in its row rules semidefiniteness out, and the new
-    principal minor (the old one times that diagonal entry) must be
-    positive.
-    """
-    e = Echelon()
-    for i, row in enumerate(m):
-        if e.add(row) and (e.pivots[-1] != i or e.det <= 0):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -317,7 +290,7 @@ def load_form_catalog(source: str | IO[str]) -> list[QuadraticForm]:
             form = QuadraticForm(pending_rows, name=pending_name)
         except ValueError as exc:
             raise CatalogError(pending_line, str(exc)) from None
-        if form.definiteness != POSITIVE_DEFINITE:
+        if form._rows is None:
             raise CatalogError(
                 pending_line,
                 f"form {pending_name!r} violates positive definiteness",

@@ -18,8 +18,10 @@ returns a strong generating set along the base of the assignment order
 (Sims' stabilizer chain, pruned by the orbits of the generators found so
 far, as in McKay-Piperno's backtrack). The orientation sign is a
 homomorphism, so the alternation test reads only the generators; the
-full group is their closure under composition, with -I. On a simplicial
-cone a generator's sign is the parity of its ray permutation.
+full group is their closure under composition, with -I. Every sign the
+pipeline takes, a generator's here and a facet's in complexes, is read
+by orientation_sign in an orbit's span basis: a determinant on the span
+coordinates, or on a simplicial cone a permutation parity.
 
 All arithmetic here is on integers: inverses appear only as adjugates
 with a divisibility test, and span coordinates are scaled by a positive
@@ -366,17 +368,26 @@ def strong_generators(c: PerfectCone) -> list[tuple[int, ...]]:
     return [perm for perm in dict.fromkeys(perms) if perm != identity]
 
 
-def _orientation(
-    perm: Sequence[int], ref: Sequence[int], coords: Sequence[Sequence[int]] | None
+def orientation_sign(
+    rows: Sequence[int], ref: Sequence[int], coords: Sequence[Sequence[int]] | None
 ) -> int:
-    """The sign of the automorphism with ray permutation perm on the span
-    of the generator forms, from span_basis's (ref, coords): the sign of
-    the determinant of the images of the reference forms. When the forms
-    are independent, they are a basis that perm permutes, and the sign is
-    the parity of perm; coords is not read, and may be None."""
-    if len(perm) != len(ref):
-        return det_sign([coords[perm[s]] for s in ref])
-    return perm_sign(perm)
+    """The orientation of the generator forms of rows, in that order,
+    against the reference basis ref of span_basis's (ref, coords): the
+    sign of the determinant of their coordinates, 0 when they are not a
+    basis of the span. coords is None on a simplicial cone, whose forms
+    are independent and all in ref: generator i's coordinates are
+    D e_pos[i], pos[i] its place in ref, so rows is a permutation of the
+    generators and the sign is the parity of their pos.
+
+    An automorphism with ray permutation perm has the sign of the rows
+    perm[s], s in ref; a facet's sign is that of a generator off it and
+    the images of its target's reference basis (complexes._facet_sign)."""
+    if coords is not None:
+        return det_sign([coords[i] for i in rows])
+    pos = [0] * len(ref)
+    for k, i in enumerate(ref):
+        pos[i] = k
+    return perm_sign([pos[i] for i in rows])
 
 
 def span_coordinates(c: PerfectCone, ref: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -449,10 +460,10 @@ class Orbit:
     # orbit, whose count no complex reads
     coloop_count: int | None = None
     # span_coordinates(rep, ref_orientation) of an alternating orbit that
-    # is not simplicial; each facet sign eta is one determinant on these
-    # rows, not on the target's. None on a simplicial orbit, whose
+    # is not simplicial; each facet sign eta is read on these rows, not on
+    # the target's, by orientation_sign. None on a simplicial orbit, whose
     # coordinates are D e_k for the generator at place k of
-    # ref_orientation, and whose facet signs are parities
+    # ref_orientation, so that orientation_sign takes a parity
     coords: tuple[tuple[int, ...], ...] | None = None
 
     # read off the representative, which keeps them
@@ -526,6 +537,8 @@ class OrbitRegistry:
         else:
             h = random_unimodular(c.g, rng)
             rep = conjugate_cone(c, h)
+            # GL_g(Z)-invariants of c, which locate has just computed
+            rep._dim, rep._rank, rep._fingerprint = c.dim, c.rank, c.fingerprint
             index = {v: i for i, v in enumerate(rep.generators)}
             at = [index[sign_normalize(mat_vec(h, v))] for v in c.generators]
             perm = tuple(sorted(range(n), key=at.__getitem__))
@@ -537,12 +550,11 @@ class OrbitRegistry:
             # would pick in any order, so no elimination is run; a seeded
             # run has still drawn ref_order, and its random stream is kept
             ref, coords = tuple(range(n)), None
-            rep._dim = n
         else:
             ref, coords = span_basis(rep, ref_order)
         # the orientation sign is a homomorphism on the automorphism group,
         # so the strong generators decide alternation
-        alternating = all(_orientation(p, ref, coords) > 0 for p in gens)
+        alternating = all(orientation_sign([p[s] for s in ref], ref, coords) > 0 for p in gens)
         orbit = Orbit(
             id=self._new_id(c.rank, c.dim),
             rep=rep,

@@ -544,21 +544,15 @@ def _fraction_det(m):
     return det
 
 
-def definiteness_oracle(entries):
-    """'positive-definite', 'rational-kernel-psd' or 'other' for a
-    symmetric rational matrix, from every principal minor: all positive
-    for definite, all nonnegative for semidefinite."""
+def positive_definite_oracle(entries):
+    """Positive definiteness of a symmetric rational matrix: every
+    principal minor is positive."""
     g = len(entries)
-    minors = [
-        _fraction_det([[entries[i][j] for j in sub] for i in sub])
+    return all(
+        _fraction_det([[entries[i][j] for j in sub] for i in sub]) > 0
         for k in range(1, g + 1)
         for sub in combinations(range(g), k)
-    ]
-    if all(m > 0 for m in minors):
-        return "positive-definite"
-    if all(m >= 0 for m in minors):
-        return "rational-kernel-psd"
-    return "other"
+    )
 
 
 def form_value_oracle(entries, v):

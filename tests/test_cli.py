@@ -42,6 +42,8 @@ def test_missing_g_is_usage_error(capsys):
         ["forms", "--g", "4", "--out", "build"],
         ["verify", "--g", "2", "--out", "build"],
         ["tables", "--g", "3", "--level", "full"],
+        # H(P_g) is the same for every seed, so tables reads none
+        ["tables", "--g", "3", "--seed", "1"],
         ["orbits", "--g", "2", "--level", "full"],
         ["complex", "--g", "2", "--kind", "P", "--level", "full"],
     ],
@@ -210,6 +212,13 @@ def test_verify_small_ambients(capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
+def test_verify_seeded(capsys):
+    # every check, on registries with conjugated representatives and
+    # shuffled orders
+    assert main(["verify", "--g", "4", "--seed", "1"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_verify_builds_the_smaller_registry_once(monkeypatch, capsys):
     # verify passes its g - 1 registry to the g build, so it builds five
     # registries, ambients 0..4; with that registry ignored, the g build
@@ -278,6 +287,18 @@ def test_tables_bookkeeping(capsys):
 
     assert main(["tables", "--g", "8"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("g", [6, 7])
+def test_tables_bookkeeping_refuses_a_catalog(tmp_path, capsys, g):
+    # the g = 6 and 7 tables come from the bundled fixture, so a catalog
+    # would be ignored; it is refused before any file is read
+    assert main(["tables", "--g", str(g), "--catalog", str(tmp_path / "absent.txt")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: tables for ambient {g} come from the bundled bookkeeping fixture, not a catalog\n"
+    )
 
 
 def test_les_bundled(capsys):

@@ -357,7 +357,7 @@ def test_registry_builds_share_no_derived_data(monkeypatch):
     # as many eliminations of the search (one per search source, in
     # _assignment_order)
     calls = Counter()
-    for module, name in ((perfcone.cone, "adjugate_int"), (perfcone.symmetry, "_assignment_order")):
+    for module, name in ((perfcone.cone, "adjugate_det"), (perfcone.symmetry, "_assignment_order")):
         fn = getattr(module, name)
 
         def counting(*args, _fn=fn, _name=name):
@@ -369,7 +369,7 @@ def test_registry_builds_share_no_derived_data(monkeypatch):
     first = dict(calls)
     calls.clear()
     build_registry(4)
-    assert first["adjugate_int"] > 0 and first["_assignment_order"] > 0
+    assert first["adjugate_det"] > 0 and first["_assignment_order"] > 0
     assert dict(calls) == first
 
 
@@ -450,6 +450,26 @@ def test_simplicial_orbits_take_no_span_elimination(monkeypatch):
     # one in add, one in facet_index_sets, for each orbit that is not simplicial
     assert len(seen) == 2 * len(others) > 0
     assert all(seen)
+
+
+def test_seeded_representatives_keep_their_invariants(monkeypatch):
+    # a seeded new orbit's representative is a conjugate of the located
+    # cone and takes over its dimension, rank and fingerprint, so a seeded
+    # build takes as many rank eliminations as the canonical one
+    calls = []
+    rank_rows = perfcone.cone.rank_rows
+
+    def counting(rows):
+        calls.append(len(rows))
+        return rank_rows(rows)
+
+    monkeypatch.setattr(perfcone.cone, "rank_rows", counting)
+    counts = []
+    for seed in (None, 1):
+        calls.clear()
+        build_registry(5, seed=seed)
+        counts.append(len(calls))
+    assert counts == [43, 43]
 
 
 def _fresh_differential_row(orbit, reg):

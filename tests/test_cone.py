@@ -14,7 +14,6 @@ from perfcone.cone import (
     facet_index_sets,
     format_cone,
     gram_downdate,
-    greedy_spanning,
     indices,
     pad,
     parse_cone,
@@ -27,6 +26,7 @@ from perfcone.intlinalg import (
     dot,
     flatten_rank1,
     mat_vec,
+    pick_basis,
     pivot_columns,
     rank_rows,
     sign_normalize,
@@ -490,12 +490,12 @@ def _prefix_rank_spanning(rows, order):
     st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=1, max_size=8),
     st.randoms(use_true_random=False),
 )
-def test_greedy_spanning_matches_prefix_rank_definition(vectors, rnd):
+def test_pick_basis_matches_prefix_rank_definition(vectors, rnd):
     rows = [_flat(v) for v in vectors]
     order = list(range(len(rows)))
     rnd.shuffle(order)
     expected = _prefix_rank_spanning(rows, order)
-    assert greedy_spanning(rows, order) == expected
+    assert pick_basis(rows, order, len(rows[0]))[0] == expected
     nonzero = {sign_normalize(v) for v in vectors if vec_gcd(v) == 1}
     if nonzero:
         c = PerfectCone(4, nonzero)

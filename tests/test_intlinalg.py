@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from perfcone.intlinalg import (
     Echelon,
-    adjugate_int,
+    adjugate_det,
     bareiss_rank,
     det_int,
     det_sign,
@@ -69,10 +69,10 @@ def test_adjugate(m):
     d = det_oracle(m)
     if d == 0:
         with pytest.raises(ValueError):
-            adjugate_int(m)
+            adjugate_det(m)
         return
-    adj = adjugate_int(m)
-    assert adj == adjugate_oracle(m)
+    adj, det = adjugate_det(m)
+    assert (adj, det) == (adjugate_oracle(m), d)
     n = len(m)
     assert mat_mul(adj, m) == [[d * (i == j) for j in range(n)] for i in range(n)]
     assert frac_inverse(m) == [[Fraction(x, d) for x in row] for row in adj]

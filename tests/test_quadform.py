@@ -12,7 +12,6 @@ from perfcone import quadform
 from perfcone.cone import Face, PerfectCone, facet_index_sets, indices
 from perfcone.intlinalg import rank_rows, sign_normalize, vec_gcd
 from perfcone.quadform import (
-    POSITIVE_DEFINITE,
     CatalogError,
     QuadraticForm,
     cone_of_form,
@@ -28,8 +27,8 @@ from perfcone.symmetry import equivalent, random_unimodular
 
 from oracles import (
     conjugate_oracle,
-    definiteness_oracle,
     form_value_oracle,
+    positive_definite_oracle,
     short_vectors_box,
 )
 
@@ -103,7 +102,7 @@ def _small_forms(draw):
 @settings(max_examples=60)
 @given(_small_forms())
 def test_minimal_vectors_match_box_oracle_on_random_forms(q):
-    assume(q.definiteness == POSITIVE_DEFINITE)
+    assume(q._rows is not None)
     mv = minimal_vectors(q)
     assert (mv.minimum, mv.vectors) == short_vectors_box(q.entries)
 
@@ -148,7 +147,7 @@ def test_cone_of_form_is_the_checked_cone_on_bundled_forms():
 @settings(max_examples=60)
 @given(_small_forms(), st.integers(0, 10**6))
 def test_cone_of_form_is_the_checked_cone_on_random_forms(q, seed):
-    assume(q.definiteness == POSITIVE_DEFINITE)
+    assume(q._rows is not None)
     _assert_cone_of_form(q)
     _assert_cone_of_form(q.conjugated(random_unimodular(q.g, random.Random(seed))))
 
@@ -406,7 +405,7 @@ def _rational_forms(draw):
     st.integers(0, 10**6),
     st.lists(st.integers(-3, 3), min_size=5, max_size=5),
 )
-# semidefiniteness: a kept row off its diagonal, a zero row, a negative minor
+# not positive definite: a zero diagonal, a semidefinite form, a negative minor
 @example([[0, 1], [1, 0]], Fraction(1), 0, [1, -1, 0, 0, 0])
 @example([[0, 0], [0, 1]], Fraction(1), 0, [1, -1, 0, 0, 0])
 @example([[1, 2], [2, 1]], Fraction(1), 0, [1, -1, 0, 0, 0])
@@ -415,7 +414,7 @@ def test_integer_form_layer_matches_fraction_arithmetic(rows, factor, seed, vec)
     q = QuadraticForm(rows)
     assert q.entries == tuple(tuple(row) for row in rows)
     assert all(type(x) is Fraction for row in q.entries for x in row)
-    assert q.definiteness == definiteness_oracle(rows)
+    assert (q._rows is not None) == positive_definite_oracle(rows)
     v = vec[:g]  # g <= 5
     assert q.value(v) == form_value_oracle(rows, v)
     assert q.scaled(factor).entries == tuple(tuple(x * factor for x in row) for row in rows)

@@ -24,11 +24,11 @@ from perfcone.symmetry import (
     _assignment_order,
     _full_rank_maps,
     _matrix,
-    _orientation,
     conjugate_cone,
     equivalent,
     format_registry,
     is_alternating,
+    orientation_sign,
     parse_registry,
     random_unimodular,
     span_coordinates,
@@ -189,10 +189,13 @@ def test_orientation_matches_the_span_determinant(reg5):
     for reg in (reg5, build_registry(5, seed=1), build_registry(5, seed=2)):
         for o in reg.orbits:
             coords = span_coordinates(o.rep, o.ref_orientation)
+            # the coordinates add hands orientation_sign: none when simplicial
+            kept = None if len(o.rep.generators) == o.dim else coords
             for perm in o.aut_gens or []:
-                sign = det_sign([coords[perm[s]] for s in o.ref_orientation])
-                assert _orientation(perm, o.ref_orientation, coords) == sign, o.id
-            simplicial += len(o.rep.generators) == o.dim and o.aut_gens is not None
+                rows = [perm[s] for s in o.ref_orientation]
+                sign = det_sign([coords[i] for i in rows])
+                assert orientation_sign(rows, o.ref_orientation, kept) == sign, o.id
+            simplicial += kept is None and o.aut_gens is not None
     # the 162 searched orbits but D5 and five of its faces, at each seed
     assert simplicial == 3 * 156
 
@@ -220,8 +223,17 @@ def test_orientation_on_conjugates(k, seed):
     rng.shuffle(order)
     ref, coords = span_basis(moved, order)
     gens = strong_generators(moved)
-    signs = [_orientation(perm, ref, coords) for perm in gens]
+    simplicial = len(ref) == len(order)
+    kept = None if simplicial else coords
+    signs = [orientation_sign([perm[s] for s in ref], ref, kept) for perm in gens]
     assert signs == [det_sign([coords[perm[s]] for s in ref]) for perm in gens]
+    if simplicial:
+        # a parity against a reference basis in shuffled order is the
+        # determinant on the coordinates in that basis
+        shuffled = span_coordinates(moved, order)
+        for perm in gens:
+            rows = [perm[s] for s in order]
+            assert orientation_sign(rows, order, None) == det_sign([shuffled[i] for i in rows])
     if moved.rank == moved.g:
         assert signs == [orientation_oracle(moved.generators, [p])[p] for p in gens]
     assert all(signs) and (min(signs) > 0) == is_alternating(c)
