@@ -118,9 +118,16 @@ def _record_facets(
     orbit, so a later member is recorded without any search. The walk
     keys each image by its mask, summed from a table of bits per strong
     generator, and lists the image only when its mask is new.
+
+    The facets are enumerated on the span coordinates add left on the
+    orbit, so a new orbit takes one span elimination; they stay on it only
+    where a facet sign reads them, on an alternating orbit.
     """
     rep = orbit.rep
-    masks = facet_index_sets(rep)
+    span = None if orbit.coords is None else (orbit.ref_orientation, orbit.coords)
+    if not orbit.alternating:
+        orbit.coords = None
+    masks = facet_index_sets(rep, _span=span)
     if rng is not None:
         rng.shuffle(masks)
     gens = [(p, [1 << j for j in p]) for p in orbit.aut_gens or []]

@@ -344,7 +344,9 @@ def _span_basis(
     row-echelon form are the first columns independent of those before
     them, which is spanning_subset's pick. Column p of adj(B) A is det B
     times the coordinates of row order[p] in the picked rows, taken in
-    pivot order; the sign of det B makes the factor positive.
+    pivot order; the sign of det B makes the factor positive. On a pivot
+    column that is |det B| e_k by construction, so only the other
+    columns are back-substituted.
     """
     n = len(order)
     basis = Echelon()
@@ -352,14 +354,25 @@ def _span_basis(
         basis.add(col)
         if basis.rank == n:
             break  # every row is picked
-    picked = [order[p] for p in basis.pivots]
+    pivots = basis.pivots
+    picked = [order[p] for p in pivots]
     ref = tuple(sorted(picked))
-    row = dict(zip(picked, basis.jordan()))
-    if basis.det < 0:
-        row = {i: [-x for x in r] for i, r in row.items()}
+    # slot[i]: the place in ref of the row picked by pivot i
+    where = {r: k for k, r in enumerate(ref)}
+    slot = [where[r] for r in picked]
+    d = basis.det
+    s = 1 if d > 0 else -1
     coords: list = [None] * n
-    for i, x in zip(order, zip(*(row[i] for i in ref))):
-        coords[i] = x
+    for r, k in zip(picked, slot):
+        x = [0] * len(ref)
+        x[k] = s * d
+        coords[r] = tuple(x)
+    free = sorted(set(range(n)).difference(pivots))
+    for p, col in zip(free, zip(*basis.jordan(free))):
+        x = [0] * len(ref)
+        for k, y in zip(slot, col):
+            x[k] = s * y
+        coords[order[p]] = tuple(x)
     return ref, tuple(coords)
 
 
@@ -527,7 +540,11 @@ def _reduced(v: list[int]) -> list[int]:
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def facet_index_sets(c: PerfectCone) -> list[int]:
+def facet_index_sets(
+    c: PerfectCone,
+    *,
+    _span: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None,
+) -> list[int]:
     """The codimension-1 faces as generator masks (bit i set when
     generator i lies on the facet), sorted as their sorted index tuples.
 
@@ -535,6 +552,9 @@ def facet_index_sets(c: PerfectCone) -> list[int]:
     span_basis of the cone gives it, and the double description runs in
     the span, on the coordinates of the generator forms in the basis ref:
     it starts from ref and needs no elimination or projection of its own.
+    _span, when given, is a span_basis(c, order) already made (the
+    registry's, for a new orbit), taken in place of that elimination;
+    the facet set does not depend on the basis it is found in.
     The facets are the active sets of the extreme rays of the dual cone,
     with generator i as row n - 1 - i. Facets are never nested, so the
     smallest index in which two facets differ lies in the one whose
@@ -546,11 +566,12 @@ def facet_index_sets(c: PerfectCone) -> list[int]:
     read big-endian.
     """
     n = len(c.generators)
-    if c._dim != n:
-        ref, coords = span_basis(c)
+    if _span is None and c._dim != n:
+        _span = span_basis(c)
     if c._dim == n:
         full = (1 << n) - 1
         return [full ^ 1 << i for i in range(n - 1, -1, -1)]
+    ref, coords = _span
     masks = _dd_core(coords[::-1], [n - 1 - i for i in ref])
     masks.sort(reverse=True)
     width = (n + 7) // 8

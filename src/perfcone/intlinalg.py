@@ -6,7 +6,9 @@ Every elimination runs through one fraction-free kernel, ``Echelon``: an
 integer echelon basis grown one row at a time by Bareiss steps (Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 1968), with fraction-free back substitution
-where the Gauss-Jordan form is needed. Its entries are minors of the
+of just the Gauss-Jordan columns a caller reads: the right block of
+[m | I] for an adjugate, the one free column for a kernel vector, the
+non-pivot columns for span coordinates. Its entries are minors of the
 input, so every division is exact and no entry is a fraction. Ranks,
 pivot columns, determinants, adjugates, inverses and kernel vectors are
 all read off its state. The quadratic-form layer reads positive
@@ -124,18 +126,23 @@ class Echelon:
         self.det = v[c]
         return True
 
-    def jordan(self) -> list[list[int]]:
+    def jordan(self, cols: Sequence[int] | None = None) -> list[list[int]]:
         """The kept rows reduced above their pivots as well: adj(B) A, whose
         row i holds det B on ``pivots[i]`` and zero on the other pivots.
+        With cols, only those columns of it, in that order.
 
         Fraction-free back substitution, from the last row up:
-        R_i = (det B E_i - sum_{j>i} E_i[c_j] R_j) / p_i.
+        R_i = (det B E_i - sum_{j>i} E_i[c_j] R_j) / p_i. The multipliers
+        E_i[c_j] are read off the full stored rows, so each column is
+        reduced on its own, and the columns asked for are the columns of
+        the full form.
         """
         d = self.det
+        pivots = self.pivots
         out: list[list[int]] = []
-        for e, c in zip(reversed(self.rows), reversed(self.pivots)):
-            v = [d * x for x in e]
-            for r, cj in zip(out, reversed(self.pivots)):
+        for e, c in zip(reversed(self.rows), reversed(pivots)):
+            v = [d * x for x in e] if cols is None else [d * e[k] for k in cols]
+            for r, cj in zip(out, reversed(pivots)):
                 f = e[cj]
                 if f:
                     v = [a - f * b for a, b in zip(v, r)]
@@ -149,19 +156,21 @@ class Echelon:
         ``width``, row i of I the unit vector e_i.
 
         The Jordan form's right block is adj(m Q) = det(Q) Q^-1 adj(m),
-        Q the pivot order, and det B = det(m Q).
+        Q the pivot order, and det B = det(m Q); only that block is
+        back-substituted.
         """
         s = perm_sign(self.pivots)
         n = self.width
         adj: list[list[int]] = [[]] * n
-        for r, c in zip(self.jordan(), self.pivots):
-            adj[c] = [s * x for x in r[n:]]
+        for r, c in zip(self.jordan(range(n, 2 * n)), self.pivots):
+            adj[c] = [s * x for x in r]
         return adj, s * self.det
 
     def kernel_vector(self, ncols: int) -> tuple[int, ...] | None:
         """A primitive integer vector spanning the kernel of the kept rows
         (of length ncols) when that kernel is a line, else None. Its entry
-        on the one non-pivot column is positive."""
+        on the one non-pivot column is positive, and that column is the
+        one column of the Jordan form it reads."""
         free = set(range(ncols)) - set(self.pivots)
         if len(free) != 1:
             return None
@@ -169,8 +178,8 @@ class Echelon:
         s = 1 if self.det > 0 else -1
         vec = [0] * ncols
         vec[f] = s * self.det
-        for r, c in zip(self.jordan(), self.pivots):
-            vec[c] = -s * r[f]
+        for (x,), c in zip(self.jordan([f]), self.pivots):
+            vec[c] = -s * x
         return primitive_vector(vec)
 
 

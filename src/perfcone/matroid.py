@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cone import PerfectCone, reduce as cone_reduce
-from .intlinalg import dot, mat_vec, pick_basis, snf_left, vec_gcd
+from .cone import PerfectCone, _span_basis, reduce as cone_reduce
+from .intlinalg import mat_vec, snf_left, vec_gcd
 
 
 @dataclass(frozen=True)
@@ -75,30 +75,29 @@ def is_matroidal(c: PerfectCone) -> bool:
     """True iff the generators of c are the columns of a totally
     unimodular matrix in some basis of the saturation of their span.
 
-    On the core (cone.reduce), of rank r, pick_basis gives r independent
-    generators B, with adj B and det B. The generators are the columns of
-    [I | A'] over B, A' the r x m coordinates of the other m generators.
-    So c is matroidal iff |det B| = 1 (B is a basis of the saturation),
-    every entry of A' lies in {0, +-1}, and A' is totally unimodular.
+    On the core (cone.reduce), of rank r, one span elimination of the
+    generators (cone._span_basis) picks r independent generators B and
+    gives every other generator's coordinates over B times D = |det B|.
+    The generators are the columns of [I | A'] over B, A' the r x m
+    coordinates of the other m generators. So c is matroidal iff D = 1
+    (B is a basis of the saturation), every entry of A' lies in
+    {0, +-1}, and A' is totally unimodular.
     """
     core = cone_reduce(c)[0]
     gens = core.generators
-    chosen, adj, det = pick_basis(gens, range(len(gens)), core.g)
-    if det not in (1, -1):
+    ref, coords = _span_basis(gens, range(len(gens)))
+    if ref and coords[ref[0]][0] != 1:  # coords[ref[0]] = D e_0
         return False
-    # w = sum_k x_k b_k, b_k the rows of B, so x = det w adj B
-    cols = list(zip(*adj))
-    picked = set(chosen)
+    picked = set(ref)
     rows = [0] * core.g
     shift = 0
-    for i, w in enumerate(gens):
+    for i, x in enumerate(coords):
         if i in picked:
             continue
-        for k, col in enumerate(cols):
-            x = det * dot(w, col)
-            if x not in (-1, 0, 1):
+        for k, y in enumerate(x):
+            if y not in (-1, 0, 1):
                 return False
-            rows[k] += x << shift
+            rows[k] += y << shift
         shift += 8
     return _ghouila_houri(rows, shift // 8)
 

@@ -43,12 +43,13 @@ from .cone import (
     span_basis,
 )
 from .intlinalg import (
+    Echelon,
+    adjugate_det,
     det_sign,
     identity_matrix,
     mat_mul,
     mat_vec,
     perm_sign,
-    pick_basis,
     sign_normalize,
 )
 
@@ -65,18 +66,32 @@ def _assignment_order(
 
     Returns (order, prefix_len, adj V, det V), V the matrix whose columns
     are the prefix generators order[:prefix_len]; when they do not reach
-    rank g, adj V is None and det V is 0. The prefix is pick_basis of the
-    generators in that order, and its adjugate is adj(V^t), the transpose
-    of adj V.
+    rank g, adj V is None and det V is 0. The prefix is picked by one
+    Echelon over the generators in that order; its kept rows are V^t, so
+    det V is perm_sign(pivots) det. The search reads adj V only when
+    det V != +-1 (_matrix), so only then is it formed (adjugate_det);
+    otherwise it is None.
     """
-    remaining = sorted(range(len(c.generators)), key=lambda i: (len(cand[i]), i))
-    order, adj_t, det = pick_basis(c.generators, remaining, c.g)
+    g = c.g
+    gens = c.generators
+    remaining = sorted(range(len(gens)), key=lambda i: (len(cand[i]), i))
+    basis = Echelon()
+    order: list[int] = []
+    for i in remaining:
+        if basis.add(gens[i]):
+            order.append(i)
+            if len(order) == g:
+                break  # the prefix spans every column
     prefix_len = len(order)
     prefix = set(order)
     order.extend(i for i in remaining if i not in prefix)
-    if adj_t is None:
+    if prefix_len < g:
         return order, prefix_len, None, 0
-    return order, prefix_len, [list(col) for col in zip(*adj_t)], det
+    det = perm_sign(basis.pivots) * basis.det
+    if det in (1, -1):
+        return order, prefix_len, None, det
+    vadj = adjugate_det([[gens[i][k] for i in order[:g]] for k in range(g)])[0]
+    return order, prefix_len, vadj, det
 
 
 class _Source(NamedTuple):
@@ -85,7 +100,8 @@ class _Source(NamedTuple):
 
     # the DFS order; its first g generators are the prefix, the columns of V
     order: tuple[int, ...]
-    vadj: tuple[tuple[int, ...], ...]  # adj V
+    # adj V, which only _matrix reads; None when det V = +-1
+    vadj: tuple[tuple[int, ...], ...] | None
     vdet: int  # det V
     # each generator's prefix Gram row (G_ip)_p, p in the prefix, to its index
     rows: dict[tuple[int, ...], int]
@@ -138,7 +154,7 @@ def _search_source(c: PerfectCone) -> _Source:
     )
     return _Source(
         order=tuple(order),
-        vadj=tuple(map(tuple, vadj)),
+        vadj=None if vadj is None else tuple(map(tuple, vadj)),
         vdet=vdet,
         rows={tuple([row[p] for p in prefix]): i for i, row in enumerate(gram)},
         comp=tuple(comp_of[a] for a in prefix),
@@ -190,9 +206,10 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
       and det T1 = det T2 > 0. Taking determinants of the prefix Gram
       matrices, with det adj(T) = det(T)^(g-1), gives det(V)^2 =
       det(W)^2, so |det A| = 1;
-    - the search checks that W adj(V) / det V = A is integral (forming
-      it only when det V != +-1), and an integer matrix of determinant
-      +-1 lies in GL_g(Z).
+    - the search checks that W adj(V) / det V = A is integral when
+      det V != +-1, the only case in which the source holds adj V
+      (otherwise A = +-W adj(V) is integral already), and an integer
+      matrix of determinant +-1 lies in GL_g(Z).
 
     So a realization proves that A exists, and no caller forms it.
     """
@@ -463,7 +480,10 @@ class Orbit:
     # is not simplicial; each facet sign eta is read on these rows, not on
     # the target's, by orientation_sign. None on a simplicial orbit, whose
     # coordinates are D e_k for the generator at place k of
-    # ref_orientation, so that orientation_sign takes a parity
+    # ref_orientation, so that orientation_sign takes a parity. add keeps
+    # them on every orbit that is not simplicial, for the facet
+    # enumeration of complexes._record_facets, which drops them from an
+    # orbit that is not alternating
     coords: tuple[tuple[int, ...], ...] | None = None
 
     # read off the representative, which keeps them
@@ -561,7 +581,7 @@ class OrbitRegistry:
             alternating=alternating,
             ref_orientation=ref,
             aut_gens=gens,
-            coords=coords if alternating else None,
+            coords=coords,
         )
         self._insert(orbit)
         return orbit, perm, True

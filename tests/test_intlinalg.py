@@ -114,6 +114,28 @@ def test_echelon_state(rows):
     assert e.jordan() == mat_mul(adjugate_oracle(b), kept)
 
 
+@settings(max_examples=100)
+@given(int_matrices(), st.data())
+def test_jordan_columns_are_columns_of_the_full_form(rows, data):
+    # the back substitution of chosen columns reads its multipliers off the
+    # full stored rows, so each column comes out as in the full form; zero
+    # columns and a width limit (pivots only on the first columns, the
+    # rest riding along) are drawn in as well
+    m = len(rows[0])
+    zeros = data.draw(st.lists(st.integers(0, m), max_size=3))
+    for at in sorted(zeros, reverse=True):
+        rows = [row[:at] + [0] + row[at:] for row in rows]
+    m += len(zeros)
+    width = data.draw(st.none() | st.integers(0, m))
+    e = Echelon(width)
+    for row in rows:
+        e.add(row)
+    cols = data.draw(st.lists(st.integers(0, m - 1), max_size=m + 2))
+    full = e.jordan()
+    assert e.jordan(cols) == [[row[k] for k in cols] for row in full]
+    assert e.jordan(range(m)) == full
+
+
 @settings(max_examples=150)
 @given(st.data())
 def test_snf_left_is_a_unimodular_row_echelon(data):

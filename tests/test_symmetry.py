@@ -355,13 +355,20 @@ def test_the_fingerprint_rejects_before_any_search(monkeypatch):
 
 
 def test_automorphism_witnesses_are_unimodular():
-    # the matrix a realization's prefix signs give
+    # the matrix a realization's prefix signs give; a source whose det V
+    # is +-1 holds no adj V, so it is taken from the prefix columns here
+    held = set()
     for c in (COORD2, cone_of_form(principal_form(2)), PerfectCone(2, [(1, 0), (1, 2)])):
         for perm, signs in _full_rank_maps(c, c, group=True):
             src = c._search
+            held.add(src.vadj is not None)
+            if src.vadj is None:
+                v = [[c.generators[i][k] for i in src.order[: c.g]] for k in range(c.g)]
+                src = src._replace(vadj=adjugate_det(v)[0])
             a = _matrix(src, c.generators, [(perm[p], s) for p, s in zip(src.order, signs)])
             assert abs(det_int(a)) == 1
             assert is_witness(a, perm, c, c)
+    assert held == {False, True}
 
 
 def test_classify_orbits_of_principal_g2_faces():
@@ -580,9 +587,14 @@ def test_assignment_order_matches_prefix_rank_definition(k, rnd):
     if prefix_len < c.g:
         assert (vadj, vdet) == (None, 0)
     else:
-        # V has the prefix generators as its columns
+        # V has the prefix generators as its columns; adj V is formed only
+        # when det V != +-1, the one case the search reads it
         vmat = [[c.generators[i][k] for i in order[:prefix_len]] for k in range(c.g)]
-        assert (vadj, vdet) == adjugate_det(vmat)
+        adj, det = adjugate_det(vmat)
+        assert vdet == det
+        assert (vadj is None) == (abs(vdet) == 1)
+        if vadj is not None:
+            assert vadj == adj
 
 
 def test_group_search_leaves_the_order_a_plain_search_takes():
@@ -604,7 +616,11 @@ def test_group_search_leaves_the_order_a_plain_search_takes():
         cand = [where[p] for p in c.profiles]
         order, prefix_len, vadj, vdet = _assignment_order(c, cand)
         assert prefix_len == c.g
-        assert (state.order, state.vadj, state.vdet) == (tuple(order), tuple(map(tuple, vadj)), vdet)
+        assert (state.order, state.vdet) == (tuple(order), vdet)
+        assert (state.vadj is None) == (vadj is None) == (abs(vdet) == 1)
+        if vadj is not None:
+            vmat = [[c.generators[i][k] for i in order[: c.g]] for k in range(c.g)]
+            assert state.vadj == tuple(map(tuple, vadj)) == tuple(map(tuple, adjugate_det(vmat)[0]))
         assert equivalent(c, moved) is not None
         assert c._search is state
 
@@ -632,6 +648,33 @@ def test_registry_computes_each_search_state_once(monkeypatch):
     assert len({id(c) for c in sources}) == len(sources)
     assert {id(c) for c in sources} == {id(c) for c in searches}
     assert 0 < len(sources) < len(searches)
+
+
+def test_search_sources_form_adj_v_only_off_unimodular_prefixes(monkeypatch):
+    # the search reads adj V only to test integrality, when det V != +-1;
+    # g = 5 has six such sources, each with det V = +-2
+    dets = []
+    adjugates = []
+    search_source = perfcone.symmetry._search_source
+    adjugate = perfcone.symmetry.adjugate_det
+
+    def recording_source(c):
+        state = search_source(c)
+        dets.append(state.vdet)
+        assert (state.vadj is None) == (abs(state.vdet) == 1)
+        return state
+
+    def counting(m):
+        adjugates.append(len(m))
+        return adjugate(m)
+
+    monkeypatch.setattr(perfcone.symmetry, "_search_source", recording_source)
+    monkeypatch.setattr(perfcone.symmetry, "adjugate_det", counting)
+    build_registry(5)
+    off = [d for d in dets if abs(d) != 1]
+    assert len(adjugates) == len(off) == 6
+    assert sorted(map(abs, off)) == [2] * 6
+    assert len(dets) == 162
 
 
 def _perm_closure(perms, n):
