@@ -126,22 +126,22 @@ class Echelon:
         self.det = v[c]
         return True
 
-    def jordan(self, cols: Sequence[int] | None = None) -> list[list[int]]:
-        """The kept rows reduced above their pivots as well: adj(B) A, whose
-        row i holds det B on ``pivots[i]`` and zero on the other pivots.
-        With cols, only those columns of it, in that order.
+    def jordan(self, cols: Sequence[int]) -> list[list[int]]:
+        """Columns cols, in that order, of the kept rows reduced above
+        their pivots as well: adj(B) A, whose row i holds det B on
+        ``pivots[i]`` and zero on the other pivots.
 
-        Fraction-free back substitution, from the last row up:
-        R_i = (det B E_i - sum_{j>i} E_i[c_j] R_j) / p_i. The multipliers
-        E_i[c_j] are read off the full stored rows, so each column is
-        reduced on its own, and the columns asked for are the columns of
-        the full form.
+        Fraction-free back substitution of just those columns, from the
+        last row up: R_i = (det B E_i - sum_{j>i} E_i[c_j] R_j) / p_i. The
+        multipliers E_i[c_j] are read off the full stored rows, so each
+        column is reduced on its own, and the columns asked for are the
+        columns of the full form.
         """
         d = self.det
         pivots = self.pivots
         out: list[list[int]] = []
         for e, c in zip(reversed(self.rows), reversed(pivots)):
-            v = [d * x for x in e] if cols is None else [d * e[k] for k in cols]
+            v = [d * e[k] for k in cols]
             for r, cj in zip(out, reversed(pivots)):
                 f = e[cj]
                 if f:
@@ -240,27 +240,25 @@ def adjugate_det(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
 
 def pick_basis(
     rows: Sequence[Sequence[int]], order: Iterable[int], width: int
-) -> tuple[list[int], list[list[int]] | None, int]:
+) -> tuple[list[int], int]:
     """The indices, in order, of the rows that raise the rank, until it
-    reaches width; with (adj m, det m), m the matrix of those rows, when
-    it does, else (None, 0). Rows are tuples of length width.
+    reaches width; with det m, m the matrix of those rows, when it does,
+    else 0. Rows have length width.
 
-    One Echelon over the rows [v_i | e_k], k the slot v_i would take among
-    the picked rows, gives all three: a row is kept exactly when it raises
-    the rank, so the kept rows are [m | I].
+    One Echelon over the rows keeps a row exactly when it raises the
+    rank. Its B is m with the columns permuted into pivot order, so
+    det m = perm_sign(pivots) det B.
     """
-    unit = [tuple(row) for row in identity_matrix(width)]
-    basis = Echelon(width)
+    basis = Echelon()
     picked: list[int] = []
     for i in order:
         if len(picked) == width:
             break  # the picked rows span every column
-        if basis.add(rows[i] + unit[len(picked)]):
+        if basis.add(rows[i]):
             picked.append(i)
     if len(picked) < width:
-        return picked, None, 0
-    adj, det = basis.adjugate()
-    return picked, adj, det
+        return picked, 0
+    return picked, perm_sign(basis.pivots) * basis.det
 
 
 def rank_rows(rows: Sequence[Sequence[int]]) -> int:

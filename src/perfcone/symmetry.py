@@ -43,13 +43,13 @@ from .cone import (
     span_basis,
 )
 from .intlinalg import (
-    Echelon,
     adjugate_det,
     det_sign,
     identity_matrix,
     mat_mul,
     mat_vec,
     perm_sign,
+    pick_basis,
     sign_normalize,
 )
 
@@ -66,29 +66,19 @@ def _assignment_order(
 
     Returns (order, prefix_len, adj V, det V), V the matrix whose columns
     are the prefix generators order[:prefix_len]; when they do not reach
-    rank g, adj V is None and det V is 0. The prefix is picked by one
-    Echelon over the generators in that order; its kept rows are V^t, so
-    det V is perm_sign(pivots) det. The search reads adj V only when
-    det V != +-1 (_matrix), so only then is it formed (adjugate_det);
-    otherwise it is None.
+    rank g, adj V is None and det V is 0. The prefix and det V come from
+    pick_basis over the generators in that order. The search reads adj V
+    only when det V != +-1 (_matrix), so only then is it formed
+    (adjugate_det); otherwise it is None.
     """
     g = c.g
     gens = c.generators
     remaining = sorted(range(len(gens)), key=lambda i: (len(cand[i]), i))
-    basis = Echelon()
-    order: list[int] = []
-    for i in remaining:
-        if basis.add(gens[i]):
-            order.append(i)
-            if len(order) == g:
-                break  # the prefix spans every column
+    order, det = pick_basis(gens, remaining, g)
     prefix_len = len(order)
     prefix = set(order)
     order.extend(i for i in remaining if i not in prefix)
-    if prefix_len < g:
-        return order, prefix_len, None, 0
-    det = perm_sign(basis.pivots) * basis.det
-    if det in (1, -1):
+    if prefix_len < g or det in (1, -1):
         return order, prefix_len, None, det
     vadj = adjugate_det([[gens[i][k] for i in order[:g]] for k in range(g)])[0]
     return order, prefix_len, vadj, det
