@@ -38,7 +38,6 @@ from .homology import (
 from .quadform import (
     CatalogError,
     bundled_text,
-    is_perfect,
     load_bundled_catalog,
     load_form_catalog,
     minimal_vectors,
@@ -79,8 +78,8 @@ def cmd_forms(args) -> int:
         if q.g != g:
             raise ValueError(f"form {q.name} has ambient {q.g}, not {g}")
         mv = minimal_vectors(q)
-        perfect = 1 if is_perfect(q) else 0
-        print(f"form {q.name} min {mv.minimum} pairs {len(mv)} perfect {perfect}")
+        # load_form_catalog refuses a form that is not perfect
+        print(f"form {q.name} min {mv.minimum} pairs {len(mv)} perfect 1")
     return 0
 
 
@@ -188,10 +187,10 @@ def cmd_tables(args) -> int:
                 f"tables for ambient {g} come from the bundled bookkeeping fixture, not a catalog"
             )
         text = bundled_text("les", g)
-        fg, h_p, h_v, iso = parse_les_fixture(text)
+        fg, h_p, h_v = parse_les_fixture(text)
         if fg != g:
             raise ValueError(f"bundled fixture is for ambient {fg}")
-        result = les_solve(h_p, h_v, iso, g)
+        result = les_solve(h_p, h_v, g)
         if result.unknown_degrees():
             raise ValueError(
                 f"bookkeeping left unknowns at degrees {result.unknown_degrees()}"
@@ -209,10 +208,10 @@ def cmd_les(args) -> int:
             text = fh.read()
     else:
         text = bundled_text("les", g)
-    fg, h_p, h_v, iso = parse_les_fixture(text)
+    fg, h_p, h_v = parse_les_fixture(text)
     if fg != g:
         raise ValueError(f"fixture ambient {fg} does not match --g {g}")
-    result = les_solve(h_p, h_v, iso, g)
+    result = les_solve(h_p, h_v, g)
     sys.stdout.write(format_les(result))
     return 0
 

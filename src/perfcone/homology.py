@@ -1,15 +1,18 @@
 """Exact homology of the built complexes and the derived tables.
 
 Everything is integer arithmetic; ranks come from
-fraction-free elimination. The long-exact-sequence solver is a
-bookkeeping engine: every deduced dimension carries a note naming the
-window that forced it, and unknown is a first-class outcome.
+fraction-free elimination. The long-exact-sequence solver reads
+H(P_g) off H(V_g) and H(P_{g-1}): the inflation subcomplex of P_g
+contains P_{g-1} and is acyclic, so the sequence splits into short
+exact pieces and every connecting rank is an input, never a guess.
+Each dimension carries a note saying how it was forced or which input
+it waits for; unknown is a first-class outcome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from .complexes import ChainComplexQ, _compose
 from .cone import int_field
@@ -92,8 +95,7 @@ def satake_weight0_column(g: int, dims: Mapping[int, int]) -> list[tuple[int, in
 class LesResult:
     g: int
     dims: dict[int, int | None]
-    ranks: dict[int, int | None]
-    notes: dict[int, str] = field(default_factory=dict)
+    notes: dict[int, str]
 
     def unknown_degrees(self) -> list[int]:
         return [n for n, d in sorted(self.dims.items()) if d is None]
@@ -102,96 +104,55 @@ class LesResult:
 def les_solve(
     h_p_prev: Mapping[int, int | None],
     h_v: Mapping[int, int | None],
-    iso_connecting_degrees: Iterable[int],
-    g: int = 0,
+    g: int,
 ) -> LesResult:
-    """Propagate exactness through
-    ... -> H_n(P') -> H_n(P) -> H_n(V) -> H_{n-1}(P') -> ...
+    """H(P) from H(V) and H(P') through the short exact sequences
+    0 -> H_n(P) -> H_n(V) -> H_{n-1}(P') -> 0.
 
-    Inputs are total maps (missing degree = known zero, None = unknown).
-    The unknown column H_n(P) equals a_n + b_n - r_n - r_{n+1} where
-    r_n is the rank of the connecting map H_n(V) -> H_{n-1}(P'); r_n is
-    only ever forced (zero ends or a declared isomorphism), never guessed.
+    P' = P_{g-1} lies in the inflation subcomplex I_g of P = P_g, and
+    I_g is acyclic, so H(P') -> H(P) is zero and every connecting map
+    H_n(V) -> H_{n-1}(P') is onto: dim H_n(P) = dim H_n(V) - dim
+    H_{n-1}(P'). Inputs are total maps (missing degree = known zero,
+    None = unknown); a dimension is only ever forced, never guessed.
     """
-    iso = set(iso_connecting_degrees)
-    keys = set(h_p_prev) | set(h_v) | iso
+    keys = set(h_p_prev) | set(h_v)
     if not keys:
         return LesResult(g, {}, {})
     lo, hi = min(keys), max(keys)
-
-    def a_of(n: int) -> int | None:
-        return h_p_prev.get(n, 0)
-
-    def b_of(n: int) -> int | None:
-        return h_v.get(n, 0)
-
-    ranks: dict[int, int | None] = {}
-    why: dict[int, str] = {}
-    for n in range(lo, hi + 2):
-        b = b_of(n)
-        a = a_of(n - 1)
-        if n in iso:
-            if a is None or b is None:
-                raise ValueError(
-                    f"degree {n}: connecting map declared iso on unknown dimensions"
-                )
-            if a != b:
-                raise ValueError(
-                    f"degree {n}: connecting map declared iso but "
-                    f"dim H_{n}(V)={b} != dim H_{n-1}(P')={a}"
-                )
-            ranks[n] = b
-            why[n] = f"connecting map at {n} declared an isomorphism"
-        elif b == 0:
-            ranks[n] = 0
-            why[n] = f"H_{n}(V)=0 forces rank 0"
-        elif a == 0:
-            ranks[n] = 0
-            why[n] = f"H_{n-1}(P')=0 forces rank 0"
-        else:
-            ranks[n] = None
-            why[n] = f"connecting rank at {n} undetermined"
+    top = h_p_prev.get(hi, 0)
+    if top:
+        raise ValueError(
+            f"inconsistent inputs: H_{hi}(P')={top} but H_{hi + 1}(V)=0"
+        )
     dims: dict[int, int | None] = {}
     notes: dict[int, str] = {}
     for n in range(lo, hi + 1):
-        a = a_of(n)
-        b = b_of(n)
-        r_out = ranks.get(n)
-        r_in = ranks.get(n + 1)
-        if a is None or b is None or r_out is None or r_in is None:
+        b = h_v.get(n, 0)
+        a = h_p_prev.get(n - 1, 0)
+        if a is not None and b is not None:
+            if a > b:
+                raise ValueError(
+                    f"inconsistent inputs: H_{n}(V)={b} cannot map onto H_{n - 1}(P')={a}"
+                )
+            dims[n] = b - a
+            notes[n] = f"H_{n}(P) = H_{n}(V) - H_{n - 1}(P') = {b} - {a}"
+        elif b == 0:
+            dims[n] = 0
+            notes[n] = f"H_{n}(V)=0 forces H_{n}(P)=0"
+        else:
             dims[n] = None
-            missing = []
-            if a is None:
-                missing.append(f"H_{n}(P')")
-            if b is None:
-                missing.append(f"H_{n}(V)")
-            if r_out is None:
-                missing.append(why[n])
-            if r_in is None:
-                missing.append(why[n + 1])
+            missing = [s for s, d in ((f"H_{n}(V)", b), (f"H_{n - 1}(P')", a)) if d is None]
             notes[n] = "unknown: " + "; ".join(missing)
-            continue
-        val = a + b - r_out - r_in
-        if val < 0:
-            raise ValueError(
-                f"inconsistent inputs: degree {n} forces dimension {val}"
-            )
-        dims[n] = val
-        notes[n] = (
-            f"H_{n}(P) = {a} + {b} - {r_out} - {r_in}"
-            f" ({why[n]}; {why[n + 1]})"
-        )
-    return LesResult(g, dims, ranks, notes)
+    return LesResult(g, dims, notes)
 
 
-def parse_les_fixture(text: str) -> tuple[int, dict[int, int | None], dict[int, int | None], set[int]]:
+def parse_les_fixture(text: str) -> tuple[int, dict[int, int | None], dict[int, int | None]]:
     """`les g=<int>`, `range <lo> <hi>`, `P <n> <dim|?>`, `V <n> <dim|?>`,
-    `iso <n>...`; degrees inside range without an entry are zero."""
+    each directive once (P and V once per degree); degrees inside range
+    without an entry are zero."""
     g = None
     lo = hi = None
-    p_entries: dict[int, int | None] = {}
-    v_entries: dict[int, int | None] = {}
-    iso: set[int] = set()
+    entries: dict[str, dict[int, int | None]] = {"P": {}, "V": {}}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -200,31 +161,34 @@ def parse_les_fixture(text: str) -> tuple[int, dict[int, int | None], dict[int, 
         if parts[0] == "les":
             if len(parts) != 2 or not parts[1].startswith("g="):
                 raise ValueError(f"line {ln}: expected `les g=<int>`")
+            if g is not None:
+                raise ValueError(f"line {ln}: second `les` line")
             g = int_field(parts[1][2:], ln)
         elif parts[0] == "range":
             if len(parts) != 3:
                 raise ValueError(f"line {ln}: expected `range <lo> <hi>`")
+            if lo is not None:
+                raise ValueError(f"line {ln}: second `range` line")
             lo, hi = int_field(parts[1], ln), int_field(parts[2], ln)
             if lo > hi:
                 raise ValueError(f"line {ln}: empty range {lo} > {hi}")
-        elif parts[0] in ("P", "V"):
+        elif parts[0] in entries:
             if len(parts) != 3:
                 raise ValueError(f"line {ln}: expected `{parts[0]} <n> <dim|?>`")
             n = int_field(parts[1], ln)
-            val = None if parts[2] == "?" else int_field(parts[2], ln)
-            (p_entries if parts[0] == "P" else v_entries)[n] = val
-        elif parts[0] == "iso":
-            iso.update(int_field(x, ln) for x in parts[1:])
+            column = entries[parts[0]]
+            if n in column:
+                raise ValueError(f"line {ln}: second {parts[0]} entry for degree {n}")
+            column[n] = None if parts[2] == "?" else int_field(parts[2], ln)
         else:
             raise ValueError(f"line {ln}: unrecognized directive {parts[0]!r}")
     if g is None or lo is None:
         raise ValueError("les fixture needs `les g=` and `range` lines")
-    for n in p_entries | v_entries:
+    for n in entries["P"] | entries["V"]:
         if not lo <= n <= hi:
             raise ValueError(f"entry degree {n} outside the declared range")
-    h_p = {n: p_entries.get(n, 0) for n in range(lo, hi + 1)}
-    h_v = {n: v_entries.get(n, 0) for n in range(lo, hi + 1)}
-    return g, h_p, h_v, iso
+    h_p, h_v = ({n: entries[k].get(n, 0) for n in range(lo, hi + 1)} for k in "PV")
+    return g, h_p, h_v
 
 
 def format_betti(report: BettiReport) -> str:

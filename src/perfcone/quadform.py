@@ -269,8 +269,8 @@ def load_form_catalog(source: str | IO[str]) -> list[QuadraticForm]:
     file.
 
     `g <int>` once, then per form: `form <name>` and g rows of g exact
-    rationals. `#` starts a comment. Forms are validated symmetric and
-    positive definite, then scaled so the minimum is 1.
+    rationals. `#` starts a comment. Forms are validated symmetric,
+    positive definite and perfect, then scaled so the minimum is 1.
     """
     text = source if isinstance(source, str) else source.read()
     lines = text.splitlines()
@@ -295,6 +295,8 @@ def load_form_catalog(source: str | IO[str]) -> list[QuadraticForm]:
                 pending_line,
                 f"form {pending_name!r} violates positive definiteness",
             )
+        if not is_perfect(form):
+            raise CatalogError(pending_line, f"form {pending_name!r} is not perfect")
         forms.append(normalize_minimum(form))
         pending_name = None
         pending_rows = []

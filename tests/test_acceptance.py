@@ -234,9 +234,9 @@ def test_acceptance_6_les_bookkeeping():
         7: ({13: 1, 18: 1, 22: 1, 27: 1}, [28, 33, 37, 42]),
     }
     for g, (dims_want, ks_want) in expected.items():
-        fg, h_p, h_v, iso = parse_les_fixture(bundled_text("les", g))
+        fg, h_p, h_v = parse_les_fixture(bundled_text("les", g))
         assert fg == g
-        result = les_solve(h_p, h_v, iso, g)
+        result = les_solve(h_p, h_v, g)
         assert result.unknown_degrees() == []
         nonzero = {n: d for n, d in result.dims.items() if d}
         assert nonzero == dims_want
@@ -258,7 +258,7 @@ def test_acceptance_7_satake_table(reg5):
     # The long exact sequence on the computed H(P_4) and H(V_5) must tell
     # the same story as the computed column.
     h_v5 = betti(build_voronoi_complex(5, reg5)).homology
-    res5 = les_solve(homology[4], h_v5, [], 5)
+    res5 = les_solve(homology[4], h_v5, 5)
     assert res5.unknown_degrees() == []
     dims5 = {n: d for n, d in res5.dims.items() if d}
     assert dims5 == {n: d for n, d in report5.homology.items() if d}
@@ -268,8 +268,8 @@ def test_acceptance_7_satake_table(reg5):
         6: [(6, 6, 1)],
         7: [(7, 7, 1), (7, 12, 1), (7, 16, 1), (7, 21, 1)],
     }.items():
-        fg, h_p, h_v, iso = parse_les_fixture(bundled_text("les", g))
-        result = les_solve(h_p, h_v, iso, g)
+        fg, h_p, h_v = parse_les_fixture(bundled_text("les", g))
+        result = les_solve(h_p, h_v, g)
         dims = {n: d for n, d in result.dims.items() if d}
         assert satake_weight0_column(g, dims) == want
 

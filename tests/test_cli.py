@@ -133,6 +133,18 @@ def test_forms_catalog_ambient_mismatch(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_catalog_refuses_a_form_that_is_not_perfect(tmp_path, capsys):
+    # the identity form at g = 3 has 3 minimal-vector pairs, too few to
+    # span the 6-dimensional Sym_3; the refusal names its `form` line and
+    # no registry is written
+    path = tmp_path / "identity.txt"
+    path.write_text("g 3\nform id3\n1 0 0\n0 1 0\n0 0 1\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["orbits", "--g", "3", "--catalog", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: line 2: form 'id3' is not perfect\n"
+    assert not out.exists()
+
+
 def test_orbits_writes_registry(tmp_path, capsys):
     assert main(["orbits", "--g", "2", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -172,6 +184,9 @@ def test_homology_rejects_broken_complex(tmp_path, capsys):
         (["les", "--g", "5"], "les g=5\nrange 0 5\nP 1 x\n", "line 3:"),
         (["les", "--g", "5"], "les g=x\n", "line 1:"),
         (["les", "--g", "5"], "les g=5\nrange 0 5\niso a\n", "line 3:"),
+        (["les", "--g", "5"], "les g=5\nrange 0 5\nles g=5\n", "line 3:"),
+        (["les", "--g", "5"], "les g=5\nrange 0 5\nrange 0 6\n", "line 3:"),
+        (["les", "--g", "5"], "les g=5\nrange 0 5\nV 2 1\nP 2 1\nV 2 ?\n", "line 5:"),
         (["homology"], "complex P g=x\n", "line 1:"),
         (["homology"], "complex P g=2\ndeg a dim 0\n", "line 2:"),
         (["homology"], "complex P g=2\ndeg 0 dim x\n", "line 2:"),
@@ -185,7 +200,10 @@ def test_homology_rejects_broken_complex(tmp_path, capsys):
         "les-range-empty",
         "les-entry-not-integer",
         "les-g-not-integer",
-        "les-iso-not-integer",
+        "les-iso-refused",
+        "les-g-repeated",
+        "les-range-repeated",
+        "les-entry-repeated",
         "complex-g-not-integer",
         "deg-not-integer",
         "dim-not-integer",

@@ -4,6 +4,7 @@ from perfcone.complexes import (
     build_inflation_complex,
     build_matroid_complexes,
     build_perfect_complex,
+    build_registry,
     build_voronoi_complex,
     parse_complex,
 )
@@ -109,62 +110,76 @@ def test_satake_column(reg3, reg4):
 
 
 def test_les_solve_trivial_cases():
-    empty = les_solve({}, {}, [], g=9)
+    empty = les_solve({}, {}, 9)
     assert empty.g == 9 and empty.dims == {}
-    zeros = les_solve({0: 0, 1: 0}, {0: 0, 1: 0}, [])
+    zeros = les_solve({0: 0, 1: 0}, {0: 0, 1: 0}, 0)
     assert zeros.dims == {0: 0, 1: 0}
     assert all(zeros.notes[n] for n in (0, 1))
     assert zeros.unknown_degrees() == []
 
 
-def test_les_solve_iso_errors():
+def test_les_solve_inconsistent_inputs():
+    # H_n(V) maps onto H_{n-1}(P'), so a larger H_{n-1}(P') is refused
     with pytest.raises(ValueError) as err:
-        les_solve({9: None}, {10: 1}, [10])
-    assert "unknown" in str(err.value)
+        les_solve({9: 2}, {10: 1}, 6)
+    assert "inconsistent inputs" in str(err.value)
     with pytest.raises(ValueError) as err:
-        les_solve({9: 2}, {10: 1}, [10])
-    assert "iso" in str(err.value)
+        les_solve({9: 1}, {11: 1}, 6)
+    assert "inconsistent inputs" in str(err.value)
+    # a class of P' in the top degree has no degree of V above it
+    with pytest.raises(ValueError) as err:
+        les_solve({9: 1}, {8: 1}, 6)
+    assert "inconsistent inputs" in str(err.value)
+    # an unknown H_{n-1}(P') under a nonzero H_n(V) is no contradiction
+    result = les_solve({9: None}, {10: 1}, 6)
+    assert result.dims == {9: 0, 10: None}
+    assert result.notes[10] == "unknown: H_9(P')"
 
 
 def test_les_solve_unknown_propagation():
-    result = les_solve({4: None}, {5: 3}, [])
-    assert result.dims[4] is None and result.dims[5] is None
-    assert "unknown" in result.notes[5]
-    assert result.unknown_degrees() == [4, 5]
+    result = les_solve({4: None, 5: None}, {5: 3, 7: 2}, 0)
+    # an unknown H_4(P') leaves H_5(P) unknown; H_6(V) = 0 forces
+    # H_6(P) = 0 whatever H_5(P') is
+    assert result.dims == {4: 0, 5: None, 6: 0, 7: 2}
+    assert result.notes[5] == "unknown: H_4(P')"
+    assert result.notes[6] == "H_6(V)=0 forces H_6(P)=0"
+    assert result.unknown_degrees() == [5]
 
 
-def test_les_g5_forces_computed_h_p5(reg4, reg5):
-    # exactness alone, with no declared isomorphism, forces H(P_5) from
-    # the computed H(P_4) and H(V_5), and gives the computed H(P_5)
-    h_p4 = betti(build_perfect_complex(4, reg4)).homology
-    h_v5 = betti(build_voronoi_complex(5, reg5)).homology
-    h_p5 = betti(build_perfect_complex(5, reg5)).homology
-    result = les_solve(h_p4, h_v5, [], 5)
-    assert result.unknown_degrees() == []
-    assert result.dims == h_p5
-    assert {n: d for n, d in h_p5.items() if d} == {9: 1, 14: 1}
+def test_les_forces_computed_h_p(reg2, reg3, reg4, reg5):
+    # the short exact sequences alone force H(P_g) from the computed
+    # H(P_{g-1}) and H(V_g), and give the computed H(P_g)
+    regs = {1: build_registry(1), 2: reg2, 3: reg3, 4: reg4, 5: reg5}
+    for g in range(2, 6):
+        h_p_prev = betti(build_perfect_complex(g - 1, regs[g - 1])).homology
+        h_v = betti(build_voronoi_complex(g, regs[g])).homology
+        h_p = betti(build_perfect_complex(g, regs[g])).homology
+        result = les_solve(h_p_prev, h_v, g)
+        assert result.unknown_degrees() == []
+        assert result.dims == h_p
+    assert {n: d for n, d in h_p.items() if d} == {9: 1, 14: 1}
 
 
 def test_les_fixture_g6():
-    g, h_p, h_v, iso = parse_les_fixture(bundled_text("les", 6))
-    assert g == 6 and iso == {10, 15}
-    result = les_solve(h_p, h_v, iso, g)
+    g, h_p, h_v = parse_les_fixture(bundled_text("les", 6))
+    assert g == 6
+    result = les_solve(h_p, h_v, g)
     assert result.unknown_degrees() == []
     assert {n: d for n, d in result.dims.items() if d} == {11: 1}
 
 
 def test_les_fixture_g7():
-    g, h_p, h_v, iso = parse_les_fixture(bundled_text("les", 7))
-    assert g == 7 and iso == {12}
-    result = les_solve(h_p, h_v, iso, g)
+    g, h_p, h_v = parse_les_fixture(bundled_text("les", 7))
+    assert g == 7
+    result = les_solve(h_p, h_v, g)
     assert result.unknown_degrees() == []
     assert {n: d for n, d in result.dims.items() if d} == {13: 1, 18: 1, 22: 1, 27: 1}
 
 
 def test_les_fixture_g8_keeps_unknowns():
-    g, h_p, h_v, iso = parse_les_fixture(bundled_text("les", 8))
+    g, h_p, h_v = parse_les_fixture(bundled_text("les", 8))
     assert g == 8
-    result = les_solve(h_p, h_v, iso, g)
+    result = les_solve(h_p, h_v, g)
     assert all(result.dims[n] == 0 for n in range(0, 13))
     assert all(result.dims[n] is None for n in range(13, 36))
     text = format_les(result)
@@ -173,9 +188,9 @@ def test_les_fixture_g8_keeps_unknowns():
 
 def test_les_fixtures_g9_g10_low_degrees_vanish():
     for g, cutoff in ((9, 12), (10, 12)):
-        fg, h_p, h_v, iso = parse_les_fixture(bundled_text("les", g))
+        fg, h_p, h_v = parse_les_fixture(bundled_text("les", g))
         assert fg == g
-        result = les_solve(h_p, h_v, iso, g)
+        result = les_solve(h_p, h_v, g)
         assert all(result.dims[n] == 0 for n in range(0, cutoff))
         assert result.unknown_degrees()
 
@@ -195,5 +210,5 @@ def test_parse_les_fixture_errors():
     with pytest.raises(ValueError) as err:
         parse_les_fixture("les g=5\nrange 5 2\n")
     assert "line 2" in str(err.value)
-    g, h_p, h_v, iso = parse_les_fixture("les g=5\nrange 0 2\nV 1 ?\n")
+    g, h_p, h_v = parse_les_fixture("les g=5\nrange 0 2\nV 1 ?\n")
     assert h_v == {0: 0, 1: None, 2: 0}
