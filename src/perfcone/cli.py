@@ -49,14 +49,19 @@ _EULER_EXPECTED = {2: 0, 3: 1, 4: 0}
 
 def catalog_for(g: int, catalog: str | None):
     """Catalog loader: the --catalog override applies to the top ambient
-    g only; recursion uses the bundled files."""
+    g only; recursion uses the bundled files. An override that holds no
+    form is refused: with no cone to classify, every command would read
+    an empty registry as a complete one."""
     if catalog is None:
         return None
 
     def loader(k: int):
         if k == g:
             with open(catalog, "r", encoding="utf-8") as fh:
-                return load_form_catalog(fh)
+                forms = load_form_catalog(fh)
+            if not forms:
+                raise ValueError(f"catalog {catalog} holds no form")
+            return forms
         return load_bundled_catalog(k)
 
     return loader

@@ -10,6 +10,7 @@ generator subset is faithful.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -35,7 +36,9 @@ class PerfectCone:
     # first use or handed over by pad, and kept with the cone; so are
     # _search, the state of a full-rank cone as the source of an
     # equivalence search, which symmetry._full_rank_maps fills, and _dual,
-    # the span and dual basis that quadform._facet_normal takes
+    # (ref, coords, M): the span_basis that facet_index_sets made for
+    # itself, with M None, or the one quadform._facet_normal made, with
+    # the dual basis M that it adds to either
     __slots__ = (
         "g", "generators", "_flat", "_dim", "_rank", "_gram", "_profiles", "_fingerprint", "_reduction",
         "_search", "_dual",
@@ -216,33 +219,43 @@ def gram_downdate(
     D' = D - G_kk = det(T - v_k v_k^t) and, by Sylvester's identity
     (Bareiss, Math. Comp. 1968; here Sherman-Morrison on T),
     G'_ij = (D' G_ij + G_ik G_jk) / D, an exact division, for the other
-    i, j. The generators are dropped one at a
-    time; every intermediate set contains keep, so D stays positive until
-    the rank drops, and the first D' = 0 reports it. Only the lower
-    triangle is updated.
+    i, j. The generators off keep are dropped one at a time, from the
+    highest index down, so generator k is still at position k when it is
+    dropped. Only the lower triangle is kept, as slices of the rows of
+    gram: row k is made whole from column k below the diagonal, each
+    remaining row is updated in one pass against it up to its diagonal,
+    and position k is deleted from it. _mirror fills in the rest, so that
+    G_ij and G_ji are one int, as in PerfectCone.gram. Every intermediate
+    set contains keep, so D stays positive until the rank drops, and the
+    first D' = 0 reports it.
     """
-    n = len(gram)
     kept = set(keep)
-    order = list(keep) + [k for k in range(n) if k not in kept]
-    low = [[gram[i][j] for j in order[: a + 1]] for a, i in enumerate(order)]
-    d = sum(gram[i][i] for i in range(n)) // g
-    for k in range(n - 1, len(keep) - 1, -1):
-        rk = low.pop()
+    low = [r[: i + 1] for i, r in enumerate(gram)]
+    d = sum(gram[i][i] for i in range(len(gram))) // g
+    for k in range(len(gram) - 1, -1, -1):
+        if k in kept:
+            continue
+        rk = low.pop(k)
+        rk = [*rk, *[r[k] for r in low[k:]]]
         d2 = d - rk[k]
         if d2 == 0:
             return None
         for i, ri in enumerate(low):
-            a = rk[i]
-            low[i] = [(d2 * x + a * y) // d for x, y in zip(ri, rk)]
+            # row i was at position i + (i >= k) before row k left
+            a = rk[i + (i >= k)]
+            ri = [(d2 * x + a * y) // d for x, y in zip(ri, rk)]
+            if i >= k:
+                del ri[k]
+            low[i] = ri
         d = d2
     return _mirror(low)
 
 
-def _mirror(low: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+def _mirror(low: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """The symmetric matrix whose lower triangle (row i up to its
-    diagonal entry) is low."""
-    n = len(low)
-    return tuple(tuple(r + [low[j][i] for j in range(i + 1, n)]) for i, r in enumerate(low))
+    diagonal entry) is low: row i continues with column i below the
+    diagonal, so G_ij and G_ji are one int."""
+    return tuple([tuple(r) + c[i + 1 :] for i, (r, c) in enumerate(zip(low, zip_longest(*low)))])
 
 
 @dataclass(frozen=True)
@@ -554,7 +567,9 @@ def facet_index_sets(
     it starts from ref and needs no elimination or projection of its own.
     _span, when given, is a span_basis(c, order) already made (the
     registry's, for a new orbit), taken in place of that elimination;
-    the facet set does not depend on the basis it is found in.
+    the facet set does not depend on the basis it is found in. A span
+    made here is kept on the cone (PerfectCone._dual), where the facet
+    normals of the Voronoi walk read it (quadform._facet_normal).
     The facets are the active sets of the extreme rays of the dual cone,
     with generator i as row n - 1 - i. Facets are never nested, so the
     smallest index in which two facets differ lies in the one whose
@@ -568,6 +583,7 @@ def facet_index_sets(
     n = len(c.generators)
     if _span is None and c._dim != n:
         _span = span_basis(c)
+        c._dual = (*_span, None)
     if c._dim == n:
         full = (1 << n) - 1
         return [full ^ 1 << i for i in range(n - 1, -1, -1)]

@@ -365,9 +365,10 @@ def _facet_normal(sigma: PerfectCone, mask: int) -> list[list[int]]:
 
     The normal is read off the cone's dual basis, kept on the cone
     (PerfectCone._dual) from the first normal taken: (ref, coords) =
-    span_basis(sigma) and M = sign(det B) adj(B), B the matrix whose
-    columns are the forms of ref, so that coords[i] = M flat[i] and row k
-    of M is dual to form ref[k]. The normal vanishes on the forms of ref
+    span_basis(sigma), read off _dual when facet_index_sets left it
+    there, and M = sign(det B) adj(B), B the matrix whose columns are
+    the forms of ref, so that coords[i] = M flat[i] and row k of M is
+    dual to form ref[k]. The normal vanishes on the forms of ref
     in the facet, so it is sum_k z_k M[k] over the positions k of ref off
     the facet (off), with z the primitive kernel line of the facet's
     other rows coords[i], cut to those positions, and it takes the value
@@ -375,8 +376,8 @@ def _facet_normal(sigma: PerfectCone, mask: int) -> list[list[int]]:
     face is not a facet."""
     g = sigma.g
     dual = sigma._dual
-    if dual is None:
-        ref, coords = span_basis(sigma)
+    if dual is None or dual[2] is None:
+        ref, coords = span_basis(sigma) if dual is None else dual[:2]
         if len(ref) != g * (g + 1) // 2:
             raise ValueError("face does not span a hyperplane of the cone")
         adj, det = adjugate_det(list(zip(*(sigma.flat[r] for r in ref))))

@@ -189,9 +189,12 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
       Conversely, equal rows up to s give (A v_i - s w_j)^t adj(T2) W = 0,
       and adj(T2) and W are invertible, so A v_i = s w_j. The rows, taken
       up to sign, are distinct for distinct rays of either cone, so each
-      row of c2 is looked up, then its negation, among the rows of c1:
-      when every one is found, the images form a bijection, and a row
-      that is not found is a ray with no preimage;
+      signed row of c2 is looked up among the rows of c1, and its
+      negation only when it is not found: when every one is found, the
+      images form a bijection, and a row found with neither sign is a
+      ray with no preimage. G2 is symmetric, so the signed rows of c2
+      are read column-wise, entry j of each signed column e_p G2[a(p)],
+      and only a column with e_p = -1 is copied, to negate it;
     - the profile multisets are equal, so the Gram traces g det T are,
       and det T1 = det T2 > 0. Taking determinants of the prefix Gram
       matrices, with det adj(T) = det(T)^(g-1), gives det(V)^2 =
@@ -238,9 +241,11 @@ def _full_rank_maps(c1: PerfectCone, c2: PerfectCone, group: bool = False) -> li
             signed = [
                 (assign[a], -eps[a] if bits >> k & 1 else eps[a]) for a, k in zip(prefix, comp)
             ]
+            # G2 is symmetric, so row j's key (s_b G2[j][b])_b is the j-th
+            # entry of each signed column, read off s_b G2[b]
+            cols = [g2[b] if s > 0 else [-x for x in g2[b]] for b, s in signed]
             perm = [0] * n
-            for j, row in enumerate(g2):
-                key = tuple([s * row[b] for b, s in signed])
+            for j, key in enumerate(zip(*cols)):
                 i = rows.get(key)
                 if i is None:
                     i = rows.get(tuple([-x for x in key]))

@@ -145,6 +145,29 @@ def test_catalog_refuses_a_form_that_is_not_perfect(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "--g", "2"],
+        ["tables", "--g", "3"],
+        ["orbits", "--g", "3", "--out"],
+    ],
+    ids=["verify", "tables", "orbits"],
+)
+def test_empty_catalog_is_refused(tmp_path, capsys, command):
+    # a catalog holding only its `g` line has no cone to classify; read as
+    # complete, it made verify pass and tables print `# none` with exit 0
+    g = command[2]
+    path = tmp_path / "empty.txt"
+    path.write_text(f"g {g}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    if command[-1] == "--out":
+        command = command + [str(out)]
+    assert main(command + ["--catalog", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: catalog {path} holds no form\n")
+    assert not out.exists()
+
+
 def test_orbits_writes_registry(tmp_path, capsys):
     assert main(["orbits", "--g", "2", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -451,6 +451,9 @@ def test_simplicial_orbits_take_no_span_elimination(monkeypatch):
     # one in add, for each orbit that is not simplicial
     assert len(seen) == 1 * len(others) > 0
     assert all(seen)
+    # the span is handed to facet_index_sets, which keeps it only when it
+    # made it itself
+    assert all(o.rep._dual is None for o in reg.orbits)
 
 
 def test_seeded_representatives_keep_their_invariants(monkeypatch):

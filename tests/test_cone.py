@@ -308,6 +308,35 @@ def test_gram_downdate_matches_a_fresh_gram(vectors, rnd):
         assert got is None
 
 
+def test_gram_downdate_on_every_facet_of_the_bundled_cones(reg5):
+    # the facets of the bundled perfect cones keep full rank and may drop
+    # several generators at once (D5's drop 4 or 6 of its 20); the facets
+    # recorded on the full-rank orbits of the g = 5 registry also include
+    # boundary facets, where the rank drops. As in gram, G_ij and G_ji are
+    # one int, so a kept facet matrix holds each entry once
+    cases = [
+        (c, facet_index_sets(c))
+        for c in (cone_of_form(q) for g in range(1, 6) for q in load_bundled_catalog(g))
+    ]
+    cases += [(o.rep, [m for m, _t, _e in o.facets]) for o in reg5.orbits if o.rank == 5]
+    drops = set()
+    dropped_rank = 0
+    for c, masks in cases:
+        n = len(c.generators)
+        for m in masks:
+            keep = indices(m)
+            sub = c.subcone(keep)
+            got = gram_downdate(c.gram, c.g, keep)
+            drops.add(n - len(keep))
+            if sub.rank == c.g:
+                assert got == sub.gram
+                assert all(x is got[j][i] for i, row in enumerate(got) for j, x in enumerate(row))
+            else:
+                assert got is None
+                dropped_rank += 1
+    assert {1, 4, 6} <= drops and dropped_rank > 0
+
+
 def test_gram_needs_a_full_rank_cone():
     c = PerfectCone(3, [(1, 0, 0), (0, 1, 1)])
     with pytest.raises(ValueError, match="full-rank cone.*reduced core"):

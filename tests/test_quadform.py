@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import perfcone.cone
 from perfcone import quadform
 from perfcone.cone import Face, PerfectCone, facet_index_sets, indices
 from perfcone.intlinalg import rank_rows, sign_normalize, vec_gcd
@@ -470,3 +471,26 @@ def test_voronoi_walk_bytes_on_g5(monkeypatch):
     assert len(lines) == 30
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WALK_G5_SHA256
     assert searched == WALK_G5_MV_CALLS
+
+
+def test_voronoi_walk_eliminates_each_cone_once(monkeypatch):
+    # facet_index_sets leaves the span it eliminated on the parent cone,
+    # and the facet normals read it there: the walk over the 430 facets of
+    # the bundled g = 5 cones eliminates each of its 433 cones once (436
+    # when the first normal of each parent eliminated its span again)
+    calls = []
+    inner = perfcone.cone._span_basis
+
+    def counting(rows, order):
+        calls.append(len(rows))
+        return inner(rows, order)
+
+    monkeypatch.setattr(perfcone.cone, "_span_basis", counting)
+    neighbours = 0
+    for q in load_bundled_catalog(5):
+        sigma = cone_of_form(q)
+        for s in facet_index_sets(sigma):
+            facet_index_sets(cone_of_form(voronoi_neighbor(q, Face(sigma, s))))
+            neighbours += 1
+    assert neighbours == 430
+    assert len(calls) == 3 + 430
