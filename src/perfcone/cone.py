@@ -9,6 +9,7 @@ generator subset is faithful.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from itertools import zip_longest
 from math import gcd
@@ -458,7 +459,13 @@ def _dd_core(coords: Sequence[Sequence[int]], init: Sequence[int]) -> list[int]:
     iff the AND of deg[j] over its meet is the pair itself. The meet has
     a row, as d >= 3: any three distinct forms v v^t are linearly
     independent, so a span of dimension 2 or less leaves no row to
-    insert. Each insertion updates deg in place: the cut-off rays leave
+    insert. The first such pair of an insertion reads deg into one table
+    per block of four rows lo..lo+3: entry x is the AND of deg over the
+    rows lo + j for the set bits j of x (-1 for x = 0), so the AND over a
+    meet is one lookup per block. deg changes only between insertions, so
+    the tables hold for every pair of the insertion that built them, and
+    an insertion with no such pair builds none. Each insertion then
+    updates deg in place: the cut-off rays leave
     every entry; a ray tight on the inserted row was tight on d - 1 rows
     or more, so it is now degenerate, and it joins the rows of its mask
     if it was simple, the inserted row's entry if not; a new ray tight on
@@ -491,16 +498,24 @@ def _dd_core(coords: Sequence[Sequence[int]], init: Sequence[int]) -> list[int]:
         last = i == rest[-1]
         born: list[int] = []  # masks of the new rays
         vals: list[list[int]] = []  # their slacks, unless this row is the last
+        ands = None  # (lo, a) per block of rows, built at the first degenerate pair
         for kp, vp, mp, sp, bp in plus:
             for km, vm, mm, sm, bm in minus:
                 meet = mp & mm
                 if meet.bit_count() < d2:
                     continue
                 if not (sp or sm):
+                    if ands is None:
+                        ands = []
+                        for lo in range(0, n, 4):
+                            a = [-1]
+                            for j in range(lo, min(lo + 4, n)):
+                                dj = deg[j]
+                                a += [x & dj for x in a]
+                            ands.append((lo, a))
                     common = -1
-                    for lo, t in tables:
-                        for j in t[meet >> lo & 15]:
-                            common &= deg[j]
+                    for lo, a in ands:
+                        common &= a[meet >> lo & 15]
                     if common != bp | bm:
                         continue
                 born.append(meet | bit)
@@ -551,6 +566,7 @@ def _reduced(v: list[int]) -> list[int]:
 
 # _REVERSED[b] is the byte b with its eight bits in reverse order
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_LIMB = (1 << 64) - 1
 
 
 def facet_index_sets(
@@ -574,11 +590,14 @@ def facet_index_sets(
     with generator i as row n - 1 - i. Facets are never nested, so the
     smallest index in which two facets differ lies in the one whose
     sorted tuple comes first, and that one has the larger row mask:
-    sorting the row masks in descending order sorts the facets. Each
-    sorted row mask, shifted up to a whole number b of bytes, then has
-    its 8b bits reversed: its bytes are written little-endian, each byte
-    is reversed by one table lookup (bytes.translate), and the result is
-    read big-endian.
+    sorting the row masks in descending order sorts the facets. All row
+    masks are then reversed in one pass. Sorted ascending, each is
+    shifted up to L = ceil(n / 64) whole 64-bit limbs, and the limbs are
+    packed big-endian into one buffer, a column at a time: every mask's
+    top limb, then every mask's next one. Reversing the buffer and the
+    bits of each byte (bytes.translate) reverses the bits of the whole
+    buffer, so it unpacks into the limb columns of the reversed masks,
+    top column first, each in descending order of the row masks.
     """
     n = len(c.generators)
     if _span is None and c._dim != n:
@@ -589,13 +608,19 @@ def facet_index_sets(
         return [full ^ 1 << i for i in range(n - 1, -1, -1)]
     ref, coords = _span
     masks = _dd_core(coords[::-1], [n - 1 - i for i in ref])
-    masks.sort(reverse=True)
-    width = (n + 7) // 8
-    shift = 8 * width - n
-    return [
-        int.from_bytes((m << shift).to_bytes(width, "little").translate(_REVERSED), "big")
-        for m in masks
-    ]
+    masks.sort()
+    limbs = (n + 63) >> 6
+    shift = 64 * limbs - n
+    words: list[int] = []
+    for s in range(64 * limbs - 64, -1, -64):
+        words += [m << shift >> s & _LIMB for m in masks]
+    form = f">{len(words)}Q"
+    rev = struct.unpack(form, struct.pack(form, *words)[::-1].translate(_REVERSED))
+    f = len(masks)
+    out = list(rev[:f])
+    for k in range(f, len(rev), f):
+        out = [x << 64 | y for x, y in zip(out, rev[k : k + f])]
+    return out
 
 
 def format_cone(c: PerfectCone) -> str:

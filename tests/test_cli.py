@@ -3,6 +3,8 @@ import pytest
 from perfcone import cli, complexes
 from perfcone.cli import main
 from perfcone.complexes import parse_complex
+from perfcone.homology import parse_les_fixture
+from perfcone.quadform import bundled_text
 from perfcone.symmetry import parse_registry
 
 CUSTOM_CATALOG = """\
@@ -258,6 +260,36 @@ def test_verify_seeded(capsys):
     # shuffled orders
     assert main(["verify", "--g", "4", "--seed", "1"]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+def _catalog_without(text: str, name: str) -> str:
+    """A catalog's text with the block of form name (its header and the
+    matrix rows up to the next header) left out."""
+    out, skip = [], False
+    for line in text.splitlines(keepends=True):
+        if line.startswith("form "):
+            skip = line.split()[1] == name
+        if not skip:
+            out.append(line)
+    return "".join(out)
+
+
+@pytest.mark.parametrize("dropped, euler", [("principal_5", 1), ("d5", 3), ("a5_3", 1)])
+def test_verify_fails_on_a_g5_catalog_missing_a_form(tmp_path, capsys, dropped, euler):
+    # a catalog of two of the three perfect quinary forms passed every
+    # check of verify, with exit 0; the Euler gate alone now fails it
+    path = tmp_path / "forms.txt"
+    path.write_text(_catalog_without(bundled_text("forms", 5), dropped), encoding="utf-8")
+    assert main(["verify", "--g", "5", "--catalog", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert [ln for ln in out.splitlines() if "FAIL" in ln] == [f"check euler: FAIL got {euler} want 0"]
+
+
+def test_euler_gate_at_g5_is_the_literature_p_column():
+    # the P column of the g = 6 fixture is H(P_5): Q in degrees 9 and 14
+    _g, h_p, _h_v = parse_les_fixture(bundled_text("les", 6))
+    assert {n: d for n, d in h_p.items() if d} == {9: 1, 14: 1}
+    assert cli._EULER_EXPECTED[5] == sum((-1) ** n * d for n, d in h_p.items())
 
 
 def test_verify_builds_the_smaller_registry_once(monkeypatch, capsys):

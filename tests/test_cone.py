@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from operator import add
 
 import pytest
@@ -598,6 +598,31 @@ def test_facets_come_sorted():
     # exact tight set of a facet, numbered by generator
     for c in cones[-4:]:
         _assert_tight_sets(_projected_rows(c.generators), facet_index_sets(c))
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 67])
+def test_facets_of_corank_one_cones_past_one_limb(n):
+    # g = 11: the e_i, e_i + e_j over the first n - 12 pairs (0, 1), (0, 2),
+    # ..., which hold the triangle 0 1 2, and e_0 + e_1 + e_2. The forms
+    # satisfy one relation, 012 - 01 - 02 - 12 + 0 + 1 + 2 = 0, so a facet
+    # leaves out one generator on each side of it, or one generator off it.
+    # Masks of 63 and 64 bits fill one 64-bit limb, and of 65 and 67 bits
+    # spill into a second
+    g = 11
+
+    def e(*ks):
+        return tuple(int(k in ks) for k in range(g))
+
+    pairs = list(combinations(range(g), 2))[: n - 12]
+    c = PerfectCone(g, [e(i) for i in range(g)] + [e(i, j) for i, j in pairs] + [e(0, 1, 2)])
+    assert (len(c.generators), c.dim) == (n, n - 1)
+    at = {v: k for k, v in enumerate(c.generators)}
+    plus = [at[e(0, 1, 2)], at[e(0)], at[e(1)], at[e(2)]]
+    minus = [at[e(0, 1)], at[e(0, 2)], at[e(1, 2)]]
+    off = set(range(n)).difference(plus, minus)
+    drops = [{p, m} for p in plus for m in minus] + [{k} for k in off]
+    facets = sorted(tuple(sorted(set(range(n)) - d)) for d in drops)
+    assert facet_index_sets(c) == [sum(1 << i for i in f) for f in facets]
 
 
 def test_cone_file_roundtrip():
