@@ -46,7 +46,7 @@ from .symmetry import format_registry
 
 # the Euler characteristic of P_g; at g = 5 it is that of the P column of
 # the bundled les_g6.txt (H_9 = H_14 = Q), literature input, so a g = 5
-# catalog that misses a form fails verify
+# catalog that misses a form fails verify and tables
 _EULER_EXPECTED = {2: 0, 3: 1, 4: 0, 5: 0}
 
 
@@ -185,7 +185,11 @@ def cmd_tables(args) -> int:
     g = args.g
     if g <= 5:
         reg = build_registry(g, catalog_for(g, args.catalog))
-        dims = betti(build_perfect_complex(g, reg)).homology
+        rep = betti(build_perfect_complex(g, reg))
+        want = _EULER_EXPECTED.get(g, rep.euler())
+        if rep.euler() != want:
+            raise ValueError(f"euler characteristic of P_{g} is {rep.euler()}, want {want}")
+        dims = rep.homology
         sys.stdout.write(format_top_weight(g, top_weight_table(g, dims)))
         sys.stdout.write(format_satake(satake_weight0_column(g, dims)))
         return 0

@@ -456,25 +456,29 @@ def _dd_core(coords: Sequence[Sequence[int]], init: Sequence[int]) -> list[int]:
 
     Rays have ids, reused once a ray is cut off, and deg[j] is the bitset
     of the live degenerate rays tight on row j, so such a pair is adjacent
-    iff the AND of deg[j] over its meet is the pair itself. The meet has
-    a row, as d >= 3: any three distinct forms v v^t are linearly
-    independent, so a span of dimension 2 or less leaves no row to
-    insert. The first such pair of an insertion reads deg into one table
-    per block of four rows lo..lo+3: entry x is the AND of deg over the
-    rows lo + j for the set bits j of x (-1 for x = 0), so the AND over a
-    meet is one lookup per block. deg changes only between insertions, so
-    the tables hold for every pair of the insertion that built them, and
-    an insertion with no such pair builds none. Each insertion then
-    updates deg in place: the cut-off rays leave
-    every entry; a ray tight on the inserted row was tight on d - 1 rows
-    or more, so it is now degenerate, and it joins the rows of its mask
-    if it was simple, the inserted row's entry if not; a new ray tight on
-    d rows or more joins the rows of its mask.
+    iff the AND of deg[j] over its meet is the pair itself. The meet has a
+    row only when d >= 3; for d < 3 the test reads an empty meet and
+    misses facets, so a row left to insert there raises AssertionError.
+    Rank-1 forms never reach it, as any three distinct forms v v^t are
+    linearly independent, and facet_index_sets contracts series classes
+    only down to dimension 3. The first such pair of an insertion reads
+    deg into one table per block of four rows lo..lo+3: entry x is the AND
+    of deg over the rows lo + j for the set bits j of x (-1 for x = 0), so
+    the AND over a meet is one lookup per block. deg changes only between
+    insertions, so the tables hold for every pair of the insertion that
+    built them, and an insertion with no such pair builds none. Each
+    insertion then updates deg in place: the cut-off rays leave every
+    entry; a ray tight on the inserted row was tight on d - 1 rows or
+    more, so it is now degenerate, and it joins the rows of its mask if it
+    was simple, the inserted row's entry if not; a new ray tight on d rows
+    or more joins the rows of its mask.
     """
     n = len(coords)
     d = len(init)
     chosen = set(init)
     rest = [i for i in range(n) if i not in chosen]
+    if d < 3 and rest:
+        raise AssertionError(f"the double description cannot insert rows in dimension {d} < 3")
     # slack[k]: ray k's values on the rows still to insert, the next last
     slack = [_reduced([coords[i][k] for i in reversed(rest)]) for k in range(d)]
     full = sum(1 << i for i in init)
@@ -569,6 +573,24 @@ _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 _LIMB = (1 << 64) - 1
 
 
+def _series_classes(
+    n: int, ref: Sequence[int], coords: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """The generators grouped by their Gale vectors up to a positive
+    factor, read off a span_basis (ref, coords): the j-th free generator
+    f_j has e_j, and ref[k] has -coords[f_j][k] over j. Each zero vector
+    is a class of its own. The classes of the free generators come first,
+    in index order, each led by its free generator; a class without one
+    is led by its smallest reference index."""
+    at = set(ref)
+    free = [i for i in range(n) if i not in at]
+    classes = {tuple(int(j == k) for k in range(len(free))): [f] for j, f in enumerate(free)}
+    for k, r in enumerate(ref):
+        v = _reduced([-coords[f][k] for f in free])
+        classes.setdefault(tuple(v) if any(v) else r, []).append(r)
+    return list(classes.values())
+
+
 def facet_index_sets(
     c: PerfectCone,
     *,
@@ -586,6 +608,28 @@ def facet_index_sets(
     the facet set does not depend on the basis it is found in. A span
     made here is kept on the cone (PerfectCone._dual), where the facet
     normals of the Voronoi walk read it (quadform._facet_normal).
+
+    The forms y_i satisfy n - d independent linear relations, one per
+    free (non-reference) generator f_j: D y_{f_j} = sum_k coords[f_j][k]
+    y_{ref[k]}. Generator i's Gale vector g_i holds its coefficients in
+    them, and the values a_i = <w, y_i> of the linear functionals w are
+    exactly the a with sum a_i g_i = 0. So a set T of generators is the
+    complement of a face iff the g_i over T have a relation with every
+    coefficient positive, and the facets are the complements of the
+    minimal such T (Gale duality: Ziegler, Lectures on Polytopes, ch. 6).
+    Two members of T whose Gale vectors are positive multiples (a series
+    class, _series_classes) can pool their coefficients on one of them,
+    so a minimal T holds at most one member of a class, and any member
+    can stand in for it. Slicing coords to the kept rows and the kept
+    reference columns contracts the dropped reference generators: it
+    deletes their Gale vectors and keeps the others. So when one member
+    per class leaves dimension 3 or more, the double description runs on
+    the classes, each kept by its free member where it has one, so that
+    every dropped row is a reference row; a facet that misses classes
+    C_1..C_m expands to the facets that miss one member of each. D5's 20
+    rows in dimension 15 become 10 rows in dimension 5. A cone with no
+    class of two runs on its own rows.
+
     The facets are the active sets of the extreme rays of the dual cone,
     with generator i as row n - 1 - i. Facets are never nested, so the
     smallest index in which two facets differ lies in the one whose
@@ -607,7 +651,25 @@ def facet_index_sets(
         full = (1 << n) - 1
         return [full ^ 1 << i for i in range(n - 1, -1, -1)]
     ref, coords = _span
-    masks = _dd_core(coords[::-1], [n - 1 - i for i in ref])
+    classes = _series_classes(n, ref, coords)
+    nfree = n - len(ref)
+    # the contracted dimension is len(classes) - nfree
+    if len(classes) == n or len(classes) - nfree < 3:
+        masks = _dd_core(coords[::-1], [n - 1 - i for i in ref])
+    else:
+        # class p is row p, led by its kept member; the free-led ones come first
+        at = {r: k for k, r in enumerate(ref)}
+        cols = [at[cl[0]] for cl in classes[nfree:]]
+        rows = [[coords[cl[0]][k] for k in cols] for cl in classes]
+        bits = [[1 << n - 1 - i for i in cl] for cl in classes]
+        full = (1 << n) - 1
+        masks = []
+        for m in _dd_core(rows, range(nfree, len(classes))):
+            expanded = [full]
+            for p, b in enumerate(bits):
+                if not m >> p & 1:
+                    expanded = [x ^ y for x in expanded for y in b]
+            masks += expanded
     masks.sort()
     limbs = (n + 63) >> 6
     shift = 64 * limbs - n

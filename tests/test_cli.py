@@ -285,6 +285,16 @@ def test_verify_fails_on_a_g5_catalog_missing_a_form(tmp_path, capsys, dropped, 
     assert [ln for ln in out.splitlines() if "FAIL" in ln] == [f"check euler: FAIL got {euler} want 0"]
 
 
+@pytest.mark.parametrize("dropped, euler", [("principal_5", 1), ("d5", 3), ("a5_3", 1)])
+def test_tables_fails_on_a_g5_catalog_missing_a_form(tmp_path, capsys, dropped, euler):
+    # tables printed the cohomology of the partial registry, with exit 0
+    # (`GrW 20 3` without d5); it now applies verify's Euler gate first
+    path = tmp_path / "forms.txt"
+    path.write_text(_catalog_without(bundled_text("forms", 5), dropped), encoding="utf-8")
+    assert main(["tables", "--g", "5", "--catalog", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: euler characteristic of P_5 is {euler}, want 0\n")
+
+
 def test_euler_gate_at_g5_is_the_literature_p_column():
     # the P column of the g = 6 fixture is H(P_5): Q in degrees 9 and 14
     _g, h_p, _h_v = parse_les_fixture(bundled_text("les", 6))

@@ -7,6 +7,7 @@ from operator import add
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import perfcone.cone
 from perfcone.cone import (
     PerfectCone,
     _dd_core,
@@ -392,6 +393,99 @@ def test_dd_masks_on_d6_subcones(keep, seed, rnd):
     c = _cartan_cone(6, D6_EDGES)
     c = c.subcone(rnd.sample(range(30), keep))
     _assert_masks_follow_the_rows(c, seed, rnd, 40)
+
+
+def test_dd_core_refuses_to_insert_below_dimension_3():
+    # in the plane, the rays (1, 0) and (-1, 1) bound the cone, and (0, 1)
+    # lies inside: the facets are {0, 2} and {4}. The adjacency test reads
+    # the empty meet of a pair at d = 2, and without the guard it found
+    # {0, 2} alone
+    ys = [(1, 0), (0, 1), (2, 0), (0, 2), (-1, 1)]
+    init, coords = _span_basis(ys, range(len(ys)))
+    with pytest.raises(AssertionError, match="dimension 2 < 3"):
+        _dd_core(coords, init)
+    # with no row left to insert, the initial rays are the answer
+    assert sorted(_dd_core(coords[:2], init)) == [1, 2]
+
+
+def _assert_facets_follow_the_rows(c, seed, rnd, sample):
+    """facet_index_sets on c conjugated by a random unimodular matrix,
+    from its own span and from a span_basis in a shuffled order, finds
+    the facets of the plain double description on the moved cone's full
+    rows, in sorted order, and those of c moved by the matrix; a sample
+    of them are tight sets."""
+    h = random_unimodular(c.g, random.Random(seed))
+    moved = conjugate_cone(c, h)
+    rows = _projected_rows(moved.generators)
+    plain = sorted(_dd(rows), key=indices)
+    n = len(rows)
+    order = list(range(n))
+    rnd.shuffle(order)
+    assert facet_index_sets(moved) == plain
+    assert facet_index_sets(moved, _span=span_basis(moved, order)) == plain
+    at = {sign_normalize(mat_vec(h, v)): k for k, v in enumerate(c.generators)}
+    back = [at[v] for v in moved.generators]
+    assert {sum(1 << back[i] for i in indices(m)) for m in plain} == set(facet_index_sets(c))
+    _assert_tight_sets(rows, rnd.sample(plain, min(sample, len(plain))))
+
+
+@settings(max_examples=10)
+@given(
+    st.sampled_from(["d5", "d6"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.randoms(use_true_random=False),
+)
+def test_facets_through_series_classes_on_moved_d5_and_d6(name, seed, rnd):
+    # D5's 20 generators fall into 10 series classes of two, D6's 30 into
+    # 15, so facet_index_sets runs the double description on the classes
+    c = D5 if name == "d5" else _cartan_cone(6, D6_EDGES)
+    _assert_facets_follow_the_rows(c, seed, rnd, 40)
+
+
+@settings(max_examples=10)
+@given(
+    st.integers(24, 30),
+    st.integers(min_value=0, max_value=10**6),
+    st.randoms(use_true_random=False),
+)
+def test_facets_through_series_classes_on_moved_d6_subcones(keep, seed, rnd):
+    # a subcone keeps some classes whole and splits others, and a class
+    # may lose its free member to another basis
+    c = _cartan_cone(6, D6_EDGES).subcone(rnd.sample(range(30), keep))
+    _assert_facets_follow_the_rows(c, seed, rnd, 40)
+
+
+def test_series_classes_shrink_the_double_description(monkeypatch, reg5):
+    # the double description runs on the contracted rows: dimension 5 for
+    # D5 (10 classes of 2) and 6 for D6 (15 of 2), while D4's 3 classes of
+    # 4 would leave dimension 1 and E6 has no class of two; no call, over
+    # every bundled cone and g = 5 orbit, starts from fewer than 3 rows.
+    # The stub records each call's rows and initial rows and answers with
+    # one mask, all rows tight; fresh cones keep the session registry's
+    # cones as they are
+    calls = []
+
+    def stub(coords, init):
+        calls.append((len(coords), len(init)))
+        return [(1 << len(coords)) - 1]
+
+    monkeypatch.setattr(perfcone.cone, "_dd_core", stub)
+    d4 = cone_of_form(load_bundled_catalog(4)[1])
+    e6 = _cartan_cone(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+    for c, shape in ((D5, (10, 5)), (_cartan_cone(6, D6_EDGES), (15, 6)), (d4, (12, 10)), (e6, (36, 21))):
+        calls.clear()
+        facet_index_sets(PerfectCone(c.g, c.generators))
+        assert calls == [shape]
+    calls.clear()
+    cones = [cone_of_form(q) for g in range(1, 6) for q in load_bundled_catalog(g)]
+    cones += [PerfectCone(o.rep.g, o.rep.generators) for o in reg5.orbits]
+    for c in cones:
+        facet_index_sets(c)
+    # D4, D5 and six g = 5 orbits are not simplicial: D4 and D5 again, and
+    # four built on D4's classes plus four to one coloops (Gale vector
+    # zero, each a class of its own). With four, three and two coloops they
+    # contract to dimension 5, 4 and 3; with one it would leave 2
+    assert sorted(calls) == [(5, 3), (6, 4), (7, 5), (10, 5), (10, 5), (12, 10), (12, 10), (13, 11)]
 
 
 def test_reduce_examples(reg4):
