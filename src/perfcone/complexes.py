@@ -216,14 +216,6 @@ class ChainComplexQ:
     def dim(self, n: int) -> int:
         return len(self.basis.get(n, []))
 
-    def matrix(self, n: int) -> list[list[int]]:
-        """Dense boundary matrix of degree n, shape dim(n-1) x dim(n)."""
-        rows, cols = self.dim(n - 1), self.dim(n)
-        out = [[0] * cols for _ in range(rows)]
-        for (r, c), v in self.diff.get(n, {}).items():
-            out[r][c] = v
-        return out
-
 
 def _build_by_predicate(
     label: str, reg: OrbitRegistry, keep: Callable[[Orbit], bool], closed: bool
@@ -399,6 +391,8 @@ def parse_complex(text: str) -> ChainComplexQ:
         if parts[0] == "complex":
             if len(parts) != 3 or not parts[2].startswith("g="):
                 raise ValueError(f"line {ln}: malformed complex header")
+            if label is not None:
+                raise ValueError(f"line {ln}: second complex header")
             label = parts[1]
             g = int_field(parts[2][2:], ln)
         elif parts[0] == "deg":
@@ -409,6 +403,8 @@ def parse_complex(text: str) -> ChainComplexQ:
             n = int_field(parts[1], ln)
             if not -1 <= n < g * (g + 1) // 2:
                 raise ValueError(f"line {ln}: degree {n} outside the complex")
+            if n in basis:
+                raise ValueError(f"line {ln}: second deg {n} line")
             d = int_field(parts[3], ln)
             ids = parts[4:]
             if len(ids) != d:
@@ -418,6 +414,10 @@ def parse_complex(text: str) -> ChainComplexQ:
             if len(parts) != 5:
                 raise ValueError(f"line {ln}: expected `d <n> <row> <col> <int>`")
             n, r, c, v = (int_field(x, ln) for x in parts[1:])
+            if v == 0:
+                raise ValueError(f"line {ln}: zero entry ({r}, {c}) of d {n}")
+            if (n, r, c) in entry_line:
+                raise ValueError(f"line {ln}: second entry ({r}, {c}) of d {n}")
             diff.setdefault(n, {})[(r, c)] = v
             entry_line[(n, r, c)] = ln
         else:

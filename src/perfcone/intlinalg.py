@@ -2,9 +2,9 @@
 
 Matrices are lists (or tuples) of rows; vectors are sequences. No floats.
 
-Every elimination runs through one fraction-free kernel, ``Echelon``: an
-integer echelon basis grown one row at a time by Bareiss steps (Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian
+Every dense elimination runs through one fraction-free kernel,
+``Echelon``: an integer echelon basis grown one row at a time by Bareiss
+steps (Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 1968), with fraction-free back substitution
 of just the Gauss-Jordan columns a caller reads: the right block of
 [m | I] for an adjugate, the one free column for a kernel vector, the
@@ -13,18 +13,21 @@ input, so every division is exact and no entry is a fraction. Ranks,
 pivot columns, determinants, adjugates, inverses and kernel vectors are
 all read off its state. The quadratic-form layer reads positive
 definiteness and the short-vector levels of a form off the same Bareiss
-rows. ``snf_left`` works with unimodular row operations instead: an echelon
-form over Z, for the lattice reductions of boundary cones and the
-coloop test.
+rows. The rank of a sparse boundary map, ``bareiss_rank``, takes unit
+pivots first, each exact over Z, and hands the remainder, which holds no
+unit entry, to the same kernel. ``snf_left`` works with unimodular row
+operations instead: an echelon form over Z, for the lattice reductions
+of boundary cones and the coloop test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, starmap
 from math import gcd
 from operator import index, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def vec_gcd(v: Sequence[int]) -> int:
@@ -266,11 +269,82 @@ def rank_rows(rows: Sequence[Sequence[int]]) -> int:
     return _echelon(rows).rank
 
 
-def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer boundary matrix. Same as rank_rows; a function
-    of its own so that perfbench's tracer counts homology's rank calls
-    apart (homology.bareiss_rank)."""
-    return _echelon(rows).rank
+def bareiss_rank(entries: Mapping[tuple[int, int], int]) -> int:
+    """Rank of the sparse integer matrix {(row, col): value}, indices
+    nonnegative, as a chain complex keeps a boundary map.
+
+    Unit pivots first: while some entry is +-1, take the one of least
+    Markowitz cost (row nnz - 1)(column nnz - 1), ties broken by
+    (row, col), clear the rest of its column by exact integer row
+    operations, and drop its row and column; each such pivot adds one to
+    the rank (Kaczynski-Mrozek-Slusarek, "Homology computation by
+    reduction of chain complexes", Comput. Math. Appl. 1998). The
+    remainder, which holds no unit entry, goes dense to the Bareiss kernel.
+
+    The heap holds, for every unit entry, a key no larger than its
+    current cost: a step pushes the entries whose cost fell or which it
+    made units, and an entry popped at a smaller, stale key goes back at
+    its cost. So the first popped key that is current is the least.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for (r, c), v in entries.items():
+        if v:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, set()).add(r)
+
+    # (cost, row, col) packed into one int, which the heap compares faster
+    nr, nc = max(rows, default=0) + 1, max(cols, default=0) + 1
+
+    def cost(r: int, c: int) -> int:
+        return ((len(rows[r]) - 1) * (len(cols[c]) - 1) * nr + r) * nc + c
+
+    heap = [cost(r, c) for r, row in rows.items() for c, v in row.items() if v in (1, -1)]
+    heapify(heap)
+    rank = 0
+    while heap:
+        key = heappop(heap)
+        r, c = divmod(key % (nr * nc), nc)
+        pivot = rows.get(r)
+        if pivot is None or pivot.get(c) not in (1, -1):
+            continue
+        now = cost(r, c)
+        if now != key:
+            if now > key:
+                heappush(heap, now)
+            continue
+        rank += 1
+        del rows[r]
+        col_before = {c2: len(cols[c2]) for c2 in pivot}
+        for c2 in pivot:
+            cols[c2].discard(r)
+        v = pivot.pop(c)
+        touched = cols.pop(c)
+        for r2 in touched:
+            row = rows[r2]
+            before = len(row)
+            f = row.pop(c) * v  # v = 1/v for a unit
+            for c2, x in pivot.items():
+                y = row.get(c2, 0) - f * x
+                if y:
+                    row[c2] = y
+                    cols[c2].add(r2)
+                elif c2 in row:
+                    del row[c2]
+                    cols[c2].discard(r2)
+            if not row:
+                del rows[r2]
+                continue
+            for c2 in row if len(row) < before else pivot:
+                if row.get(c2) in (1, -1):
+                    heappush(heap, cost(r2, c2))
+        for c2 in pivot:
+            if len(cols[c2]) < col_before[c2]:
+                for r2 in cols[c2] - touched:
+                    if rows[r2][c2] in (1, -1):
+                        heappush(heap, cost(r2, c2))
+    live = sorted({c for row in rows.values() for c in row})
+    return rank + _echelon([[row.get(c, 0) for c in live] for row in rows.values()]).rank
 
 
 def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:

@@ -121,6 +121,15 @@ def _minor_gcd(rows, k):
     return out
 
 
+def boundary_matrix(cx, n):
+    """The dense boundary matrix of degree n of a chain complex, dim C_(n-1)
+    rows by dim C_n columns, filled in from its sparse entries cx.diff[n]."""
+    out = [[0] * len(cx.basis.get(n, [])) for _ in cx.basis.get(n - 1, [])]
+    for (r, c), v in cx.diff.get(n, {}).items():
+        out[r][c] = v
+    return out
+
+
 def homology_dims_oracle(matrices, dims):
     """dim H_n from dense sympy ranks; matrices[n] maps degree n to n-1."""
     out = {}

@@ -216,6 +216,10 @@ def test_homology_rejects_broken_complex(tmp_path, capsys):
         (["homology"], "complex P g=2\ndeg a dim 0\n", "line 2:"),
         (["homology"], "complex P g=2\ndeg 0 dim x\n", "line 2:"),
         (["homology"], "complex P g=2\nd 0 x 0 1\n", "line 2:"),
+        (["homology"], "complex P g=2\ncomplex P g=3\n", "line 2:"),
+        (["homology"], "complex P g=2\ndeg 0 dim 1 b\ndeg 0 dim 1 c\n", "line 3:"),
+        (["homology"], "complex P g=2\ndeg -1 dim 1 a\ndeg 0 dim 1 b\nd 0 0 0 1\nd 0 0 0 2\n", "line 5:"),
+        (["homology"], "complex P g=2\ndeg -1 dim 1 a\ndeg 0 dim 1 b\nd 0 0 0 0\n", "line 4:"),
     ],
     ids=[
         "les-range-one-bound",
@@ -233,6 +237,10 @@ def test_homology_rejects_broken_complex(tmp_path, capsys):
         "deg-not-integer",
         "dim-not-integer",
         "entry-not-integer",
+        "complex-repeated",
+        "deg-repeated",
+        "entry-repeated",
+        "entry-zero",
     ],
 )
 def test_malformed_input_names_its_line(tmp_path, capsys, command, text, where):

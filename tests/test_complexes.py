@@ -31,6 +31,7 @@ from perfcone.quadform import cone_of_form, load_bundled_catalog, principal_form
 from perfcone.symmetry import OrbitRegistry, format_registry, span_coordinates, strong_generators
 
 from oracles import (
+    boundary_matrix,
     det_oracle,
     induces,
     m_star_k33,
@@ -528,7 +529,7 @@ def test_perfect_complex_dims():
     reg2 = build_registry(2)
     p2 = build_perfect_complex(2, reg2)
     assert [p2.dim(n) for n in range(-1, 3)] == [1, 1, 0, 0]
-    assert abs(p2.matrix(0)[0][0]) == 1
+    assert abs(boundary_matrix(p2, 0)[0][0]) == 1
 
     reg3 = build_registry(3)
     p3 = build_perfect_complex(3, reg3)
@@ -539,8 +540,8 @@ def test_perfect_complex_dims():
     p4 = build_perfect_complex(4, reg4)
     dims4 = {n: p4.dim(n) for n in p4.degrees() if p4.dim(n)}
     assert dims4 == {-1: 1, 0: 1, 5: 1, 6: 1}
-    assert abs(p4.matrix(6)[0][0]) == 1
-    assert abs(p4.matrix(0)[0][0]) == 1
+    assert abs(boundary_matrix(p4, 6)[0][0]) == 1
+    assert abs(boundary_matrix(p4, 0)[0][0]) == 1
 
 
 def test_voronoi_complex_dims(reg2, reg3, reg4):

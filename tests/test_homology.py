@@ -22,7 +22,7 @@ from perfcone.homology import (
 )
 from perfcone.quadform import bundled_text
 
-from oracles import homology_dims_oracle
+from oracles import boundary_matrix, homology_dims_oracle
 
 BAD_COMPLEX = """\
 complex T g=2
@@ -38,7 +38,7 @@ d 1 0 0 1
 def _oracle_dims(cx):
     dmax = cx.g * (cx.g + 1) // 2
     dims = {n: cx.dim(n) for n in range(-1, dmax)}
-    mats = {n: cx.matrix(n) for n in range(0, dmax) if cx.dim(n) and cx.dim(n - 1)}
+    mats = {n: boundary_matrix(cx, n) for n in range(0, dmax) if cx.dim(n) and cx.dim(n - 1)}
     return homology_dims_oracle(mats, dims)
 
 

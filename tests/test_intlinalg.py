@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from perfcone.intlinalg import (
     Echelon,
@@ -46,8 +46,35 @@ def int_matrices(draw, square=False):
 def test_rank_and_pivot_columns(rows):
     r = rank_oracle(rows)
     assert rank_rows(rows) == r
-    assert bareiss_rank(rows) == r
+    assert bareiss_rank({(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)}) == r
     assert pivot_columns(rows) == pivot_oracle(rows)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """{(row, col): value} products of an n x r and an r x m matrix, mostly
+    zero and often short of full rank. The factors' entries include units,
+    so that +-2 turns up in the product and under elimination, or leave
+    them out, so that a unit is rare and most of the matrix is remainder."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    r = draw(st.integers(1, max(n, m)))
+    entry = st.sampled_from(draw(st.sampled_from([(0, 0, 0, 1, -1, 2), (0, 0, 2, -2, 3)])))
+    left = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=n, max_size=n))
+    right = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=r, max_size=r))
+    return {(i, j): x for i, row in enumerate(mat_mul(left, right)) for j, x in enumerate(row) if x}
+
+
+@settings(max_examples=150)
+@given(sparse_matrices())
+@example({})
+@example({(0, 0): 2, (0, 1): 4, (1, 0): 6, (1, 1): 3})  # no unit entry
+@example({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1})  # the unit pivot leaves -2
+@example({(0, 0): 2, (0, 1): 2, (1, 0): 1, (1, 1): 1})  # a 2 is no unit
+def test_sparse_rank_matches_dense(entries):
+    nrows = 1 + max((r for r, _ in entries), default=-1)
+    ncols = 1 + max((c for _, c in entries), default=-1)
+    dense = [[entries.get((i, j), 0) for j in range(ncols)] for i in range(nrows)]
+    assert bareiss_rank(entries) == rank_rows(dense)
 
 
 @settings(max_examples=80)
