@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .cone import PerfectCone, facet_index_sets, indices, int_field, pad
+from .cone import PerfectCone, facet_index_sets, indices, int_field, pad, records
 from .matroid import is_matroidal, lattice_coloops
 from .quadform import QuadraticForm, cone_of_form, load_bundled_catalog
 from .symmetry import Orbit, OrbitRegistry, orientation_sign
@@ -377,17 +377,13 @@ def format_complex(cx: ChainComplexQ) -> str:
 
 
 def parse_complex(text: str) -> ChainComplexQ:
-    lines = text.splitlines()
     label = None
-    g = None
     basis: dict[int, list[str]] = {}
+    named: set[str] = set()
     diff: dict[int, dict[tuple[int, int], int]] = {}
     entry_line: dict[tuple[int, int, int], int] = {}
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    *body, (end, _) = records(text)
+    for ln, parts in body:
         if parts[0] == "complex":
             if len(parts) != 3 or not parts[2].startswith("g="):
                 raise ValueError(f"line {ln}: malformed complex header")
@@ -395,9 +391,11 @@ def parse_complex(text: str) -> ChainComplexQ:
                 raise ValueError(f"line {ln}: second complex header")
             label = parts[1]
             g = int_field(parts[2][2:], ln)
+            if g < 0:
+                raise ValueError(f"line {ln}: negative g={g}")
+        elif label is None:
+            raise ValueError(f"line {ln}: {parts[0]} before complex header")
         elif parts[0] == "deg":
-            if label is None:
-                raise ValueError(f"line {ln}: deg before complex header")
             if len(parts) < 4 or parts[2] != "dim":
                 raise ValueError(f"line {ln}: expected `deg <n> dim <d>`")
             n = int_field(parts[1], ln)
@@ -409,6 +407,10 @@ def parse_complex(text: str) -> ChainComplexQ:
             ids = parts[4:]
             if len(ids) != d:
                 raise ValueError(f"line {ln}: dim {d} but {len(ids)} ids")
+            for oid in ids:
+                if oid in named:
+                    raise ValueError(f"line {ln}: orbit {oid} named twice in the basis")
+                named.add(oid)
             basis[n] = ids
         elif parts[0] == "d":
             if len(parts) != 5:
@@ -422,8 +424,8 @@ def parse_complex(text: str) -> ChainComplexQ:
             entry_line[(n, r, c)] = ln
         else:
             raise ValueError(f"line {ln}: unrecognized directive {parts[0]!r}")
-    if label is None or g is None:
-        raise ValueError("complex text held no header")
+    if label is None:
+        raise ValueError(f"line {end}: complex text held no header")
     dmax = g * (g + 1) // 2
     for (n, r, c), ln in entry_line.items():
         rows, cols = len(basis.get(n - 1, [])), len(basis.get(n, []))

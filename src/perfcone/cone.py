@@ -692,6 +692,16 @@ def format_cone(c: PerfectCone) -> str:
     return "\n".join(lines) + "\n"
 
 
+def records(text: str | Sequence[str]) -> list[tuple[int, list[str]]]:
+    """(line number, tokens) of each line of text, a string or its lines,
+    that keeps a token once `#` and all after it are cut: the one comment
+    rule of every text format here. The list ends with (last line + 1,
+    []), the line at which a text that ends early is refused."""
+    lines = text.splitlines() if isinstance(text, str) else text
+    out = [(ln, t) for ln, s in enumerate(lines, start=1) if (t := s.split("#", 1)[0].split())]
+    return out + [(len(lines) + 1, [])]
+
+
 def int_field(token: str, ln: int) -> int:
     """An integer field of line ln of a text format."""
     try:
@@ -700,35 +710,25 @@ def int_field(token: str, ln: int) -> int:
         raise ValueError(f"line {ln}: expected an integer, got {token!r}") from None
 
 
-def parse_cone(lines: Sequence[str], start: int = 0) -> tuple[PerfectCone, int]:
-    """Parse one cone block; returns (cone, next line index)."""
-    i = start
-    while i < len(lines) and (not lines[i].strip() or lines[i].lstrip().startswith("#")):
-        i += 1
-    if i >= len(lines):
-        raise ValueError("expected a cone header, found end of input")
-    head = lines[i].split()
-    if len(head) != 3 or head[0] != "cone":
-        raise ValueError(f"line {i + 1}: malformed cone header")
+def parse_cone(recs: Sequence[tuple[int, list[str]]], k: int = 0) -> tuple[PerfectCone, int]:
+    """Parse the cone block at recs[k], recs as records gives them;
+    returns (cone, the index of the record after the block)."""
+    ln, head = recs[k]
     try:
-        g = int(head[1].removeprefix("g="))
-        n = int(head[2].removeprefix("n="))
-    except ValueError as exc:
-        raise ValueError(f"line {i + 1}: malformed cone header") from exc
-    i += 1
+        word, g, n = head
+        g, n = int(g.removeprefix("g=")), int(n.removeprefix("n="))
+        if word != "cone" or g < 0 or n < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"line {ln}: malformed cone header") from None
     gens = []
-    while len(gens) < n:
-        if i >= len(lines):
-            raise ValueError(f"line {i + 1}: cone block ended early")
-        row = lines[i].strip()
-        i += 1
-        if not row or row.startswith("#"):
-            continue
-        parts = row.split()
-        if len(parts) != g:
+    for i, row in recs[k + 1 : k + 1 + n]:
+        if not row:
+            raise ValueError(f"line {i}: cone block ended early")
+        if len(row) != g:
             raise ValueError(f"line {i}: expected {g} integers")
-        try:
-            gens.append(tuple(int(x) for x in parts))
-        except ValueError:
-            raise ValueError(f"line {i}: expected {g} integers") from None
-    return PerfectCone(g, gens), i
+        gens.append(tuple(int_field(x, i) for x in row))
+    try:
+        return PerfectCone(g, gens), k + 1 + n
+    except ValueError as exc:
+        raise ValueError(f"line {ln}: {exc}") from None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .complexes import ChainComplexQ, _compose
-from .cone import int_field
+from .cone import int_field, records
 from .intlinalg import bareiss_rank
 
 
@@ -140,11 +140,9 @@ def parse_les_fixture(text: str) -> tuple[int, dict[int, int | None], dict[int, 
     g = None
     lo = hi = None
     entries: dict[str, dict[int, int | None]] = {"P": {}, "V": {}}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    entry_line: dict[tuple[str, int], int] = {}
+    *body, (end, _) = records(text)
+    for ln, parts in body:
         if parts[0] == "les":
             if len(parts) != 2 or not parts[1].startswith("g="):
                 raise ValueError(f"line {ln}: expected `les g=<int>`")
@@ -163,17 +161,20 @@ def parse_les_fixture(text: str) -> tuple[int, dict[int, int | None], dict[int, 
             if len(parts) != 3:
                 raise ValueError(f"line {ln}: expected `{parts[0]} <n> <dim|?>`")
             n = int_field(parts[1], ln)
-            column = entries[parts[0]]
-            if n in column:
+            if (parts[0], n) in entry_line:
                 raise ValueError(f"line {ln}: second {parts[0]} entry for degree {n}")
-            column[n] = None if parts[2] == "?" else int_field(parts[2], ln)
+            dim = None if parts[2] == "?" else int_field(parts[2], ln)
+            if dim is not None and dim < 0:
+                raise ValueError(f"line {ln}: negative dimension {dim}")
+            entries[parts[0]][n] = dim
+            entry_line[parts[0], n] = ln
         else:
             raise ValueError(f"line {ln}: unrecognized directive {parts[0]!r}")
     if g is None or lo is None:
-        raise ValueError("les fixture needs `les g=` and `range` lines")
-    for n in entries["P"] | entries["V"]:
+        raise ValueError(f"line {end}: les fixture needs `les g=` and `range` lines")
+    for (_, n), ln in entry_line.items():
         if not lo <= n <= hi:
-            raise ValueError(f"entry degree {n} outside the declared range")
+            raise ValueError(f"line {ln}: entry degree {n} outside the declared range")
     h_p, h_v = ({n: entries[k].get(n, 0) for n in range(lo, hi + 1)} for k in "PV")
     return g, h_p, h_v
 

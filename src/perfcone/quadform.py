@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence
 
-from .cone import Face, PerfectCone, indices, span_basis
+from .cone import Face, PerfectCone, indices, records, span_basis
 from .intlinalg import (
     Echelon,
     adjugate_det,
@@ -273,7 +273,6 @@ def load_form_catalog(source: str | IO[str]) -> list[QuadraticForm]:
     positive definite and perfect, then scaled so the minimum is 1.
     """
     text = source if isinstance(source, str) else source.read()
-    lines = text.splitlines()
     g = None
     forms: list[QuadraticForm] = []
     pending_name = None
@@ -301,11 +300,7 @@ def load_form_catalog(source: str | IO[str]) -> list[QuadraticForm]:
         pending_name = None
         pending_rows = []
 
-    for idx, raw_line in enumerate(lines, start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for idx, parts in records(text)[:-1]:
         if g is None or parts[0] == "g":
             if parts[0] != "g" or len(parts) != 2:
                 raise CatalogError(idx, "expected `g <int>` first")

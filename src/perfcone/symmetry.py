@@ -39,6 +39,7 @@ from .cone import (
     format_cone,
     int_field,
     parse_cone,
+    records,
     reduce as cone_reduce,
     span_basis,
 )
@@ -597,37 +598,31 @@ def format_registry(reg: OrbitRegistry) -> str:
 
 
 def parse_registry(text: str) -> OrbitRegistry:
-    lines = text.splitlines()
-    i = 0
+    recs = records(text)
+    k = 0
     reg = None
-    while i < len(lines):
-        line = lines[i].strip()
-        if not line or line.startswith("#"):
-            i += 1
-            continue
-        c, i = parse_cone(lines, i)
+    while recs[k][1]:
+        ln = recs[k][0]
+        c, k = parse_cone(recs, k)
         if reg is None:
             reg = OrbitRegistry(c.g)
-        if i + 1 >= len(lines):
-            raise ValueError(f"line {len(lines) + 1}: orbit block ended early")
-        flags = lines[i].split()
-        i += 1
-        alt = None
-        rank = None
-        for tok in flags:
-            if tok.startswith("alt="):
-                alt = tok[4:]
-            elif tok.startswith("rank="):
-                rank = int_field(tok[5:], i)
-        if alt not in ("0", "1") or rank is None:
+        if c.g != reg.g:
+            raise ValueError(f"line {ln}: g={c.g}, but the registry has g={reg.g}")
+        i, flags = recs[k]
+        if not flags:
+            raise ValueError(f"line {i}: orbit block ended early")
+        fields = dict(tok.split("=", 1) for tok in flags if "=" in tok)
+        alt = fields.get("alt")
+        if alt not in ("0", "1") or "rank" not in fields:
             raise ValueError(f"line {i}: malformed orbit flags")
+        rank = int_field(fields["rank"], i)
         if rank != c.rank:
             raise ValueError(f"line {i}: rank={rank}, but the cone has rank {c.rank}")
-        orient_parts = lines[i].split()
-        i += 1
-        if not orient_parts or orient_parts[0] != "orient":
+        i, orient = recs[k + 1]
+        k += 2
+        if orient[:1] != ["orient"]:
             raise ValueError(f"line {i}: expected an orient line")
-        ref = tuple(int_field(x, i) for x in orient_parts[1:])
+        ref = tuple(int_field(x, i) for x in orient[1:])
         n = len(c.generators)
         try:
             if any(not 0 <= s < n for s in ref):  # a negative index would wrap
@@ -647,5 +642,5 @@ def parse_registry(text: str) -> OrbitRegistry:
         )
         reg.add_seed(orbit)
     if reg is None:
-        raise ValueError("registry text held no orbits")
+        raise ValueError(f"line {recs[k][0]}: registry text held no orbits")
     return reg

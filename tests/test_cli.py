@@ -2,10 +2,10 @@ import pytest
 
 from perfcone import cli, complexes
 from perfcone.cli import main
-from perfcone.complexes import parse_complex
+from perfcone.complexes import build_perfect_complex, format_complex, parse_complex
 from perfcone.homology import parse_les_fixture
-from perfcone.quadform import bundled_text
-from perfcone.symmetry import parse_registry
+from perfcone.quadform import bundled_text, load_form_catalog
+from perfcone.symmetry import format_registry, parse_registry
 
 CUSTOM_CATALOG = """\
 g 2
@@ -220,6 +220,14 @@ def test_homology_rejects_broken_complex(tmp_path, capsys):
         (["homology"], "complex P g=2\ndeg 0 dim 1 b\ndeg 0 dim 1 c\n", "line 3:"),
         (["homology"], "complex P g=2\ndeg -1 dim 1 a\ndeg 0 dim 1 b\nd 0 0 0 1\nd 0 0 0 2\n", "line 5:"),
         (["homology"], "complex P g=2\ndeg -1 dim 1 a\ndeg 0 dim 1 b\nd 0 0 0 0\n", "line 4:"),
+        (["homology"], "complex P g=1\ndeg -1 dim 1 a\ndeg 0 dim 2 b b\n", "line 3:"),
+        (["homology"], "complex P g=1\ndeg -1 dim 1 a\ndeg 0 dim 1 a\n", "line 3:"),
+        (["homology"], "complex P g=-3\n", "line 1:"),
+        (["homology"], "d 0 0 0 1\ncomplex P g=1\ndeg -1 dim 1 a\ndeg 0 dim 1 b\n", "line 1:"),
+        (["homology"], "# no header\n", "line 2:"),
+        (["les", "--g", "5"], "les g=5\n", "line 2:"),
+        (["les", "--g", "5"], "les g=5\nrange 0 5\nP 9 1\n", "line 3:"),
+        (["les", "--g", "5"], "les g=5\nrange 0 5\nP 0 -2\nV 1 1\n", "line 3:"),
     ],
     ids=[
         "les-range-one-bound",
@@ -241,6 +249,14 @@ def test_homology_rejects_broken_complex(tmp_path, capsys):
         "deg-repeated",
         "entry-repeated",
         "entry-zero",
+        "id-repeated-in-deg",
+        "id-repeated-across-degs",
+        "complex-g-negative",
+        "entry-before-header",
+        "complex-header-missing",
+        "les-range-missing",
+        "les-entry-outside-range",
+        "les-dim-negative",
     ],
 )
 def test_malformed_input_names_its_line(tmp_path, capsys, command, text, where):
@@ -248,6 +264,25 @@ def test_malformed_input_names_its_line(tmp_path, capsys, command, text, where):
     path.write_text(text, encoding="utf-8")
     assert main(command + [str(path)]) == 1
     assert f"error: {where}" in capsys.readouterr().err
+
+
+def _commented(text: str) -> str:
+    """text with a comment line and a blank line before each of its lines,
+    and a trailing comment on each."""
+    return "".join(f"# a comment line\n\n{line}  # a trailing comment\n" for line in text.splitlines())
+
+
+@pytest.mark.parametrize("kind", ["cplx", "registry", "forms", "les"])
+def test_every_format_reads_one_comment_rule(reg3, kind):
+    # blank lines and `#` comments, on their own lines or after a record,
+    # leave every format read the same
+    text, read = {
+        "cplx": (format_complex(build_perfect_complex(3, reg3)), lambda t: vars(parse_complex(t))),
+        "registry": (format_registry(reg3), lambda t: parse_registry(t).orbits),
+        "forms": (bundled_text("forms", 4), lambda t: [(q.num, q.den, q.name) for q in load_form_catalog(t)]),
+        "les": (bundled_text("les", 7), parse_les_fixture),
+    }[kind]
+    assert read(_commented(text)) == read(text)
 
 
 def test_homology_missing_file(tmp_path, capsys):

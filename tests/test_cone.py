@@ -18,6 +18,7 @@ from perfcone.cone import (
     indices,
     pad,
     parse_cone,
+    records,
     reduce,
     span_basis,
     spanning_subset,
@@ -723,14 +724,20 @@ def test_cone_file_roundtrip():
     c = cone_of_form(principal_form(3))
     text = format_cone(c)
     assert text.splitlines()[0] == "cone g=3 n=6"
-    parsed, consumed = parse_cone(text.splitlines())
+    parsed, consumed = parse_cone(records(text))
     assert parsed == c
     assert consumed == 7
 
 
 def test_parse_cone_errors():
-    with pytest.raises(ValueError) as err:
-        parse_cone(["cone g=2 n=1", "1 x"])
-    assert "line" in str(err.value)
-    with pytest.raises(ValueError):
-        parse_cone(["cone g=2", "1 0"])
+    # a block that the text ends early is named at its last line + 1
+    for lines, where in (
+        (["cone g=2 n=1", "1 x"], "line 2:"),
+        (["cone g=2", "1 0"], "line 1:"),
+        (["cone g=2 n=-1"], "line 1:"),
+        (["cone g=1 n=1", "2"], "line 1:"),
+        (["cone g=2 n=2", "1 0", "# the second row is missing"], "line 4:"),
+    ):
+        with pytest.raises(ValueError) as err:
+            parse_cone(records(lines))
+        assert str(err.value).startswith(where)

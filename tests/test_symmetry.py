@@ -472,8 +472,14 @@ def test_span_coordinates_keep_an_unsorted_orient_order(reg5):
 
 def test_parse_registry_names_a_truncated_block():
     # a cone block without its flags line, then without its orient line;
-    # then malformed flags and orient lines, each named by its line
+    # then malformed flags and orient lines, each named by its line. A
+    # comment or blank line may stand anywhere in a block
     one = "cone g=1 n=1\n1\n"
+    for text in (
+        one + "# flags\n\nalt=1 rank=1\norient 0\n",
+        one + "alt=1 rank=1\n\n# orient\norient 0\n",
+    ):
+        assert [o.id for o in parse_registry(text).orbits] == ["r1d1n0"]
     # four forms in the plane of the first two coordinates span only 3 dimensions
     plane = "cone g=3 n=5\n0 0 1\n0 1 0\n1 -1 0\n1 0 0\n1 1 0\nalt=0 rank=3\n"
     for text, where in (
@@ -488,6 +494,9 @@ def test_parse_registry_names_a_truncated_block():
         (one + "alt=1 rank=1\norient\n", "line 4:"),
         (one + "alt=1 rank=1\norient 0 0\n", "line 4:"),
         (plane + "orient 1 2 3 4\n", "line 8:"),
+        ("# no orbit\n", "line 2:"),
+        # one ambient per registry: a g = 2 cone after a g = 1 orbit
+        (one + "alt=1 rank=1\norient 0\ncone g=2 n=1\n1 0\nalt=1 rank=1\norient 0\n", "line 5:"),
     ):
         with pytest.raises(ValueError) as err:
             parse_registry(text)
