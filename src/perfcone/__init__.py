@@ -1,6 +1,6 @@
 """Exact chain complexes on perfect quadratic-form cones."""
 
-from .cone import Face, PerfectCone, pad, reduce, spanning_subset
+from .cone import Face, PerfectCone, pad, reduce
 from .complexes import (
     ChainComplexQ,
     ComplexTriple,
@@ -22,12 +22,7 @@ from .homology import (
     top_weight_table,
     verify_complex,
 )
-from .matroid import (
-    SimpleGraph,
-    graphic_cone,
-    inflate,
-    is_matroidal,
-)
+from .matroid import inflate, is_matroidal
 from .quadform import (
     MinimalVectorSet,
     QuadraticForm,
@@ -38,12 +33,7 @@ from .quadform import (
     principal_form,
     voronoi_neighbor,
 )
-from .symmetry import (
-    Orbit,
-    OrbitRegistry,
-    equivalent,
-    is_alternating,
-)
+from .symmetry import Orbit, OrbitRegistry, equivalent
 
 __version__ = "0.1.0"
 
@@ -58,7 +48,6 @@ __all__ = [
     "OrbitRegistry",
     "PerfectCone",
     "QuadraticForm",
-    "SimpleGraph",
     "betti",
     "build_inflation_complex",
     "build_matroid_complexes",
@@ -69,9 +58,7 @@ __all__ = [
     "equivalent",
     "exact_triple",
     "format_complex",
-    "graphic_cone",
     "inflate",
-    "is_alternating",
     "is_matroidal",
     "is_perfect",
     "les_solve",
@@ -82,7 +69,6 @@ __all__ = [
     "principal_form",
     "reduce",
     "satake_weight0_column",
-    "spanning_subset",
     "top_weight_table",
     "verify_complex",
     "voronoi_neighbor",

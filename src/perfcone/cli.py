@@ -181,6 +181,20 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _les_result(g: int, file: str | None):
+    """les_solve on the bookkeeping fixture for ambient g: file, or the
+    bundled one when file is None."""
+    if file:
+        with open(file, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        text = bundled_text("les", g)
+    fg, h_p, h_v = parse_les_fixture(text)
+    if fg != g:
+        raise ValueError(f"fixture ambient {fg} does not match --g {g}")
+    return les_solve(h_p, h_v, g)
+
+
 def cmd_tables(args) -> int:
     g = args.g
     if g <= 5:
@@ -190,41 +204,26 @@ def cmd_tables(args) -> int:
         if rep.euler() != want:
             raise ValueError(f"euler characteristic of P_{g} is {rep.euler()}, want {want}")
         dims = rep.homology
-        sys.stdout.write(format_top_weight(g, top_weight_table(g, dims)))
-        sys.stdout.write(format_satake(satake_weight0_column(g, dims)))
-        return 0
-    if g in (6, 7):
+    elif g in (6, 7):
         if args.catalog is not None:
             raise ValueError(
                 f"tables for ambient {g} come from the bundled bookkeeping fixture, not a catalog"
             )
-        text = bundled_text("les", g)
-        fg, h_p, h_v = parse_les_fixture(text)
-        if fg != g:
-            raise ValueError(f"bundled fixture is for ambient {fg}")
-        result = les_solve(h_p, h_v, g)
+        result = _les_result(g, None)
         if result.unknown_degrees():
             raise ValueError(
                 f"bookkeeping left unknowns at degrees {result.unknown_degrees()}"
             )
-        sys.stdout.write(format_top_weight(g, top_weight_table(g, result.dims)))
-        sys.stdout.write(format_satake(satake_weight0_column(g, result.dims)))
-        return 0
-    raise ValueError("tables need g <= 5 (computed) or g in {6, 7} (bookkeeping)")
+        dims = result.dims
+    else:
+        raise ValueError("tables need g <= 5 (computed) or g in {6, 7} (bookkeeping)")
+    sys.stdout.write(format_top_weight(g, top_weight_table(g, dims)))
+    sys.stdout.write(format_satake(satake_weight0_column(g, dims)))
+    return 0
 
 
 def cmd_les(args) -> int:
-    g = args.g
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = bundled_text("les", g)
-    fg, h_p, h_v = parse_les_fixture(text)
-    if fg != g:
-        raise ValueError(f"fixture ambient {fg} does not match --g {g}")
-    result = les_solve(h_p, h_v, g)
-    sys.stdout.write(format_les(result))
+    sys.stdout.write(format_les(_les_result(args.g, args.file)))
     return 0
 
 

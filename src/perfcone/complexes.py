@@ -434,7 +434,10 @@ def parse_complex(text: str) -> ChainComplexQ:
                 f"line {ln}: entry ({r}, {c}) of d {n} outside its {rows} x {cols} matrix"
             )
     for n in range(-1, dmax):
-        basis.setdefault(n, [])
+        # refused at the first missing degree, so a huge g= costs no more
+        # steps than the text has deg lines
+        if n not in basis:
+            raise ValueError(f"line {end}: no deg {n} line")
     for n in range(0, dmax):
         diff.setdefault(n, {})
     return ChainComplexQ(label, g, basis, diff)

@@ -84,15 +84,12 @@ class Echelon:
     columns, taken in pivot order. Stored row i is kept row i after the
     Bareiss steps against kept rows 0..i-1: zero on ``pivots[:i]``, and on
     ``pivots[i]`` it holds the leading i+1 minor of B. Every entry is a
-    minor of A, so every division is exact, and ``det`` = det B. Pivots are
-    searched among the first ``width`` columns (all columns when None);
-    later columns ride along.
+    minor of A, so every division is exact, and ``det`` = det B.
     """
 
-    __slots__ = ("width", "rows", "pivots", "det")
+    __slots__ = ("rows", "pivots", "det")
 
-    def __init__(self, width: int | None = None):
-        self.width = width
+    def __init__(self):
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
         self.det = 1
@@ -116,7 +113,7 @@ class Echelon:
                 p = r[c]
                 v = [(p * a - f * b) // last for a, b in zip(v, r)]
                 last = p
-        for c, x in enumerate(v[: self.width]):
+        for c, x in enumerate(v):
             if x:
                 break
         else:
@@ -156,14 +153,14 @@ class Echelon:
 
     def adjugate(self) -> tuple[list[list[int]], int]:
         """(adj m, det m) for kept rows [m | I] of an invertible m of order
-        ``width``, row i of I the unit vector e_i.
+        n, the rank, row i of I the unit vector e_i.
 
         The Jordan form's right block is adj(m Q) = det(Q) Q^-1 adj(m),
         Q the pivot order, and det B = det(m Q); only that block is
         back-substituted.
         """
         s = perm_sign(self.pivots)
-        n = self.width
+        n = len(self.pivots)
         adj: list[list[int]] = [[]] * n
         for r, c in zip(self.jordan(range(n, 2 * n)), self.pivots):
             adj[c] = [s * x for x in r]
@@ -234,9 +231,10 @@ def _det(m: Sequence[Sequence[int]]) -> int:
 def adjugate_det(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """(adj m, det m) from one elimination of [m | I]; m invertible."""
     n = _square(m)
-    e = Echelon(n)
+    e = Echelon()
     for i, row in enumerate(m):
-        if not e.add(list(row) + [int(i == j) for j in range(n)]):
+        e.add(list(row) + [int(i == j) for j in range(n)])
+        if e.pivots[-1] >= n:  # row i is a combination of the rows above
             raise ValueError("matrix is singular")
     return e.adjugate()
 

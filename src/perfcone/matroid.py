@@ -1,4 +1,4 @@
-"""Graphic cones, the regular-matroid test, coloops, inflation.
+"""The regular-matroid test, lattice coloops, inflation.
 
 A cone is matroidal when its generators, in the coordinates of their
 saturated span, are the columns of a totally unimodular matrix: the
@@ -20,55 +20,27 @@ already keeps, with no elimination (lattice_coloops).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .cone import PerfectCone, _span_basis, reduce as cone_reduce
 from .intlinalg import mat_vec, snf_left, vec_gcd
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    vertices: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.vertices < 1:
-            raise ValueError("a graph needs at least one vertex")
-        seen = set()
-        for t, h in self.edges:
-            if not (0 <= t < self.vertices and 0 <= h < self.vertices):
-                raise ValueError(f"edge ({t},{h}) leaves the vertex range")
-            if t == h:
-                raise ValueError(f"loop at vertex {t} rejected")
-            key = frozenset((t, h))
-            if key in seen:
-                raise ValueError(f"parallel edge ({t},{h}) rejected")
-            seen.add(key)
-
-
-def complete_graph(vertices: int) -> SimpleGraph:
-    edges = tuple((i, j) for i in range(vertices) for j in range(i + 1, vertices))
-    return SimpleGraph(vertices, edges)
-
-
-def incidence_columns(graph: SimpleGraph) -> list[tuple[int, ...]]:
-    """Signed incidence columns with the last vertex row deleted."""
-    g = graph.vertices - 1
+def graphic_cone(vertices: int, edges: Sequence[tuple[int, int]]) -> PerfectCone:
+    """Cone on v v^t over the signed incidence columns of the graph, the
+    row of the last vertex deleted: edge (t, h) is e_t - e_h."""
+    g = vertices - 1
     cols = []
-    for t, h in graph.edges:
+    for t, h in edges:
+        if t == h or not (0 <= t < vertices and 0 <= h < vertices):
+            raise ValueError(f"edge ({t},{h}) is a loop or leaves range({vertices})")
         col = [0] * g
         if t < g:
             col[t] = 1
         if h < g:
             col[h] = -1
         cols.append(tuple(col))
-    return cols
-
-
-def graphic_cone(graph: SimpleGraph) -> PerfectCone:
-    """Cone on v v^t over the reduced incidence columns of the graph."""
-    return PerfectCone(graph.vertices - 1, incidence_columns(graph))
+    return PerfectCone(g, cols)
 
 
 def is_matroidal(c: PerfectCone) -> bool:

@@ -189,6 +189,19 @@ def span_coordinates_oracle(vectors, ref):
     return out
 
 
+def complete_edges(vertices):
+    """The edges (i, j), i < j, of the complete graph, in order."""
+    return tuple(combinations(range(vertices), 2))
+
+
+def incidence_columns_oracle(vertices, edges):
+    """The signed incidence columns e_t - e_h of the edges (t, h), in edge
+    order, with the row of the last vertex deleted."""
+    return [
+        tuple(int(a == t) - int(a == h) for a in range(vertices - 1)) for t, h in edges
+    ]
+
+
 def simple_graphs_oracle(vertices):
     """One sorted edge list per isomorphism class of simple graphs on the
     given vertex count, isolated vertices allowed: every labelled edge

@@ -27,12 +27,7 @@ from perfcone.homology import (
     verify_complex,
 )
 from perfcone.intlinalg import det_sign
-from perfcone.matroid import (
-    SimpleGraph,
-    complete_graph,
-    graphic_cone,
-    zg_coloop_indices,
-)
+from perfcone.matroid import graphic_cone, zg_coloop_indices
 from perfcone.quadform import (
     QuadraticForm,
     bundled_text,
@@ -94,8 +89,8 @@ def test_acceptance_2_g3_end_to_end():
     assert sum(report.homology.values()) == 1
     assert top_weight_table(3, report.homology) == [(6, 1)]
     hits = set()
-    for graph in NINE_GRAPHS.values():
-        located = reg.locate(graphic_cone(graph))
+    for edges in NINE_GRAPHS.values():
+        located = reg.locate(graphic_cone(4, edges))
         assert located is not None
         hits.add(located[0].id)
     assert hits == {o.id for o in reg.orbits} and len(hits) == 9
@@ -130,8 +125,8 @@ def test_acceptance_3_g4_end_to_end():
     }
     assert degree9 == located9
 
-    k4_pendant = SimpleGraph(5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)))
-    pendant_orbit = reg.locate(graphic_cone(k4_pendant))
+    k4_pendant = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4))
+    pendant_orbit = reg.locate(graphic_cone(5, k4_pendant))
     assert pendant_orbit is not None
     assert pendant_orbit[0].id in {o.id for o in listed if o.dim - 1 == 6}
 
@@ -217,8 +212,8 @@ def test_acceptance_5_coloop_oracle():
     assert [tv.vectors[i] for i in zg_coloop_indices(list(tv.vectors))] == [(0, 0, 1)]
     assert len(zg_coloop_indices(list(mv.vectors))) == 1
 
-    paw = SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
-    assert equivalent(cone_of_form(COLOOP_EXAMPLE_FORM), graphic_cone(paw)) is not None
+    paw = ((0, 1), (0, 2), (1, 2), (2, 3))
+    assert equivalent(cone_of_form(COLOOP_EXAMPLE_FORM), graphic_cone(4, paw)) is not None
 
     counterexample = [(0, 1), (3, 2)]
     assert zg_coloop_indices(counterexample) == []

@@ -228,6 +228,8 @@ def test_homology_rejects_broken_complex(tmp_path, capsys):
         (["les", "--g", "5"], "les g=5\n", "line 2:"),
         (["les", "--g", "5"], "les g=5\nrange 0 5\nP 9 1\n", "line 3:"),
         (["les", "--g", "5"], "les g=5\nrange 0 5\nP 0 -2\nV 1 1\n", "line 3:"),
+        (["homology"], "complex P g=200\n", "line 2:"),
+        (["homology"], "complex P g=2\ndeg -1 dim 1 a\ndeg 0 dim 1 b\n", "line 4:"),
     ],
     ids=[
         "les-range-one-bound",
@@ -257,6 +259,8 @@ def test_homology_rejects_broken_complex(tmp_path, capsys):
         "les-range-missing",
         "les-entry-outside-range",
         "les-dim-negative",
+        "complex-g-without-deg-lines",
+        "deg-missing",
     ],
 )
 def test_malformed_input_names_its_line(tmp_path, capsys, command, text, where):

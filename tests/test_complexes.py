@@ -26,12 +26,13 @@ from perfcone.complexes import (
 from perfcone.cone import PerfectCone, facet_index_sets, indices, reduce, spanning_subset
 from perfcone.homology import betti, verify_complex
 from perfcone.intlinalg import det_sign, flatten_rank1, perm_sign, rank_rows
-from perfcone.matroid import SimpleGraph, complete_graph, graphic_cone, is_matroidal
+from perfcone.matroid import graphic_cone, is_matroidal
 from perfcone.quadform import cone_of_form, load_bundled_catalog, principal_form
 from perfcone.symmetry import OrbitRegistry, format_registry, span_coordinates, strong_generators
 
 from oracles import (
     boundary_matrix,
+    complete_edges,
     det_oracle,
     induces,
     m_star_k33,
@@ -64,15 +65,15 @@ OUTPUT_SHA256 = {
 }
 
 NINE_GRAPHS = {
-    "empty": SimpleGraph(4, ()),
-    "edge": SimpleGraph(4, ((0, 1),)),
-    "path2": SimpleGraph(4, ((0, 1), (1, 2))),
-    "path3": SimpleGraph(4, ((0, 1), (1, 2), (2, 3))),
-    "triangle": SimpleGraph(4, ((0, 1), (0, 2), (1, 2))),
-    "paw": SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (2, 3))),
-    "square": SimpleGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3))),
-    "diamond": SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))),
-    "k4": complete_graph(4),
+    "empty": (),
+    "edge": ((0, 1),),
+    "path2": ((0, 1), (1, 2)),
+    "path3": ((0, 1), (1, 2), (2, 3)),
+    "triangle": ((0, 1), (0, 2), (1, 2)),
+    "paw": ((0, 1), (0, 2), (1, 2), (2, 3)),
+    "square": ((0, 1), (1, 2), (2, 3), (0, 3)),
+    "diamond": ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)),
+    "k4": complete_edges(4),
 }
 
 
@@ -86,8 +87,8 @@ def test_registry_g2_orbits(reg2):
 def test_registry_g3_matches_nine_graphs(reg3):
     assert len(reg3.orbits) == 9
     hits = {}
-    for name, graph in NINE_GRAPHS.items():
-        located = reg3.locate(graphic_cone(graph))
+    for name, edges in NINE_GRAPHS.items():
+        located = reg3.locate(graphic_cone(4, edges))
         assert located is not None, name
         hits[name] = located[0].id
     assert len(set(hits.values())) == 9
@@ -602,7 +603,7 @@ def test_matroidal_flags_match_every_graph_source(reg2, reg3, reg4, reg5):
         assert len(flagged) == count
         if g > 4:
             continue
-        sources = [graphic_cone(SimpleGraph(g + 1, e)) for e in simple_graphs_oracle(g + 1)]
+        sources = [graphic_cone(g + 1, e) for e in simple_graphs_oracle(g + 1)]
         if g == 4:
             sources.append(tu_cone(m_star_k33(), g))
         assert _flag_closure(reg, sources) == flagged

@@ -34,11 +34,17 @@ from perfcone.intlinalg import (
     sign_normalize,
     vec_gcd,
 )
-from perfcone.matroid import graphic_cone, complete_graph
+from perfcone.matroid import graphic_cone
 from perfcone.quadform import QuadraticForm, cone_of_form, load_bundled_catalog, principal_form
 from perfcone.symmetry import conjugate_cone, equivalent, random_unimodular, span_coordinates
 
-from oracles import facets_bruteforce, induces, rank_oracle, span_coordinates_oracle
+from oracles import (
+    complete_edges,
+    facets_bruteforce,
+    induces,
+    rank_oracle,
+    span_coordinates_oracle,
+)
 
 
 def _flat(v):
@@ -126,7 +132,7 @@ def test_face_lattice_euler_characteristic():
     cones = [
         cone_of_form(principal_form(2)),
         cone_of_form(principal_form(3)),
-        graphic_cone(complete_graph(4)).subcone(range(5)),
+        graphic_cone(4, complete_edges(4)).subcone(range(5)),
     ]
     for c in cones:
         total = sum((-1) ** d * len(fs) for d, fs in face_lattice(c).items())
@@ -150,7 +156,7 @@ def test_facets_match_bruteforce_oracle():
     cones = [
         cone_of_form(principal_form(2)),
         cone_of_form(principal_form(3)),
-        graphic_cone(complete_graph(4)).subcone(range(5)),
+        graphic_cone(4, complete_edges(4)).subcone(range(5)),
     ]
     for c in cones:
         mine = _facet_sets(c)

@@ -146,15 +146,13 @@ def test_echelon_state(rows):
 def test_jordan_columns_are_columns_of_the_full_form(rows, data):
     # the back substitution of chosen columns reads its multipliers off the
     # full stored rows, so each column comes out as in the full form; zero
-    # columns and a width limit (pivots only on the first columns, the
-    # rest riding along) are drawn in as well
+    # columns are drawn in as well
     m = len(rows[0])
     zeros = data.draw(st.lists(st.integers(0, m), max_size=3))
     for at in sorted(zeros, reverse=True):
         rows = [row[:at] + [0] + row[at:] for row in rows]
     m += len(zeros)
-    width = data.draw(st.none() | st.integers(0, m))
-    e = Echelon(width)
+    e = Echelon()
     kept = [row for row in rows if e.add(row)]
     b = [[row[c] for c in e.pivots] for row in kept]
     full = mat_mul(adjugate_oracle(b), kept) if kept else []

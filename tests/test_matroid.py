@@ -8,11 +8,8 @@ from perfcone.complexes import build_registry
 from perfcone.cone import PerfectCone, pad
 from perfcone.intlinalg import mat_vec, rank_rows, sign_normalize, snf_left, vec_gcd
 from perfcone.matroid import (
-    SimpleGraph,
     _rational_coloops,
-    complete_graph,
     graphic_cone,
-    incidence_columns,
     inflate,
     is_matroidal,
     lattice_coloops,
@@ -23,6 +20,8 @@ from perfcone.symmetry import conjugate_cone, equivalent, random_unimodular
 
 from oracles import (
     coloop_oracle,
+    complete_edges,
+    incidence_columns_oracle,
     is_tu,
     m_star_k33,
     r_10,
@@ -32,41 +31,45 @@ from oracles import (
 )
 from test_quadform import COLOOP_EXAMPLE_FORM
 
-PAW = SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+PAW = ((0, 1), (0, 2), (1, 2), (2, 3))
 
 
-def _incidence_matrix(graph):
-    """The reduced incidence matrix, its columns incidence_columns."""
-    return tuple(zip(*incidence_columns(graph)))
+def _incidence_matrix(vertices, edges):
+    """The reduced incidence matrix, its columns incidence_columns_oracle."""
+    return tuple(zip(*incidence_columns_oracle(vertices, edges)))
 
 
-def test_simple_graph_validation():
-    with pytest.raises(ValueError):
-        SimpleGraph(3, ((0, 0),))
-    with pytest.raises(ValueError):
-        SimpleGraph(3, ((0, 1), (1, 0)))
-    with pytest.raises(ValueError):
-        SimpleGraph(2, ((0, 2),))
-
-
-def test_incidence_sign_rule():
-    path = SimpleGraph(3, ((0, 1), (1, 2)))
-    assert incidence_columns(path) == [(1, -1), (0, 1)]
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (3, ((0, 0),), r"edge \(0,0\)"),
+        (2, ((0, 2),), r"edge \(0,2\)"),
+        (3, ((0, 1), (-1, 2)), r"edge \(-1,2\)"),
+        (3, ((0, 1), (0, 1)), "repeat"),
+        (3, ((0, 1), (1, 0)), "repeat"),
+    ],
+    ids=["loop", "end-at-vertices", "end-at-minus-one", "parallel", "parallel-reversed"],
+)
+def test_graphic_cone_refuses_a_graph_that_is_not_simple(vertices, edges, message):
+    with pytest.raises(ValueError, match=message):
+        graphic_cone(vertices, edges)
 
 
 def test_graphic_cone_examples():
-    k3 = graphic_cone(complete_graph(3))
+    # e_0 - e_1 and e_1, the row of vertex 2 deleted, sign-normalised and sorted
+    assert graphic_cone(3, ((0, 1), (1, 2))).generators == ((0, 1), (1, -1))
+    k3 = graphic_cone(3, complete_edges(3))
     assert equivalent(k3, cone_of_form(principal_form(2))) is not None
-    k4 = graphic_cone(complete_graph(4))
+    k4 = graphic_cone(4, complete_edges(4))
     assert len(k4.generators) == 6 and k4.dim == 6
     assert equivalent(k4, cone_of_form(principal_form(3))) is not None
-    edge = graphic_cone(SimpleGraph(2, ((0, 1),)))
+    edge = graphic_cone(2, ((0, 1),))
     assert edge.generators == ((1,),)
 
 
 def test_tu_cone_matches_graphic_route():
-    rep = _incidence_matrix(complete_graph(4))
-    assert equivalent(tu_cone(rep, 3), graphic_cone(complete_graph(4))) is not None
+    rep = _incidence_matrix(4, complete_edges(4))
+    assert equivalent(tu_cone(rep, 3), graphic_cone(4, complete_edges(4))) is not None
 
 
 def test_tu_cone_of_identity_is_simplicial():
@@ -76,10 +79,10 @@ def test_tu_cone_of_identity_is_simplicial():
 
 def test_two_representations_same_matroid_equivalent_cones():
     # delete a different incidence row and flip some edge orientations
-    k4 = complete_graph(4)
-    rep1 = _incidence_matrix(k4)
+    k4 = complete_edges(4)
+    rep1 = _incidence_matrix(4, k4)
     full = [
-        [(1 if a == b[0] else -1 if a == b[1] else 0) for b in k4.edges]
+        [(1 if a == b[0] else -1 if a == b[1] else 0) for b in k4]
         for a in range(4)
     ]
     rep2 = [full[i] for i in (1, 2, 3)]
@@ -95,7 +98,7 @@ def test_tu_cone_rejections():
 
 
 def test_is_tu_examples():
-    assert is_tu(_incidence_matrix(complete_graph(4))) is True
+    assert is_tu(_incidence_matrix(4, complete_edges(4))) is True
     assert is_tu([[1, 1], [-1, 1]]) is False
     assert is_tu([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) is True
     assert is_tu([[2, 0], [0, 1]]) is False
@@ -120,7 +123,7 @@ def test_is_matroidal_on_regular_and_irregular_cones():
     assert is_matroidal(tu_cone(m_star_k33(), 4))
     assert is_matroidal(tu_cone(r_10(), 5))
     for g in range(1, 7):
-        assert is_matroidal(graphic_cone(complete_graph(g + 1))), g
+        assert is_matroidal(graphic_cone(g + 1, complete_edges(g + 1))), g
     assert is_matroidal(PerfectCone(3, []))
     # D4: its 12 minimal-vector pairs hold a 4 x 4 minor of determinant 2
     (d4,) = [q for q in load_bundled_catalog(4) if len(minimal_vectors(q)) == 12]
@@ -207,14 +210,14 @@ def test_second_coloop_survives_removal_of_first():
 
 
 def test_matroid_coloops_examples():
-    assert _matroid_coloops_by_deletion(incidence_columns(PAW)) == [3]
-    assert _matroid_coloops_by_deletion(incidence_columns(complete_graph(4))) == []
+    assert _matroid_coloops_by_deletion(incidence_columns_oracle(4, PAW)) == [3]
+    assert _matroid_coloops_by_deletion(incidence_columns_oracle(4, complete_edges(4))) == []
     assert _matroid_coloops_by_deletion([(1, 0), (0, 1)]) == [0, 1]
 
 
 def test_zg_equals_matroid_coloops_on_tu_columns():
     column_sets = [
-        incidence_columns(SimpleGraph(v, edges))
+        incidence_columns_oracle(v, edges)
         for v in (4, 5)
         for edges in simple_graphs_oracle(v)
     ]
@@ -361,7 +364,7 @@ def _drop_coloop(c):
 
 
 def test_inflate_deflate_example_pair():
-    triangle = pad(graphic_cone(complete_graph(3)), 3)
+    triangle = pad(graphic_cone(3, complete_edges(3)), 3)
     inflated = inflate(triangle)
     assert equivalent(inflated, cone_of_form(COLOOP_EXAMPLE_FORM)) is not None
     deflated = _drop_coloop(cone_of_form(COLOOP_EXAMPLE_FORM))
@@ -382,9 +385,9 @@ def test_inflate_domain_errors():
 
 def test_inflate_then_deflate_round_trip():
     for base in (
-        pad(graphic_cone(complete_graph(3)), 3),
+        pad(graphic_cone(3, complete_edges(3)), 3),
         PerfectCone(3, []),
-        pad(graphic_cone(complete_graph(3)), 4),
+        pad(graphic_cone(3, complete_edges(3)), 4),
         pad(cone_of_form(principal_form(2)), 3),
     ):
         up = inflate(base)

@@ -32,3 +32,11 @@ def test_every_traced_name_resolves():
 
 def test_every_exported_name_resolves():
     assert [name for name in perfcone.__all__ if not hasattr(perfcone, name)] == []
+
+
+def test_test_only_names_are_not_exported():
+    # graphs only build test cones, and the alternation test and the
+    # spanning pick are reached through their submodules
+    for name in ("SimpleGraph", "graphic_cone", "is_alternating", "spanning_subset"):
+        assert name not in perfcone.__all__, name
+        assert not hasattr(perfcone, name), name

@@ -11,7 +11,6 @@ import perfcone
 from perfcone.complexes import build_registry
 from perfcone.cone import Face, PerfectCone, facet_index_sets, indices, reduce, span_basis
 from perfcone.intlinalg import adjugate_det, det_int, det_sign
-from perfcone.matroid import complete_graph, graphic_cone
 from perfcone.quadform import (
     cone_of_form,
     load_bundled_catalog,
