@@ -13,12 +13,11 @@ import struct
 from dataclasses import dataclass
 from itertools import zip_longest
 from math import gcd
-from operator import mul
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .intlinalg import (
     Echelon,
-    adjugate_det,
     flatten_rank1,
     mat_vec,
     pick_basis,
@@ -105,10 +104,12 @@ class PerfectCone:
         is g det T. Defined for full-rank cones only: a boundary cone
         raises ValueError, and its Gram matrix is that of its reduced
         core (reduce). A facet of a cone whose G is known gets its own
-        from G by gram_downdate (see facet). T's upper triangle is the
-        sum of the flattened generators, taken from flat when known. adj(T)
-        is symmetric, so only the lower triangle of G is computed, then
-        mirrored."""
+        from G by gram_downdate (see facet). T's upper triangle sums the
+        flattened generators (flat, when known). One Echelon of [T | V],
+        V the generators as columns, pivots on 0..g-1 iff the cone has
+        full rank, and its Jordan form on V is W = adj(T) V. Row i of G up
+        to the diagonal combines the rows of W by v_i's entries; adj(T)
+        is symmetric, so that lower triangle is then mirrored."""
         if self._gram is None:
             g = self.g
             gens = self.generators
@@ -118,16 +119,29 @@ class PerfectCone:
             for i in range(g):
                 for j in range(i, g):
                     t[i][j] = t[j][i] = next(upper, 0)
-            try:
-                adj = adjugate_det(t)[0]
-            except ValueError:
+            basis = Echelon()
+            for k, row in enumerate(t):
+                basis.add(row + [v[k] for v in gens])
+            if basis.pivots != list(range(g)):
                 raise ValueError(
                     "the Gram matrix needs a full-rank cone; take it on the reduced core (cone.reduce)"
-                ) from None
+                )
+            w = basis.jordan(range(g, g + len(gens)))
             low = []
             for i, v in enumerate(gens):
-                tv = mat_vec(adj, v)
-                low.append([sum(map(mul, w, tv)) for w in gens[: i + 1]])
+                row = None  # v_i is primitive, so some entry is nonzero
+                for x, r in zip(v, w):
+                    if not x:
+                        continue
+                    if row is None:
+                        row = r[: i + 1] if x == 1 else [x * b for b in r[: i + 1]]
+                    elif x == 1:
+                        row = list(map(add, row, r))
+                    elif x == -1:
+                        row = list(map(sub, row, r))
+                    else:
+                        row = [a + x * b for a, b in zip(row, r)]
+                low.append(row)
             self._gram = _mirror(low)
         return self._gram
 
@@ -353,41 +367,50 @@ def _span_basis(
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """span_basis on the rows themselves; order lists every row index.
 
-    One Echelon over the columns of the matrix A whose columns are the
-    rows taken in order, then its Jordan form adj(B) A. The pivots of a
-    row-echelon form are the first columns independent of those before
-    them, which is spanning_subset's pick. Column p of adj(B) A is det B
-    times the coordinates of row order[p] in the picked rows, taken in
-    pivot order; the sign of det B makes the factor positive. On a pivot
-    column that is |det B| e_k by construction, so only the other
-    columns are back-substituted.
+    A fraction-free Gauss-Jordan elimination over integers of the matrix
+    A whose columns are the rows taken in order, one row per nonzero
+    coordinate. Column p, left to right, pivots on the first unused row
+    nonzero there, a pivot minimal in the product order, so the pivot
+    columns and rows are the first ones independent of those before
+    them (Dumas, Pernet and Sultan, ISSAC 2015): spanning_subset's pick
+    and the leftmost coordinates that span. With d the last pivot (1 at
+    first) and the pivot row r made positive at p, each other row s
+    becomes (r[p] s - s[p] r) / d, exactly; r is zero left of p, so a
+    unit pivot r[p] = d changes only the rows nonzero at p, from p on.
+    At the end d = |det B|, B the pivot rows on the pivot columns, and
+    column q of the pivot rows is d times the coordinates of row
+    order[q] in the picked rows.
     """
     n = len(order)
-    basis = Echelon()
-    for col in zip(*(rows[i] for i in order)):
-        basis.add(col)
-        if basis.rank == n:
-            break  # every row is picked
-    pivots = basis.pivots
-    picked = [order[p] for p in pivots]
-    ref = tuple(sorted(picked))
-    # slot[i]: the place in ref of the row picked by pivot i
-    where = {r: k for k, r in enumerate(ref)}
-    slot = [where[r] for r in picked]
-    d = basis.det
-    s = 1 if d > 0 else -1
-    coords: list = [None] * n
-    for r, k in zip(picked, slot):
-        x = [0] * len(ref)
-        x[k] = s * d
-        coords[r] = tuple(x)
-    free = sorted(set(range(n)).difference(pivots))
-    for p, col in zip(free, zip(*basis.jordan(free))):
-        x = [0] * len(ref)
-        for k, y in zip(slot, col):
-            x[k] = s * y
-        coords[order[p]] = tuple(x)
-    return ref, tuple(coords)
+    live = [list(col) for col in zip(*(rows[i] for i in order)) if any(col)]
+    picked, done = [], []  # order[p] and the pivot row of A, per pivot column p
+    d = 1
+    for p in range(n):
+        k = next((k for k, s in enumerate(live) if s[p]), None)
+        if k is None:
+            continue
+        r = live.pop(k)
+        if r[p] < 0:
+            r = [-x for x in r]
+        a = r[p]
+        if a == d:
+            tail = r[p:]
+            for s in live + done:
+                if f := s[p]:
+                    if d == 1:
+                        s[p:] = [x - f * y for x, y in zip(s[p:], tail)]
+                    else:
+                        s[p:] = [x - f * y // d for x, y in zip(s[p:], tail)]
+        else:
+            for s in live + done:
+                f = s[p]
+                s[:] = [(a * x - f * y) // d for x, y in zip(s, r)]
+            d = a
+        picked.append(order[p])
+        done.append(r)
+    done = [s for _, s in sorted(zip(picked, done))]  # in ref order
+    at = dict(zip(order, zip(*done)))
+    return tuple(sorted(picked)), tuple([at.get(i, ()) for i in range(n)])
 
 
 def span_basis(
@@ -630,18 +653,19 @@ def facet_index_sets(
     rows in dimension 15 become 10 rows in dimension 5. A cone with no
     class of two runs on its own rows.
 
-    The facets are the active sets of the extreme rays of the dual cone,
-    with generator i as row n - 1 - i. Facets are never nested, so the
-    smallest index in which two facets differ lies in the one whose
-    sorted tuple comes first, and that one has the larger row mask:
-    sorting the row masks in descending order sorts the facets. All row
-    masks are then reversed in one pass. Sorted ascending, each is
-    shifted up to L = ceil(n / 64) whole 64-bit limbs, and the limbs are
-    packed big-endian into one buffer, a column at a time: every mask's
-    top limb, then every mask's next one. Reversing the buffer and the
-    bits of each byte (bytes.translate) reverses the bits of the whole
+    The facets are the active sets of the extreme rays of the dual cone.
+    Facets are never nested, so the smallest index in which two facets
+    differ lies in the one whose sorted tuple comes first; with generator
+    i at bit n - 1 - i that one has the larger mask, so a descending sort
+    of such keys sorts the facets. The class path builds each facet as
+    one int, its key above its mask. The double description on the
+    cone's own rows (generator i as row n - 1 - i) returns keys, and all
+    are reversed in one pass: sorted ascending, each is shifted up to
+    L = ceil(n / 64) whole 64-bit limbs, packed big-endian into one
+    buffer a limb column at a time, top column first. Reversing the
+    buffer and the bits of each byte (bytes.translate) reverses the whole
     buffer, so it unpacks into the limb columns of the reversed masks,
-    top column first, each in descending order of the row masks.
+    top column first, each in descending order of the keys.
     """
     n = len(c.generators)
     if _span is None and c._dim != n:
@@ -654,22 +678,23 @@ def facet_index_sets(
     classes = _series_classes(n, ref, coords)
     nfree = n - len(ref)
     # the contracted dimension is len(classes) - nfree
-    if len(classes) == n or len(classes) - nfree < 3:
-        masks = _dd_core(coords[::-1], [n - 1 - i for i in ref])
-    else:
+    if len(classes) < n and len(classes) - nfree >= 3:
         # class p is row p, led by its kept member; the free-led ones come first
         at = {r: k for k, r in enumerate(ref)}
         cols = [at[cl[0]] for cl in classes[nfree:]]
         rows = [[coords[cl[0]][k] for k in cols] for cl in classes]
-        bits = [[1 << n - 1 - i for i in cl] for cl in classes]
-        full = (1 << n) - 1
-        masks = []
+        # generator i at bit 2n - 1 - i of the sort key and at bit i of the mask
+        bits = [[1 << 2 * n - 1 - i | 1 << i for i in cl] for cl in classes]
+        keyed = []
         for m in _dd_core(rows, range(nfree, len(classes))):
-            expanded = [full]
+            expanded = [(1 << 2 * n) - 1]
             for p, b in enumerate(bits):
                 if not m >> p & 1:
                     expanded = [x ^ y for x in expanded for y in b]
-            masks += expanded
+            keyed += expanded
+        keyed.sort(reverse=True)
+        return [x & (1 << n) - 1 for x in keyed]
+    masks = _dd_core(coords[::-1], [n - 1 - i for i in ref])
     masks.sort()
     limbs = (n + 63) >> 6
     shift = 64 * limbs - n

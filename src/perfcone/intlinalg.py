@@ -2,13 +2,14 @@
 
 Matrices are lists (or tuples) of rows; vectors are sequences. No floats.
 
-Every dense elimination runs through one fraction-free kernel,
+Every dense elimination but a cone's span coordinates (cone._span_basis,
+a Gauss-Jordan of its own) runs through one fraction-free kernel,
 ``Echelon``: an integer echelon basis grown one row at a time by Bareiss
 steps (Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 1968), with fraction-free back substitution
 of just the Gauss-Jordan columns a caller reads: the right block of
 [m | I] for an adjugate, the one free column for a kernel vector, the
-non-pivot columns for span coordinates. Its entries are minors of the
+V block of [T | V] for a cone's Gram matrix. Its entries are minors of the
 input, so every division is exact and no entry is a fraction. Ranks,
 pivot columns, determinants, adjugates, inverses and kernel vectors are
 all read off its state. The quadratic-form layer reads positive
@@ -350,7 +351,7 @@ def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
 
     A column a reduced row can pivot on is never a combination of the
     columns left of it, so the pivots found are exactly these. No package
-    code calls it (span_basis reads the pivots off its own Echelon); it
+    code calls it (span_basis finds its pivots in its own elimination); it
     stays for the tests, and because perfbench's tracer counts it
     (intlinalg.pivot_columns).
     """

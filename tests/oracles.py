@@ -160,18 +160,13 @@ def nullspace_oracle(rows):
 
 
 def rational_gram_oracle(vectors):
-    """v_i^t T^-1 v_j with T = sum of v v^t, as Fractions."""
-    vs = [Matrix(list(v)) for v in vectors]
-    t = sum((v * v.T for v in vs), Matrix.zeros(len(vectors[0])))
-    tinv = t.inv()
-    out = []
-    for v in vs:
-        row = []
-        for w in vs:
-            x = (v.T * tinv * w)[0, 0]
-            row.append(Fraction(int(x.p), int(x.q)))
-        out.append(row)
-    return out, int(t.det())
+    """v_i^t T^-1 v_j with T = sum of v v^t, as Fractions: V^t T^-1 V for
+    V the vectors as columns, so T = V V^t; with det T."""
+    v = Matrix([list(x) for x in vectors]).T
+    t = v * v.T
+    gram = v.T * t.inv() * v
+    rows = [[Fraction(int(x.p), int(x.q)) for x in gram.row(i)] for i in range(len(vectors))]
+    return rows, int(t.det())
 
 
 def span_coordinates_oracle(vectors, ref):

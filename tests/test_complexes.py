@@ -355,23 +355,30 @@ def test_registry_built_on_prev_is_the_same(reg3, reg4):
 def test_registry_builds_share_no_derived_data(monkeypatch):
     # Gram matrices, reductions and span coordinates are kept on the cones
     # and orbits of one registry, so a second build in the same process
-    # eliminates exactly as much as the first: as many Gram adjugates, and
-    # as many eliminations of the search (one per search source, in
+    # eliminates exactly as much as the first: as many Gram eliminations
+    # (the one Echelon of cone.py, in PerfectCone.gram), and as many
+    # eliminations of the search (one per search source, in
     # _assignment_order)
     calls = Counter()
-    for module, name in ((perfcone.cone, "adjugate_det"), (perfcone.symmetry, "_assignment_order")):
-        fn = getattr(module, name)
 
-        def counting(*args, _fn=fn, _name=name):
-            calls[_name] += 1
-            return _fn(*args)
+    class CountingEchelon(perfcone.cone.Echelon):
+        def __init__(self):
+            calls["gram"] += 1
+            super().__init__()
 
-        monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(perfcone.cone, "Echelon", CountingEchelon)
+    search = perfcone.symmetry._assignment_order
+
+    def counting_search(*args):
+        calls["_assignment_order"] += 1
+        return search(*args)
+
+    monkeypatch.setattr(perfcone.symmetry, "_assignment_order", counting_search)
     build_registry(4)
     first = dict(calls)
     calls.clear()
     build_registry(4)
-    assert first["adjugate_det"] > 0 and first["_assignment_order"] > 0
+    assert first["gram"] > 0 and first["_assignment_order"] > 0
     assert dict(calls) == first
 
 

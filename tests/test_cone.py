@@ -40,6 +40,7 @@ from perfcone.symmetry import conjugate_cone, equivalent, random_unimodular, spa
 
 from oracles import (
     complete_edges,
+    det_oracle,
     facets_bruteforce,
     induces,
     rank_oracle,
@@ -269,6 +270,7 @@ def _cartan_cone(g, edges):
 
 
 D6_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]
+E6_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]
 
 
 def test_d6_facets_are_pinned():
@@ -350,6 +352,10 @@ def test_gram_needs_a_full_rank_cone():
     with pytest.raises(ValueError, match="full-rank cone.*reduced core"):
         c.gram
     assert len(reduce(c)[0].gram) == 2
+    # the zero cone has full rank only in ambient 0, where G is empty
+    with pytest.raises(ValueError, match="full-rank cone"):
+        PerfectCone(3, []).gram
+    assert PerfectCone(0, []).gram == ()
 
 
 def _assert_masks_follow_the_rows(c, seed, rnd, sample=None):
@@ -478,7 +484,7 @@ def test_series_classes_shrink_the_double_description(monkeypatch, reg5):
 
     monkeypatch.setattr(perfcone.cone, "_dd_core", stub)
     d4 = cone_of_form(load_bundled_catalog(4)[1])
-    e6 = _cartan_cone(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+    e6 = _cartan_cone(6, E6_EDGES)
     for c, shape in ((D5, (10, 5)), (_cartan_cone(6, D6_EDGES), (15, 6)), (d4, (12, 10)), (e6, (36, 21))):
         calls.clear()
         facet_index_sets(PerfectCone(c.g, c.generators))
@@ -645,6 +651,7 @@ def test_pick_basis_matches_prefix_rank_definition(vectors, rnd):
 )
 @example([(1, 0), (0, 1), (1, 1), (1, -1)], False, random.Random(0))  # degenerate: 4 forms, dim 3
 @example([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0)], False, random.Random(0))  # boundary
+@example([(1, 1), (1, -1), (1, 0)], False, random.Random(0))  # D = 2
 def test_span_basis_is_the_greedy_basis_with_its_coordinates(vectors, flatten_last, rnd):
     # flatten_last zeroes the last coordinate, so the cone is a boundary one
     g = len(vectors[0])
@@ -658,8 +665,12 @@ def test_span_basis_is_the_greedy_basis_with_its_coordinates(vectors, flatten_la
     ref, coords = span_basis(c, order)
     assert ref == spanning_subset(c, order)
     assert c._dim == len(ref) == rank_oracle([flatten_rank1(v) for v in c.generators])
+    # the scale D is |det| of the basis forms on the leftmost coordinates
+    # that span, whatever the order
+    basis = [flatten_rank1(c.generators[r]) for r in ref]
+    left = _prefix_rank_spanning(list(zip(*basis)), range(len(basis[0])))
     scale = coords[ref[0]][0]
-    assert scale > 0
+    assert scale == abs(det_oracle([[row[k] for k in left] for row in basis])) > 0
     oracle = span_coordinates_oracle(c.generators, ref)
     assert [list(x) for x in coords] == [[scale * y for y in x] for x in oracle]
     # the same coordinates with ref first in the order

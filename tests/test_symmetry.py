@@ -5,12 +5,12 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import perfcone
 from perfcone.complexes import build_registry
 from perfcone.cone import Face, PerfectCone, facet_index_sets, indices, reduce, span_basis
-from perfcone.intlinalg import adjugate_det, det_int, det_sign
+from perfcone.intlinalg import adjugate_det, det_int, det_sign, sign_normalize, vec_gcd
 from perfcone.quadform import (
     cone_of_form,
     load_bundled_catalog,
@@ -43,7 +43,7 @@ from oracles import (
     rational_gram_oracle,
     span_coordinates_oracle,
 )
-from test_cone import face_lattice
+from test_cone import D6_EDGES, E6_EDGES, _cartan_cone, face_lattice
 
 COORD2 = PerfectCone(2, [(1, 0), (0, 1)])
 
@@ -514,13 +514,38 @@ def _tops_and_faces(g):
 POOL34 = _tops_and_faces(3) + _tops_and_faces(4)
 
 
+def _assert_gram_is_det_t_times_rational_gram(c):
+    if c.rank < c.g:
+        c = reduce(c)[0]
+    rational, det_t = rational_gram_oracle(c.generators)
+    assert det_t > 0
+    assert [list(row) for row in c.gram] == [[det_t * x for x in row] for row in rational]
+
+
 def test_gram_is_det_t_times_rational_gram():
-    for c in POOL34:
-        if c.rank < c.g:
-            c = reduce(c)[0]
-        rational, det_t = rational_gram_oracle(c.generators)
-        assert det_t > 0
-        assert [list(row) for row in c.gram] == [[det_t * x for x in row] for row in rational]
+    # the g = 3, 4 tops and faces, the bundled g = 5 cones, and D6 and E6
+    # with 30 and 36 generators
+    big = [_cartan_cone(6, D6_EDGES), _cartan_cone(6, E6_EDGES)]
+    assert [len(c.generators) for c in big] == [30, 36]
+    for c in POOL34 + [cone_of_form(q) for q in load_bundled_catalog(5)] + big:
+        _assert_gram_is_det_t_times_rational_gram(c)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda g: st.lists(st.tuples(*[st.integers(-2, 2)] * g), min_size=g, max_size=g + 6)
+    )
+)
+@example([(1, 0), (0, 1), (1, -1), (1, -2), (2, 1)])
+def test_gram_of_full_rank_cones_is_det_t_times_rational_gram(vectors):
+    # entries +-2 take the row combination past its +-1 branches
+    g = len(vectors[0])
+    gens = {sign_normalize(v) for v in vectors if vec_gcd(v) == 1}
+    assume(gens)
+    c = PerfectCone(g, gens)
+    assume(c.rank == g)
+    _assert_gram_is_det_t_times_rational_gram(c)
 
 
 @settings(max_examples=40)
