@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .cone import PerfectCone, facet_index_sets, indices, int_field, pad, records
+from .cone import PerfectCone, face_mask, facet_index_sets, indices, int_field, pad, records
 from .matroid import is_matroidal, lattice_coloops
 from .quadform import QuadraticForm, cone_of_form, load_bundled_catalog
 from .symmetry import Orbit, OrbitRegistry, orientation_sign
@@ -130,11 +130,13 @@ def _record_facets(
     masks = facet_index_sets(rep, _span=span)
     if rng is not None:
         rng.shuffle(masks)
-    gens = [(p, [1 << j for j in p]) for p in orbit.aut_gens or []]
+    n = len(rep.generators)
+    unit = [face_mask((j,), n) for j in range(n)]
+    gens = [(p, [unit[j] for j in p]) for p in orbit.aut_gens or []]
     known: dict[int, tuple[str, int]] = {}
     for mask in masks:
         if mask not in known:
-            s = indices(mask)
+            s = indices(mask, n)
             face = rep.facet(s)
             if face.rank < reg.g:
                 loc = reg.locate(face)

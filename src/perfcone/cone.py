@@ -9,7 +9,6 @@ generator subset is faithful.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from itertools import zip_longest
 from math import gcd
@@ -275,16 +274,35 @@ def _mirror(low: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class Face:
-    """The face of parent on the generators whose bits are set in mask
-    (bit i for generator i), as facet_index_sets gives it."""
+    """The face of parent on the generators whose bits are set in mask,
+    generator i of n at bit n - 1 - i (face_mask, indices), as
+    facet_index_sets gives it."""
 
     parent: PerfectCone
     mask: int
 
 
-def indices(mask: int) -> list[int]:
-    """The generator indices of a face mask, increasing."""
-    return [i for i, b in enumerate(reversed(f"{mask:b}")) if b == "1"]
+def face_mask(idx: Iterable[int], n: int) -> int:
+    """The mask of the face on the generator indices idx, each in
+    range(n), of a cone on n generators: generator i at bit n - 1 - i, so
+    that a larger mask is a face whose sorted indices come first among
+    faces that are not nested (see facet_index_sets)."""
+    m = 0
+    for i in idx:
+        if not 0 <= i < n:
+            raise ValueError(f"generator index {i} is not in range({n})")
+        m |= 1 << n - 1 - i
+    return m
+
+
+def indices(mask: int, n: int) -> list[int]:
+    """The generator indices, increasing, of a face mask of a cone on n
+    generators (face_mask); a mask outside range(1 << n) raises
+    ValueError."""
+    if mask < 0 or mask >> n:
+        raise ValueError(f"face mask {mask} is not in range(1 << {n})")
+    # bin(mask | 1 << n) is "0b1" and then the n bits of mask, generator 0 first
+    return [i for i, b in enumerate(bin(mask | 1 << n)[3:]) if b == "1"]
 
 
 def pad(c: PerfectCone, g: int) -> PerfectCone:
@@ -591,11 +609,6 @@ def _reduced(v: list[int]) -> list[int]:
     return [x // g for x in v] if g > 1 else v
 
 
-# _REVERSED[b] is the byte b with its eight bits in reverse order
-_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-_LIMB = (1 << 64) - 1
-
-
 def _series_classes(
     n: int, ref: Sequence[int], coords: Sequence[Sequence[int]]
 ) -> list[list[int]]:
@@ -619,8 +632,9 @@ def facet_index_sets(
     *,
     _span: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None,
 ) -> list[int]:
-    """The codimension-1 faces as generator masks (bit i set when
-    generator i lies on the facet), sorted as their sorted index tuples.
+    """The codimension-1 faces as generator masks (face_mask: generator i
+    at bit n - 1 - i), in descending order, which sorts them as their
+    sorted index tuples.
 
     Unless the dimension is already known to be n (simplicial), one
     span_basis of the cone gives it, and the double description runs in
@@ -653,27 +667,22 @@ def facet_index_sets(
     rows in dimension 15 become 10 rows in dimension 5. A cone with no
     class of two runs on its own rows.
 
-    The facets are the active sets of the extreme rays of the dual cone.
-    Facets are never nested, so the smallest index in which two facets
-    differ lies in the one whose sorted tuple comes first; with generator
-    i at bit n - 1 - i that one has the larger mask, so a descending sort
-    of such keys sorts the facets. The class path builds each facet as
-    one int, its key above its mask. The double description on the
-    cone's own rows (generator i as row n - 1 - i) returns keys, and all
-    are reversed in one pass: sorted ascending, each is shifted up to
-    L = ceil(n / 64) whole 64-bit limbs, packed big-endian into one
-    buffer a limb column at a time, top column first. Reversing the
-    buffer and the bits of each byte (bytes.translate) reverses the whole
-    buffer, so it unpacks into the limb columns of the reversed masks,
-    top column first, each in descending order of the keys.
+    The facets are the active sets of the extreme rays of the dual cone,
+    as masks with generator i at bit n - 1 - i (face_mask). Facets are
+    never nested, so the smallest index in which two facets differ lies
+    in the one whose sorted tuple comes first, and that one has the
+    larger mask: one descending sort of the masks sorts the facets. The
+    class path expands masks of n bits directly, and the double
+    description on the cone's own rows takes generator i as row
+    n - 1 - i, so its masks are in this order as they come.
     """
     n = len(c.generators)
     if _span is None and c._dim != n:
         _span = span_basis(c)
         c._dual = (*_span, None)
     if c._dim == n:
-        full = (1 << n) - 1
-        return [full ^ 1 << i for i in range(n - 1, -1, -1)]
+        full = (1 << n) - 1  # drop generator n - 1, n - 2, ..., 0
+        return [full ^ 1 << k for k in range(n)]
     ref, coords = _span
     classes = _series_classes(n, ref, coords)
     nfree = n - len(ref)
@@ -683,31 +692,18 @@ def facet_index_sets(
         at = {r: k for k, r in enumerate(ref)}
         cols = [at[cl[0]] for cl in classes[nfree:]]
         rows = [[coords[cl[0]][k] for k in cols] for cl in classes]
-        # generator i at bit 2n - 1 - i of the sort key and at bit i of the mask
-        bits = [[1 << 2 * n - 1 - i | 1 << i for i in cl] for cl in classes]
-        keyed = []
+        bits = [[1 << n - 1 - i for i in cl] for cl in classes]
+        masks = []
         for m in _dd_core(rows, range(nfree, len(classes))):
-            expanded = [(1 << 2 * n) - 1]
+            expanded = [(1 << n) - 1]
             for p, b in enumerate(bits):
                 if not m >> p & 1:
-                    expanded = [x ^ y for x in expanded for y in b]
-            keyed += expanded
-        keyed.sort(reverse=True)
-        return [x & (1 << n) - 1 for x in keyed]
-    masks = _dd_core(coords[::-1], [n - 1 - i for i in ref])
-    masks.sort()
-    limbs = (n + 63) >> 6
-    shift = 64 * limbs - n
-    words: list[int] = []
-    for s in range(64 * limbs - 64, -1, -64):
-        words += [m << shift >> s & _LIMB for m in masks]
-    form = f">{len(words)}Q"
-    rev = struct.unpack(form, struct.pack(form, *words)[::-1].translate(_REVERSED))
-    f = len(masks)
-    out = list(rev[:f])
-    for k in range(f, len(rev), f):
-        out = [x << 64 | y for x, y in zip(out, rev[k : k + f])]
-    return out
+                    expanded = [x ^ y for y in b for x in expanded]
+            masks += expanded
+    else:
+        masks = _dd_core(coords[::-1], [n - 1 - i for i in ref])
+    masks.sort(reverse=True)
+    return masks
 
 
 def format_cone(c: PerfectCone) -> str:

@@ -148,9 +148,11 @@ def minimal_vectors(q: QuadraticForm) -> MinimalVectorSet:
     content c_i makes the level term w_i s^2, with the integer
     s = (p_(i+1) / c_i) x_i + C and w_i = c_i^2 / (p_i p_(i+1)); scaling
     every w_i by the lcm M of their denominators makes M num(x) an
-    integer. One representative per +- pair, normalized to a positive
-    leading entry, sorted. The result is kept on q, so asking again for
-    the same form costs nothing.
+    integer. The walk recurses from level g - 1 down to level 1; level 0
+    records each candidate inside its own loop, with no call per vector.
+    One representative per +- pair, normalized to a positive leading
+    entry, sorted. The result is kept on q, so asking again for the same
+    form costs nothing.
     """
     if q._mv is not None:
         return q._mv
@@ -179,16 +181,6 @@ def minimal_vectors(q: QuadraticForm) -> MinimalVectorSet:
 
     def walk(i: int, partial: int, zero_above: bool):
         nonlocal best, found
-        if i < 0:
-            v = tuple(x)
-            if all(t == 0 for t in v):
-                return
-            if partial < best:
-                best = partial
-                found = [v]
-            elif partial == best:
-                found.append(v)
-            return
         c = 0
         for j, a in terms[i]:
             if x[j]:
@@ -206,7 +198,14 @@ def minimal_vectors(q: QuadraticForm) -> MinimalVectorSet:
                 if level > best:
                     break
                 x[i] = t
-                walk(i - 1, level, zero_above and t == 0)
+                if i:
+                    walk(i - 1, level, zero_above and t == 0)
+                elif t or not zero_above:  # the last level: a nonzero x
+                    if level < best:
+                        best = level
+                        found = [tuple(x)]
+                    else:
+                        found.append(tuple(x))
                 t += step
                 s += step * den
         x[i] = 0
@@ -378,9 +377,10 @@ def _facet_normal(sigma: PerfectCone, mask: int) -> list[list[int]]:
         adj, det = adjugate_det(list(zip(*(sigma.flat[r] for r in ref))))
         dual = sigma._dual = (ref, coords, adj if det > 0 else [[-x for x in row] for row in adj])
     ref, coords, m = dual
-    off = [k for k, r in enumerate(ref) if not mask >> r & 1]
+    on = set(indices(mask, len(coords)))
+    off = [k for k, r in enumerate(ref) if r not in on]
     e = Echelon()
-    for i in indices(mask & ~sum(1 << r for r in ref)):
+    for i in sorted(on.difference(ref)):
         row = coords[i]
         e.add([row[k] for k in off])
     z = e.kernel_vector(len(off))
@@ -390,8 +390,8 @@ def _facet_normal(sigma: PerfectCone, mask: int) -> list[list[int]]:
     # coords[ref[k]] = D e_k with D > 0, so generator ref[k] takes the value
     # D z_k; kernel_vector makes one z_k positive, so off a facet every
     # value is positive
-    rest = ~mask & (1 << len(coords)) - 1
-    if any(sum(x * coords[i][k] for k, x in terms) <= 0 for i in indices(rest)):
+    rest = (row for i, row in enumerate(coords) if i not in on)
+    if any(sum(x * row[k] for k, x in terms) <= 0 for row in rest):
         raise ValueError("face is not a facet: generators on both sides")
     coeff = [0] * len(ref)
     for k, x in terms:
@@ -427,7 +427,7 @@ def voronoi_neighbor(q: QuadraticForm, facet: Face) -> QuadraticForm:
     if mv.minimum != 1:
         raise ValueError("neighbor walk expects a form normalized to minimum 1")
     r2 = _facet_normal(sigma, facet.mask)
-    pegged = {sigma.generators[i] for i in indices(facet.mask)}
+    pegged = {sigma.generators[i] for i in indices(facet.mask, len(sigma.generators))}
     num, den = q.num, q.den
     name = f"{q.name}~neighbor"
     t_lo = Fraction(0)

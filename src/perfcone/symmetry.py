@@ -459,9 +459,9 @@ class Orbit:
     rep: PerfectCone
     alternating: bool
     ref_orientation: tuple[int, ...]
-    # (facet bitmask, target id, eta): bit i is set when generator i of
-    # rep lies on the facet; eta is the facet's orientation against the
-    # target orbit's, or 0 unless both orbits are alternating
+    # (facet mask, target id, eta): the mask is cone.face_mask of the
+    # generators of rep on the facet; eta is the facet's orientation
+    # against the target orbit's, or 0 unless both orbits are alternating
     facets: list[tuple[int, str, int]] = field(default_factory=list)
     # ray permutations of strong generators of Aut(rep), as
     # strong_generators returns them; None where no search was run

@@ -23,7 +23,7 @@ from perfcone.complexes import (
     format_complex,
     parse_complex,
 )
-from perfcone.cone import PerfectCone, facet_index_sets, indices, reduce, spanning_subset
+from perfcone.cone import PerfectCone, face_mask, facet_index_sets, indices, reduce, spanning_subset
 from perfcone.homology import betti, verify_complex
 from perfcone.intlinalg import det_sign, flatten_rank1, perm_sign, rank_rows
 from perfcone.matroid import graphic_cone, is_matroidal
@@ -95,10 +95,6 @@ def test_registry_g3_matches_nine_graphs(reg3):
     assert set(hits.values()) == {o.id for o in reg3.orbits}
 
 
-def _indices(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 def test_registry_facet_records_are_consistent(reg3):
     ids = {o.id for o in reg3.orbits}
     for orbit in reg3.orbits:
@@ -107,7 +103,7 @@ def test_registry_facet_records_are_consistent(reg3):
             assert target_id in ids
             assert 0 <= mask < 1 << n
             target = reg3.by_id[target_id]
-            assert len(_indices(mask)) == len(target.rep.generators)
+            assert len(indices(mask, n)) == len(target.rep.generators)
             assert eta in ((-1, 1) if orbit.alternating and target.alternating else (0,))
 
 
@@ -140,7 +136,7 @@ def test_facet_records_map_faces_onto_their_targets(reg4, reg5):
     ):
         for orbit in reg.orbits:
             for mask, tid, eta in orbit.facets:
-                idx = _indices(mask)
+                idx = indices(mask, len(orbit.rep.generators))
                 target, perm = reg.locate(orbit.rep.subcone(idx))
                 assert target.id == tid
                 if orbit.alternating and target.alternating:
@@ -230,7 +226,7 @@ def _simplicial_signed_facets(reg):
             for mask, tid, eta in orbit.facets:
                 target = reg.by_id[tid]
                 if target.alternating:
-                    s = indices(mask)
+                    s = indices(mask, len(orbit.rep.generators))
                     located, perm = reg.locate(orbit.rep.facet(s))
                     assert located is target
                     yield orbit, s, target, perm, eta
@@ -272,6 +268,7 @@ def test_simplicial_facet_sign_reads_the_orient_order(reg5):
 def _facet_orbits(orbit):
     """One record per orbit of the recorded facets under the stored
     strong generators."""
+    n = len(orbit.rep.generators)
     seen = set()
     firsts = []
     for record in orbit.facets:
@@ -284,7 +281,7 @@ def _facet_orbits(orbit):
         while stack:
             x = stack.pop()
             for p in orbit.aut_gens:
-                y = sum(1 << p[i] for i in _indices(x))
+                y = face_mask([p[i] for i in indices(x, n)], n)
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -413,7 +410,7 @@ def test_facet_cones_take_their_dimension_from_the_parent(name, request):
         if rep.rank == rep.g:
             rep.gram
         for s in facet_index_sets(rep):
-            face = rep.facet(indices(s))
+            face = rep.facet(indices(s, len(rep.generators)))
             assert face.dim == rep.dim - 1
             assert rank_rows([flatten_rank1(v) for v in face.generators]) == rep.dim - 1
             if rep.rank == rep.g:
@@ -490,7 +487,7 @@ def _fresh_differential_row(orbit, reg):
     whose witness runs from the target's rep to the face."""
     row = {}
     for s in facet_index_sets(orbit.rep):
-        idx = indices(s)
+        idx = indices(s, len(orbit.rep.generators))
         target, perm = reg.locate(orbit.rep.subcone(idx))
         if not target.alternating:
             continue

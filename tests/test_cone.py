@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from operator import add
@@ -14,6 +15,7 @@ from perfcone.cone import (
     _span_basis,
     facet_index_sets,
     format_cone,
+    face_mask,
     gram_downdate,
     indices,
     pad,
@@ -108,7 +110,8 @@ def face_lattice(c):
     generator indices: c, the zero face and every intersection of
     facets."""
     facets = facet_index_sets(c)
-    seen = {(1 << len(c.generators)) - 1, 0}
+    n = len(c.generators)
+    seen = {(1 << n) - 1, 0}
     stack = list(seen)
     while stack:
         m = stack.pop()
@@ -117,8 +120,8 @@ def face_lattice(c):
                 seen.add(m & f)
                 stack.append(m & f)
     out = {}
-    for m in sorted(seen, key=indices):
-        face = c.subcone(indices(m))
+    for m in sorted(seen, key=lambda m: indices(m, n)):
+        face = c.subcone(indices(m, n))
         out.setdefault(face.dim, []).append(face)
     return out
 
@@ -150,7 +153,8 @@ def test_face_of_face_is_face():
 
 def _facet_sets(c):
     """The facets of c as generator index sets."""
-    return {frozenset(indices(m)) for m in facet_index_sets(c)}
+    n = len(c.generators)
+    return {frozenset(indices(m, n)) for m in facet_index_sets(c)}
 
 
 def test_facets_match_bruteforce_oracle():
@@ -213,8 +217,14 @@ def _dd(ys):
     return _dd_core(coords, init)
 
 
+def _rows(m):
+    """The rows of a double description mask (bit i for row i), increasing."""
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
 def _assert_tight_sets(ys, masks):
-    """Each mask is the tight set of an extreme ray of {w : <w, y> >= 0}."""
+    """Each double description mask is the tight set of an extreme ray of
+    {w : <w, y> >= 0}."""
     d = len(ys[0])
     for mask in masks:
         # the ray spans the kernel of its tight rows, with either sign
@@ -280,7 +290,7 @@ def test_d6_facets_are_pinned():
     assert len(c.generators) == 30 and c.dim == 21
     facets = facet_index_sets(c)
     assert len(facets) == 6336
-    digest = hashlib.sha256(repr([indices(m) for m in facets]).encode()).hexdigest()
+    digest = hashlib.sha256(repr([indices(m, 30) for m in facets]).encode()).hexdigest()
     assert digest == "28d7a7605d1deb3e751549f5110016a6c20d376ce3df052186c6dcf947d64fef"
 
 
@@ -290,7 +300,7 @@ def test_d6_facets_take_gram_and_rank_from_the_parent():
     c = _cartan_cone(6, D6_EDGES)
     c.gram
     for s in facet_index_sets(c)[::50]:
-        face = c.facet(indices(s))
+        face = c.facet(indices(s, 30))
         assert face._rank == 6 and face._gram == PerfectCone(6, face.generators).gram
 
 
@@ -334,7 +344,7 @@ def test_gram_downdate_on_every_facet_of_the_bundled_cones(reg5):
     for c, masks in cases:
         n = len(c.generators)
         for m in masks:
-            keep = indices(m)
+            keep = indices(m, n)
             sub = c.subcone(keep)
             got = gram_downdate(c.gram, c.g, keep)
             drops.add(n - len(keep))
@@ -430,16 +440,17 @@ def _assert_facets_follow_the_rows(c, seed, rnd, sample):
     h = random_unimodular(c.g, random.Random(seed))
     moved = conjugate_cone(c, h)
     rows = _projected_rows(moved.generators)
-    plain = sorted(_dd(rows), key=indices)
+    tight = _dd(rows)
     n = len(rows)
+    plain = sorted((face_mask(_rows(m), n) for m in tight), key=lambda m: indices(m, n))
     order = list(range(n))
     rnd.shuffle(order)
     assert facet_index_sets(moved) == plain
     assert facet_index_sets(moved, _span=span_basis(moved, order)) == plain
     at = {sign_normalize(mat_vec(h, v)): k for k, v in enumerate(c.generators)}
     back = [at[v] for v in moved.generators]
-    assert {sum(1 << back[i] for i in indices(m)) for m in plain} == set(facet_index_sets(c))
-    _assert_tight_sets(rows, rnd.sample(plain, min(sample, len(plain))))
+    assert {face_mask([back[i] for i in _rows(m)], n) for m in tight} == set(facet_index_sets(c))
+    _assert_tight_sets(rows, rnd.sample(tight, min(sample, len(tight))))
 
 
 @settings(max_examples=10)
@@ -530,7 +541,7 @@ def test_reduce_examples(reg4):
             faces.append(PerfectCone(4, rep.generators))
         elif rep.rank == 4:
             for m in facet_index_sets(rep):
-                face = PerfectCone(4, rep.facet(indices(m)).generators)
+                face = PerfectCone(4, rep.facet(indices(m, len(rep.generators))).generators)
                 if face.rank < 4:
                     faces.append(face)
     assert {c.rank for c in faces} == {1, 2, 3}
@@ -686,30 +697,48 @@ def _random_g3_cone(rng):
             return PerfectCone(3, gens)
 
 
-def test_facets_come_sorted():
-    # the double description's masks, generator i as bit n - 1 - i, sorted
-    # descending, are in sorted-tuple order because facets are never nested
+def test_facets_come_sorted(monkeypatch):
+    # facets are never nested, so with generator i at bit n - 1 - i their
+    # masks decrease strictly exactly when their sorted index tuples
+    # increase; the simplicial path, the class path (the double
+    # description on fewer rows than generators) and the plain path (on
+    # every row) all return them so
     rng = random.Random(13)
     cones = [_random_g3_cone(rng) for _ in range(40)]
     cones.append(next(cone_of_form(q) for q in load_bundled_catalog(5) if q.name == "d5"))
     cones.append(_cartan_cone(6, D6_EDGES))
-    # non-simplicial cones of 8, 9, 16 and 17 generators, whose masks fill
-    # one or two bytes exactly or spill one bit into the next: seeded
-    # samples of the primitive vectors with entries in {-1, 0, 1}
+    # non-simplicial cones of 8, 9, 16 and 17 generators: seeded samples of
+    # the primitive vectors with entries in {-1, 0, 1}
     for g, n in ((3, 8), (3, 9), (4, 16), (4, 17)):
         box = sorted({sign_normalize(v) for v in product((-1, 0, 1), repeat=g) if any(v)})
         cones.append(PerfectCone(g, random.Random(n).sample(box, n)))
     assert any(c.dim < len(c.generators) for c in cones[:40])
     assert [len(c.generators) for c in cones[-4:]] == [8, 9, 16, 17]
     assert all(c.dim < len(c.generators) for c in cones[-4:])
+    rows = []
+    dd_core = perfcone.cone._dd_core
+
+    def spy(coords, init):
+        rows.append(len(coords))
+        return dd_core(coords, init)
+
+    monkeypatch.setattr(perfcone.cone, "_dd_core", spy)
+    paths = Counter()
     for c in cones:
-        facets = [indices(m) for m in facet_index_sets(c)]
+        n = len(c.generators)
+        rows.clear()
+        masks = facet_index_sets(c)
+        paths["simplicial" if not rows else "classes" if rows[0] < n else "plain"] += 1
+        assert all(a > b for a, b in zip(masks, masks[1:]))
+        facets = [indices(m, n) for m in masks]
         assert facets == sorted(facets)
-        assert len(set(map(tuple, facets))) == len(facets)
-    # each mask, reversed byte by byte out of the row numbering, is the
-    # exact tight set of a facet, numbered by generator
+    assert paths["simplicial"] and paths["classes"] >= 2 and paths["plain"] >= 4
+    # each mask, read by indices, is the exact tight set of a facet,
+    # numbered by generator
     for c in cones[-4:]:
-        _assert_tight_sets(_projected_rows(c.generators), facet_index_sets(c))
+        n = len(c.generators)
+        tight = [sum(1 << i for i in indices(m, n)) for m in facet_index_sets(c)]
+        _assert_tight_sets(_projected_rows(c.generators), tight)
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 67])
@@ -718,8 +747,8 @@ def test_facets_of_corank_one_cones_past_one_limb(n):
     # ..., which hold the triangle 0 1 2, and e_0 + e_1 + e_2. The forms
     # satisfy one relation, 012 - 01 - 02 - 12 + 0 + 1 + 2 = 0, so a facet
     # leaves out one generator on each side of it, or one generator off it.
-    # Masks of 63 and 64 bits fill one 64-bit limb, and of 65 and 67 bits
-    # spill into a second
+    # The plain path sorts masks of 63 to 67 bits, which reach past one
+    # 64-bit machine word, and returns them whole
     g = 11
 
     def e(*ks):
@@ -734,7 +763,29 @@ def test_facets_of_corank_one_cones_past_one_limb(n):
     off = set(range(n)).difference(plus, minus)
     drops = [{p, m} for p in plus for m in minus] + [{k} for k in off]
     facets = sorted(tuple(sorted(set(range(n)) - d)) for d in drops)
-    assert facet_index_sets(c) == [sum(1 << i for i in f) for f in facets]
+    assert facet_index_sets(c) == [face_mask(f, n) for f in facets]
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 70), st.randoms(use_true_random=False))
+def test_face_masks_round_trip(n, rnd):
+    # indices decodes what face_mask encodes, whatever the order it is
+    # given in; between two faces that are not nested, the larger mask has
+    # the smaller sorted index tuple. Masks off range(1 << n) and indices
+    # off range(n) are refused
+    a, b = (sorted(rnd.sample(range(n), rnd.randint(0, n))) for _ in range(2))
+    ma, mb = face_mask(a, n), face_mask(reversed(a), n)
+    assert ma == mb and 0 <= ma < 1 << n
+    assert indices(ma, n) == a
+    mb = face_mask(b, n)
+    if not (set(a) <= set(b) or set(b) <= set(a)):
+        assert (ma > mb) == (a < b)
+    for bad in (-1, 1 << n):
+        with pytest.raises(ValueError, match="face mask"):
+            indices(bad, n)
+    for bad in (-1, n):
+        with pytest.raises(ValueError, match="generator index"):
+            face_mask([bad], n)
 
 
 def test_cone_file_roundtrip():

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import perfcone.cone
 from perfcone import quadform
-from perfcone.cone import Face, PerfectCone, facet_index_sets, indices
+from perfcone.cone import Face, PerfectCone, face_mask, facet_index_sets, indices
 from perfcone.intlinalg import rank_rows, sign_normalize, vec_gcd
 from perfcone.quadform import (
     CatalogError,
@@ -102,10 +102,25 @@ def _small_forms(draw):
 
 @settings(max_examples=60)
 @given(_small_forms())
+# at g = 1 the top level of the walk is its innermost one, which records
+# each vector in its own loop; at g = 2 the top level calls it directly
+@example(QuadraticForm([[Fraction(5, 3)]]))
+@example(QuadraticForm([[1, Fraction(1, 2)], [Fraction(1, 2), 1]]))
+@example(QuadraticForm([[Fraction(3, 7), Fraction(-1, 5)], [Fraction(-1, 5), 2]]))
 def test_minimal_vectors_match_box_oracle_on_random_forms(q):
     assume(q._rows is not None)
     mv = minimal_vectors(q)
     assert (mv.minimum, mv.vectors) == short_vectors_box(q.entries)
+
+
+def test_minimal_vectors_skip_the_zero_vector():
+    # the zero vector starts the walk at every level, and no level keeps it
+    mv = minimal_vectors(QuadraticForm([[1]]))
+    assert (mv.minimum, mv.vectors) == (1, ((1,),))
+    assert minimal_vectors(QuadraticForm([[1, 0], [0, 1]])).vectors == ((0, 1), (1, 0))
+    # g = 0 has no nonzero vector and no minimum
+    with pytest.raises(ValueError):
+        minimal_vectors(QuadraticForm([]))
 
 
 def test_minimal_vectors_are_kept_per_form():
@@ -260,7 +275,7 @@ def test_voronoi_neighbor_g3_closure():
 def test_voronoi_neighbor_rejects_non_facet():
     q = principal_form(2)
     c = cone_of_form(q)
-    low = Face(c, 1)  # the ray of generator 0
+    low = Face(c, face_mask([0], len(c.generators)))  # the ray of generator 0
     with pytest.raises(ValueError, match="not of codimension 1"):
         voronoi_neighbor(q, low)
     with pytest.raises(ValueError, match="empty face"):
@@ -276,13 +291,14 @@ def _assert_facet_normal(sigma, mask):
     v^t R v is 0 on the facet's generators and positive on the others."""
     r2 = quadform._facet_normal(sigma, mask)
     g = sigma.g
+    on = indices(mask, len(sigma.generators))
     assert all(type(x) is int for row in r2 for x in row)
     assert all(r2[i][j] == r2[j][i] for i in range(g) for j in range(i))
     assert all(r2[i][i] % 2 == 0 for i in range(g))
     assert math.gcd(*(r2[i][j] // (1 + (i == j)) for i in range(g) for j in range(i, g))) == 1
     for i, v in enumerate(sigma.generators):
         value = sum(v[a] * r2[a][b] * v[b] for a in range(g) for b in range(g))
-        assert value >= 0 and (value == 0) == bool(mask >> i & 1)
+        assert value >= 0 and (value == 0) == (i in on)
 
 
 def test_facet_normals_of_the_bundled_cones():
@@ -333,8 +349,8 @@ def test_facet_normal_rejects_faces_that_are_not_facets():
     facets = set(facet_index_sets(sigma))
     cut = next(
         m
-        for m in (sum(1 << i for i in keep) for keep in itertools.combinations(range(12), 9))
-        if m not in facets and rank_rows([sigma.flat[i] for i in indices(m)]) == 9
+        for m in (face_mask(keep, 12) for keep in itertools.combinations(range(12), 9))
+        if m not in facets and rank_rows([sigma.flat[i] for i in indices(m, 12)]) == 9
     )
     with pytest.raises(ValueError, match="generators on both sides"):
         voronoi_neighbor(q, Face(sigma, cut))
@@ -355,10 +371,9 @@ def test_voronoi_neighbor_rejects_a_facet_plus_one_generator():
         facets = facet_index_sets(sigma)
         assert {m.bit_count() for m in facets} == ({14, 16} if q is d5 else {n - 1})
         for m in facets[:: max(1, len(facets) // 12)]:
-            for i in range(n):
-                if not m >> i & 1:
-                    with pytest.raises(ValueError, match="not of codimension 1"):
-                        voronoi_neighbor(q, Face(sigma, m | 1 << i))
+            for i in set(range(n)).difference(indices(m, n)):
+                with pytest.raises(ValueError, match="not of codimension 1"):
+                    voronoi_neighbor(q, Face(sigma, m | face_mask([i], n)))
 
 
 def test_voronoi_neighbors_g4_classes():

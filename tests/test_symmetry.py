@@ -507,7 +507,8 @@ def _tops_and_faces(g):
     for form in load_bundled_catalog(g):
         top = cone_of_form(form)
         out.append(top)
-        out.extend(top.subcone(indices(s)) for s in facet_index_sets(top))
+        n = len(top.generators)
+        out.extend(top.subcone(indices(s, n)) for s in facet_index_sets(top))
     return out
 
 
