@@ -36,7 +36,6 @@ from .homology import (
     verify_complex,
 )
 from .quadform import (
-    CatalogError,
     bundled_text,
     load_bundled_catalog,
     load_form_catalog,
@@ -286,7 +285,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (CatalogError, ValueError, AssertionError, OSError) as exc:
+    except (ValueError, AssertionError, OSError) as exc:  # quadform.CatalogError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

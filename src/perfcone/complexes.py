@@ -8,8 +8,9 @@ padded. Padding changes neither its facet combinatorics nor any span
 coordinate, so inherited facet records stay valid verbatim. Nor does it
 change the rank, the dimension or the core, and the fingerprint reads
 only those (the core's sorted Gram profiles): pad hands all four over
-from the smaller representative, so a padded seed shares its core, and
-the core's search state, and is never reduced again.
+from the smaller representative, with its span basis, so a padded seed
+shares its core, and the core's search state, and is never reduced
+again.
 
 Facet records are made one automorphism orbit of facets at a time. The
 first member of each facet orbit met in the walk order is located (or
@@ -119,15 +120,12 @@ def _record_facets(
     keys each image by its mask, summed from a table of bits per strong
     generator, and lists the image only when its mask is new.
 
-    The facets are enumerated on the span coordinates add left on the
-    orbit, so a new orbit takes one span elimination; they stay on it only
-    where a facet sign reads them, on an alternating orbit.
+    The facets are enumerated in the span basis that add kept on rep, so
+    a new orbit takes one span elimination; the basis stays on rep only
+    where a facet sign reads it, on an alternating orbit.
     """
     rep = orbit.rep
-    span = None if orbit.coords is None else (orbit.ref_orientation, orbit.coords)
-    if not orbit.alternating:
-        orbit.coords = None
-    masks = facet_index_sets(rep, _span=span)
+    masks = facet_index_sets(rep)
     if rng is not None:
         rng.shuffle(masks)
     n = len(rep.generators)
@@ -163,6 +161,8 @@ def _record_facets(
                         known[key] = record
                         stack.append([p[i] for i in x])
         orbit.facets.append((mask, *known[mask]))
+    if not orbit.alternating:
+        rep._span = None
 
 
 def _facet_sign(orbit: Orbit, s: list[int], target: Orbit, perm: tuple[int, ...]) -> int:
@@ -173,11 +173,14 @@ def _facet_sign(orbit: Orbit, s: list[int], target: Orbit, perm: tuple[int, ...]
     orbit's span coordinates, of a generator off the facet (it points
     inward) followed by the images of the target's reference basis. The
     target's orientation is positive on that basis, and the facet's does
-    not depend on the basis it is read on. A simplicial orbit keeps no
-    coordinates, and the sign is a parity (symmetry.orientation_sign)."""
-    u = min(i for i in range(len(orbit.rep.generators)) if i not in s)
+    not depend on the basis it is read on. On a simplicial orbit the sign
+    is a parity, and no span coordinates are read
+    (symmetry.orientation_sign)."""
+    n = len(orbit.rep.generators)
+    u = min(i for i in range(n) if i not in s)
     rows = [u] + [s[perm[r]] for r in target.ref_orientation]
-    eta = orientation_sign(rows, orbit.ref_orientation, orbit.coords)
+    coords = None if orbit.dim == n else orbit.rep.span[1]
+    eta = orientation_sign(rows, orbit.ref_orientation, coords)
     if eta == 0:
         raise AssertionError("facet orientation degenerated")
     return eta

@@ -30,17 +30,16 @@ from .intlinalg import (
 class PerfectCone:
     """Cone spanned by {v v^t} for a finite set of primitive vectors."""
 
-    # _flat, _dim, _rank, _gram, _profiles, _fingerprint and _reduction
-    # (a boundary cone's core, see reduce) are derived values, filled on
-    # first use or handed over by pad, and kept with the cone; so are
-    # _search, the state of a full-rank cone as the source of an
-    # equivalence search, which symmetry._full_rank_maps fills, and _dual,
-    # (ref, coords, M): the span_basis that facet_index_sets made for
-    # itself, with M None, or the one quadform._facet_normal made, with
-    # the dual basis M that it adds to either
+    # _flat, _dim, _rank, _gram, _profiles, _fingerprint, _reduction (a
+    # boundary cone's core, see reduce) and _span (see span) are derived
+    # values, filled on first use or handed over by pad, and kept with the
+    # cone; so are _search, the state of a full-rank cone as the source of
+    # an equivalence search, which symmetry._full_rank_maps fills, and
+    # _dual, the dual basis M of span's ref, which quadform._facet_normal
+    # fills
     __slots__ = (
         "g", "generators", "_flat", "_dim", "_rank", "_gram", "_profiles", "_fingerprint", "_reduction",
-        "_search", "_dual",
+        "_span", "_search", "_dual",
     )
 
     def __init__(self, g: int, generators: Iterable[Sequence[int]]):
@@ -70,6 +69,7 @@ class PerfectCone:
         self._profiles = None
         self._fingerprint = None
         self._reduction = None
+        self._span = None
         self._search = None
         self._dual = None
 
@@ -80,6 +80,19 @@ class PerfectCone:
         if self._flat is None:
             self._flat = tuple(map(flatten_rank1, self.generators))
         return self._flat
+
+    @property
+    def span(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The cone's span basis (ref, coords), as span_basis gives it: the
+        basis that its facets, facet normals and orientation signs are read
+        in. span_basis(self) on first use, unless a basis was kept on the
+        cone before (symmetry.OrbitRegistry.add keeps the one of an
+        orbit's reference order, and parse_registry that of an orient
+        line), which is done before any facet normal reads its dual basis
+        (_dual)."""
+        if self._span is None:
+            self._span = span_basis(self)
+        return self._span
 
     @property
     def dim(self) -> int:
@@ -309,9 +322,11 @@ def pad(c: PerfectCone, g: int) -> PerfectCone:
     """Embed into a larger ambient dimension by appending zero coordinates.
 
     Appended zeros keep the generators primitive, sign-normalized,
-    distinct and sorted. The padded cone keeps c's rank, dimension and
-    fingerprint, as far as they are known, and a boundary result shares
-    c's core (reduce), with its Gram matrix and search state.
+    distinct and sorted. The padded cone keeps c's rank, dimension,
+    fingerprint and span basis, as far as they are known: padding keeps
+    the order of the nonzero coordinates of the forms, so it changes no
+    span coordinate. A boundary result shares c's core (reduce), with its
+    Gram matrix and search state.
     """
     if g < c.g:
         raise ValueError("pad target must not shrink the ambient dimension")
@@ -320,7 +335,7 @@ def pad(c: PerfectCone, g: int) -> PerfectCone:
     p._start(g, tuple([v + tail for v in c.generators]))
     if c.rank < g:
         p._reduction = reduce(c)
-    p._dim, p._rank, p._fingerprint = c._dim, c._rank, c._fingerprint
+    p._dim, p._rank, p._fingerprint, p._span = c._dim, c._rank, c._fingerprint, c._span
     return p
 
 
@@ -627,24 +642,17 @@ def _series_classes(
     return list(classes.values())
 
 
-def facet_index_sets(
-    c: PerfectCone,
-    *,
-    _span: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None,
-) -> list[int]:
+def facet_index_sets(c: PerfectCone) -> list[int]:
     """The codimension-1 faces as generator masks (face_mask: generator i
     at bit n - 1 - i), in descending order, which sorts them as their
     sorted index tuples.
 
-    Unless the dimension is already known to be n (simplicial), one
-    span_basis of the cone gives it, and the double description runs in
-    the span, on the coordinates of the generator forms in the basis ref:
-    it starts from ref and needs no elimination or projection of its own.
-    _span, when given, is a span_basis(c, order) already made (the
-    registry's, for a new orbit), taken in place of that elimination;
-    the facet set does not depend on the basis it is found in. A span
-    made here is kept on the cone (PerfectCone._dual), where the facet
-    normals of the Voronoi walk read it (quadform._facet_normal).
+    Unless the dimension is already known to be n (simplicial), the
+    cone's span basis (PerfectCone.span) gives it, and the double
+    description runs in the span, on the coordinates of the generator
+    forms in the basis ref: it starts from ref and needs no elimination
+    or projection of its own. The facet set does not depend on the basis
+    it is found in.
 
     The forms y_i satisfy n - d independent linear relations, one per
     free (non-reference) generator f_j: D y_{f_j} = sum_k coords[f_j][k]
@@ -677,13 +685,11 @@ def facet_index_sets(
     n - 1 - i, so its masks are in this order as they come.
     """
     n = len(c.generators)
-    if _span is None and c._dim != n:
-        _span = span_basis(c)
-        c._dual = (*_span, None)
+    if c._dim != n:
+        ref, coords = c.span  # which sets _dim
     if c._dim == n:
         full = (1 << n) - 1  # drop generator n - 1, n - 2, ..., 0
         return [full ^ 1 << k for k in range(n)]
-    ref, coords = _span
     classes = _series_classes(n, ref, coords)
     nfree = n - len(ref)
     # the contracted dimension is len(classes) - nfree

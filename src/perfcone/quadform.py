@@ -17,10 +17,9 @@ keeps its minimal vectors once computed, so the Voronoi neighbour walk,
 which asks for them repeatedly on one base form, pays for the
 enumeration once. The walk's line search runs on an integer pencil of
 forms; only its parameter t is a Fraction. Its facet normals are read
-off the dual basis of the parent cone, which the cone keeps from its
-first normal, so a facet costs a kernel line in the few coordinates of
-the basis forms off it, not an elimination of the facet's forms (see
-_facet_normal).
+off the parent cone's span basis and its dual, which the cone keeps, so
+a facet costs a kernel line in the few coordinates of the basis forms
+off it, not an elimination of the facet's forms (see _facet_normal).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence
 
-from .cone import Face, PerfectCone, indices, records, span_basis
+from .cone import Face, PerfectCone, indices, records
 from .intlinalg import (
     Echelon,
     adjugate_det,
@@ -159,6 +158,8 @@ def minimal_vectors(q: QuadraticForm) -> MinimalVectorSet:
     if q._rows is None:
         raise ValueError("minimal vectors need a positive definite form")
     g = q.g
+    if g == 0:
+        raise ValueError("a form of ambient dimension 0 has no nonzero vector and no minimum")
     steps: list[int] = []
     terms: list[list[tuple[int, int]]] = []
     weights: list[tuple[int, int]] = []
@@ -357,26 +358,24 @@ def _facet_normal(sigma: PerfectCone, mask: int) -> list[list[int]]:
     the remaining minimal vectors. R has half-integer entries off the
     diagonal, so 2R is the integer matrix.
 
-    The normal is read off the cone's dual basis, kept on the cone
-    (PerfectCone._dual) from the first normal taken: (ref, coords) =
-    span_basis(sigma), read off _dual when facet_index_sets left it
-    there, and M = sign(det B) adj(B), B the matrix whose columns are
-    the forms of ref, so that coords[i] = M flat[i] and row k of M is
-    dual to form ref[k]. The normal vanishes on the forms of ref
-    in the facet, so it is sum_k z_k M[k] over the positions k of ref off
-    the facet (off), with z the primitive kernel line of the facet's
-    other rows coords[i], cut to those positions, and it takes the value
-    sum_k z_k coords[i][k] on generator i. Raises ValueError when the
-    face is not a facet."""
+    The normal is read off the cone's span basis (ref, coords) =
+    sigma.span and its dual basis M = sign(det B) adj(B), B the matrix
+    whose columns are the forms of ref, kept on the cone
+    (PerfectCone._dual) from the first normal taken: coords[i] =
+    M flat[i], and row k of M is dual to form ref[k]. The normal vanishes
+    on the forms of ref in the facet, so it is sum_k z_k M[k] over the
+    positions k of ref off the facet (off), with z the primitive kernel
+    line of the facet's other rows coords[i], cut to those positions, and
+    it takes the value sum_k z_k coords[i][k] on generator i. Raises
+    ValueError when the face is not a facet."""
     g = sigma.g
-    dual = sigma._dual
-    if dual is None or dual[2] is None:
-        ref, coords = span_basis(sigma) if dual is None else dual[:2]
+    ref, coords = sigma.span
+    m = sigma._dual
+    if m is None:
         if len(ref) != g * (g + 1) // 2:
             raise ValueError("face does not span a hyperplane of the cone")
         adj, det = adjugate_det(list(zip(*(sigma.flat[r] for r in ref))))
-        dual = sigma._dual = (ref, coords, adj if det > 0 else [[-x for x in row] for row in adj])
-    ref, coords, m = dual
+        m = sigma._dual = adj if det > 0 else [[-x for x in row] for row in adj]
     on = set(indices(mask, len(coords)))
     off = [k for k, r in enumerate(ref) if r not in on]
     e = Echelon()

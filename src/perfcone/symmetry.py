@@ -458,6 +458,9 @@ class Orbit:
     id: str
     rep: PerfectCone
     alternating: bool
+    # the generators whose forms, in this order, give the orientation; on
+    # an alternating orbit that is not simplicial, rep.span is the basis
+    # (ref_orientation, coords) that its facet signs are read in
     ref_orientation: tuple[int, ...]
     # (facet mask, target id, eta): the mask is cone.face_mask of the
     # generators of rep on the facet; eta is the facet's orientation
@@ -472,15 +475,6 @@ class Orbit:
     # orbit, filled by complexes.annotate_coloops; None on a boundary
     # orbit, whose count no complex reads
     coloop_count: int | None = None
-    # span_coordinates(rep, ref_orientation) of an alternating orbit that
-    # is not simplicial; each facet sign eta is read on these rows, not on
-    # the target's, by orientation_sign. None on a simplicial orbit, whose
-    # coordinates are D e_k for the generator at place k of
-    # ref_orientation, so that orientation_sign takes a parity. add keeps
-    # them on every orbit that is not simplicial, for the facet
-    # enumeration of complexes._record_facets, which drops them from an
-    # orbit that is not alternating
-    coords: tuple[tuple[int, ...], ...] | None = None
 
     # read off the representative, which keeps them
     @property
@@ -567,7 +561,9 @@ class OrbitRegistry:
             # run has still drawn ref_order, and its random stream is kept
             ref, coords = tuple(range(n)), None
         else:
-            ref, coords = span_basis(rep, ref_order)
+            # the basis of the orientation, kept on rep for its facets and
+            # facet signs
+            ref, coords = rep._span = span_basis(rep, ref_order)
         # the orientation sign is a homomorphism on the automorphism group,
         # so the strong generators decide alternation
         alternating = all(orientation_sign([p[s] for s in ref], ref, coords) > 0 for p in gens)
@@ -577,7 +573,6 @@ class OrbitRegistry:
             alternating=alternating,
             ref_orientation=ref,
             aut_gens=gens,
-            coords=coords,
         )
         self._insert(orbit)
         return orbit, perm, True
@@ -633,12 +628,13 @@ def parse_registry(text: str) -> OrbitRegistry:
                 f"line {i}: orient needs {c.dim} distinct generator indices "
                 "whose forms span the cone"
             ) from None
+        if alt == "1" and len(ref) < n:
+            c._span = ref, coords  # the basis its facet signs are read in
         orbit = Orbit(
             id=reg._new_id(rank, c.dim),
             rep=c,
             alternating=alt == "1",
             ref_orientation=ref,
-            coords=coords if alt == "1" and len(ref) < n else None,
         )
         reg.add_seed(orbit)
     if reg is None:

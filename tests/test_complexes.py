@@ -23,7 +23,15 @@ from perfcone.complexes import (
     format_complex,
     parse_complex,
 )
-from perfcone.cone import PerfectCone, face_mask, facet_index_sets, indices, reduce, spanning_subset
+from perfcone.cone import (
+    PerfectCone,
+    face_mask,
+    facet_index_sets,
+    indices,
+    reduce,
+    span_basis,
+    spanning_subset,
+)
 from perfcone.homology import betti, verify_complex
 from perfcone.intlinalg import det_sign, flatten_rank1, perm_sign, rank_rows
 from perfcone.matroid import graphic_cone, is_matroidal
@@ -233,12 +241,12 @@ def _simplicial_signed_facets(reg):
 
 
 def test_simplicial_facet_signs_are_the_determinant(reg5):
-    # a simplicial orbit keeps no coordinates and signs its facets by a
+    # a simplicial orbit keeps no span basis and signs its facets by a
     # parity; every ambient up to 5 is padded into reg5
     checked = 0
     for reg in (reg5, build_registry(5, seed=1)):
         for orbit, s, target, perm, eta in _simplicial_signed_facets(reg):
-            assert orbit.coords is None
+            assert orbit.rep._span is None
             assert eta == _determinant_sign(orbit, s, target, perm) != 0, orbit.id
             checked += 1
     assert checked > 0
@@ -390,6 +398,19 @@ def test_padded_seeds_inherit_their_fingerprint(reg5):
         assert (o.rank, o.dim, o.fingerprint) == (fresh.rank, fresh.dim, fresh.fingerprint), o.id
 
 
+def test_padded_seeds_keep_their_span(reg5, reg6_principal):
+    # the g = 6 seeds of the g = 5 alternating orbits that are not
+    # simplicial read their facet signs in the basis their g = 5
+    # representative keeps; pad hands it over, and padding moves no span
+    # coordinate, so it is the basis of the padded cone
+    kept = [o for o in reg5.orbits if o.alternating and o.dim < len(o.rep.generators)]
+    assert kept
+    for o in kept:
+        seed = reg6_principal.by_id[o.id].rep
+        assert seed._span is o.rep._span is not None
+        assert span_basis(PerfectCone(6, seed.generators)) == o.rep.span, o.id
+
+
 def test_padded_seeds_share_their_core(reg4):
     # every seed of the g = 5 registry searches on the core of the g = 4
     # orbit it pads, and is never reduced itself
@@ -425,18 +446,22 @@ def test_facet_cones_take_their_dimension_from_the_parent(name, request):
 
 
 def test_orbits_keep_their_span_coordinates():
-    # filled when the orbit is made or seeded, before any complex is built;
-    # a simplicial orbit keeps none, as its facet signs are parities. g = 5
-    # is the first registry with an alternating orbit that is not simplicial
-    reg = build_registry(5)
-    assert any(not o.alternating for o in reg.orbits)
-    assert any(o.alternating and o.dim == len(o.rep.generators) for o in reg.orbits)
-    assert any(o.alternating and o.dim < len(o.rep.generators) for o in reg.orbits)
-    for orbit in reg.orbits:
-        if orbit.alternating and orbit.dim < len(orbit.rep.generators):
-            assert orbit.coords == span_coordinates(orbit.rep, orbit.ref_orientation)
-        else:
-            assert orbit.coords is None
+    # kept on the representative when the orbit is made, and handed over
+    # by pad to its seeds, before any complex is built; a simplicial orbit
+    # keeps none, as its facet signs are parities, and a non-alternating
+    # one drops it once its facets are recorded. Under a seed the basis
+    # is the one of the shuffled reference order. g = 5 is the first
+    # registry with an alternating orbit that is not simplicial
+    for seed in (None, 1):
+        reg = build_registry(5, seed=seed)
+        assert any(not o.alternating for o in reg.orbits)
+        assert any(o.alternating and o.dim == len(o.rep.generators) for o in reg.orbits)
+        assert any(o.alternating and o.dim < len(o.rep.generators) for o in reg.orbits)
+        for o in reg.orbits:
+            if o.alternating and o.dim < len(o.rep.generators):
+                assert o.rep._span == (o.ref_orientation, span_coordinates(o.rep, o.ref_orientation))
+            else:
+                assert o.rep._span is None
 
 
 def test_simplicial_orbits_take_no_span_elimination(monkeypatch):
@@ -457,9 +482,6 @@ def test_simplicial_orbits_take_no_span_elimination(monkeypatch):
     # one in add, for each orbit that is not simplicial
     assert len(seen) == 1 * len(others) > 0
     assert all(seen)
-    # the span is handed to facet_index_sets, which keeps it only when it
-    # made it itself
-    assert all(o.rep._dual is None for o in reg.orbits)
 
 
 def test_seeded_representatives_keep_their_invariants(monkeypatch):

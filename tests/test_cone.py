@@ -433,10 +433,10 @@ def test_dd_core_refuses_to_insert_below_dimension_3():
 
 def _assert_facets_follow_the_rows(c, seed, rnd, sample):
     """facet_index_sets on c conjugated by a random unimodular matrix,
-    from its own span and from a span_basis in a shuffled order, finds
-    the facets of the plain double description on the moved cone's full
-    rows, in sorted order, and those of c moved by the matrix; a sample
-    of them are tight sets."""
+    from its own span and from a span_basis in a shuffled order kept on
+    it, finds the facets of the plain double description on the moved
+    cone's full rows, in sorted order, and those of c moved by the
+    matrix; a sample of them are tight sets."""
     h = random_unimodular(c.g, random.Random(seed))
     moved = conjugate_cone(c, h)
     rows = _projected_rows(moved.generators)
@@ -446,7 +446,8 @@ def _assert_facets_follow_the_rows(c, seed, rnd, sample):
     order = list(range(n))
     rnd.shuffle(order)
     assert facet_index_sets(moved) == plain
-    assert facet_index_sets(moved, _span=span_basis(moved, order)) == plain
+    moved._span = span_basis(moved, order)
+    assert facet_index_sets(moved) == plain
     at = {sign_normalize(mat_vec(h, v)): k for k, v in enumerate(c.generators)}
     back = [at[v] for v in moved.generators]
     assert {face_mask([back[i] for i in _rows(m)], n) for m in tight} == set(facet_index_sets(c))

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import perfcone.cone
 from perfcone import quadform
-from perfcone.cone import Face, PerfectCone, face_mask, facet_index_sets, indices
+from perfcone.cone import Face, PerfectCone, face_mask, facet_index_sets, indices, span_basis
 from perfcone.intlinalg import rank_rows, sign_normalize, vec_gcd
 from perfcone.quadform import (
     CatalogError,
@@ -119,7 +119,7 @@ def test_minimal_vectors_skip_the_zero_vector():
     assert (mv.minimum, mv.vectors) == (1, ((1,),))
     assert minimal_vectors(QuadraticForm([[1, 0], [0, 1]])).vectors == ((0, 1), (1, 0))
     # g = 0 has no nonzero vector and no minimum
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ambient dimension 0 has no nonzero vector"):
         minimal_vectors(QuadraticForm([]))
 
 
@@ -489,10 +489,11 @@ def test_voronoi_walk_bytes_on_g5(monkeypatch):
 
 
 def test_voronoi_walk_eliminates_each_cone_once(monkeypatch):
-    # facet_index_sets leaves the span it eliminated on the parent cone,
-    # and the facet normals read it there: the walk over the 430 facets of
-    # the bundled g = 5 cones eliminates each of its 433 cones once (436
-    # when the first normal of each parent eliminated its span again)
+    # the parent cone keeps the span basis that facet_index_sets
+    # eliminated, and the facet normals read it there: the walk over the
+    # 430 facets of the bundled g = 5 cones eliminates each of its 433
+    # cones once (436 when the first normal of each parent eliminated its
+    # span again)
     calls = []
     inner = perfcone.cone._span_basis
 
@@ -509,3 +510,24 @@ def test_voronoi_walk_eliminates_each_cone_once(monkeypatch):
             neighbours += 1
     assert neighbours == 430
     assert len(calls) == 3 + 430
+
+
+def test_voronoi_neighbors_do_not_depend_on_the_kept_basis():
+    # a registry keeps a span basis of its own on a cone (a seeded
+    # reference order, an orient line), and the facet normals then read
+    # that basis. d5 is the one bundled g = 5 cone that is not simplicial,
+    # so the only one whose basis a shuffled order moves: in each order,
+    # every neighbour is the one found in the default basis
+    q = next(q for q in load_bundled_catalog(5) if q.name == "d5")
+    sigma = cone_of_form(q)
+    facets = facet_index_sets(sigma)
+    want = [voronoi_neighbor(q, Face(sigma, s)) for s in facets]
+    rng = random.Random(5)
+    for _ in range(3):
+        shuffled = cone_of_form(q)
+        order = list(range(len(shuffled.generators)))
+        rng.shuffle(order)
+        shuffled._span = span_basis(shuffled, order)
+        assert shuffled.span[0] != sigma.span[0]
+        assert facet_index_sets(shuffled) == facets
+        assert [voronoi_neighbor(q, Face(shuffled, s)) for s in facets] == want

@@ -407,7 +407,7 @@ def test_locate_maps_every_member_to_one_orbit():
 
 
 def test_registry_roundtrip(reg3, reg5):
-    for reg in (reg3, reg5, build_registry(4, seed=1)):
+    for reg in (reg3, reg5, build_registry(4, seed=1), build_registry(5, seed=1)):
         text = format_registry(reg)
         back = parse_registry(text)
         assert len(back.orbits) == len(reg.orbits)
@@ -416,12 +416,12 @@ def test_registry_roundtrip(reg3, reg5):
             assert a.rep == b.rep
             assert a.alternating == b.alternating
             assert a.ref_orientation == b.ref_orientation
-            # span coordinates are kept only where a facet sign reads them
+            # a span basis is kept only where a facet sign reads it
             if a.alternating and a.dim < len(a.rep.generators):
-                assert b.coords == span_coordinates(b.rep, b.ref_orientation)
+                assert b.rep._span == (b.ref_orientation, span_coordinates(b.rep, b.ref_orientation))
+                assert a.rep._span == b.rep._span
             else:
-                assert b.coords is None
-            assert a.coords == b.coords
+                assert b.rep._span is None
         assert format_registry(back) == text
 
 
@@ -446,7 +446,7 @@ def test_registry_ids_number_each_stratum_from_zero(reg5):
 def test_span_coordinates_keep_an_unsorted_orient_order(reg5):
     # a hand-edited orient line may list its basis in any order; the
     # coordinate columns follow that order. Only an alternating orbit that
-    # is not simplicial keeps coordinates; the first at g = 5 is r5d15n1
+    # is not simplicial keeps a span basis; the first at g = 5 is r5d15n1
     i, orbit = next(
         (i, o)
         for i, o in enumerate(reg5.orbits)
@@ -456,7 +456,8 @@ def test_span_coordinates_keep_an_unsorted_orient_order(reg5):
     lines = format_registry(reg5).splitlines()
     at = [j for j, line in enumerate(lines) if line.startswith("orient")][i]
     lines[at] = "orient " + " ".join(map(str, ref))
-    coords = parse_registry("\n".join(lines)).by_id[orbit.id].coords
+    ref_kept, coords = parse_registry("\n".join(lines)).by_id[orbit.id].rep.span
+    assert ref_kept == ref
     assert coords == span_coordinates(orbit.rep, ref)
     scale = coords[ref[0]][0]
     assert scale > 0
