@@ -13,20 +13,25 @@ shares its core, and the core's search state, and is never reduced
 again.
 
 Facet records are made one automorphism orbit of facets at a time. The
-first member of each facet orbit met in the walk order is located (or
-added) as a face, and every other member gets the same record: the same
-target and the same orientation sign eta, read in the source orbit's
-span basis by symmetry.orientation_sign (see _facet_sign): one
-determinant, or on a simplicial orbit, whose coordinates are a scaled
-unit basis, a permutation parity.
+first member of each facet orbit met in the walk order is classified,
+and every other member gets the same record: the same target and the
+same orientation sign eta, read in the source orbit's span basis by
+symmetry.orientation_sign (see _facet_sign): one determinant, or on a
+simplicial orbit, whose coordinates are a scaled unit basis, a
+permutation parity. A first member whose generators are those of an
+orbit's representative is that orbit's, with the identity witness, and
+is looked up by its generators (OrbitRegistry.by_generators) without a
+facet cone or a search; any other is located, or added, as a face.
 The sign is exact for the whole orbit. An automorphism of an
 alternating representative keeps its orientation and maps the outer
 side of one facet to that of its image. The witness from the target's
 representative onto the face matters only up to the target's
-automorphisms, which keep an alternating target's orientation. So eta
-is constant on an Aut(rep)-orbit of facets. The located faces, and with
-them the new orbits and the random draws of a seeded run, are the ones
-a face-by-face walk would meet, so the registry is unchanged.
+automorphisms, which keep an alternating target's orientation (so a
+representative's identity witness gives the sign a searched one would).
+So eta is constant on an Aut(rep)-orbit of facets. The classified
+faces, and with them the new orbits and the random draws of a seeded
+run, are the ones a face-by-face walk would meet, so the registry is
+unchanged.
 
 The I and C complexes read the lattice coloop count of the rank-g
 orbits only; annotate_coloops counts those, each from its Gram matrix
@@ -110,12 +115,15 @@ def _record_facets(
     reg: OrbitRegistry, orbit: Orbit, rng: random.Random | None, queue: list[Orbit]
 ) -> None:
     """Record (facet bitmask, target id, eta) for every facet of a new
-    orbit's rep, with one locate per orbit of Aut(rep) on the facets.
+    orbit's rep, with one classification per orbit of Aut(rep) on the
+    facets.
 
     Facets are walked in the sorted order of facet_index_sets, or in a
     seeded shuffle. The first member of each facet orbit is decoded into
-    its sorted indices s and located, or added as a new orbit; a walk
-    over the strong generators then gives its record to the rest of its
+    its sorted indices s. When its generators are a representative's, it
+    is that orbit's with the identity witness, and no facet cone is
+    made; otherwise it is located, or added as a new orbit. A walk over
+    the strong generators then gives its record to the rest of its
     orbit, so a later member is recorded without any search. The walk
     keys each image by its mask, summed from a table of bits per strong
     generator, and lists the image only when its mask is new.
@@ -135,8 +143,10 @@ def _record_facets(
     for mask in masks:
         if mask not in known:
             s = indices(mask, n)
-            face = rep.facet(s)
-            if face.rank < reg.g:
+            target = reg.by_generators.get(tuple([rep.generators[i] for i in s]))
+            if target is not None:
+                perm = tuple(range(len(s)))
+            elif (face := rep.facet(s)).rank < reg.g:
                 loc = reg.locate(face)
                 if loc is None:
                     raise AssertionError(

@@ -23,6 +23,7 @@ of boundary cones and the coloop test.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, starmap
@@ -63,6 +64,26 @@ def flatten_rank1(v: Sequence[int]) -> tuple[int, ...]:
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def random_unimodular(g: int, rng: random.Random) -> list[list[int]]:
+    """A matrix of GL_g(Z) drawn from rng: 3g + 2 random row swaps,
+    negations and additions of +-1 or +-2 times another row, applied to I."""
+    m = identity_matrix(g)
+    if g == 0:
+        return m
+    for _ in range(3 * g + 2):
+        op = rng.randrange(3)
+        i = rng.randrange(g)
+        j = rng.randrange(g)
+        if op == 0 and i != j:
+            m[i], m[j] = m[j], m[i]
+        elif op == 1:
+            m[i] = [-x for x in m[i]]
+        elif op == 2 and i != j:
+            k = rng.choice((-2, -1, 1, 2))
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    return m
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:

@@ -1,9 +1,10 @@
 """GL_g(Z)-equivalence of cones, automorphisms, orientations, orbits.
 
-Equivalence search runs on the cores of cones (cone.reduce), and the
-ray permutation is pulled back. The pruning invariant is the integer
-Gram matrix G_ij = v_i^t adj(T) v_j with T = sum of v v^t. It is
-det T times the rational Gram matrix v_i^t T^{-1} v_j, and det T > 0 is a
+Equivalence search runs on the cores of cones (cone.reduce), and on a
+boundary cone the ray permutation is pulled back. The pruning
+invariant is the integer Gram matrix G_ij = v_i^t adj(T) v_j with
+T = sum of v v^t. It is det T times the rational Gram matrix
+v_i^t T^{-1} v_j, and det T > 0 is a
 GL_g(Z) invariant of the cone, so every comparison made on G is the one
 the rational matrix would give. A matrix mapping generators to
 +-generators permutes G up to row/column signs, so the profiles must
@@ -46,11 +47,11 @@ from .cone import (
 from .intlinalg import (
     adjugate_det,
     det_sign,
-    identity_matrix,
     mat_mul,
     mat_vec,
     perm_sign,
     pick_basis,
+    random_unimodular,
     sign_normalize,
 )
 
@@ -348,8 +349,8 @@ def equivalent(c1: PerfectCone, c2: PerfectCone) -> tuple[int, ...] | None:
     Cones with different fingerprints are not equivalent, and no search
     is run; the fingerprint holds the rank, the dimension and the
     generator count. Otherwise the search runs on the cores (cone.reduce),
-    and the perm is pulled back to the cones' own rays. A is proven to
-    exist and never formed (see _full_rank_maps)."""
+    and a boundary perm is pulled back to the cones' own rays. A is
+    proven to exist and never formed (see _full_rank_maps)."""
     if c1.g != c2.g:
         raise ValueError("cones live in different ambient dimensions")
     if c1.fingerprint != c2.fingerprint:
@@ -358,7 +359,10 @@ def equivalent(c1: PerfectCone, c2: PerfectCone) -> tuple[int, ...] | None:
         return ()
     (core1, local1), (core2, local2) = cone_reduce(c1), cone_reduce(c2)
     found = _full_rank_maps(core1, core2)
-    return _pull_back(found[0][0], local1, local2) if found else None
+    if not found:
+        return None
+    # a full-rank c1 is its own core, and so is c2, of the same rank
+    return found[0][0] if core1 is c1 else _pull_back(found[0][0], local1, local2)
 
 
 def _pull_back(perm: Sequence[int], local1: Sequence[int], local2: Sequence[int]) -> tuple[int, ...]:
@@ -370,13 +374,14 @@ def _pull_back(perm: Sequence[int], local1: Sequence[int], local2: Sequence[int]
 def strong_generators(c: PerfectCone) -> list[tuple[int, ...]]:
     """Ray permutations of a strong generating set of the automorphism
     group (see _full_rank_maps), read off the core's stabilizer, which
-    induces the same permutations. Each perm is listed once, and the
-    identity (the kernel's perm) not at all."""
+    induces the same permutations, pulled back to c's rays when c is a
+    boundary cone. Each perm is listed once, and the identity (the
+    kernel's perm) not at all."""
     if c.is_zero():
         return []
     core, local = cone_reduce(c)
     found = _full_rank_maps(core, core, group=True)
-    perms = [_pull_back(perm, local, local) for perm, _s in found]
+    perms = [perm if core is c else _pull_back(perm, local, local) for perm, _s in found]
     identity = tuple(range(len(c.generators)))
     return [perm for perm in dict.fromkeys(perms) if perm != identity]
 
@@ -429,24 +434,6 @@ def is_alternating(c: PerfectCone) -> bool:
     alternation check of a single cone, and because perfbench's tracer
     times it (symmetry.is_alternating)."""
     return OrbitRegistry(c.g).add(c)[0].alternating
-
-
-def random_unimodular(g: int, rng: random.Random) -> list[list[int]]:
-    m = identity_matrix(g)
-    if g == 0:
-        return m
-    for _ in range(3 * g + 2):
-        op = rng.randrange(3)
-        i = rng.randrange(g)
-        j = rng.randrange(g)
-        if op == 0 and i != j:
-            m[i], m[j] = m[j], m[i]
-        elif op == 1:
-            m[i] = [-x for x in m[i]]
-        elif op == 2 and i != j:
-            k = rng.choice((-2, -1, 1, 2))
-            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
-    return m
 
 
 def conjugate_cone(c: PerfectCone, h: Sequence[Sequence[int]]) -> PerfectCone:
@@ -502,6 +489,9 @@ class OrbitRegistry:
         self.g = g
         self.orbits: list[Orbit] = []
         self.by_id: dict[str, Orbit] = {}
+        # each orbit under its representative's generators: a cone with
+        # those generators is the representative, with the identity witness
+        self.by_generators: dict[tuple, Orbit] = {}
         self._buckets: dict[tuple, list[Orbit]] = {}
         self._counters: dict[tuple[int, int], int] = {}
 
@@ -528,6 +518,7 @@ class OrbitRegistry:
     def _insert(self, orbit: Orbit):
         self.orbits.append(orbit)
         self.by_id[orbit.id] = orbit
+        self.by_generators[orbit.rep.generators] = orbit
         self._buckets.setdefault(orbit.fingerprint, []).append(orbit)
 
     def add(

@@ -12,6 +12,7 @@ from perfcone.complexes import (
     BUILDERS,
     _build_by_predicate,
     _facet_sign,
+    _record_facets,
     annotate_coloops,
     annotate_matroidal,
     build_inflation_complex,
@@ -36,7 +37,13 @@ from perfcone.homology import betti, verify_complex
 from perfcone.intlinalg import det_sign, flatten_rank1, perm_sign, rank_rows
 from perfcone.matroid import graphic_cone, is_matroidal
 from perfcone.quadform import cone_of_form, load_bundled_catalog, principal_form
-from perfcone.symmetry import OrbitRegistry, format_registry, span_coordinates, strong_generators
+from perfcone.symmetry import (
+    OrbitRegistry,
+    format_registry,
+    parse_registry,
+    span_coordinates,
+    strong_generators,
+)
 
 from oracles import (
     boundary_matrix,
@@ -296,6 +303,14 @@ def _facet_orbits(orbit):
     return firsts
 
 
+def _is_rep(reg, orbit, mask, tid):
+    """Whether the facet mask of orbit's rep has exactly the generators
+    of the representative of the orbit tid."""
+    gens = orbit.rep.generators
+    face = tuple(gens[i] for i in indices(mask, len(gens)))
+    return face == reg.by_id[tid].rep.generators
+
+
 def test_registry_locates_once_per_facet_orbit(monkeypatch):
     calls = Counter()
     locate = OrbitRegistry.locate
@@ -312,16 +327,99 @@ def test_registry_locates_once_per_facet_orbit(monkeypatch):
     monkeypatch.setattr(OrbitRegistry, "locate", counting)
     monkeypatch.setattr(perfcone.complexes, "_facet_sign", counting_sign)
     reg = build_registry(5)
-    assert calls["locate"] == 572
-    # one locate per catalog cone (inside add) at each ambient 1..5, and one
-    # per facet orbit of every orbit the walk created; one sign per facet
-    # orbit whose orbit and target are both alternating
+    # one classification per catalog cone (a locate inside add) at each
+    # ambient 1..5, and one per facet orbit of every orbit the walk
+    # created: the first member is looked up by its generators when it is
+    # a representative, and located otherwise; one sign per facet orbit
+    # whose orbit and target are both alternating
     assert all(o.aut_gens is not None for o in reg.orbits if o.facets)
     tops = sum(len(load_bundled_catalog(h)) for h in range(1, 6))
-    firsts = [(o, tid) for o in reg.orbits for _m, tid, _e in _facet_orbits(o)]
-    assert calls["locate"] - tops == len(firsts)
-    signed = sum(o.alternating and reg.by_id[tid].alternating for o, tid in firsts)
+    firsts = [(o, m, tid) for o in reg.orbits for m, tid, _e in _facet_orbits(o)]
+    # unseeded, a face that add makes an orbit of is its rep; every orbit
+    # but the zero orbit and one per catalog cone was made so
+    made = len(reg.orbits) - 1 - tops
+    hits = sum(_is_rep(reg, o, m, tid) for o, m, tid in firsts) - made
+    assert (calls["locate"], hits) == (497, 75)
+    assert calls["locate"] + hits - tops == len(firsts)
+    signed = sum(o.alternating and reg.by_id[tid].alternating for o, _m, tid in firsts)
     assert 0 < calls["sign"] == signed
+
+
+def test_representative_lookup_keeps_every_facet_record(reg5, reg6_principal, monkeypatch):
+    # a facet that is a representative takes the identity witness, where a
+    # search may have found another; on an alternating target the two
+    # differ by an automorphism that keeps its orientation, so eta is the
+    # same. At g <= 5 one such facet reads a sign, on principal g = 6
+    # 16 do (a sign read on a face that locate finds to be its target's
+    # rep): the g = 6 records, rebuilt with the index emptied, so that
+    # every facet is located, must be those of the fixture
+    insert = OrbitRegistry._insert
+    locate = OrbitRegistry.locate
+    facet_sign = perfcone.complexes._facet_sign
+    reps = set()
+    signed = Counter()
+
+    def unindexed(self, orbit):
+        insert(self, orbit)
+        del self.by_generators[orbit.rep.generators]
+
+    def recording_locate(self, c):
+        loc = locate(self, c)
+        if loc is not None and loc[0].rep.generators == c.generators:
+            reps.add(c.generators)
+        return loc
+
+    def recording_sign(orbit, s, target, perm):
+        signed[tuple(orbit.rep.generators[i] for i in s) in reps] += 1
+        return facet_sign(orbit, s, target, perm)
+
+    monkeypatch.setattr(OrbitRegistry, "_insert", unindexed)
+    monkeypatch.setattr(OrbitRegistry, "locate", recording_locate)
+    monkeypatch.setattr(perfcone.complexes, "_facet_sign", recording_sign)
+
+    def catalog(k):
+        return [principal_form(6)] if k == 6 else load_bundled_catalog(k)
+
+    reg = build_registry(6, catalog, prev=reg5)
+    assert not reg.by_generators
+    assert signed[True] == 16
+    assert [(o.id, o.facets) for o in reg.orbits] == [
+        (o.id, o.facets) for o in reg6_principal.orbits
+    ]
+
+
+def test_representative_facets_are_classified_without_a_search(monkeypatch):
+    # the first member of a facet orbit that is a representative is
+    # looked up by its generators: no facet cone, locate, add or search is
+    # made, and its record is the one the build gave it. Rerun on every
+    # orbit of g = 5, where a facet that made an orbit is now its rep too
+    reg = build_registry(5)
+    for o in reg.orbits:
+        assert reg.by_generators[o.rep.generators] is o
+    assert parse_registry(format_registry(reg)).by_generators.keys() == reg.by_generators.keys()
+    firsts = {}
+    for o in reg.orbits:
+        masks = [m for m, tid, _e in _facet_orbits(o) if _is_rep(reg, o, m, tid)]
+        if masks:
+            firsts[o.id] = masks
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a representative facet was searched for")
+
+    monkeypatch.setattr(perfcone.symmetry, "_full_rank_maps", refuse)
+    monkeypatch.setattr(OrbitRegistry, "locate", refuse)
+    monkeypatch.setattr(OrbitRegistry, "add", refuse)
+    monkeypatch.setattr(PerfectCone, "facet", refuse)
+    # the 75 that the build looked up, and the 154 that made an orbit
+    assert sum(map(len, firsts.values())) == 229
+    for oid, masks in firsts.items():
+        o = reg.by_id[oid]
+        monkeypatch.setattr(perfcone.complexes, "facet_index_sets", lambda _c: list(masks))
+        rerun = replace(o, facets=[])
+        queue = []
+        _record_facets(reg, rerun, None, queue)
+        assert queue == []
+        assert rerun.facets == [r for r in o.facets if r[0] in masks], oid
 
 
 def test_registry_requests_every_catalog_before_classifying(monkeypatch):

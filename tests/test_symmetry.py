@@ -284,7 +284,9 @@ def test_stabilizer_reflections():
 def test_boundary_witnesses_lift_from_the_reductions(reg4):
     # a boundary cone is searched on its reduction: equivalent pulls the
     # perm back through both reductions' index maps, and a map of GL_4(Z)
-    # must induce it, in either direction
+    # must induce it, in either direction; strong_generators pulls its
+    # group back through the one index map, and each perm must be induced
+    # by an automorphism
     rng = random.Random(5)
     faces = [o.rep for o in reg4.orbits if 2 <= o.rank < 4]
     assert {c.rank for c in faces} == {2, 3}
@@ -294,6 +296,8 @@ def test_boundary_witnesses_lift_from_the_reductions(reg4):
             for a, b in ((c, moved), (moved, c)):
                 perm = equivalent(a, b)
                 assert perm is not None and induces(perm, a, b)
+            for perm in strong_generators(moved):
+                assert induces(perm, moved, moved)
 
 
 def test_graphic_searches_form_no_matrix(monkeypatch):
@@ -859,10 +863,24 @@ def test_seeded_g5_witnesses_and_strong_generators_pass_check(monkeypatch):
     monkeypatch.setattr(OrbitRegistry, "locate", recording_locate)
     monkeypatch.setattr(OrbitRegistry, "add", recording_add)
     monkeypatch.setattr(perfcone.symmetry, "_full_rank_maps", recording_maps)
-    build_registry(5, seed=1)
-    # 410 located cones at ambients 1..5; 409 equivalence witnesses and 766
-    # strong generators found by the search, on full-rank cones or cores
-    assert len(located) == 410
+    reg = build_registry(5, seed=1)
+    # 410 classified faces and catalog cones at ambients 1..5: 409 located
+    # and one looked up as a representative, which takes the identity as
+    # its witness: the empty facet of the ray of ambient 1, the zero
+    # orbit's rep. The seed's conjugations give no other facet a rep's
+    # generators. 409 equivalence witnesses and 766 strong generators
+    # found by the search, on full-rank cones or cores
+    hits = []
+    for orbit in reg.orbits:
+        gens = orbit.rep.generators
+        for mask, tid, _eta in orbit.facets:
+            face = orbit.rep.subcone(indices(mask, len(gens)))
+            if face.generators == reg.by_id[tid].rep.generators:
+                hits.append((orbit.id, face, reg.by_id[tid]))
+    assert [(oid, target.id) for oid, _face, target in hits] == [("r1d1n0", "r0d0n0")]
+    for _oid, face, target in hits:
+        assert induces(tuple(range(len(face.generators))), target.rep, face)
+    assert len(located) == 409
     assert sum(not group for *_w, group in searched) == 409
     assert sum(group for *_w, group in searched) == 766
     created = [(c, orbit) for c, orbit, _t, new in added if new]
