@@ -285,7 +285,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ValueError, AssertionError, OSError) as exc:  # quadform.CatalogError is a ValueError
+    except (ValueError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

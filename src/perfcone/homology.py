@@ -135,7 +135,8 @@ def les_solve(
 
 def parse_les_fixture(text: str) -> tuple[int, dict[int, int | None], dict[int, int | None]]:
     """`les g=<int>`, `range <lo> <hi>`, `P <n> <dim|?>`, `V <n> <dim|?>`,
-    each directive once (P and V once per degree); degrees inside range
+    each directive once (P and V once per degree), g >= 1 and the range
+    inside -1..g(g+1)/2 - 1, the degrees of V_g; degrees inside the range
     without an entry are zero."""
     g = None
     lo = hi = None
@@ -149,12 +150,14 @@ def parse_les_fixture(text: str) -> tuple[int, dict[int, int | None], dict[int, 
             if g is not None:
                 raise ValueError(f"line {ln}: second `les` line")
             g = int_field(parts[1][2:], ln)
+            if g < 1:
+                raise ValueError(f"line {ln}: les g={g} is below 1")
         elif parts[0] == "range":
             if len(parts) != 3:
                 raise ValueError(f"line {ln}: expected `range <lo> <hi>`")
             if lo is not None:
                 raise ValueError(f"line {ln}: second `range` line")
-            lo, hi = int_field(parts[1], ln), int_field(parts[2], ln)
+            lo, hi, range_ln = int_field(parts[1], ln), int_field(parts[2], ln), ln
             if lo > hi:
                 raise ValueError(f"line {ln}: empty range {lo} > {hi}")
         elif parts[0] in entries:
@@ -172,6 +175,9 @@ def parse_les_fixture(text: str) -> tuple[int, dict[int, int | None], dict[int, 
             raise ValueError(f"line {ln}: unrecognized directive {parts[0]!r}")
     if g is None or lo is None:
         raise ValueError(f"line {end}: les fixture needs `les g=` and `range` lines")
+    top = g * (g + 1) // 2 - 1
+    if lo < -1 or hi > top:
+        raise ValueError(f"line {range_ln}: range {lo} {hi} leaves the degrees -1..{top} of V_{g}")
     for (_, n), ln in entry_line.items():
         if not lo <= n <= hi:
             raise ValueError(f"line {ln}: entry degree {n} outside the declared range")

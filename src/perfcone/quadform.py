@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence
 
-from .cone import Face, PerfectCone, indices, records
+from .cone import Face, PerfectCone, indices, int_field, records
 from .intlinalg import (
     Echelon,
     adjugate_det,
@@ -249,88 +249,64 @@ def normalize_minimum(q: QuadraticForm) -> QuadraticForm:
     return q if m == 1 else q.scaled(1 / m)
 
 
-class CatalogError(ValueError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
-def _parse_rational(token: str, lineno: int) -> Fraction:
-    if "." in token:
-        raise CatalogError(lineno, f"decimal literal {token!r} not accepted")
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise CatalogError(lineno, f"bad rational {token!r}") from None
-
-
 def load_form_catalog(source: str | IO[str]) -> list[QuadraticForm]:
-    """Parse the line-oriented catalog format, from a string or a text
-    file.
+    """Read a form catalog, from a string or a text file, record by
+    record as cone.records gives them.
 
-    `g <int>` once, then per form: `form <name>` and g rows of g exact
-    rationals. `#` starts a comment. Forms are validated symmetric,
-    positive definite and perfect, then scaled so the minimum is 1.
+    `g <int>` first, and a later `g` line repeats that ambient; then per
+    form `form <name>` and g rows of g entries, each an integer `p` or
+    `p/q` with integers q >= 1 (no decimals, no exponents). A form is
+    refused at its `form` line unless it is symmetric, positive definite
+    and perfect, then scaled so its minimum is 1. Every refusal is a
+    ValueError that names its line.
     """
-    text = source if isinstance(source, str) else source.read()
+    recs = records(source if isinstance(source, str) else source.read())
     g = None
     forms: list[QuadraticForm] = []
-    pending_name = None
-    pending_rows: list[list[Fraction]] = []
-    pending_line = 0
-
-    def flush():
-        nonlocal pending_name, pending_rows
-        if pending_name is None:
-            return
-        if len(pending_rows) != g:
-            raise CatalogError(pending_line, f"form {pending_name!r} needs {g} rows")
-        try:
-            form = QuadraticForm(pending_rows, name=pending_name)
-        except ValueError as exc:
-            raise CatalogError(pending_line, str(exc)) from None
-        if form._rows is None:
-            raise CatalogError(
-                pending_line,
-                f"form {pending_name!r} violates positive definiteness",
-            )
-        if not is_perfect(form):
-            raise CatalogError(pending_line, f"form {pending_name!r} is not perfect")
-        forms.append(normalize_minimum(form))
-        pending_name = None
-        pending_rows = []
-
-    for idx, parts in records(text)[:-1]:
+    k = 0
+    while k < len(recs) - 1:
+        ln, parts = recs[k]
+        k += 1
         if g is None or parts[0] == "g":
             if parts[0] != "g" or len(parts) != 2:
-                raise CatalogError(idx, "expected `g <int>` first")
-            try:
-                new_g = int(parts[1])
-            except ValueError:
-                raise CatalogError(idx, "expected `g <int>` first") from None
+                raise ValueError(f"line {ln}: expected `g <int>` first")
+            new_g = int_field(parts[1], ln)
             if new_g < 1:
-                raise CatalogError(idx, "g must be positive")
-            if g is not None:
-                flush()
-                if new_g != g:
-                    raise CatalogError(idx, "ambient changed mid-catalog")
+                raise ValueError(f"line {ln}: g must be positive")
+            if g not in (None, new_g):
+                raise ValueError(f"line {ln}: ambient changed mid-catalog")
             g = new_g
-            continue
-        if parts[0] == "form":
-            if len(parts) != 2:
-                raise CatalogError(idx, "expected `form <name>`")
-            flush()
-            pending_name = parts[1]
-            pending_line = idx
-            continue
-        if pending_name is None:
-            raise CatalogError(idx, "matrix row outside a form block")
-        if len(parts) != g:
-            raise CatalogError(idx, f"expected {g} rationals")
-        pending_rows.append([_parse_rational(tok, idx) for tok in parts])
-        if len(pending_rows) > g:
-            raise CatalogError(idx, f"form {pending_name!r} has too many rows")
-    flush()
+        elif parts[0] != "form":
+            raise ValueError(f"line {ln}: matrix row outside a form block")
+        elif len(parts) != 2:
+            raise ValueError(f"line {ln}: expected `form <name>`")
+        else:
+            name, rows = parts[1], []
+            # a `g` or `form` line, or the end of the text, cuts the form off
+            for i, row in recs[k : k + g]:
+                if not row or row[0] in ("g", "form"):
+                    break
+                if len(row) != g:
+                    raise ValueError(f"line {i}: expected {g} rationals")
+                rows.append([])
+                for token in row:
+                    p, slash, q = token.partition("/")
+                    p, q = int_field(p, i), int_field(q, i) if slash else 1
+                    if q < 1:
+                        raise ValueError(f"line {i}: bad rational {token!r}")
+                    rows[-1].append(Fraction(p, q))
+            if len(rows) != g:
+                raise ValueError(f"line {ln}: form {name!r} needs {g} rows")
+            k += g
+            try:
+                form = QuadraticForm(rows, name=name)
+            except ValueError as exc:
+                raise ValueError(f"line {ln}: {exc}") from None
+            if form._rows is None:
+                raise ValueError(f"line {ln}: form {name!r} violates positive definiteness")
+            if not is_perfect(form):
+                raise ValueError(f"line {ln}: form {name!r} is not perfect")
+            forms.append(normalize_minimum(form))
     return forms
 
 

@@ -230,6 +230,30 @@ def test_homology_rejects_broken_complex(tmp_path, capsys):
         (["les", "--g", "5"], "les g=5\nrange 0 5\nP 0 -2\nV 1 1\n", "line 3:"),
         (["homology"], "complex P g=200\n", "line 2:"),
         (["homology"], "complex P g=2\ndeg -1 dim 1 a\ndeg 0 dim 1 b\n", "line 4:"),
+        (["les", "--g", "5"], "les g=5\nrange 0 15\n", "line 2:"),
+        (["les", "--g", "5"], "les g=5\nrange -2 5\n", "line 2:"),
+        (["les", "--g", "5"], "les g=0\nrange 0 0\n", "line 1:"),
+        (["forms", "--g", "2", "--catalog"], "form x\n1 0\n0 1\n", "line 1:"),
+        (["forms", "--g", "2", "--catalog"], "g x\n", "line 1:"),
+        (["forms", "--g", "2", "--catalog"], "g 0\n", "line 1:"),
+        (["forms", "--g", "2", "--catalog"], "g 2 3\n", "line 1:"),
+        (["forms", "--g", "2", "--catalog"], "g 2\nform p\n1 1/2\n1/2 1\ng 3\n", "line 5:"),
+        (["forms", "--g", "2", "--catalog"], "g 2\n1 0\n", "line 2:"),
+        (["forms", "--g", "2", "--catalog"], "g 2\nform\n", "line 2:"),
+        (["forms", "--g", "2", "--catalog"], "g 2\nform x\n1 1/2\n1/2\n", "line 4:"),
+        (["forms", "--g", "2", "--catalog"], "g 2\nform x\n1 1/2\nform y\n1 1/2\n1/2 1\n", "line 2:"),
+        (["forms", "--g", "2", "--catalog"], "g 2\nform x\n1 1/2\ng 2\n", "line 2:"),
+        (["forms", "--g", "2", "--catalog"], "g 2\nform x\n1 1/2\n", "line 2:"),
+        (["forms", "--g", "2", "--catalog"], "g 1\nform x\n", "line 2:"),
+        (["forms", "--g", "2", "--catalog"], "g 2\nform x\n1 1/2\n1/2 1\n1 1\n", "line 5:"),
+        (["forms", "--g", "2", "--catalog"], "g 2\nform x\n1 0.5\n0.5 1\n", "line 3:"),
+        (["forms", "--g", "2", "--catalog"], "g 2\nform x\n1 1/0\n1/0 1\n", "line 3:"),
+        (["forms", "--g", "2", "--catalog"], "g 2\nform x\n1 1/-2\n1/-2 1\n", "line 3:"),
+        (["forms", "--g", "2", "--catalog"], "g 2\nform x\n1 5e-1\n5e-1 1\n", "line 3:"),
+        (["forms", "--g", "2", "--catalog"], "g 1\nform x\n1e999999999\n", "line 3:"),
+        (["forms", "--g", "2", "--catalog"], "g 2\nform x\n1 0\n1/2 1\n", "line 2:"),
+        (["forms", "--g", "2", "--catalog"], "g 2\nform x\n1 1\n1 1\n", "line 2:"),
+        (["forms", "--g", "2", "--catalog"], "g 2\nform x\n1 0\n0 1\n", "line 2:"),
     ],
     ids=[
         "les-range-one-bound",
@@ -261,6 +285,30 @@ def test_homology_rejects_broken_complex(tmp_path, capsys):
         "les-dim-negative",
         "complex-g-without-deg-lines",
         "deg-missing",
+        "les-range-above-top",
+        "les-range-below-minus-one",
+        "les-g-zero",
+        "catalog-g-missing",
+        "catalog-g-not-integer",
+        "catalog-g-zero",
+        "catalog-g-two-fields",
+        "catalog-ambient-changed",
+        "catalog-row-outside-form",
+        "catalog-form-unnamed",
+        "catalog-row-short",
+        "catalog-form-cut-by-form",
+        "catalog-form-cut-by-g",
+        "catalog-form-cut-by-end",
+        "catalog-form-empty",
+        "catalog-rows-too-many",
+        "catalog-decimal",
+        "catalog-denominator-zero",
+        "catalog-denominator-negative",
+        "catalog-exponent",
+        "catalog-exponent-huge",
+        "catalog-asymmetric",
+        "catalog-not-positive-definite",
+        "catalog-not-perfect",
     ],
 )
 def test_malformed_input_names_its_line(tmp_path, capsys, command, text, where):
